@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.special import logsumexp
+from scipy.special import logsumexp, xlogy
 
 from .errors import (
     BudgetExceededError,
@@ -54,7 +54,6 @@ __all__ = [
 ]
 
 _OPT_BUDGET = 200_000  # dense optimizer cap on q^n
-_SEED_BASE = 20240801  # fixed multi-start seeds; results must not depend on timing
 
 
 @dataclass(frozen=True)
@@ -197,93 +196,66 @@ def _enumerate_words(q: int, n: int) -> np.ndarray:
     return arr
 
 
-def _iproject(p: np.ndarray, A: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """KL projection of p onto {x >= 0, sum x = 1, A x = target}.
+def _project_box(p, A, lo, hi):
+    """KL projection of p onto {x >= 0, sum x = 1, lo <= A x <= hi}.
 
-    Exponential tilting x ~ p * exp(theta^T A); Newton iterations on the
-    dual.  Raises when the target is outside the achievable hull.
+    The minimizer is the tilt x ~ p * exp(theta^T A) at the minimum of the
+    convex dual  log sum p exp(theta^T A) - theta.c + w.|theta|,  where c
+    and w are the box centres and half-widths: a row with theta_i > 0 sits
+    at lo, one with theta_i < 0 at hi, and one with theta_i = 0 inside its
+    box.  Newton steps on the rows that are pinned or outside their box,
+    stopped at theta_i = 0 and backtracked until the dual decreases, so
+    dependent rows and rows that must leave their edge need no special
+    case.  Deterministic; ``lo == hi`` gives the equality projection.
+    Raises when the boxes cannot be reached.
     """
-    k = A.shape[0]
-    theta = np.zeros(k)
+    if A is None:
+        return p
     logp = np.log(p)
-    for _ in range(80):
+    c, w = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    theta = np.zeros(A.shape[0])
+    for _ in range(100):
         logits = logp + theta @ A
-        logits -= logsumexp(logits)
-        x = np.exp(logits)
+        x = np.exp(logits - logsumexp(logits))
         m = A @ x
-        grad = m - target
+        g = m - c
+        # the side of each row's kink that the dual descends into
+        side = np.where(theta != 0, np.sign(theta), -np.sign(g) * (np.abs(g) > w + 1e-13))
+        active = (side != 0) | (w == 0)
+        grad = np.where(active, g + w * side, 0.0)
         if np.max(np.abs(grad)) <= 1e-13:
             return x
-        centered = A - m[:, None]
+        centered = A[active] - m[active, None]
         H = (centered * x) @ centered.T
         H[np.diag_indices_from(H)] += 1e-14
+        step = np.zeros_like(theta)
         try:
-            step = np.linalg.solve(H, grad)
+            step[active] = np.linalg.solve(H, grad[active])
         except np.linalg.LinAlgError:
             raise InfeasibleConstraintsError("degenerate constraint system")
         if not np.all(np.isfinite(step)):
             raise InfeasibleConstraintsError("constraint projection diverged")
-        limit = np.max(np.abs(step))
-        if limit > 50.0:
-            step *= 50.0 / limit
-        theta -= step
+        step *= min(1.0, 50.0 / np.max(np.abs(step)))
+        # Armijo backtracking on the change of the dual, written so that its
+        # rounding stays far below the decrease; a row whose theta would
+        # change sign stops at 0
+        t = 1.0
+        while True:
+            new = theta - t * step
+            new[(w > 0) & (new * side < 0)] = 0.0
+            delta = new - theta
+            with np.errstate(over="ignore", invalid="ignore"):
+                change = (np.log1p(x @ np.expm1(delta @ A)) - delta @ c
+                          + w @ (np.abs(new) - np.abs(theta)))
+            if change <= 1e-4 * grad @ delta or t < 1e-12:
+                break
+            t *= 0.5
+        theta = new
     raise InfeasibleConstraintsError("constraint projection did not converge")
 
 
-def _project_box(p, A, lo, hi):
-    if A is None:
-        return p
-    m = A @ p
-    target = np.clip(m, lo, hi)
-    if np.allclose(m, target, rtol=0.0, atol=1e-14):
-        return p
-    return _iproject(p, A, target)
-
-
 def _ratio_of(p, logd):
-    h = -(p * np.log(p)).sum()
-    lam = -(p @ logd)
-    return h / lam
-
-
-def _eg_ascend(p0, logd, A, lo, hi, iters=400):
-    p = np.clip(p0, 1e-300, None)
-    p = p / p.sum()
-    try:
-        p = _project_box(p, A, lo, hi)
-    except InfeasibleConstraintsError:
-        return None
-    best = _ratio_of(p, logd)
-    eta = 1.0
-    for _ in range(iters):
-        R = _ratio_of(p, logd)
-        lam = -(p @ logd)
-        grad = (-(np.log(p) + 1.0) + R * logd) / lam
-        grad -= grad.max()
-        moved = False
-        for _ in range(40):
-            cand = p * np.exp(eta * grad)
-            cand = np.clip(cand / cand.sum(), 1e-300, None)
-            cand /= cand.sum()
-            try:
-                cand = _project_box(cand, A, lo, hi)
-            except InfeasibleConstraintsError:
-                eta *= 0.5
-                continue
-            r = _ratio_of(cand, logd)
-            if r >= best - 1e-15:
-                if r > best:
-                    best, p, moved = r, cand, True
-                else:
-                    p = cand
-                eta = min(eta * 1.2, 64.0)
-                break
-            eta *= 0.5
-            if eta < 1e-13:
-                break
-        if not moved and eta < 1e-13:
-            break
-    return p
+    return -xlogy(p, p).sum() / -(p @ logd)
 
 
 def _check_feasible_lp(logd_len, A, lo, hi):
@@ -311,14 +283,17 @@ def _check_feasible_lp(logd_len, A, lo, hi):
 
 
 def maximize_ratio(system: BranchSystem, constraints=(), q: int | None = None,
-                   n: int = 1, *, starts: int = 16, warm=None):
+                   n: int = 1):
     """Maximize h/lambda over level-n weights on words over {1..q}.
 
     ``constraints`` is a sequence of (potential, gamma, eps) triples pinning
-    Birkhoff moments into [gamma-eps, gamma+eps].  Exponentiated-gradient
-    ascent with KL reprojection, restarted from a fixed seed schedule; the
-    best candidate under (ratio, lexicographic weights) is returned as a
-    (CylinderMeasure, MeasureStats) pair.
+    Birkhoff moments into [gamma-eps, gamma+eps].  Dinkelbach's iteration
+    (Management Science 13, 1967): from R = 0, the exact maximizer of
+    h - R lambda over the constraint boxes is the KL projection of the Gibbs
+    weights softmax(R log diam) onto the boxes, and R is raised to its
+    ratio until it stops rising.  The ratio is quasi-concave, so this is
+    the global maximum; the result is deterministic and uses no seeds.
+    Returns a (CylinderMeasure, MeasureStats) pair.
     """
     if q is None:
         q = system.branch_count()
@@ -338,48 +313,18 @@ def maximize_ratio(system: BranchSystem, constraints=(), q: int | None = None,
         if np.any(eps < 0):
             raise ModelError("constraint tolerances must be >= 0")
         lo, hi = gam - eps, gam + eps
-        violation, lp_point = _check_feasible_lp(len(logd), A, lo, hi)
+        violation, _ = _check_feasible_lp(len(logd), A, lo, hi)
         if violation > 1e-9:
             raise InfeasibleConstraintsError(
                 f"constraints unattainable at truncation (violation {violation:.3g})")
-    else:
-        lp_point = None
 
-    N = len(logd)
-    candidates = [np.full(N, 1.0 / N)]
-    # Gibbs family seeded at the Moran-type exponent of the word diameters
-    t_lo, t_hi = 0.0, 1.0
-    while logsumexp(t_hi * logd) > 0 and t_hi < 64:
-        t_hi *= 2.0
-    for _ in range(80):
-        mid = 0.5 * (t_lo + t_hi)
-        if logsumexp(mid * logd) >= 0:
-            t_lo = mid
-        else:
-            t_hi = mid
-    t_root = 0.5 * (t_lo + t_hi)
-    gibbs = np.exp(t_root * logd - logsumexp(t_root * logd))
-    candidates.append(gibbs)
-    if lp_point is not None and lp_point.sum() > 0:
-        candidates.append(np.clip(lp_point, 1e-12, None) / np.clip(lp_point, 1e-12, None).sum())
-    if warm is not None:
-        w = np.asarray(warm, dtype=float)
-        if len(w) == N and np.all(w > 0):
-            candidates.append(w / w.sum())
-    while len(candidates) < starts:
-        rng = np.random.default_rng(_SEED_BASE + len(candidates))
-        candidates.append(rng.dirichlet(np.ones(N)))
-
-    best_p, best_key = None, None
-    for p0 in candidates:
-        p = _eg_ascend(p0, logd, A, lo, hi)
-        if p is None:
-            continue
-        key = (_ratio_of(p, logd), tuple(np.round(p, 15)))
-        if best_key is None or key > best_key:
-            best_key, best_p = key, p
-    if best_p is None:
-        raise InfeasibleConstraintsError("no feasible starting point found")
+    R, best_p = 0.0, None
+    for _ in range(200):
+        p = _project_box(np.exp(R * logd - logsumexp(R * logd)), A, lo, hi)
+        r = _ratio_of(p, logd)
+        if best_p is not None and r <= R + 1e-15 * max(1.0, R):
+            break
+        R, best_p = r, p
 
     keep = best_p > 1e-300
     words = tuple(tuple(int(s) for s in w) for w in arr[keep])
@@ -492,7 +437,7 @@ def feasible(system: BranchSystem, gamma, eps: float = 0.0,
 
     witness_p = None
     try:
-        witness_p = _iproject(np.full(arr.shape[0], 1.0 / arr.shape[0]), A, gam)
+        witness_p = _project_box(np.full(arr.shape[0], 1.0 / arr.shape[0]), A, gam, gam)
     except InfeasibleConstraintsError:
         pass
     if witness_p is None or np.any(witness_p <= 0):

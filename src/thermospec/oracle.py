@@ -489,13 +489,14 @@ def _measures_reports() -> list[OracleReport]:
 
     _, best = maximize_ratio(half_quarter)
     out.append(_report("unconstrained ratio maximum vs Moran root on (1/2,1/4)",
-                       moran_root([0.5, 0.25]), best.ratio, 2e-3))
+                       moran_root([0.5, 0.25]), best.ratio, 1e-12))
 
+    # the box [0.2499, 0.2501] around level 1/4 peaks at its upper edge
     chi1 = indicator_potential(1)
     _, pinned = maximize_ratio(doubling, constraints=((chi1, 0.25, 1e-4),))
     out.append(_report("constrained ratio maximum at level 1/4 on doubling",
-                       besicovitch_eggleston([0.25, 0.75], [0.5, 0.5]),
-                       pinned.ratio, 5e-3))
+                       besicovitch_eggleston([0.2501, 0.7499], [0.5, 0.5]),
+                       pinned.ratio, 1e-9))
 
     rep = feasible(gauss, gamma=(0.6,), eps=1e-6, q=3, n=1,
                    potentials=(harmonic_potential(),))

@@ -44,8 +44,8 @@ class Branch:
     """One inverse branch of the map.
 
     Linear branches know only their diameter.  Analytic branches carry the
-    inverse map y -> T_i^{-1}(y) on [0, 1], the log-derivative x -> log|T'(x)|
-    on I_i, and certified bounds for the log-derivative over the branch.
+    inverse map y -> T_i^{-1}(y) on [0, 1] and the log-derivative
+    x -> log|T'(x)| on I_i.
     """
 
     index: int
@@ -53,23 +53,12 @@ class Branch:
     diameter: float | None = None
     inverse: Callable[[float], float] | None = None
     log_deriv: Callable[[float], float] | None = None
-    log_deriv_min: float | None = None
-    log_deriv_max: float | None = None
 
     @staticmethod
     def linear(index: int, diameter: float) -> "Branch":
         if not (0.0 < diameter < 1.0):
             raise ModelError(f"branch {index}: diameter must lie in (0, 1), got {diameter}")
-        return Branch(index=index, kind="linear", diameter=float(diameter),
-                      log_deriv_min=-math.log(diameter), log_deriv_max=-math.log(diameter))
-
-    @staticmethod
-    def analytic(index: int, inverse, log_deriv, log_deriv_min: float,
-                 log_deriv_max: float) -> "Branch":
-        if not (0.0 <= log_deriv_min <= log_deriv_max):
-            raise ModelError(f"branch {index}: log-derivative range must be nonnegative and ordered")
-        return Branch(index=index, kind="analytic", inverse=inverse, log_deriv=log_deriv,
-                      log_deriv_min=float(log_deriv_min), log_deriv_max=float(log_deriv_max))
+        return Branch(index=index, kind="linear", diameter=float(diameter))
 
 
 @dataclass(frozen=True)
@@ -166,9 +155,7 @@ def _gauss_branch(m: int, logical_index: int) -> Branch:
     def log_deriv(x):
         return -2.0 * math.log(x)
 
-    return Branch(index=logical_index, kind="analytic", inverse=inverse, log_deriv=log_deriv,
-                  log_deriv_min=2.0 * math.log(m) if m > 1 else 0.0,
-                  log_deriv_max=2.0 * math.log(m + 1))
+    return Branch(index=logical_index, kind="analytic", inverse=inverse, log_deriv=log_deriv)
 
 
 def branch(system: BranchSystem, i: int) -> Branch:

@@ -573,6 +573,19 @@ def _bisect_root(fn, lo, hi, tol=1e-12, max_iter=200):
     return 0.5 * (lo + hi), lo, hi
 
 
+def _root_ends(fn, lo, hi, tol):
+    """Final bisection bracket of a decreasing fn's root on [lo, hi].
+
+    When fn does not straddle zero there, both ends are the end of [lo, hi]
+    that the root lies beyond.
+    """
+    try:
+        return _bisect_root(fn, lo, hi, tol=tol)[1:]
+    except BracketError:
+        r = lo if fn(lo) < 0 else hi
+        return r, r
+
+
 def _zeta_tail(s: float, first: float) -> float:
     """sum_{m >= first} m^{-s} for s > 1 (Hurwitz zeta)."""
     if s <= 1.0:
@@ -666,15 +679,11 @@ def _root_series(system, bracket, tol):
         shi = P_parts(t)[1]
         return math.log(shi) if math.isfinite(shi) else math.inf
 
-    def clipped_root(fn):
-        try:
-            r, _, _ = _bisect_root(fn, lo, hi, tol=1e-13)
-            return r
-        except BracketError:
-            return lo if fn(lo) < 0 else hi
-
-    root_lo, root_hi = clipped_root(P_low), clipped_root(P_high)
-    interval = (min(root_lo, value), max(root_hi, value))
+    # each certified end is the outer end of its final bisection bracket
+    root_lo = _root_ends(P_low, lo, hi, 1e-13)[0]
+    root_hi = _root_ends(P_high, lo, hi, 1e-13)[1]
+    value = min(max(value, root_lo), root_hi)
+    interval = (root_lo, root_hi)
     return RootResult(value=value, interval=interval, method="series",
                       residual=P_mid(value), q=None, n_used=None, bracket=(lo, hi))
 
@@ -763,16 +772,11 @@ def _root_analytic(system, bracket, tol, q, n_max, budget, workers):
 
     value, _, _ = _bisect_root(point_pressure, lo, hi, tol=min(tol, 1e-10))
 
-    def root_of(fn):
-        try:
-            r, _, _ = _bisect_root(fn, lo, hi, tol=1e-12)
-            return r
-        except BracketError:
-            return lo if fn(lo) < 0 else hi
-
-    cert_lo = root_of(lambda t: certified_at(t)[0])
-    cert_hi = root_of(lambda t: certified_at(t)[1])
-    interval = (min(cert_lo, value), max(cert_hi, value))
+    # each certified end is the outer end of its final bisection bracket
+    cert_lo = _root_ends(lambda t: certified_at(t)[0], lo, hi, 1e-12)[0]
+    cert_hi = _root_ends(lambda t: certified_at(t)[1], lo, hi, 1e-12)[1]
+    value = min(max(value, cert_lo), cert_hi)
+    interval = (cert_lo, cert_hi)
     method = "enumeration" if use_enum else "level1-sandwich"
     return RootResult(value=value, interval=interval, method=method,
                       residual=point_pressure(value), q=q if use_enum else None,

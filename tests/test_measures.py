@@ -71,19 +71,46 @@ def test_golden_dirac_stats_exact():
     assert st.moments == (1.0,)
 
 
+def _entropy(p):
+    return -sum(x * math.log(x) for x in p)
+
+
 def test_maximize_ratio_unconstrained_matches_moran():
     sysm = ts.linear_system((0.5, 0.25))
     mu, st = ts.maximize_ratio(sysm)
-    assert st.ratio == pytest.approx(0.6942419136306174, abs=2e-3)
+    assert st.ratio == pytest.approx(0.6942419136306174, abs=1e-12)
     assert sum(mu.weights) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_maximize_ratio_constrained_matches_entropy_curve():
+    # on doubling the ratio is H(p_1)/log 2, so the box [0.2499, 0.2501]
+    # is maximized at its upper edge
     sys2 = ts.doubling_system()
     chi1 = ts.indicator_potential(1)
     mu, st = ts.maximize_ratio(sys2, constraints=((chi1, 0.25, 1e-4),))
-    assert st.ratio == pytest.approx(BE_QUARTER, abs=5e-3)
-    assert st.moments[0] == pytest.approx(0.25, abs=2e-4)
+    assert st.ratio == pytest.approx(_entropy((0.2501, 0.7499)) / math.log(2.0), abs=1e-9)
+    assert st.moments[0] == pytest.approx(0.2501, abs=1e-12)
+    # chi1 + chi2 = 1, so both boxes start violated at the uniform weights,
+    # but only chi2's lower edge 0.75 binds at the optimum
+    chi2 = ts.indicator_potential(2)
+    mu, st = ts.maximize_ratio(sys2, constraints=((chi1, 0.25, 0.05), (chi2, 0.775, 0.025)))
+    assert st.ratio == pytest.approx(BE_QUARTER, abs=1e-9)
+    assert st.moments[1] == pytest.approx(0.75, abs=1e-12)
+
+
+def test_maximize_ratio_several_constraints_closed_form():
+    # equal diameters make lambda = log 5 for every weight vector, so the
+    # optimum is the entropy maximum over the boxes: digits 1 and 2 sit at
+    # their lower edges and the remaining 0.35 spreads evenly over 3..5
+    sys5 = ts.linear_system([0.2] * 5)
+    chi = ts.indicator_potential
+    cons = ((chi(1), 0.5, 0.1), (chi(2), 0.3, 0.05), (chi(3), 0.1, 0.05))
+    mu, st = ts.maximize_ratio(sys5, constraints=cons)
+    want = (0.4, 0.25, 0.35 / 3, 0.35 / 3, 0.35 / 3)
+    assert st.ratio == pytest.approx(_entropy(want) / math.log(5.0), abs=1e-10)
+    assert st.ratio == pytest.approx(0.9102817302, abs=1e-10)
+    assert mu.words == ((1,), (2,), (3,), (4,), (5,))
+    assert np.allclose(mu.weights, want, rtol=0.0, atol=1e-9)
 
 
 def test_stats_hand_example_half_quarter():
@@ -163,9 +190,9 @@ def test_digit_frequency_partial_matches_full():
     full = ts.digit_frequency_dimension(sys2, [0.25, 0.75])
     part = ts.digit_frequency_dimension(sys2, [0.25], mode="partial")
     assert part.regime == "variational"
-    # partial mode goes through the constrained optimizer, so match the
-    # closed form only to variational accuracy
-    assert part.dimension == pytest.approx(full.dimension, abs=5e-3)
+    # partial mode maximizes over p_1 in [0.25 - 1e-6, 0.25 + 1e-6], whose
+    # upper edge beats the closed form by log2(3) * 1e-6 to first order
+    assert full.dimension <= part.dimension <= full.dimension + 2e-6
 
 
 def test_digit_frequency_degenerate_vectors():
@@ -186,6 +213,10 @@ def test_feasible_reports_witness():
     assert rep.moments[0] == pytest.approx(0.6, abs=2e-6)
     assert rep.witness is not None
     assert sum(rep.witness.weights) == pytest.approx(1.0, abs=1e-12)
+    # the witness is the maximum-entropy vector: digit 1 carries 0.6 and the
+    # other 49 digits share the rest evenly
+    assert len(rep.witness.words) == 50
+    assert np.allclose(rep.witness.weights, [0.6] + [0.4 / 49] * 49, rtol=0.0, atol=1e-12)
 
 
 def test_feasible_detects_unreachable_moment():

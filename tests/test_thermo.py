@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -166,6 +167,34 @@ def test_pressure_root_restricted_family():
     for N, frozen in want.items():
         res = ts.pressure_root(ts.restricted_system(g, N))
         assert res.value == pytest.approx(frozen, abs=1e-12)
+
+
+def _hurwitz_root(first):
+    """Root t of zeta(2t, first) = 1 at 30 digits, by bisection."""
+    with mpmath.workdps(30):
+        lo, hi = mpmath.mpf("0.5"), mpmath.mpf(1)
+        for _ in range(110):
+            mid = (lo + hi) / 2
+            if mpmath.zeta(2 * mid, first) > 1:
+                lo = mid
+            else:
+                hi = mid
+        return float(lo), float(hi)
+
+
+def test_pressure_root_restricted_family_inside_hurwitz_sandwich():
+    # |T'| lies between m^2 and (m+1)^2 on digit m, so the dimension of the
+    # digits >= N set lies between the roots of zeta(2t, N+1) = 1 and
+    # zeta(2t, N) = 1
+    g = ts.gauss_system()
+    for N in (10 ** 6, 10 ** 45):
+        lo = _hurwitz_root(N + 1)[0]
+        hi = _hurwitz_root(N)[1]
+        res = ts.pressure_root(ts.restricted_system(g, N))
+        assert lo - 1e-10 <= res.value <= hi + 1e-10
+        # certified ends round outward, so the interval holds the sandwich
+        assert res.interval[0] <= lo + 1e-15 and res.interval[1] >= hi - 1e-15
+        assert res.interval[0] <= res.value <= res.interval[1]
 
 
 def test_pressure_root_bad_bracket():
