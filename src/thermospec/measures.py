@@ -17,17 +17,19 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.special import logsumexp, xlogy
+from scipy.special import xlogy
 
 from .errors import (
     BudgetExceededError,
     InfeasibleConstraintsError,
     InvalidMeasureError,
     ModelError,
+    UndeterminedError,
 )
 from .systems import (
     BranchSystem,
     Potential,
+    _logsumexp,
     birkhoff_sum,
     check_word,
     cylinder_diameter,
@@ -207,7 +209,8 @@ def _project_box(p, A, lo, hi):
     stopped at theta_i = 0 and backtracked until the dual decreases, so
     dependent rows and rows that must leave their edge need no special
     case.  Deterministic; ``lo == hi`` gives the equality projection.
-    Raises when the boxes cannot be reached.
+    Raises UndeterminedError when the solve fails: whether the boxes can
+    be met at all is the feasibility LP's verdict, not this solver's.
     """
     if A is None:
         return p
@@ -216,7 +219,7 @@ def _project_box(p, A, lo, hi):
     theta = np.zeros(A.shape[0])
     for _ in range(100):
         logits = logp + theta @ A
-        x = np.exp(logits - logsumexp(logits))
+        x = np.exp(logits - _logsumexp(logits))
         m = A @ x
         g = m - c
         # the side of each row's kink that the dual descends into
@@ -232,9 +235,9 @@ def _project_box(p, A, lo, hi):
         try:
             step[active] = np.linalg.solve(H, grad[active])
         except np.linalg.LinAlgError:
-            raise InfeasibleConstraintsError("degenerate constraint system")
+            raise UndeterminedError("degenerate constraint system")
         if not np.all(np.isfinite(step)):
-            raise InfeasibleConstraintsError("constraint projection diverged")
+            raise UndeterminedError("constraint projection diverged")
         step *= min(1.0, 50.0 / np.max(np.abs(step)))
         # Armijo backtracking on the change of the dual, written so that its
         # rounding stays far below the decrease; a row whose theta would
@@ -251,7 +254,7 @@ def _project_box(p, A, lo, hi):
                 break
             t *= 0.5
         theta = new
-    raise InfeasibleConstraintsError("constraint projection did not converge")
+    raise UndeterminedError("constraint projection did not converge")
 
 
 def _ratio_of(p, logd):
@@ -320,7 +323,7 @@ def maximize_ratio(system: BranchSystem, constraints=(), q: int | None = None,
 
     R, best_p = 0.0, None
     for _ in range(200):
-        p = _project_box(np.exp(R * logd - logsumexp(R * logd)), A, lo, hi)
+        p = _project_box(np.exp(R * logd - _logsumexp(R * logd)), A, lo, hi)
         r = _ratio_of(p, logd)
         if best_p is not None and r <= R + 1e-15 * max(1.0, R):
             break
@@ -438,7 +441,7 @@ def feasible(system: BranchSystem, gamma, eps: float = 0.0,
     witness_p = None
     try:
         witness_p = _project_box(np.full(arr.shape[0], 1.0 / arr.shape[0]), A, gam, gam)
-    except InfeasibleConstraintsError:
+    except UndeterminedError:
         pass
     if witness_p is None or np.any(witness_p <= 0):
         witness_p = lp_point

@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
-from scipy.special import logsumexp
 from scipy.special import zeta as _hurwitz_zeta
 
 from .errors import (
@@ -32,6 +31,7 @@ from .errors import (
 from .systems import (
     BranchSystem,
     Potential,
+    _logsumexp,
     branch_diameter,
     diam_series,
     diameters,
@@ -135,28 +135,6 @@ def _require_level1(potential: Potential) -> None:
         raise UnsupportedPotentialError(
             "spectrum routines require a bounded level-1 potential; "
             "higher-level averages go through measures.maximize_ratio")
-
-
-def _logsumexp(a: np.ndarray) -> float:
-    """log sum exp(a) of a 1-D float array, bit-identical to scipy's.
-
-    Performs ``scipy.special.logsumexp``'s arithmetic without its
-    array-API dispatch, which dominates on the few-element arrays of the
-    tilted series: shift by the maximum, drop the maximal entries from the
-    sum, divide by their count m, and return log1p(s) + log(m) + max.
-    Empty, non-finite or overflowing cases defer to scipy.
-    """
-    if a.size:
-        a_max = a.max()
-        if math.isfinite(a_max):
-            ismax = a == a_max
-            m = float(np.count_nonzero(ismax))
-            e = np.exp(a - a_max)
-            e[ismax] = 0.0
-            out = np.log1p(e.sum() / m) + np.log(m) + a_max
-            if math.isfinite(out):
-                return float(out)
-    return float(logsumexp(a))
 
 
 @functools.lru_cache(maxsize=32)
@@ -267,35 +245,53 @@ def _value_range(system, potential):
 
 
 # ---------------------------------------------------------------------------
+# roots
+
+
+def _root(fn, lo, hi, limits=None):
+    """Zero of the increasing function fn, searched from the bracket [lo, hi].
+
+    While fn(lo) > 0 (or fn(hi) < 0) that end moves outwards by the
+    bracket's width, so the bracket grows geometrically, but never past
+    ``limits`` (default: the bracket itself, no widening); an end that
+    reaches its limit without a sign change is returned.  Brent's method
+    (R. P. Brent, Algorithms for Minimization without Derivatives, 1973,
+    ch. 4) then closes the bracket to xtol = rtol = 1e-15.
+    """
+    lo_limit, hi_limit = (lo, hi) if limits is None else limits
+    f_lo = fn(lo)
+    while f_lo > 0 and lo > lo_limit:
+        lo = max(lo - (hi - lo), lo_limit)
+        f_lo = fn(lo)
+    if f_lo > 0:
+        return lo
+    f_hi = fn(hi)
+    while f_hi < 0 and hi < hi_limit:
+        hi = min(hi + (hi - lo), hi_limit)
+        f_hi = fn(hi)
+    if f_hi < 0:
+        return hi
+    return float(brentq(fn, lo, hi, xtol=1e-15, rtol=1e-15))
+
+
+# ---------------------------------------------------------------------------
 # Legendre solution
 
 
 def _solve_qhat(system, potential, t, alpha, family="diam"):
-    """Monotone bisection of alpha(t, .) = alpha; returns (qhat, f, alpha)."""
+    """Tilt q with alpha(t, q) = alpha, by Brent's method from [-1, 1].
 
-    def a_of(q):
-        return _f_alpha(system, potential, t, q, family)[3]
-
-    lo, hi = -1.0, 1.0
-    while a_of(lo) > alpha and lo > -700.0:
-        lo = max(2.0 * lo, -700.0)
-    while a_of(hi) < alpha and hi < 700.0:
-        hi = min(2.0 * hi, 700.0)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if a_of(mid) < alpha:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * max(1.0, abs(lo), abs(hi)):
-            break
-    q = 0.5 * (lo + hi)
-    _, f, _, a = _f_alpha(system, potential, t, q, family)
-    return q, f, a
+    alpha(t, .) is increasing; the bracket widens up to |q| = 700 and
+    stays at that end when the level is out of reach.  Returns q and the
+    (f_lo, f, f_hi, alpha) tuple of ``_f_alpha`` there.
+    """
+    q = _root(lambda q: _f_alpha(system, potential, t, q, family)[3] - alpha,
+              -1.0, 1.0, (-700.0, 700.0))
+    return q, _f_alpha(system, potential, t, q, family)
 
 
 def _t_floor(system):
-    """Lower endpoint of the outer bisection.
+    """Lower end of the t-bracket of the Legendre solve.
 
     The tilted series may blow up exactly at s_inf, in which case the
     search starts a hair above it.
@@ -313,16 +309,7 @@ def _decreasing_log_mass_root(logsum, floor: float, s_inf: float) -> float:
     lo = max(floor, 1e-12)
     if logsum(lo) <= 0.0:
         return s_inf if floor > 0 else 0.0
-    hi = 1.0
-    if logsum(hi) > 0:
-        return hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if logsum(mid) >= 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _root(lambda t: -logsum(t), lo, 1.0)
 
 
 def _subsystem_dimension(system, potential, alpha):
@@ -374,12 +361,13 @@ def legendre_solve(system: BranchSystem, potential: Potential, alpha: float, *,
     """Dimension of the level set where the average of phi equals alpha.
 
     Interior alphas go through the nested stationarity solve: an inner
-    monotone bisection finds the tilt q with f_q(t, q) = alpha, an outer
-    bisection finds the root of g(t) = f(t, q(t)) - q(t) alpha, and the
-    dimension is max(s_inf, t).  When g has no root above the floor the
-    regime is flat and the dimension is s_inf.  Range endpoints reduce to
-    the matching digit subsystem when attained and to the floor otherwise;
-    alphas outside the closed range are empty.
+    Brent solve finds the tilt q with f_q(t, q) = alpha, an outer one finds
+    the root of the decreasing g(t) = f(t, q(t)) - q(t) alpha, and the
+    dimension is max(s_inf, t).  When the certified lower end of g at the
+    floor is <= 0, g has no root above the floor: the regime is flat and
+    the dimension is s_inf.  Range endpoints reduce to the matching digit
+    subsystem when attained and to the floor otherwise; alphas outside the
+    closed range are empty.
     """
     _require_level1(potential)
     s_inf = s_inf_exact(system)
@@ -405,33 +393,20 @@ def legendre_solve(system: BranchSystem, potential: Potential, alpha: float, *,
             "interior spectrum rows require an all-linear system")
 
     floor = _t_floor(system)
-
-    def g(t):
-        q, f, _ = _solve_qhat(system, potential, t, alpha)
-        return f - q * alpha, q
-
-    g_floor, _ = g(floor)
-    if g_floor <= 0.0:
+    # one q-solve per distinct t: brentq re-evaluates its bracket ends
+    solve = functools.cache(lambda t: _solve_qhat(system, potential, t, alpha))
+    q, (f_lo, _, _, _) = solve(floor)
+    if f_lo - q * alpha <= 0.0:
         return SpectrumPoint(alpha=alpha, dim=s_inf, t=s_inf, q=None,
                              residuals=None, regime="flat-floor", s_inf=s_inf)
-    t_lo, t_hi = floor, t_max
-    g_hi, q_hi = g(t_hi)
-    if g_hi > 0:
-        t_sol, q_sol = t_hi, q_hi
-    else:
-        for _ in range(200):
-            mid = 0.5 * (t_lo + t_hi)
-            val, _ = g(mid)
-            if val >= 0:
-                t_lo = mid
-            else:
-                t_hi = mid
-            if t_hi - t_lo <= 1e-15:
-                break
-        t_sol = 0.5 * (t_lo + t_hi)
-        _, q_sol = g(t_sol)
-    _, f_chk, _, a_chk = _f_alpha(system, potential, t_sol, q_sol)
-    residuals = (abs(f_chk - q_sol * alpha), abs(a_chk - alpha))
+
+    def minus_g(t):
+        q, (_, f, _, _) = solve(t)
+        return q * alpha - f
+
+    t_sol = _root(minus_g, floor, t_max)
+    q_sol, (_, f, _, a) = solve(t_sol)
+    residuals = (abs(f - q_sol * alpha), abs(a - alpha))
     return SpectrumPoint(alpha=alpha, dim=max(s_inf, t_sol), t=t_sol,
                          q=q_sol, residuals=residuals, regime="legendre",
                          s_inf=s_inf)
@@ -461,16 +436,6 @@ def _flat_K_C(system, delta):
     return K, C
 
 
-def _expanding_brentq(fn, lo, hi):
-    flo, fhi = fn(lo), fn(hi)
-    for _ in range(60):
-        if flo * fhi <= 0:
-            break
-        lo, hi = lo - (hi - lo), hi + (hi - lo)
-        flo, fhi = fn(lo), fn(hi)
-    return float(brentq(fn, lo, hi, xtol=1e-14))
-
-
 def flat_bounds(system: BranchSystem, potential: Potential | None = None) -> FlatBounds:
     """Window edges of the flat spectrum region for the two-block family.
 
@@ -497,10 +462,10 @@ def flat_bounds(system: BranchSystem, potential: Potential | None = None) -> Fla
     def alpha_of(q):
         return math.log(K * math.exp(q) + C) / q
 
-    root0 = _expanding_brentq(lambda q: K * math.exp(q) + C - 1.0,
-                              q_minus - 5.0, q_minus + 5.0)
-    root1 = _expanding_brentq(lambda q: math.log(K * math.exp(q) + C) - q,
-                              q_plus - 5.0, q_plus + 5.0)
+    root0 = _root(lambda q: K * math.exp(q) + C - 1.0,
+                  q_minus - 5.0, q_minus + 5.0, (-700.0, 700.0))
+    root1 = _root(lambda q: q - math.log(K * math.exp(q) + C),
+                  q_plus - 5.0, q_plus + 5.0, (-700.0, 700.0))
     if abs(root0 - q_minus) > 1e-9 or abs(root1 - q_plus) > 1e-9:
         raise ModelError("flat window roots disagree with the closed forms")
 
@@ -531,27 +496,12 @@ def flat_bounds(system: BranchSystem, potential: Potential | None = None) -> Fla
 
 
 def _monotone_zero(fn, increasing: bool):
-    """Zero of a monotone function of the tilt; expands from the origin."""
-    lo, hi = -1.0, 1.0
-    for _ in range(80):
-        flo, fhi = fn(lo), fn(hi)
-        if increasing and flo <= 0.0 <= fhi:
-            break
-        if not increasing and flo >= 0.0 >= fhi:
-            break
-        lo *= 2.0
-        hi *= 2.0
-        if hi > 1e6:
-            raise ModelError("no zero of the certificate function found")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if (fn(mid) < 0.0) == increasing:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-14 * max(1.0, abs(lo), abs(hi)):
-            break
-    return 0.5 * (lo + hi)
+    """Zero of a monotone function of the tilt; expands from [-1, 1]."""
+    sign = 1.0 if increasing else -1.0
+    q = _root(lambda q: sign * fn(q), -1.0, 1.0, (-1e6, 1e6))
+    if abs(q) >= 1e6:
+        raise ModelError("no zero of the certificate function found")
+    return q
 
 
 def flat_certificate(system: BranchSystem, potential: Potential, alpha: float,
@@ -578,9 +528,6 @@ def flat_certificate(system: BranchSystem, potential: Potential, alpha: float,
     def F_mid(q):
         return _f_alpha(system, potential, delta, q, family)[1] - q * alpha
 
-    def F_alpha(q):
-        return _f_alpha(system, potential, delta, q, family)[3]
-
     def F_bracket(q):
         if linear:
             b_lo, b_hi = pressure_locally_constant_bracket(
@@ -606,20 +553,7 @@ def flat_certificate(system: BranchSystem, potential: Potential, alpha: float,
         qhat = _monotone_zero(F_mid, increasing=True)
         note = "lower endpoint: zero of the increasing branch"
     else:
-        lo, hi = -1.0, 1.0
-        while F_alpha(lo) > alpha and lo > -700.0:
-            lo = max(2.0 * lo, -700.0)
-        while F_alpha(hi) < alpha and hi < 700.0:
-            hi = min(2.0 * hi, 700.0)
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if F_alpha(mid) < alpha:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-15 * max(1.0, abs(lo), abs(hi)):
-                break
-        qhat = 0.5 * (lo + hi)
+        qhat, _ = _solve_qhat(system, potential, delta, alpha, family)
         note = ""
 
     val_lo, val_hi = F_bracket(qhat)

@@ -19,6 +19,7 @@ from typing import Callable, Iterable, Sequence
 
 import mpmath
 import numpy as np
+from scipy.special import logsumexp
 
 from .errors import (
     InfeasibleModelError,
@@ -215,6 +216,28 @@ def is_linear(system: BranchSystem) -> bool:
 
 # ---------------------------------------------------------------------------
 # series of diameters: head sums plus certified integral tail brackets
+
+
+def _logsumexp(a: np.ndarray) -> float:
+    """log sum exp(a) of a 1-D float array, bit-identical to scipy's.
+
+    Performs ``scipy.special.logsumexp``'s arithmetic without its
+    array-API dispatch, which dominates on few-element arrays: shift by
+    the maximum, drop the maximal entries from the sum, divide by their
+    count m, and return log1p(s) + log(m) + max.  Empty, non-finite or
+    overflowing cases defer to scipy.
+    """
+    if a.size:
+        a_max = a.max()
+        if math.isfinite(a_max):
+            ismax = a == a_max
+            m = float(np.count_nonzero(ismax))
+            e = np.exp(a - a_max)
+            e[ismax] = 0.0
+            out = np.log1p(e.sum() / m) + np.log(m) + a_max
+            if math.isfinite(out):
+                return float(out)
+    return float(logsumexp(a))
 
 
 def _powerlog_integral(x0: float, p: float, r: float) -> float:

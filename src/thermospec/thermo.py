@@ -34,6 +34,7 @@ from .errors import (
 from .systems import (
     BranchSystem,
     Potential,
+    _logsumexp,
     branch_diameter,
     diam_series,
     diameters,
@@ -321,7 +322,7 @@ def pressure(system: BranchSystem, potential: Potential | None = None, *,
     if simple:
         logd = np.log(diameters(system, q))
         vals = level1_values(system, potential, q) if potential is not None else 0.0
-        v1 = float(logsumexp(vals + t * logd))
+        v1 = _logsumexp(vals + t * logd)
         for n in range(1, n_max + 1):
             values.append(v1)
             levels.append(n)
@@ -394,7 +395,7 @@ def pressure_locally_constant_bracket(system: BranchSystem,
     if system.tail is not None and not series_converges(system, t):
         return math.inf, math.inf
     H, logd, vals = _plc_head_arrays(system, potential)
-    head = float(logsumexp(coeff * vals + t * logd))
+    head = _logsumexp(coeff * vals + t * logd)
     if system.tail is None:
         return head, head
     t_lo, t_hi = diam_series(system, t, start=H + 1)
@@ -634,7 +635,7 @@ def _root_finite_linear(system, bracket, tol):
     logd = np.log(diameters(system, len(system.head)))
 
     def P(t):
-        return float(logsumexp(t * logd))
+        return _logsumexp(t * logd)
 
     lo, hi = _normalize_bracket(bracket, 0.0, 1.0)
     if bracket is None:

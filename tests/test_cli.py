@@ -2,8 +2,10 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -213,9 +215,14 @@ def test_infinity_literals_round_trip(capsys):
 
 
 def test_console_script_entry_point():
+    # the child imports the source tree this process imported, however the
+    # test runner put it on the path
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "thermospec.cli", "sinf", "--model", "gauss"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["result"]["value"] == 0.5

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import thermospec as ts
+from thermospec import measures
 
 BE_QUARTER = 0.8112781244591328  # H(1/4) / log 2
 GOLDEN_LYAP = 0.9624236501192069  # 2 log((1 + sqrt 5)/2)
@@ -232,6 +233,21 @@ def test_feasible_custom_potentials():
     rep = ts.feasible(g, [0.9], q=40, potentials=(ts.harmonic_potential(),))
     assert rep.verdict == "feasible-with-witness"
     assert rep.moments[0] == pytest.approx(0.9, abs=1e-5)
+
+
+def test_projection_failure_is_not_an_empty_set(monkeypatch):
+    # a NaN start drives the real projection into its failure path; only the
+    # feasibility LP may call a level set empty
+    real = measures._project_box
+    monkeypatch.setattr(measures, "_project_box",
+                        lambda p, A, lo, hi: real(np.full_like(p, np.nan), A, lo, hi))
+    with pytest.raises(ts.UndeterminedError):
+        ts.digit_frequency_dimension(ts.doubling_system(), [0.25, 0.745],
+                                     mode="partial", eps=0.01)
+    rep = ts.feasible(ts.gauss_system(), [0.6], q=50)
+    assert rep.verdict == "feasible-with-witness"
+    assert rep.witness.words == ((1,), (2,))  # the LP vertex
+    assert rep.moments[0] == pytest.approx(0.6, abs=1e-12)
 
 
 def test_mixture_affine_combination_exact():

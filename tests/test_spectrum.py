@@ -7,6 +7,7 @@ import pytest
 from scipy.special import logsumexp
 
 import thermospec as ts
+from thermospec import spectrum
 from thermospec.spectrum import _logsumexp
 
 BE_QUARTER = 0.8112781244591328  # H(1/4) / log 2
@@ -54,6 +55,17 @@ def test_logsumexp_helper_bit_identical_to_scipy():
               np.array([1e308, 1e308])]
     for a in cases:
         assert _bits(_logsumexp(a)) == _bits(logsumexp(a)), a
+
+
+def test_root_helper_widens_and_clamps():
+    root = spectrum._root
+    assert root(lambda x: x - 0.3, 0.0, 1.0) == pytest.approx(0.3, abs=1e-15)
+    assert root(lambda x: x - 123.4, -1.0, 1.0, (-700.0, 700.0)) == pytest.approx(123.4, rel=1e-15)
+    assert root(lambda x: x + 1000.0, -1.0, 1.0, (-700.0, 700.0)) == -700.0
+    assert root(lambda x: x - 1000.0, -1.0, 1.0, (-700.0, 700.0)) == 700.0
+    assert root(lambda x: x - 2.0, 0.0, 1.0) == 1.0  # no widening without limits
+    with pytest.raises(ts.ModelError):
+        spectrum._monotone_zero(lambda q: 1.0, increasing=True)
 
 
 def test_legendre_doubling_interior(chi1):
@@ -172,6 +184,38 @@ def test_flat_floor_inside_window(flat, chi1):
     pt2 = ts.legendre_solve(flat, chi1, 0.9)
     assert pt2.regime == "flat-floor"
     assert pt2.dim == 0.5
+
+
+def test_flat_window_edges_are_flat_floor(flat, chi1):
+    fb = ts.flat_bounds(flat)
+    for edge, inward in ((fb.alpha_lower, 1e-6), (fb.alpha_upper, -1e-6)):
+        pt = ts.legendre_solve(flat, chi1, edge)
+        assert pt.regime == "flat-floor", edge
+        assert pt.dim == 0.5
+        inside = ts.legendre_solve(flat, chi1, edge + inward)
+        assert inside.regime == "legendre", edge
+        assert inside.dim > 0.5
+
+
+@pytest.mark.parametrize("model, alpha, max_t, max_calls", [
+    ("flat", 0.3, 12, 300), ("flat", 0.5, 12, 300), ("doubling", 0.3, 8, 300)])
+def test_legendre_row_evaluation_count(monkeypatch, chi1, model, alpha, max_t, max_calls):
+    # counts tilted-series work per row rather than timing it: one fresh
+    # series build per distinct t, one _f_alpha call per root-solver step
+    system = ts.flat_example_system() if model == "flat" else ts.doubling_system()
+    spectrum._series_groups.cache_clear()
+    seen = []
+    real = spectrum._f_alpha
+
+    def counting(system, potential, t, qhat, family="diam"):
+        seen.append(t)
+        return real(system, potential, t, qhat, family)
+
+    monkeypatch.setattr(spectrum, "_f_alpha", counting)
+    pt = ts.legendre_solve(system, chi1, alpha)
+    assert pt.regime == "legendre"
+    assert len(set(seen)) <= max_t
+    assert len(seen) <= max_calls
 
 
 def test_flat_interior_rises_above_floor(flat, chi1):
