@@ -22,7 +22,9 @@ from .systems import (
     Branch,
     BranchSystem,
     FlatParams,
+    GaussTail,
     Potential,
+    PowerLogTail,
     Tail,
     birkhoff_sum,
     branch,

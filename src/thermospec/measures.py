@@ -29,6 +29,7 @@ from .errors import (
 from .systems import (
     BranchSystem,
     Potential,
+    _cf_log_cylinder_diams,
     _logsumexp,
     birkhoff_sum,
     check_word,
@@ -130,13 +131,7 @@ def _log_cylinder_diams(system, arr: np.ndarray) -> np.ndarray:
     if is_linear(system):
         logd = np.log(diameters(system, int(arr.max())))
         return logd[arr - 1].sum(axis=1)
-    y0 = np.zeros(len(arr), dtype=float)
-    y1 = np.ones(len(arr), dtype=float)
-    for j in range(arr.shape[1] - 1, -1, -1):
-        m = arr[:, j].astype(float) + system.offset
-        y0 = 1.0 / (m + y0)
-        y1 = 1.0 / (m + y1)
-    return np.log(np.abs(y0 - y1))
+    return _cf_log_cylinder_diams(arr.astype(float) + system.offset)
 
 
 def _moment_rows(system, potential, arr: np.ndarray) -> np.ndarray:

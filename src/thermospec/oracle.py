@@ -31,8 +31,6 @@ from .systems import (
     is_linear,
     linear_system,
     powerlog_system,
-    _powerlog_diam,
-    _powerlog_tail_bracket,
 )
 
 __all__ = [
@@ -258,8 +256,8 @@ def _linear_layout(system: BranchSystem, word):
         if i <= prefix:
             return float(lefts[i - 1]), float(d[i - 1])
         m = i + system.offset
-        t_lo, t_hi = _powerlog_tail_bracket(system.tail, 1.0, m)
-        return total - 0.5 * (t_lo + t_hi), _powerlog_diam(system.tail, m)
+        t_lo, t_hi = system.tail.bracket(1.0, m)
+        return total - 0.5 * (t_lo + t_hi), system.tail.diameter(m)
 
     return at
 

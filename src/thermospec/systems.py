@@ -2,11 +2,11 @@
 
 A branch system models a map of the unit interval that is a bijection from
 each of countably many disjoint subintervals I_1, I_2, ... onto [0, 1].
-Branches are either "linear" (described by the diameter of I_i alone) or
-"analytic" (described by the inverse map and the log-derivative along the
-branch).  Infinite families carry a parametric tail: either the power-log
-family diam(I_n) = c * n^(-a) * (log(n + b))^(-d), or the continued-fraction
-family diam(I_n) = 1/(n(n+1)).
+Systems are plain frozen values: equal systems hash equal.  A branch is
+linear (its diameter alone) or the Moebius branch y -> 1/(digit + y) of the
+continued-fraction map.  Infinite families carry a ``PowerLogTail``,
+diam(I_n) = c * n^(-a) * (log(n + b))^(-d), or a ``GaussTail``,
+diam(I_n) = 1/(n(n+1)); only this module tells the two families apart.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import mpmath
 import numpy as np
@@ -42,46 +42,123 @@ _PACKING_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class Branch:
-    """One inverse branch of the map.
+    """One inverse branch of the map, as data.
 
-    Linear branches know only their diameter.  Analytic branches carry the
-    inverse map y -> T_i^{-1}(y) on [0, 1] and the log-derivative
-    x -> log|T'(x)| on I_i.
+    Every branch carries its ``diameter``.  A Moebius branch also carries
+    its physical ``digit`` m: it is the inverse branch y -> 1/(m + y) of the
+    continued-fraction map, with diameter 1/(m(m+1)).  A branch without a
+    digit is linear.
     """
 
-    index: int
-    kind: str  # "linear" | "analytic"
-    diameter: float | None = None
-    inverse: Callable[[float], float] | None = None
-    log_deriv: Callable[[float], float] | None = None
+    diameter: float
+    digit: int | None = None
 
     @staticmethod
     def linear(index: int, diameter: float) -> "Branch":
         if not (0.0 < diameter < 1.0):
             raise ModelError(f"branch {index}: diameter must lie in (0, 1), got {diameter}")
-        return Branch(index=index, kind="linear", diameter=float(diameter))
+        return Branch(diameter=float(diameter))
+
+    @property
+    def kind(self) -> str:
+        return "linear" if self.digit is None else "analytic"
+
+    def inverse(self, y: float) -> float:
+        """T_i^{-1}(y) for y in [0, 1] (Moebius branches)."""
+        return 1.0 / (self.digit + y)
+
+    def log_deriv(self, x: float) -> float:
+        """log|T'(x)| at a point x of the branch interval."""
+        if self.digit is None:
+            return -math.log(self.diameter)
+        return -2.0 * math.log(x)
 
 
-@dataclass(frozen=True)
 class Tail:
     """Parametric model for branch diameters beyond the explicit head.
 
-    kind "powerlog": diam(I_n) = c * n^(-a) * (log(n + b))^(-d), n physical.
-    kind "gauss":    diam(I_n) = 1 / (n (n + 1)), n physical.
+    Its subclasses are frozen values with one method set, m being physical
+    labels: ``branch(index, m)``, ``diameters(m)`` and the summands
+    ``terms(m, s)`` = diam^s on float arrays, ``converges(s)`` and ``s_inf``
+    for the series sum diam^s, and ``bracket(s, first)``, a certified
+    bracket for its sum over m >= first.
     """
 
-    kind: str
-    c: float = 1.0
-    a: float = 2.0
+
+@dataclass(frozen=True)
+class PowerLogTail(Tail):
+    """diam(I_n) = c * n^(-a) * (log(n + b))^(-d); linear branches."""
+
+    c: float
+    a: float
     b: float = 1.0
     d: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("powerlog", "gauss"):
-            raise ModelError(f"unknown tail kind {self.kind!r}")
-        if self.kind == "powerlog":
-            if self.c <= 0 or self.a <= 0 or self.d < 0 or self.b < 1:
-                raise ModelError("powerlog tail requires c>0, a>0, d>=0, b>=1")
+        if self.c <= 0 or self.a <= 0 or self.d < 0 or self.b < 1:
+            raise ModelError("powerlog tail requires c>0, a>0, d>=0, b>=1")
+
+    def diameter(self, m: int) -> float:
+        return self.c * m ** (-self.a) * math.log(m + self.b) ** (-self.d)
+
+    def branch(self, index: int, m: int) -> Branch:
+        return Branch.linear(index, self.diameter(m))
+
+    def diameters(self, m: np.ndarray) -> np.ndarray:
+        return self.c * m ** (-self.a) * np.log(m + self.b) ** (-self.d)
+
+    def terms(self, m: np.ndarray, s: float) -> np.ndarray:
+        return self.diameters(m) ** s
+
+    def converges(self, s: float) -> bool:
+        p = self.a * s
+        return p > 1.0 or (p == 1.0 and self.d * s > 1.0)
+
+    @property
+    def s_inf(self) -> float:
+        return 1.0 / self.a
+
+    def bracket(self, s: float, first: int) -> tuple[float, float]:
+        if not self.converges(s):
+            return math.inf, math.inf
+        p, r = self.a * s, self.d * s
+        cs = self.c ** s
+        x0 = float(first)
+        base = _powerlog_integral(x0, p, r)
+        # log(x+b) >= log(x) shrinks terms; the ratio at x0 bounds the defect.
+        kappa = (math.log(x0) / math.log(x0 + self.b)) ** r if r > 0 else 1.0
+        g0 = cs * x0 ** (-p) * math.log(x0 + self.b) ** (-r)
+        return cs * kappa * base, cs * base + g0
+
+
+@dataclass(frozen=True)
+class GaussTail(Tail):
+    """diam(I_n) = 1/(n(n+1)); Moebius branches y -> 1/(n + y)."""
+
+    def branch(self, index: int, m: int) -> Branch:
+        return Branch(diameter=1.0 / (m * (m + 1.0)), digit=m)
+
+    def diameters(self, m: np.ndarray) -> np.ndarray:
+        return 1.0 / (m * (m + 1.0))
+
+    def terms(self, m: np.ndarray, s: float) -> np.ndarray:
+        return (m * (m + 1.0)) ** (-s)
+
+    def converges(self, s: float) -> bool:
+        return s > 0.5
+
+    @property
+    def s_inf(self) -> float:
+        return 0.5
+
+    def bracket(self, s: float, first: int) -> tuple[float, float]:
+        if s <= 0.5:
+            return math.inf, math.inf
+        x0 = float(first)
+        base = x0 ** (1.0 - 2.0 * s) / (2.0 * s - 1.0)  # integral of x^(-2s)
+        lo = (1.0 + 1.0 / x0) ** (-s) * base
+        g0 = (x0 * (x0 + 1.0)) ** (-s)
+        return lo, base + g0
 
 
 @dataclass(frozen=True)
@@ -98,38 +175,29 @@ class BranchSystem:
     ``offset`` maps the 1-based logical index i used in words to the physical
     label i + offset (restricted subsystems keep their original labels this
     way).  ``xi`` is the uniform bound with diam(I_i) <= 1/xi for all i.
-    ``var_schedule`` gives certified upper bounds var_n(log|T'|) for the
-    oscillation of log|T'| over n-cylinders; identically zero for all-linear
-    systems.
+    ``flat`` records the parameters of ``flat_example_system``.
     """
 
-    kind: str  # "linear" | "gauss" | "flat_example" | "custom"
     head: tuple = ()
     tail: Tail | None = None
     xi: float = 2.0
     offset: int = 0
-    var_schedule: Callable[[int], float] | None = None
     flat: FlatParams | None = None
 
     def digit(self, i: int) -> int:
         """Physical branch label for logical index i."""
         return i + self.offset
 
-    @property
-    def finite(self) -> bool:
-        return self.tail is None
-
     def branch_count(self) -> int | None:
         return len(self.head) if self.tail is None else None
 
 
 def var_log_deriv(system: BranchSystem, n: int) -> float:
-    """Certified bound for the oscillation of log|T'| over n-cylinders."""
+    """Certified bound for the oscillation of log|T'| over n-cylinders: zero
+    on all-linear systems, the continued-fraction bound otherwise."""
     if n < 1:
         raise ValueError("variation index must be >= 1")
-    if system.var_schedule is None:
-        return 0.0
-    return float(system.var_schedule(n))
+    return 0.0 if is_linear(system) else _gauss_var(n)
 
 
 @functools.lru_cache(maxsize=256)
@@ -149,16 +217,6 @@ def _gauss_var(n: int) -> float:
     return 2.0 / (_fib(n) * _fib(n + 1))
 
 
-def _gauss_branch(m: int, logical_index: int) -> Branch:
-    def inverse(y, _m=m):
-        return 1.0 / (_m + y)
-
-    def log_deriv(x):
-        return -2.0 * math.log(x)
-
-    return Branch(index=logical_index, kind="analytic", inverse=inverse, log_deriv=log_deriv)
-
-
 def branch(system: BranchSystem, i: int) -> Branch:
     """Branch for logical index i, materialized from the tail if needed."""
     if i < 1:
@@ -167,24 +225,12 @@ def branch(system: BranchSystem, i: int) -> Branch:
         return system.head[i - 1]
     if system.tail is None:
         raise InvalidWordError(f"index {i} exceeds the {len(system.head)} available branches")
-    m = system.digit(i)
-    if system.tail.kind == "gauss":
-        return _gauss_branch(m, i)
-    d = _powerlog_diam(system.tail, m)
-    return Branch.linear(i, d)
-
-
-def _powerlog_diam(tail: Tail, m: int) -> float:
-    return tail.c * m ** (-tail.a) * math.log(m + tail.b) ** (-tail.d)
+    return system.tail.branch(i, system.digit(i))
 
 
 def branch_diameter(system: BranchSystem, i: int) -> float:
     """Exact diameter of I_i."""
-    b = branch(system, i)
-    if b.kind == "linear":
-        return b.diameter
-    lo, hi = b.inverse(1.0), b.inverse(0.0)
-    return abs(hi - lo)
+    return branch(system, i).diameter
 
 
 def diameters(system: BranchSystem, q: int) -> np.ndarray:
@@ -193,25 +239,19 @@ def diameters(system: BranchSystem, q: int) -> np.ndarray:
         raise ValueError("q must be >= 1")
     out = np.empty(q, dtype=float)
     nh = min(q, len(system.head))
-    for i in range(nh):
-        out[i] = branch_diameter(system, i + 1)
+    out[:nh] = [b.diameter for b in system.head[:nh]]
     if q > nh:
         if system.tail is None:
             raise InvalidWordError(f"truncation {q} exceeds the finite system size {nh}")
         m = np.arange(nh + 1, q + 1, dtype=float) + system.offset
-        if system.tail.kind == "gauss":
-            out[nh:] = 1.0 / (m * (m + 1.0))
-        else:
-            t = system.tail
-            out[nh:] = t.c * m ** (-t.a) * np.log(m + t.b) ** (-t.d)
+        out[nh:] = system.tail.diameters(m)
     return out
 
 
 def is_linear(system: BranchSystem) -> bool:
     """True when every branch (head and tail) is linear."""
-    if any(b.kind != "linear" for b in system.head):
-        return False
-    return system.tail is None or system.tail.kind == "powerlog"
+    return (not isinstance(system.tail, GaussTail)
+            and all(b.digit is None for b in system.head))
 
 
 # ---------------------------------------------------------------------------
@@ -250,47 +290,9 @@ def _powerlog_integral(x0: float, p: float, r: float) -> float:
     return math.inf
 
 
-def _powerlog_series_converges(s: float, a: float, d: float) -> bool:
-    p = a * s
-    if p > 1.0:
-        return True
-    if p == 1.0:
-        return d * s > 1.0
-    return False
-
-
-def _powerlog_tail_bracket(tail: Tail, s: float, first: int) -> tuple[float, float]:
-    """Bracket for sum_{m >= first} (c m^-a log(m+b)^-d)^s, m physical."""
-    if not _powerlog_series_converges(s, tail.a, tail.d):
-        return math.inf, math.inf
-    p, r = tail.a * s, tail.d * s
-    cs = tail.c ** s
-    x0 = float(first)
-    base = _powerlog_integral(x0, p, r)
-    # log(x+b) >= log(x) shrinks terms; the ratio at x0 bounds the defect.
-    kappa = (math.log(x0) / math.log(x0 + tail.b)) ** r if r > 0 else 1.0
-    g0 = cs * x0 ** (-p) * math.log(x0 + tail.b) ** (-r)
-    return cs * kappa * base, cs * base + g0
-
-
-def _gauss_tail_bracket(s: float, first: int) -> tuple[float, float]:
-    """Bracket for sum_{m >= first} (m(m+1))^(-s), m physical."""
-    if s <= 0.5:
-        return math.inf, math.inf
-    x0 = float(first)
-    base = x0 ** (1.0 - 2.0 * s) / (2.0 * s - 1.0)  # integral of x^(-2s)
-    lo = (1.0 + 1.0 / x0) ** (-s) * base
-    g0 = (x0 * (x0 + 1.0)) ** (-s)
-    return lo, base + g0
-
-
 def series_converges(system: BranchSystem, s: float) -> bool:
     """Does sum_i diam(I_i)^s converge?  Finite systems always converge."""
-    if system.tail is None:
-        return True
-    if system.tail.kind == "gauss":
-        return s > 0.5
-    return _powerlog_series_converges(s, system.tail.a, system.tail.d)
+    return system.tail is None or system.tail.converges(s)
 
 
 @functools.lru_cache(maxsize=16384)
@@ -310,13 +312,8 @@ def _diam_series_cached(system: BranchSystem, s: float, start: int,
     first_logical = max(start, n_explicit + 1)
     part_hi = first_logical + head_terms
     m = np.arange(first_logical, part_hi, dtype=float) + system.offset
-    if system.tail.kind == "gauss":
-        total += float(np.sum((m * (m + 1.0)) ** (-s)))
-        lo, hi = _gauss_tail_bracket(s, part_hi + system.offset)
-    else:
-        t = system.tail
-        total += float(np.sum((t.c * m ** (-t.a) * np.log(m + t.b) ** (-t.d)) ** s))
-        lo, hi = _powerlog_tail_bracket(t, s, part_hi + system.offset)
+    total += float(np.sum(system.tail.terms(m, s)))
+    lo, hi = system.tail.bracket(s, part_hi + system.offset)
     return total + lo, total + hi
 
 
@@ -332,11 +329,7 @@ def s_inf_exact(system: BranchSystem) -> float:
     Equals 0 for finite systems, 1/a for power-log tails and 1/2 for the
     continued-fraction tail.
     """
-    if system.tail is None:
-        return 0.0
-    if system.tail.kind == "gauss":
-        return 0.5
-    return 1.0 / system.tail.a
+    return 0.0 if system.tail is None else system.tail.s_inf
 
 
 # ---------------------------------------------------------------------------
@@ -360,28 +353,26 @@ def linear_system(diams: Sequence[float], xi: float | None = None) -> BranchSyst
     head = tuple(Branch.linear(i + 1, d) for i, d in enumerate(ds))
     if xi is None:
         xi = 1.0 / max(ds)
-    sys_ = BranchSystem(kind="linear", head=head, tail=None, xi=float(xi))
+    sys_ = BranchSystem(head=head, tail=None, xi=float(xi))
     _check_packing(sys_)
     return sys_
 
 
 def gauss_system() -> BranchSystem:
     """Continued-fraction map x -> 1/x mod 1 with branches I_n = (1/(n+1), 1/n)."""
-    sys_ = BranchSystem(kind="gauss", head=(), tail=Tail(kind="gauss"), xi=2.0,
-                        var_schedule=_gauss_var)
-    return sys_
+    return BranchSystem(head=(), tail=GaussTail(), xi=2.0)
 
 
 def powerlog_system(head_diams: Sequence[float], c: float, a: float, b: float = 1.0,
                     d: float = 0.0, xi: float | None = None) -> BranchSystem:
     """All-linear system with explicit head and power-log tail."""
     head = tuple(Branch.linear(i + 1, float(dd)) for i, dd in enumerate(head_diams))
-    tail = Tail(kind="powerlog", c=float(c), a=float(a), b=float(b), d=float(d))
-    first_tail = _powerlog_diam(tail, len(head) + 1)
+    tail = PowerLogTail(c=float(c), a=float(a), b=float(b), d=float(d))
+    first_tail = tail.diameter(len(head) + 1)
     biggest = max([b_.diameter for b_ in head] + [first_tail])
     if xi is None:
         xi = 1.0 / biggest
-    sys_ = BranchSystem(kind="custom", head=head, tail=tail, xi=float(xi))
+    sys_ = BranchSystem(head=head, tail=tail, xi=float(xi))
     _check_packing(sys_)
     return sys_
 
@@ -406,14 +397,14 @@ def flat_example_system(K: float = 0.55, C: float = 0.6, s_inf: float = 0.5) -> 
     a = 1.0 / s_inf
     d = 2.0 / s_inf
     # calibrate: (c^s_inf) * sum_{n>=2} n^-1 log(n+1)^-2 = C
-    probe = BranchSystem(kind="custom", head=(Branch.linear(1, d1),),
-                         tail=Tail(kind="powerlog", c=1.0, a=a, b=1.0, d=d), xi=1.0 / d1)
+    probe = BranchSystem(head=(Branch.linear(1, d1),),
+                         tail=PowerLogTail(c=1.0, a=a, b=1.0, d=d), xi=1.0 / d1)
     s_lo, s_hi = diam_series(probe, s_inf, start=2)
     s0 = 0.5 * (s_lo + s_hi)
     c = (C / s0) ** (1.0 / s_inf)
-    tail = Tail(kind="powerlog", c=c, a=a, b=1.0, d=d)
-    xi = 1.0 / max(d1, _powerlog_diam(tail, 2))
-    sys_ = BranchSystem(kind="flat_example", head=(Branch.linear(1, d1),), tail=tail,
+    tail = PowerLogTail(c=c, a=a, b=1.0, d=d)
+    xi = 1.0 / max(d1, tail.diameter(2))
+    sys_ = BranchSystem(head=(Branch.linear(1, d1),), tail=tail,
                         xi=xi, flat=FlatParams(K=float(K), C=float(C), s_inf=float(s_inf)))
     _check_packing(sys_)
     return sys_
@@ -437,14 +428,9 @@ def restricted_system(system: BranchSystem, N: int) -> BranchSystem:
     """Subsystem on branches {N, N+1, ...}, reindexed from 1."""
     if N < 1:
         raise ModelError("restriction start must be >= 1")
-    if system.tail is None:
-        if N > len(system.head):
-            raise ModelError("restriction removes every branch")
-        head = tuple(replace(b, index=i + 1) for i, b in enumerate(system.head[N - 1:]))
-        return replace(system, head=head, offset=system.offset + N - 1)
-    drop = min(N - 1, len(system.head))
-    head = tuple(replace(b, index=i + 1) for i, b in enumerate(system.head[drop:]))
-    return replace(system, head=head, offset=system.offset + N - 1)
+    if system.tail is None and N > len(system.head):
+        raise ModelError("restriction removes every branch")
+    return replace(system, head=system.head[N - 1:], offset=system.offset + N - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -467,9 +453,8 @@ def check_word(system: BranchSystem, word: Sequence[int]) -> Word:
 def cylinder_diameter(system: BranchSystem, word: Sequence[int]) -> float:
     """Diameter of the cylinder set C_n(word).
 
-    Linear systems: exact product of branch diameters.  Analytic systems: the
-    cylinder is the image of [0, 1] under the composed inverse branches, so
-    its endpoints are the images of 0 and 1.
+    Linear systems: exact product of branch diameters.  Continued-fraction
+    systems: the continuant formula of ``_cf_log_cylinder_diams``.
     """
     w = check_word(system, word)
     if is_linear(system):
@@ -477,17 +462,30 @@ def cylinder_diameter(system: BranchSystem, word: Sequence[int]) -> float:
         for s in w:
             out += math.log(branch_diameter(system, s))
         return math.exp(out)
-    lo = _compose_inverse(system, w, 0.0)
-    hi = _compose_inverse(system, w, 1.0)
-    return abs(hi - lo)
+    return math.exp(_cf_log_cylinder_diams(np.array([w], dtype=float) + system.offset)[0])
+
+
+def _cf_log_cylinder_diams(digits: np.ndarray) -> np.ndarray:
+    """log diam of continued-fraction cylinders, one per row of physical digits.
+
+    With continuant ratios r_k = q_k/q_{k-1} = a_k + 1/r_{k-1} (r_1 = a_1),
+    the cylinder 1/(q_n (q_n + q_{n-1})) has log diam = -2 sum log r_k -
+    log1p(1/r_n): no endpoints are subtracted, so no digit cancels.
+    """
+    r = digits[:, 0]
+    total = np.log(r)
+    for j in range(1, digits.shape[1]):
+        r = digits[:, j] + 1.0 / r
+        total += np.log(r)
+    return -2.0 * total - np.log1p(1.0 / r)
 
 
 def cylinder_diameter_bracket(system: BranchSystem, word: Sequence[int]) -> tuple[float, float]:
     """Interval certain to contain the cylinder diameter.
 
     The log-width of the interval never exceeds the cumulative variation
-    sum_{j<=n} var_j(log|T'|); for the direct endpoint computation used here
-    it is bounded by floating-point roundoff alone.
+    sum_{j<=n} var_j(log|T'|); for the product and continuant formulas used
+    here it is bounded by floating-point roundoff alone.
     """
     w = check_word(system, word)
     d = cylinder_diameter(system, w)
@@ -727,17 +725,24 @@ def load_model(source) -> BranchSystem:
 
 
 def dump_model(system: BranchSystem) -> dict:
-    """JSON-serializable description; inverse of load_model for linear kinds."""
-    if system.kind == "gauss" and system.offset == 0:
+    """JSON-serializable description; inverse of load_model.
+
+    Built-in names stand only for systems equal to the built-in ones, so a
+    truncation or restriction never loads back as the full model.  Other
+    systems must be all-linear with offset 0, or ModelError is raised.
+    """
+    if system == gauss_system():
         return {"kind": "gauss"}
-    if system.kind == "flat_example" and system.flat is not None:
+    fp = system.flat
+    if fp is not None and system == flat_example_system(fp.K, fp.C, fp.s_inf):
         t = system.tail
-        return {"kind": "flat_example", "K": system.flat.K, "C": system.flat.C,
-                "s_inf": system.flat.s_inf,
+        return {"kind": "flat_example", "K": fp.K, "C": fp.C, "s_inf": fp.s_inf,
                 "head": [branch_diameter(system, 1)],
                 "tail": {"c": t.c, "a": t.a, "b": t.b, "d": t.d}, "xi": system.xi}
     if not is_linear(system):
         raise ModelError("only linear and built-in systems serialize to JSON")
+    if system.offset != 0:
+        raise ModelError("restricted systems (offset != 0) do not serialize to JSON")
     out = {"kind": "custom" if system.tail is not None else "linear",
            "head": [b.diameter for b in system.head]}
     if system.tail is not None:

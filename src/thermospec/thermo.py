@@ -33,6 +33,7 @@ from .errors import (
 )
 from .systems import (
     BranchSystem,
+    GaussTail,
     Potential,
     _logsumexp,
     branch_diameter,
@@ -283,8 +284,6 @@ def _full_pressure_finite(system, potential, t) -> bool:
         return True
     if potential is not None and not (potential.bounded or potential.kind == "log_deriv"):
         raise UndeterminedError("potential lacks bounds for the divergence test")
-    if system.tail.kind == "gauss":
-        return t > 0.5
     return series_converges(system, t)
 
 
@@ -449,7 +448,7 @@ def _terms_to_exceed_log10(system, s, bound) -> float:
     """log10 of a term count whose partial sum provably exceeds ``bound``."""
     if system.tail is None:
         return math.nan
-    if system.tail.kind == "gauss":
+    if isinstance(system.tail, GaussTail):
         p = 2.0 * s
         if p >= 1.0:
             return math.inf
@@ -487,7 +486,7 @@ def _pressure_scan_finite(system, t) -> bool:
     """Dual finiteness test through the pressure machinery."""
     if system.tail is None:
         return True
-    if system.tail.kind == "gauss":
+    if isinstance(system.tail, GaussTail):
         # level-1 upper sums use the derivative range: sum_m m^{-2t}
         if 2.0 * t <= 1.0:
             return False
@@ -690,7 +689,7 @@ def _root_series(system, bracket, tol):
 
 
 def _root_analytic(system, bracket, tol, q, n_max, budget, workers):
-    if system.tail is None or system.tail.kind != "gauss":
+    if not isinstance(system.tail, GaussTail):
         raise ModelError("analytic root finding is implemented for the continued-fraction family")
     N = 1 + system.offset  # first physical digit
 

@@ -64,6 +64,20 @@ def test_markov_entropy_below_bernoulli_marginal():
         assert st_pair.lyapunov == pytest.approx(st_marg.lyapunov, abs=1e-12)
 
 
+def test_stats_large_digit_lyapunov_exact():
+    # -log of the exact continued-fraction cylinder; the measure's own words
+    # have endpoint differences that cancel every digit in floating point
+    g = ts.gauss_system()
+    words = ((50, 50, 50), (200,) * 3, (10 ** 4,) * 3)
+    lam = [-math.log(ts.cf_cylinder_diameter_exact(w)) / 3 for w in words]
+    st = ts.stats(g, ts.CylinderMeasure(3, words[:1], (1.0,)))
+    assert st.lyapunov == pytest.approx(7.831177394435905, rel=1e-15)
+    st = ts.stats(g, ts.CylinderMeasure(3, words, (0.5, 0.25, 0.25)))
+    want = 0.5 * lam[0] + 0.25 * (lam[1] + lam[2])
+    assert st.lyapunov == pytest.approx(want, rel=1e-14)
+    assert st.ratio == pytest.approx(_entropy([0.5, 0.25, 0.25]) / 3 / want, rel=1e-14)
+
+
 def test_golden_dirac_stats_exact():
     st = ts.golden_dirac_stats()
     assert st.h == 0.0

@@ -2,9 +2,11 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import thermospec as ts
 from thermospec.systems import level1_values, potential_tail_bounds, potential_value
@@ -139,6 +141,18 @@ def test_cylinder_diameter_gauss_exact():
     assert ts.cylinder_diameter(g, (1, 1)) == pytest.approx(1.0 / 6.0, rel=1e-12)
     lo, hi = ts.cylinder_diameter_bracket(g, (1, 1))
     assert lo <= 1.0 / 6.0 <= hi
+    # words whose endpoint difference cancels every digit: large digits and
+    # long words; the brackets must still hold the exact rational diameter
+    for word in ((2, 5, 1, 3), (1000,), (10 ** 6,), (10 ** 6, 10 ** 6), (5,) * 20,
+                 (1, 7, 2, 300, 1, 1, 4, 9, 2, 1, 1, 5, 60, 3, 1, 2, 8, 1, 1, 2)):
+        exact = ts.cf_cylinder_diameter_exact(word)
+        lo, hi = ts.cylinder_diameter_bracket(g, word)
+        assert Fraction(lo) <= exact <= Fraction(hi), word
+        assert ts.cylinder_diameter(g, word) == pytest.approx(float(exact), rel=1e-13)
+    # a restricted system reads its words as physical digits N - 1 + i
+    e10 = ts.restricted_system(g, 10)
+    exact = ts.cf_cylinder_diameter_exact((10, 12, 11))
+    assert ts.cylinder_diameter(e10, (1, 3, 2)) == pytest.approx(float(exact), rel=1e-13)
 
 
 def test_periodic_points_golden():
@@ -209,6 +223,59 @@ def test_model_round_trips():
         assert ts.dump_model(again) == blob
         # text form loads identically
         assert ts.dump_model(ts.load_model(json.dumps(blob))) == blob
+
+
+def test_model_dump_of_derived_systems():
+    g, flat = ts.gauss_system(), ts.flat_example_system()
+    # a derived system never dumps as the built-in model it came from
+    with pytest.raises(ts.ModelError):
+        ts.dump_model(ts.truncate(g, 3))
+    with pytest.raises(ts.ModelError):
+        ts.dump_model(ts.restricted_system(flat, 3))
+    # restricted tails keep physical labels, which JSON cannot express
+    with pytest.raises(ts.ModelError):
+        ts.dump_model(ts.restricted_system(ts.powerlog_system([0.25], c=0.1, a=2.0), 2))
+    flat5 = ts.truncate(flat, 5)
+    blob = ts.dump_model(flat5)
+    assert blob["kind"] == "linear"
+    assert np.array_equal(ts.diameters(ts.load_model(blob), 5), ts.diameters(flat5, 5))
+
+
+def _positive_masses(draw, count_max):
+    ws = draw(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=count_max))
+    mass = draw(st.floats(0.1, 0.7))
+    return [w / sum(ws) * mass for w in ws]
+
+
+@st.composite
+def _linear_or_powerlog_systems(draw):
+    head = _positive_masses(draw, 5)
+    if draw(st.booleans()):
+        base = ts.linear_system(head)
+    else:
+        head = head[:draw(st.integers(0, len(head)))]
+        base = ts.powerlog_system(head, c=draw(st.floats(0.005, 0.05)),
+                                  a=draw(st.floats(1.5, 4.0)), b=draw(st.floats(1.0, 3.0)),
+                                  d=draw(st.floats(0.0, 1.0)))
+    size = len(base.head) if base.tail is None else len(base.head) + 4
+    how = draw(st.sampled_from(("full", "truncate", "restrict")))
+    if how == "truncate":
+        return ts.truncate(base, draw(st.integers(1, size)))
+    if how == "restrict":
+        return ts.restricted_system(base, draw(st.integers(1, size)))
+    return base
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_linear_or_powerlog_systems())
+def test_model_round_trip_property(sysm):
+    try:
+        blob = ts.dump_model(sysm)
+    except ts.ModelError:
+        assert sysm.offset != 0
+        return
+    assert ts.load_model(blob) == sysm
+    assert ts.load_model(json.dumps(blob)) == sysm
 
 
 def test_model_load_from_path(tmp_path):

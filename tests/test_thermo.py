@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import thermospec as ts
+from thermospec import thermo
 
 LOG2 = math.log(2.0)
 # root of (1/2)^s + (1/4)^s = 1, i.e. log2 of the golden ratio
@@ -42,6 +43,25 @@ def test_pressure_gauss_levels_and_bracket():
     lo, hi = est.bracket
     assert lo <= est.values[2] <= hi
     assert est.extrapolated == pytest.approx(min(max(est.extrapolated, lo), hi))
+
+
+def test_truncations_are_equal_values_and_share_level_arrays(monkeypatch):
+    g = ts.gauss_system()
+    assert ts.truncate(g, 13) == ts.truncate(g, 13)
+    assert hash(ts.truncate(g, 13)) == hash(ts.truncate(g, 13))
+    builds = []
+    real = thermo._build_level_arrays
+
+    def counting(*args):
+        builds.append(args[2:4])
+        return real(*args)
+
+    monkeypatch.setattr(thermo, "_build_level_arrays", counting)
+    first = ts.pressure(ts.truncate(g, 13), t=1.0, n_max=3)
+    built = len(builds)
+    # a separately built truncation hits the arrays cached for the first one
+    assert ts.pressure(ts.truncate(g, 13), t=1.0, n_max=3) == first
+    assert len(builds) == built
 
 
 def test_pressure_bracket_narrows_with_level():
