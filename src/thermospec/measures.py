@@ -24,20 +24,17 @@ from .errors import (
     InfeasibleConstraintsError,
     InvalidMeasureError,
     ModelError,
+    UnderdeterminedWordError,
     UndeterminedError,
 )
 from .systems import (
     BranchSystem,
-    Potential,
     _cf_log_cylinder_diams,
     _logsumexp,
-    birkhoff_sum,
     check_word,
-    cylinder_diameter,
     diameters,
     indicator_potential,
     is_linear,
-    level1_values,
     s_inf_exact,
 )
 
@@ -137,20 +134,11 @@ def _log_cylinder_diams(system, arr: np.ndarray) -> np.ndarray:
 def _moment_rows(system, potential, arr: np.ndarray) -> np.ndarray:
     """Birkhoff means S_n(potential)/n over each word of ``arr``."""
     n = arr.shape[1]
-    if potential.kind == "log_deriv":
-        if is_linear(system):
-            logd = np.log(diameters(system, int(arr.max())))
-            return -logd[arr - 1].sum(axis=1) / n
-        from .thermo import _orbit_log_derivs
-        cols = [arr[:, j] for j in range(n)]
-        return _orbit_log_derivs(system, cols) / n
-    if potential.level == 1:
-        vals = level1_values(system, potential, int(arr.max()))
-        return vals[arr - 1].sum(axis=1) / n
-    out = np.empty(len(arr))
-    for i, w in enumerate(arr):
-        out[i] = birkhoff_sum(system, potential, tuple(int(s) for s in w)) / n
-    return out
+    if n < potential.level:
+        raise UnderdeterminedWordError(
+            f"word of length {n} cannot carry a level-{potential.level} potential")
+    cols = [arr[:, j] for j in range(n)]
+    return potential.birkhoff_sums(system, cols, int(arr.max())) / n
 
 
 def stats(system: BranchSystem, measure: CylinderMeasure,
@@ -419,6 +407,7 @@ def feasible(system: BranchSystem, gamma, eps: float = 0.0,
         q = system.branch_count()
         if q is None:
             q = 64
+    check_word(system, (q,))
     if q ** n > _OPT_BUDGET:
         raise BudgetExceededError(f"q^n = {q ** n} exceeds optimizer budget {_OPT_BUDGET}")
 

@@ -263,24 +263,11 @@ def _linear_layout(system: BranchSystem, word):
 
 
 def _symbol_values(system: BranchSystem, potential: Potential, word):
-    """Per-symbol potential values phi(T^{j-1} x) for locally constant phi."""
-    if potential.kind == "indicator":
-        return np.array([1.0 if w == potential.index else 0.0 for w in word])
-    if potential.kind == "harmonic":
-        return np.array([1.0 / system.digit(w) for w in word])
-    if potential.kind == "constant":
-        return np.full(len(word), potential.value_c)
-    if potential.kind == "log_deriv":
-        vals = []
-        for w in word:
-            b = branch(system, w)
-            if b.kind != "linear":
-                raise UnsupportedPotentialError(
-                    "orbit averages of log|T'| need a linear system")
-            vals.append(-math.log(b.diameter))
-        return np.array(vals)
-    raise UnsupportedPotentialError(
-        f"orbit averages support level-1 potentials, not {potential.kind!r}")
+    """Per-symbol potential values phi(T^{j-1} x) for locally constant phi,
+    one scalar ``value`` call per symbol (escape digits may exceed int64)."""
+    if potential.level != 1:
+        raise UnsupportedPotentialError("orbit averages support level-1 potentials")
+    return np.array([potential.value(system, (w,)) for w in word])
 
 
 def _compose_points(system: BranchSystem, word, base: float) -> np.ndarray:

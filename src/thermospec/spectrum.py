@@ -35,8 +35,8 @@ from .systems import (
     branch_diameter,
     diam_series,
     diameters,
+    indicator_potential,
     is_linear,
-    potential_tail_bounds,
     restricted_system,
     s_inf_exact,
     series_converges,
@@ -180,7 +180,7 @@ def _series_groups(system: BranchSystem, potential: Potential, t: float,
                          for g in range(len(uvals))])
     if system.tail is None:
         return uvals, logS, None, None, None, None
-    p_lo, p_hi = potential_tail_bounds(system, potential, H)
+    p_lo, p_hi = potential.tail_bounds(system, H)
     if family == "diam":
         T_lo, T_hi = diam_series(system, t, start=H + 1)
     else:
@@ -226,7 +226,7 @@ def _f_alpha(system, potential, t, qhat, family="diam"):
 def _value_range(system, potential):
     """(inf, sup, inf attained, sup attained) of a level-1 potential.
 
-    Attainment over the tail follows the potential kind: indicator and
+    Attainment over the tail follows ``tail_inf_attained``: indicator and
     constant tails take their bound values on actual digits, while the
     harmonic infimum 0 is a limit only.
     """
@@ -235,10 +235,9 @@ def _value_range(system, potential):
     hi = float(vals.max())
     lo_att = hi_att = True
     if system.tail is not None:
-        p_lo, p_hi = potential_tail_bounds(system, potential, H)
-        tail_lo_att = potential.kind != "harmonic"
+        p_lo, p_hi = potential.tail_bounds(system, H)
         if p_lo < lo - 1e-15:
-            lo, lo_att = p_lo, tail_lo_att
+            lo, lo_att = p_lo, potential.tail_inf_attained
         if p_hi > hi + 1e-15:
             hi, hi_att = p_hi, True
     return lo, hi, lo_att, hi_att
@@ -326,7 +325,7 @@ def _subsystem_dimension(system, potential, alpha):
     mask = np.abs(vals - alpha) <= 1e-12
     tail_in = False
     if system.tail is not None:
-        p_lo, p_hi = potential_tail_bounds(system, potential, H)
+        p_lo, p_hi = potential.tail_bounds(system, H)
         tail_in = abs(p_lo - alpha) <= 1e-12 and abs(p_hi - alpha) <= 1e-12
     digits = np.flatnonzero(mask) + 1
     if not tail_in and len(digits) <= 1:
@@ -448,7 +447,7 @@ def flat_bounds(system: BranchSystem, potential: Potential | None = None) -> Fla
     over q < q_minus (alpha tends to 0 at both ends of that range) and
     alpha_upper the minimum over q > q_plus.
     """
-    if potential is not None and (potential.kind != "indicator" or potential.index != 1):
+    if potential not in (None, indicator_potential(1)):
         raise UnsupportedPotentialError(
             "flat bounds are defined for the first-branch indicator")
     delta = s_inf_exact(system)

@@ -415,22 +415,25 @@ def doubling_system() -> BranchSystem:
 
 
 def truncate(system: BranchSystem, q: int) -> BranchSystem:
-    """Finite subsystem on the first q branches."""
+    """Finite subsystem on the first q branches (without the parent's
+    ``flat`` parameters, which describe the parent's window constants)."""
     if q < 1:
         raise ModelError("truncation must keep at least one branch")
     if system.tail is None and q > len(system.head):
         raise InvalidWordError(f"cannot truncate to {q} branches, only {len(system.head)} exist")
     head = tuple(branch(system, i) for i in range(1, q + 1))
-    return replace(system, head=head, tail=None)
+    return replace(system, head=head, tail=None, flat=None)
 
 
 def restricted_system(system: BranchSystem, N: int) -> BranchSystem:
-    """Subsystem on branches {N, N+1, ...}, reindexed from 1."""
+    """Subsystem on branches {N, N+1, ...}, reindexed from 1 (for N > 1
+    without the parent's ``flat`` parameters)."""
     if N < 1:
         raise ModelError("restriction start must be >= 1")
     if system.tail is None and N > len(system.head):
         raise ModelError("restriction removes every branch")
-    return replace(system, head=system.head[N - 1:], offset=system.offset + N - 1)
+    return replace(system, head=system.head[N - 1:], offset=system.offset + N - 1,
+                   flat=system.flat if N == 1 else None)
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +500,7 @@ def _compose_inverse(system: BranchSystem, word: Word, y: float) -> float:
     x = y
     for s in reversed(word):
         b = branch(system, s)
-        if b.kind != "analytic":
+        if b.digit is None:
             raise ModelError("inverse composition requires analytic branches")
         x = b.inverse(x)
     return x
@@ -530,136 +533,252 @@ def periodic_points(system: BranchSystem, word: Sequence[int]) -> list[float]:
 # potentials
 
 
-@dataclass(frozen=True)
 class Potential:
     """Observable evaluated along symbol sequences.
 
-    ``level`` is the dependence length: the value on a point depends only on
-    its first ``level`` symbols.  The built-in kinds are:
-
-    - "indicator": 1 on branch ``index``, 0 elsewhere (level 1);
-    - "harmonic": 1 / physical digit (level 1);
-    - "constant": fixed value (level 1);
-    - "table": explicit value map on level-m words;
-    - "log_deriv": log|T'|, evaluated through the branch data (not locally
-      constant on analytic systems).
-
-    ``lower``/``upper`` are bounds over the whole system when finite.
+    Its subclasses are frozen values with one method set, the indices being
+    logical: ``values(system, idx)`` on branches (level 1), ``value(system,
+    window)`` on one window of ``level`` symbols, ``birkhoff_sums(system,
+    cols, q)`` along the periodic orbits of the words whose j-th symbols
+    are ``cols[j]`` (symbols <= q), ``tail_bounds(system, after)`` over the
+    branches past ``after``, ``var(system, n)`` over n-cylinders, and
+    ``dump()``.  ``level`` is the dependence length: the value on a point
+    depends only on its first ``level`` symbols.  ``lower``/``upper`` bound
+    the potential over the whole system when it is bounded, and
+    ``tail_inf_attained`` says whether the tail infimum is taken on a digit.
     """
 
-    kind: str
-    level: int = 1
-    index: int | None = None
-    value_c: float | None = None
-    table: tuple | None = None
-    lower: float | None = None
-    upper: float | None = None
+    level = 1
+    lower = None
+    upper = None
+    tail_inf_attained = True
 
     @property
     def bounded(self) -> bool:
         return self.lower is not None and self.upper is not None
 
+    def birkhoff_sums(self, system: BranchSystem, cols, q: int) -> np.ndarray:
+        vals = self.values(system, np.arange(1, q + 1))
+        total = np.zeros(len(cols[0]))
+        for c in cols:
+            total += vals[c - 1]
+        return total
 
-def indicator_potential(index: int) -> Potential:
+    def tail_bounds(self, system: BranchSystem, after: int) -> tuple[float, float]:
+        if self.bounded:
+            return self.lower, self.upper
+        raise UndeterminedError("potential lacks tail bounds")
+
+    def var(self, system: BranchSystem, n: int) -> float:
+        if n >= self.level:
+            return 0.0
+        if self.bounded:
+            return self.upper - self.lower
+        raise UndeterminedError("unbounded potential lacks a variation bound")
+
+
+@dataclass(frozen=True)
+class IndicatorPotential(Potential):
+    """1 on branch ``index``, 0 elsewhere."""
+
+    index: int
+    lower = 0.0
+    upper = 1.0
+
+    def values(self, system, idx):
+        return (idx == self.index).astype(float)
+
+    def value(self, system, window):
+        return 1.0 if window[0] == self.index else 0.0
+
+    def tail_bounds(self, system, after):
+        return (0.0, 0.0) if self.index <= after else (0.0, 1.0)
+
+    def dump(self) -> dict:
+        return {"kind": "indicator", "index": self.index}
+
+
+@dataclass(frozen=True)
+class HarmonicPotential(Potential):
+    """1 / physical digit; its tail infimum 0 is a limit only."""
+
+    lower = 0.0
+    upper = 1.0
+    tail_inf_attained = False
+
+    def values(self, system, idx):
+        return 1.0 / (idx + system.offset)
+
+    def value(self, system, window):
+        return 1.0 / system.digit(window[0])
+
+    def tail_bounds(self, system, after):
+        return 0.0, 1.0 / system.digit(after + 1)
+
+    def dump(self) -> dict:
+        return {"kind": "harmonic"}
+
+
+@dataclass(frozen=True)
+class ConstantPotential(Potential):
+    """A fixed value."""
+
+    value_c: float
+
+    lower = property(lambda self: self.value_c)
+    upper = property(lambda self: self.value_c)
+
+    def values(self, system, idx):
+        return np.full(len(idx), self.value_c)
+
+    def value(self, system, window):
+        return self.value_c
+
+    def dump(self) -> dict:
+        return {"kind": "constant", "value": self.value_c}
+
+
+@dataclass(frozen=True)
+class TablePotential(Potential):
+    """Explicit values on words of length ``level``: sorted (word, value) pairs."""
+
+    level: int  # takes Potential.level = 1 as its default
+    table: tuple = ()
+
+    lower = property(lambda self: min(v for _, v in self.table))
+    upper = property(lambda self: max(v for _, v in self.table))
+
+    def values(self, system, idx):
+        return np.array([self.value(system, (int(i),)) for i in idx])
+
+    def value(self, system, window):
+        w = tuple(window[:self.level])
+        for k, v in self.table:
+            if k == w:
+                return v
+        raise ModelError("table potential lacks values for some windows")
+
+    def birkhoff_sums(self, system, cols, q):
+        """Sum over cyclic windows, each found one symbol at a time by its rank
+        among the keys' distinct prefixes: memory grows with the table only."""
+        keys, vals = (np.array(x) for x in zip(*self.table))
+        steps, rank = [], 0
+        for k in range(self.level):
+            syms = np.unique(keys[:, k])
+            code = rank * len(syms) + np.searchsorted(syms, keys[:, k])
+            prefixes, rank = np.unique(code, return_inverse=True)
+            steps.append((syms, prefixes))
+        n, total = len(cols), np.zeros(len(cols[0]))
+        for j in range(n):
+            rank, found = 0, True
+            for k, (syms, prefixes) in enumerate(steps):
+                s = cols[(j + k) % n]
+                r = np.minimum(np.searchsorted(syms, s), len(syms) - 1)
+                code = rank * len(syms) + r
+                rank = np.minimum(np.searchsorted(prefixes, code), len(prefixes) - 1)
+                found = found & (syms[r] == s) & (prefixes[rank] == code)
+            if not np.all(found):
+                raise ModelError("table potential lacks values for some windows")
+            total += vals[rank]
+        return total
+
+    def dump(self) -> dict:
+        return {"kind": "table", "level": self.level,
+                "values": {",".join(str(s) for s in k): v for k, v in self.table}}
+
+
+@dataclass(frozen=True)
+class LogDerivPotential(Potential):
+    """log|T'|, evaluated through the branch data: locally constant on
+    all-linear systems only, and unbounded."""
+
+    def values(self, system, idx):
+        if not is_linear(system):
+            raise UnsupportedPotentialError(
+                "log|T'| is not locally constant on analytic systems")
+        return -np.log(diameters(system, int(idx.max())))[idx - 1]
+
+    def value(self, system, window):
+        b = branch(system, window[0])
+        if b.digit is not None:
+            raise UnsupportedPotentialError(
+                "log|T'| is not locally constant on analytic systems")
+        return -math.log(b.diameter)
+
+    def birkhoff_sums(self, system, cols, q):
+        """On analytic systems, sum log|T'| along each periodic orbit,
+        found by cyclic backward iteration of the Moebius branches."""
+        if is_linear(system):
+            return super().birkhoff_sums(system, cols, q)
+        n = len(cols)
+        ms = [c.astype(float) + system.offset for c in cols]
+        x = np.full(len(cols[0]), 0.5)
+        tmp = np.empty_like(x)
+        for _ in range(60):  # contraction is at least 0.382 per sweep
+            for j in range(n - 1, -1, -1):
+                np.add(ms[j], x, out=tmp)
+                np.divide(1.0, tmp, out=x)
+        lnsum = np.zeros_like(x)
+        ly = np.empty_like(x)
+        for j in range(n - 1, -1, -1):
+            np.add(ms[j], x, out=tmp)
+            np.divide(1.0, tmp, out=x)
+            np.log(x, out=ly)
+            lnsum += ly
+        return -2.0 * lnsum
+
+    def var(self, system, n):
+        return var_log_deriv(system, n)
+
+    def dump(self) -> dict:
+        return {"kind": "log_deriv"}
+
+
+def indicator_potential(index: int) -> IndicatorPotential:
     if index < 1:
         raise ModelError("indicator index must be >= 1")
-    return Potential(kind="indicator", level=1, index=index, lower=0.0, upper=1.0)
+    return IndicatorPotential(index)
 
 
-def harmonic_potential() -> Potential:
-    return Potential(kind="harmonic", level=1, lower=0.0, upper=1.0)
+def harmonic_potential() -> HarmonicPotential:
+    return HarmonicPotential()
 
 
-def constant_potential(value: float) -> Potential:
-    return Potential(kind="constant", level=1, value_c=float(value),
-                     lower=float(value), upper=float(value))
+def constant_potential(value: float) -> ConstantPotential:
+    value = float(value)
+    if not math.isfinite(value):
+        raise ModelError(f"constant potential value must be finite, got {value}")
+    return ConstantPotential(value)
 
 
-def table_potential(level: int, values: dict) -> Potential:
+def table_potential(level: int, values: dict) -> TablePotential:
     if level < 1:
         raise ModelError("potential level must be >= 1")
     items = tuple(sorted((tuple(k), float(v)) for k, v in values.items()))
-    for k, _ in items:
+    for k, v in items:
         if len(k) != level:
             raise ModelError("table keys must be words of the stated level")
-    vals = [v for _, v in items]
-    return Potential(kind="table", level=level, table=items,
-                     lower=min(vals), upper=max(vals))
+        if not math.isfinite(v):
+            raise ModelError(f"table potential values must be finite, got {v} at {k}")
+    if not items:
+        raise ModelError("table potential needs at least one value")
+    return TablePotential(level, items)
 
 
-def log_deriv_potential() -> Potential:
-    return Potential(kind="log_deriv", level=1)
+def log_deriv_potential() -> LogDerivPotential:
+    return LogDerivPotential()
 
 
 def potential_value(system: BranchSystem, potential: Potential, window: Sequence[int]) -> float:
     """Value of a locally constant potential on the cylinder of ``window``."""
-    w = tuple(window)
-    if potential.kind == "indicator":
-        return 1.0 if w[0] == potential.index else 0.0
-    if potential.kind == "harmonic":
-        return 1.0 / system.digit(w[0])
-    if potential.kind == "constant":
-        return potential.value_c
-    if potential.kind == "table":
-        for k, v in potential.table:
-            if k == w[: potential.level]:
-                return v
-        raise InvalidWordError(f"no table value for window {w[:potential.level]}")
-    if potential.kind == "log_deriv":
-        b = branch(system, w[0])
-        if b.kind == "linear":
-            return -math.log(b.diameter)
-        raise UnsupportedPotentialError(
-            "log|T'| is not locally constant on analytic systems")
-    raise ModelError(f"unknown potential kind {potential.kind!r}")
+    return potential.value(system, tuple(window))
 
 
 def level1_values(system: BranchSystem, potential: Potential, q: int) -> np.ndarray:
     """Vector of values of a level-1 potential on branches 1..q."""
     if potential.level != 1:
         raise UnsupportedPotentialError("vectorized values require a level-1 potential")
-    idx = np.arange(1, q + 1, dtype=float)
-    if potential.kind == "indicator":
-        return (idx == float(potential.index)).astype(float)
-    if potential.kind == "harmonic":
-        return 1.0 / (idx + system.offset)
-    if potential.kind == "constant":
-        return np.full(q, potential.value_c)
-    if potential.kind == "log_deriv":
-        if not is_linear(system):
-            raise UnsupportedPotentialError(
-                "log|T'| is not locally constant on analytic systems")
-        return -np.log(diameters(system, q))
-    if potential.kind == "table":
-        return np.array([potential_value(system, potential, (i,)) for i in range(1, q + 1)])
-    raise ModelError(f"unknown potential kind {potential.kind!r}")
-
-
-def potential_tail_bounds(system: BranchSystem, potential: Potential,
-                          after: int) -> tuple[float, float]:
-    """Bounds for a level-1 potential over branches with logical index > after."""
-    if potential.kind == "indicator":
-        if potential.index <= after:
-            return 0.0, 0.0
-        return 0.0, 1.0
-    if potential.kind == "harmonic":
-        return 0.0, 1.0 / system.digit(after + 1)
-    if potential.kind == "constant":
-        return potential.value_c, potential.value_c
-    if potential.bounded:
-        return potential.lower, potential.upper
-    raise UndeterminedError("potential lacks tail bounds")
-
-
-def potential_var(system: BranchSystem, potential: Potential, n: int) -> float:
-    """Certified oscillation of the potential over n-cylinders."""
-    if potential.kind == "log_deriv":
-        return var_log_deriv(system, n)
-    if n >= potential.level:
-        return 0.0
-    if potential.bounded:
-        return potential.upper - potential.lower
-    raise UndeterminedError("unbounded potential lacks a variation bound")
+    return potential.values(system, np.arange(1, q + 1))
 
 
 def birkhoff_sum(system: BranchSystem, potential: Potential, word: Sequence[int]) -> float:
@@ -667,11 +786,12 @@ def birkhoff_sum(system: BranchSystem, potential: Potential, word: Sequence[int]
 
     Exact for locally constant potentials (cyclic windows of symbols); for
     log|T'| on analytic systems the periodic orbit is computed and the
-    log-derivative evaluated at each point.
+    log-derivative evaluated at each point.  This per-word path is kept
+    apart from ``Potential.birkhoff_sums`` as its reference.
     """
     w = check_word(system, word)
     n = len(w)
-    if potential.kind == "log_deriv" and not is_linear(system):
+    if potential == log_deriv_potential() and not is_linear(system):
         zs = periodic_points(system, w)
         return sum(branch(system, s).log_deriv(z) for s, z in zip(w, zs))
     m = potential.level
@@ -679,8 +799,7 @@ def birkhoff_sum(system: BranchSystem, potential: Potential, word: Sequence[int]
         raise UnderdeterminedWordError(f"word of length {n} cannot carry a level-{m} potential")
     total = 0.0
     for j in range(n):
-        window = tuple(w[(j + k) % n] for k in range(m))
-        total += potential_value(system, potential, window)
+        total += potential.value(system, tuple(w[(j + k) % n] for k in range(m)))
     return total
 
 
@@ -779,15 +898,4 @@ def load_potential(source) -> Potential:
 
 
 def dump_potential(potential: Potential) -> dict:
-    if potential.kind == "indicator":
-        return {"kind": "indicator", "index": potential.index}
-    if potential.kind == "harmonic":
-        return {"kind": "harmonic"}
-    if potential.kind == "constant":
-        return {"kind": "constant", "value": potential.value_c}
-    if potential.kind == "log_deriv":
-        return {"kind": "log_deriv"}
-    if potential.kind == "table":
-        return {"kind": "table", "level": potential.level,
-                "values": {",".join(str(s) for s in k): v for k, v in potential.table}}
-    raise ModelError(f"unknown potential kind {potential.kind!r}")
+    return potential.dump()

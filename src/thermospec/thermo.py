@@ -36,13 +36,11 @@ from .systems import (
     GaussTail,
     Potential,
     _logsumexp,
-    branch_diameter,
     diam_series,
     diameters,
     is_linear,
     level1_values,
-    potential_tail_bounds,
-    potential_var,
+    log_deriv_potential,
     restricted_system,
     s_inf_exact,
     series_converges,
@@ -63,7 +61,7 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 19
-_SWEEPS = 60  # cyclic backward iterations; contraction is at least 0.382/sweep
+_LOG_DERIV = log_deriv_potential()
 _FALLBACK_BUDGET = 100_000_000
 
 
@@ -93,65 +91,6 @@ def _decode_chunk(q: int, n: int, start: int, end: int) -> list[np.ndarray]:
         power = q ** (n - 1 - j)
         cols.append((idx // power) % q + 1)
     return cols
-
-
-def _table_lookup(potential: Potential, q: int) -> np.ndarray:
-    m = potential.level
-    flat = np.full(q ** m, np.nan)
-    for key, val in potential.table:
-        if all(1 <= s <= q for s in key):
-            pos = 0
-            for s in key:
-                pos = pos * q + (s - 1)
-            flat[pos] = val
-    return flat
-
-
-def _potential_sums(system, potential, cols, q):
-    """S_n(potential) on the periodic points of the chunk, by cyclic windows."""
-    n = len(cols)
-    if potential is None:
-        return None
-    if potential.kind == "log_deriv":
-        return "log_deriv"  # handled by the caller from the orbit itself
-    if potential.level == 1:
-        vals = level1_values(system, potential, q)
-        total = np.zeros(len(cols[0]))
-        for c in cols:
-            total += vals[c - 1]
-        return total
-    flat = _table_lookup(potential, q)
-    m = potential.level
-    total = np.zeros(len(cols[0]))
-    for j in range(n):
-        pos = np.zeros(len(cols[0]), dtype=np.int64)
-        for k in range(m):
-            pos = pos * q + (cols[(j + k) % n] - 1)
-        window = flat[pos]
-        if np.isnan(window).any():
-            raise ModelError("table potential lacks values for some windows")
-        total += window
-    return total
-
-
-def _orbit_log_derivs(system, cols):
-    """Sum of log|T'| along each periodic orbit of the chunk (analytic tails)."""
-    n = len(cols)
-    ms = [c.astype(float) + system.offset for c in cols]
-    x = np.full(len(cols[0]), 0.5)
-    tmp = np.empty_like(x)
-    for _ in range(_SWEEPS):
-        for j in range(n - 1, -1, -1):
-            np.add(ms[j], x, out=tmp)
-            np.divide(1.0, tmp, out=x)
-    lnsum = np.zeros_like(x)
-    ly = np.empty_like(x)
-    for j in range(n - 1, -1, -1):
-        np.add(ms[j], x, out=tmp)
-        np.divide(1.0, tmp, out=x)
-        np.log(x, out=ly)
-        lnsum += ly
-    return -2.0 * lnsum
 
 
 class _ArrayCache:
@@ -189,23 +128,15 @@ def _build_level_arrays(system, potential, q, n, workers):
     """
     total = q ** n
     L = np.empty(total)
-    needs_phi = potential is not None and potential.kind != "log_deriv"
+    needs_phi = potential is not None and potential != _LOG_DERIV
     phi = np.empty(total) if needs_phi else None
-    linear = is_linear(system)
-    logr = np.log(diameters(system, q)) if linear else None
 
     def fill(start):
         end = min(start + _CHUNK, total)
         cols = _decode_chunk(q, n, start, end)
-        if linear:
-            acc = np.zeros(end - start)
-            for c in cols:
-                acc += logr[c - 1]
-            L[start:end] = -acc
-        else:
-            L[start:end] = _orbit_log_derivs(system, cols)
+        L[start:end] = _LOG_DERIV.birkhoff_sums(system, cols, q)
         if needs_phi:
-            phi[start:end] = _potential_sums(system, potential, cols, q)
+            phi[start:end] = potential.birkhoff_sums(system, cols, q)
 
     starts = list(range(0, total, _CHUNK))
     if workers > 1 and len(starts) > 1:
@@ -215,7 +146,7 @@ def _build_level_arrays(system, potential, q, n, workers):
         for s in starts:
             fill(s)
 
-    if potential is not None and potential.kind == "log_deriv":
+    if potential == _LOG_DERIV:
         phi = L.copy()
     return L, phi
 
@@ -274,17 +205,8 @@ def _variation_total(system, potential, t, n) -> float:
     for j in range(1, n + 1):
         total += abs(t) * var_log_deriv(system, j)
         if potential is not None:
-            total += potential_var(system, potential, j)
+            total += potential.var(system, j)
     return total
-
-
-def _full_pressure_finite(system, potential, t) -> bool:
-    """Finiteness of the untruncated pressure via the level-1 tail test."""
-    if system.tail is None:
-        return True
-    if potential is not None and not (potential.bounded or potential.kind == "log_deriv"):
-        raise UndeterminedError("potential lacks bounds for the divergence test")
-    return series_converges(system, t)
 
 
 def pressure(system: BranchSystem, potential: Potential | None = None, *,
@@ -312,9 +234,9 @@ def pressure(system: BranchSystem, potential: Potential | None = None, *,
     if budget is None:
         budget = default_budget()
 
-    diverged = not _full_pressure_finite(system, potential, t)
-    simple = (is_linear(system) and level == 1
-              and (potential is None or potential.kind != "log_deriv"))
+    # finiteness of the untruncated pressure via the level-1 tail test
+    diverged = system.tail is not None and not series_converges(system, t)
+    simple = is_linear(system) and level == 1 and potential != _LOG_DERIV
 
     values: list[float] = []
     levels: list[int] = []
@@ -401,7 +323,7 @@ def pressure_locally_constant_bracket(system: BranchSystem,
     if potential is None:
         p_lo = p_hi = 0.0
     else:
-        p_lo, p_hi = potential_tail_bounds(system, potential, H)
+        p_lo, p_hi = potential.tail_bounds(system, H)
     if coeff >= 0:
         tail_lo, tail_hi = coeff * p_lo + math.log(t_lo), coeff * p_hi + math.log(t_hi)
     else:

@@ -179,6 +179,15 @@ def test_missing_model_exit_2(capsys):
     assert "no-such-model" in err
 
 
+def test_non_finite_potential_exit_2(capsys):
+    rc = cli.main(["pressure", "--model", "doubling", "--potential",
+                   '{"kind": "constant", "value": NaN}'])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "must be finite" in captured.err
+
+
 def test_bad_flag_combinations_exit_2(capsys):
     assert cli.main(["sample", "--model", "gauss", "--n", "4"]) == 2
     assert cli.main(["sample", "--model", "gauss", "--recipe", "0.5",

@@ -1,9 +1,13 @@
 """Cylinder measures, ratio maximization and moment feasibility."""
 
+import itertools
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import thermospec as ts
 from thermospec import measures
@@ -315,3 +319,74 @@ def test_entropy_never_exceeds_lyapunov_random():
         mu = ts.CylinderMeasure(level=level, words=tuple(words), weights=tuple(w))
         st = ts.stats(sysm, mu)
         assert st.h <= st.lyapunov + 1e-12
+
+
+_PROPERTY_SYSTEMS = {
+    "doubling": ts.doubling_system(),
+    "powerlog": ts.powerlog_system([0.25], c=0.1, a=2.0),
+    "gauss6": ts.truncate(ts.gauss_system(), 6),
+}
+
+
+@st.composite
+def _potential_measure_cases(draw):
+    name = draw(st.sampled_from(sorted(_PROPERTY_SYSTEMS)))
+    k = 2 if name == "doubling" else draw(st.integers(2, 6))  # measure alphabet
+    kind = draw(st.sampled_from(("indicator", "harmonic", "constant", "table", "log_deriv")))
+    if kind == "indicator":
+        pot = ts.indicator_potential(draw(st.integers(1, k + 1)))
+    elif kind == "harmonic":
+        pot = ts.harmonic_potential()
+    elif kind == "constant":
+        pot = ts.constant_potential(draw(st.floats(-5.0, 5.0)))
+    elif kind == "table":
+        m = draw(st.integers(1, 2))
+        pot = ts.table_potential(m, {w: draw(st.floats(-3.0, 3.0))
+                                     for w in itertools.product(range(1, k + 1), repeat=m)})
+    else:
+        pot = ts.log_deriv_potential()
+    n = draw(st.integers(pot.level, 3))
+    words = draw(st.lists(st.tuples(*[st.integers(1, k)] * n), min_size=1, max_size=6,
+                          unique=True))
+    raw = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=len(words),
+                                 max_size=len(words))))
+    mu = ts.CylinderMeasure(level=n, words=tuple(words), weights=tuple(raw / raw.sum()))
+    return _PROPERTY_SYSTEMS[name], pot, mu
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_potential_measure_cases())
+def test_moments_match_per_word_birkhoff_sums(case):
+    # stats sums through Potential.birkhoff_sums; birkhoff_sum is the
+    # per-word path (periodic_points for log|T'| on the Gauss truncation)
+    sysm, pot, mu = case
+    moment = ts.stats(sysm, mu, (pot,)).moments[0]
+    terms = [p * ts.birkhoff_sum(sysm, pot, w) / mu.level
+             for w, p in zip(mu.words, mu.weights)]
+    analytic = pot == ts.log_deriv_potential() and not ts.is_linear(sysm)
+    tol = 1e-13 if analytic else 1e-14
+    assert abs(moment - sum(terms)) <= tol * sum(abs(x) for x in terms)
+    assert ts.load_potential(ts.dump_potential(pot)) == pot
+    assert ts.load_potential(json.dumps(ts.dump_potential(pot))) == pot
+
+
+def test_table_moments_on_large_digits_use_table_sized_memory():
+    # windows are matched against the table's keys, so the work does not
+    # grow with (largest digit)^level: a dense lookup here would need 80 GB
+    g = ts.gauss_system()
+    big = ts.CylinderMeasure(level=2, words=((10**5, 10**5),), weights=(1.0,))
+    pot = ts.table_potential(2, {(10**5, 10**5): 1.0})
+    assert ts.stats(g, big, (pot,)).moments == (1.0,)
+    mu = ts.CylinderMeasure(level=3, words=((2000, 1, 2000), (1, 1, 1)), weights=(0.25, 0.75))
+    pot3 = ts.table_potential(3, {(2000, 1, 2000): 3.0, (1, 2000, 2000): 5.0,
+                                  (2000, 2000, 1): 7.0, (1, 1, 1): 2.0})
+    tracemalloc.start()
+    try:
+        moment = ts.stats(g, mu, (pot3,)).moments[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert moment == 0.25 * (3.0 + 5.0 + 7.0) / 3 + 0.75 * 2.0
+    assert peak < 1_000_000  # a dense 2000^3 lookup is 64 GB
+    with pytest.raises(ts.ModelError, match="lacks values"):
+        ts.stats(g, ts.CylinderMeasure(level=2, words=((10**5, 1),), weights=(1.0,)), (pot,))

@@ -93,6 +93,16 @@ def test_sample_orbit_word_mode_golden():
     assert s.escape_frequency == 0.0
 
 
+def test_sample_orbit_level1_table():
+    d2 = ts.doubling_system()
+    tab = ts.table_potential(1, {(1,): 0.5, (2,): -1.0})
+    s = ts.sample_orbit(d2, word=[1, 2, 2, 1], n=4, potentials=(tab,))
+    np.testing.assert_array_equal(s.averages[0], [0.5, -0.25, -0.5, -0.25])
+    tab2 = ts.table_potential(2, {(1, 2): 1.0, (2, 1): 0.0})
+    with pytest.raises(ts.UnsupportedPotentialError, match="level-1"):
+        ts.sample_orbit(d2, word=[1, 2], n=2, potentials=(tab2,))
+
+
 def test_sample_orbit_word_mode_points():
     g = ts.gauss_system()
     s = ts.sample_orbit(g, word=[2, 1, 3], n=3, base=0.5)

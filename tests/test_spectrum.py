@@ -156,6 +156,17 @@ def test_flat_bounds_needs_flat_family(chi1):
         ts.flat_bounds(ts.doubling_system())
 
 
+def test_derived_flat_systems_are_outside_the_flat_family(flat, chi1):
+    # truncations and restrictions change the window constants K, C
+    assert ts.restricted_system(flat, 1) == flat
+    for derived in (ts.truncate(flat, 5), ts.restricted_system(flat, 2)):
+        with pytest.raises(ts.ModelError,
+                           match="flat-region bounds require the two-block model family"):
+            ts.flat_bounds(derived)
+        curve = ts.spectrum_curve(derived, chi1, [0.3])
+        assert "flat_note" not in curve.transitions
+
+
 def test_flat_certificate_attained_endpoints(flat, chi1):
     top = ts.flat_certificate(flat, chi1, 1.0)
     assert top.witness

@@ -1,15 +1,18 @@
 """Branch system constructors, diameter series, words and potentials."""
 
+import ast
 import json
 import math
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import thermospec as ts
-from thermospec.systems import level1_values, potential_tail_bounds, potential_value
+from thermospec.systems import level1_values, potential_value
 
 
 def test_linear_system_basic():
@@ -184,6 +187,47 @@ def test_potentials_level1_values():
     np.testing.assert_allclose(level1_values(g, harm, 4), [1.0, 0.5, 1.0 / 3.0, 0.25])
 
 
+def test_potential_kinds_are_frozen_values():
+    assert ts.indicator_potential(2) == ts.IndicatorPotential(2)
+    assert ts.harmonic_potential() == ts.HarmonicPotential()
+    assert ts.constant_potential(1.5) == ts.ConstantPotential(1.5)
+    assert ts.log_deriv_potential() == ts.LogDerivPotential()
+    tab = ts.table_potential(2, {(1, 2): 3.0, (1, 1): 0.5})
+    assert tab == ts.TablePotential(2, (((1, 1), 0.5), ((1, 2), 3.0)))
+    assert (tab.lower, tab.upper) == (0.5, 3.0)
+    assert len({ts.indicator_potential(1), ts.IndicatorPotential(1)}) == 1
+    with pytest.raises(FrozenInstanceError):
+        ts.indicator_potential(1).index = 2
+    with pytest.raises(TypeError):
+        ts.Potential(kind="indicator", index=1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ts.constant_potential(math.nan),
+    lambda: ts.constant_potential(-math.inf),
+    lambda: ts.table_potential(1, {(1,): 0.5, (2,): math.nan}),
+    lambda: ts.table_potential(2, {(1, 1): math.inf}),
+    lambda: ts.load_potential('{"kind": "constant", "value": NaN}'),
+    lambda: ts.load_potential('{"kind": "table", "level": 1, "values": {"1": Infinity}}'),
+], ids=["constant-nan", "constant-inf", "table1-nan", "table2-inf", "json-nan", "json-inf"])
+def test_potentials_reject_non_finite_values(make):
+    with pytest.raises(ts.ModelError, match="must be finite"):
+        make()
+
+
+def test_no_kind_comparisons_in_source():
+    # potentials, branches and tails dispatch by type; a comparison against
+    # a ``.kind`` attribute would be a string switch on their kinds
+    hits = []
+    for path in sorted(Path(ts.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Compare) and any(
+                    isinstance(x, ast.Attribute) and x.attr == "kind"
+                    for x in (node.left, *node.comparators)):
+                hits.append(f"{path.name}:{node.lineno}")
+    assert hits == []
+
+
 def test_indicator_requires_positive_index():
     with pytest.raises(ts.ThermospecError):
         ts.indicator_potential(0)
@@ -202,7 +246,7 @@ def test_log_deriv_potential_is_unbounded():
     assert not pot.bounded
     g = ts.gauss_system()
     harm = ts.harmonic_potential()
-    lo, hi = potential_tail_bounds(g, harm, 10)
+    lo, hi = harm.tail_bounds(g, 10)
     assert lo == 0.0
     assert hi == pytest.approx(1.0 / 11.0)
 
