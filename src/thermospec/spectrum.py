@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import minimize_scalar
 from scipy.special import zeta as _hurwitz_zeta
 
 from .errors import (
@@ -43,6 +43,7 @@ from .systems import (
 )
 from .thermo import (
     _plc_head_arrays,
+    _root,
     pressure_locally_constant_bracket,
     pressure_root,
 )
@@ -244,48 +245,18 @@ def _value_range(system, potential):
 
 
 # ---------------------------------------------------------------------------
-# roots
-
-
-def _root(fn, lo, hi, limits=None):
-    """Zero of the increasing function fn, searched from the bracket [lo, hi].
-
-    While fn(lo) > 0 (or fn(hi) < 0) that end moves outwards by the
-    bracket's width, so the bracket grows geometrically, but never past
-    ``limits`` (default: the bracket itself, no widening); an end that
-    reaches its limit without a sign change is returned.  Brent's method
-    (R. P. Brent, Algorithms for Minimization without Derivatives, 1973,
-    ch. 4) then closes the bracket to xtol = rtol = 1e-15.
-    """
-    lo_limit, hi_limit = (lo, hi) if limits is None else limits
-    f_lo = fn(lo)
-    while f_lo > 0 and lo > lo_limit:
-        lo = max(lo - (hi - lo), lo_limit)
-        f_lo = fn(lo)
-    if f_lo > 0:
-        return lo
-    f_hi = fn(hi)
-    while f_hi < 0 and hi < hi_limit:
-        hi = min(hi + (hi - lo), hi_limit)
-        f_hi = fn(hi)
-    if f_hi < 0:
-        return hi
-    return float(brentq(fn, lo, hi, xtol=1e-15, rtol=1e-15))
-
-
-# ---------------------------------------------------------------------------
 # Legendre solution
 
 
 def _solve_qhat(system, potential, t, alpha, family="diam"):
-    """Tilt q with alpha(t, q) = alpha, by Brent's method from [-1, 1].
+    """Tilt q with alpha(t, q) = alpha, by ``thermo._root`` from [-1, 1].
 
     alpha(t, .) is increasing; the bracket widens up to |q| = 700 and
     stays at that end when the level is out of reach.  Returns q and the
     (f_lo, f, f_hi, alpha) tuple of ``_f_alpha`` there.
     """
     q = _root(lambda q: _f_alpha(system, potential, t, q, family)[3] - alpha,
-              -1.0, 1.0, (-700.0, 700.0))
+              -1.0, 1.0, (-700.0, 700.0))[0]
     return q, _f_alpha(system, potential, t, q, family)
 
 
@@ -308,7 +279,7 @@ def _decreasing_log_mass_root(logsum, floor: float, s_inf: float) -> float:
     lo = max(floor, 1e-12)
     if logsum(lo) <= 0.0:
         return s_inf if floor > 0 else 0.0
-    return _root(lambda t: -logsum(t), lo, 1.0)
+    return _root(lambda t: -logsum(t), lo, 1.0)[0]
 
 
 def _subsystem_dimension(system, potential, alpha):
@@ -360,7 +331,7 @@ def legendre_solve(system: BranchSystem, potential: Potential, alpha: float, *,
     """Dimension of the level set where the average of phi equals alpha.
 
     Interior alphas go through the nested stationarity solve: an inner
-    Brent solve finds the tilt q with f_q(t, q) = alpha, an outer one finds
+    root solve finds the tilt q with f_q(t, q) = alpha, an outer one finds
     the root of the decreasing g(t) = f(t, q(t)) - q(t) alpha, and the
     dimension is max(s_inf, t).  When the certified lower end of g at the
     floor is <= 0, g has no root above the floor: the regime is flat and
@@ -392,7 +363,8 @@ def legendre_solve(system: BranchSystem, potential: Potential, alpha: float, *,
             "interior spectrum rows require an all-linear system")
 
     floor = _t_floor(system)
-    # one q-solve per distinct t: brentq re-evaluates its bracket ends
+    # one q-solve per distinct t: the root solver evaluates minus_g again at
+    # the floor, and the solution below is a point it has evaluated
     solve = functools.cache(lambda t: _solve_qhat(system, potential, t, alpha))
     q, (f_lo, _, _, _) = solve(floor)
     if f_lo - q * alpha <= 0.0:
@@ -403,7 +375,7 @@ def legendre_solve(system: BranchSystem, potential: Potential, alpha: float, *,
         q, (_, f, _, _) = solve(t)
         return q * alpha - f
 
-    t_sol = _root(minus_g, floor, t_max)
+    t_sol = _root(minus_g, floor, t_max)[0]
     q_sol, (_, f, _, a) = solve(t_sol)
     residuals = (abs(f - q_sol * alpha), abs(a - alpha))
     return SpectrumPoint(alpha=alpha, dim=max(s_inf, t_sol), t=t_sol,
@@ -462,9 +434,9 @@ def flat_bounds(system: BranchSystem, potential: Potential | None = None) -> Fla
         return math.log(K * math.exp(q) + C) / q
 
     root0 = _root(lambda q: K * math.exp(q) + C - 1.0,
-                  q_minus - 5.0, q_minus + 5.0, (-700.0, 700.0))
+                  q_minus - 5.0, q_minus + 5.0, (-700.0, 700.0))[0]
     root1 = _root(lambda q: q - math.log(K * math.exp(q) + C),
-                  q_plus - 5.0, q_plus + 5.0, (-700.0, 700.0))
+                  q_plus - 5.0, q_plus + 5.0, (-700.0, 700.0))[0]
     if abs(root0 - q_minus) > 1e-9 or abs(root1 - q_plus) > 1e-9:
         raise ModelError("flat window roots disagree with the closed forms")
 
@@ -497,7 +469,7 @@ def flat_bounds(system: BranchSystem, potential: Potential | None = None) -> Fla
 def _monotone_zero(fn, increasing: bool):
     """Zero of a monotone function of the tilt; expands from [-1, 1]."""
     sign = 1.0 if increasing else -1.0
-    q = _root(lambda q: sign * fn(q), -1.0, 1.0, (-1e6, 1e6))
+    q = _root(lambda q: sign * fn(q), -1.0, 1.0, (-1e6, 1e6))[0]
     if abs(q) >= 1e6:
         raise ModelError("no zero of the certificate function found")
     return q

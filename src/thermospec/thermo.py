@@ -63,6 +63,7 @@ __all__ = [
 _CHUNK = 1 << 19
 _LOG_DERIV = log_deriv_potential()
 _FALLBACK_BUDGET = 100_000_000
+_EPS = float(np.finfo(float).eps)
 
 
 def default_budget() -> int:
@@ -234,8 +235,10 @@ def pressure(system: BranchSystem, potential: Potential | None = None, *,
     if budget is None:
         budget = default_budget()
 
-    # finiteness of the untruncated pressure via the level-1 tail test
-    diverged = system.tail is not None and not series_converges(system, t)
+    # finiteness of the untruncated pressure via the level-1 tail test;
+    # log|T'| - t log|T'| is -(t - 1) log|T'|
+    s = t - 1.0 if potential == _LOG_DERIV else t
+    diverged = system.tail is not None and not series_converges(system, s)
     simple = is_linear(system) and level == 1 and potential != _LOG_DERIV
 
     values: list[float] = []
@@ -409,10 +412,7 @@ def _pressure_scan_finite(system, t) -> bool:
     if system.tail is None:
         return True
     if isinstance(system.tail, GaussTail):
-        # level-1 upper sums use the derivative range: sum_m m^{-2t}
-        if 2.0 * t <= 1.0:
-            return False
-        return math.isfinite(float(_hurwitz_zeta(2.0 * t, 1 + system.offset)))
+        return series_converges(system, t)
     return math.isfinite(pressure_locally_constant(system, None, t))
 
 
@@ -479,33 +479,61 @@ class RootResult:
     bracket: tuple
 
 
-def _bisect_root(fn, lo, hi, tol=1e-12, max_iter=200):
-    """Root of a decreasing function with fn(lo) >= 0 >= fn(hi)."""
-    flo, fhi = fn(lo), fn(hi)
-    if flo < 0 or fhi > 0:
-        raise BracketError(f"function does not straddle zero on [{lo}, {hi}]")
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= tol:
-            break
-        if fn(mid) >= 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi), lo, hi
+def _root(fn, lo, hi, limits=None, tol=1e-15):
+    """Zero of the increasing function fn, searched from the bracket [lo, hi].
 
-
-def _root_ends(fn, lo, hi, tol):
-    """Final bisection bracket of a decreasing fn's root on [lo, hi].
-
-    When fn does not straddle zero there, both ends are the end of [lo, hi]
-    that the root lies beyond.
+    While fn(lo) > 0 (or fn(hi) < 0) that end moves outwards by the
+    bracket's width, so the bracket grows geometrically, but never past
+    ``limits`` (default: the bracket itself, no widening); an end that
+    reaches its limit without a sign change comes back as (end, end, end).
+    Chandrupatla's method (T. R. Chandrupatla, Adv. Eng. Software 28(3),
+    1997) then closes the bracket and returns (x, a, b) with
+    fn(a) <= 0 <= fn(b) and b - a <= tol + 4 eps |x|, where x is the end
+    with the smaller |fn|; an exact zero x comes back as (x, x, x).
     """
-    try:
-        return _bisect_root(fn, lo, hi, tol=tol)[1:]
-    except BracketError:
-        r = lo if fn(lo) < 0 else hi
-        return r, r
+    lo_limit, hi_limit = (lo, hi) if limits is None else limits
+    f_lo = fn(lo)
+    while f_lo > 0 and lo > lo_limit:
+        lo = max(lo - (hi - lo), lo_limit)
+        f_lo = fn(lo)
+    if not f_lo < 0:
+        return lo, lo, lo
+    f_hi = fn(hi)
+    while f_hi < 0 and hi < hi_limit:
+        hi = min(hi + (hi - lo), hi_limit)
+        f_hi = fn(hi)
+    if not f_hi > 0:
+        return hi, hi, hi
+    # x1 is the newest point, x2 the bracket's other end and x3 the point
+    # the last step dropped; a NaN value counts as positive, as in bisection
+    x1, f1, x2, f2 = lo, f_lo, hi, f_hi
+    t = 0.5
+    while True:
+        x = x1 + t * (x2 - x1)
+        fx = fn(x)
+        if fx == 0:
+            return x, x, x
+        if (fx < 0) == (f1 < 0):
+            x3, f3 = x1, f1
+        else:
+            x3, f3, x2, f2 = x2, f2, x1, f1
+        x1, f1 = x, fx
+        a, b = (x1, x2) if f1 < 0 else (x2, x1)
+        xm = x1 if abs(f1) < abs(f2) else x2
+        width = tol + 4.0 * _EPS * abs(xm)
+        if b - a <= width:
+            return xm, a, b
+        # inverse quadratic interpolation where it is safe, else bisection;
+        # the step keeps at least width/2 from both ends
+        xi = (x1 - x2) / (x3 - x2)
+        phi = (f1 - f2) / (f3 - f2)
+        if 1.0 - math.sqrt(1.0 - xi) < phi < math.sqrt(xi):
+            t = (f1 / (f2 - f1) * f3 / (f2 - f3)
+                 + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f3 - f2))
+        else:
+            t = 0.5
+        t_min = 0.5 * width / (b - a)
+        t = min(max(t, t_min), 1.0 - t_min)
 
 
 def _zeta_tail(s: float, first: float) -> float:
@@ -528,10 +556,13 @@ def pressure_root(system: BranchSystem, bracket=None, tol: float = 1e-10, *,
     """Solve P(-t log|T'|) = 0 for t.
 
     Finite all-linear systems solve the Moran equation directly.  Infinite
-    all-linear systems bisect the certified series bracket.  Analytic tail
+    all-linear systems take the root of the certified series bracket's
+    midpoint, and the roots of its two ends enclose it.  Analytic tail
     systems combine a level-1 derivative-range sandwich (upper weights m^-2t,
     lower weights (m+1)^-2t per branch m) with optional periodic-word
     enumeration when the truncation captures >= 99% of the level-1 mass.
+    Every root goes through ``_root``, and each certified end is the outer
+    end of its final bracket.
     """
     if budget is None:
         budget = default_budget()
@@ -559,51 +590,47 @@ def _root_finite_linear(system, bracket, tol):
         return _logsumexp(t * logd)
 
     lo, hi = _normalize_bracket(bracket, 0.0, 1.0)
-    if bracket is None:
-        while P(hi) > 0:
-            hi *= 2.0
-            if hi > 64:
-                raise BracketError("no pressure root below t=64")
-    if P(lo) < 0 or P(hi) > 0:
+    value, tlo, thi = _root(lambda t: -P(t), lo, hi,
+                            (0.0, 64.0) if bracket is None else None,
+                            tol=min(tol, 1e-12))
+    residual = P(value)
+    if tlo == thi and residual != 0:
+        if bracket is None:
+            raise BracketError("no pressure root below t=64")
         raise BracketError(
             f"pressure does not straddle 0 on [{lo}, {hi}]: P({lo})={P(lo):.3g}, P({hi})={P(hi):.3g}")
-    value, tlo, thi = _bisect_root(P, lo, hi, tol=min(tol, 1e-12))
     return RootResult(value=value, interval=(tlo, thi), method="moran",
-                      residual=P(value), q=None, n_used=None, bracket=(lo, hi))
+                      residual=residual, q=None, n_used=None, bracket=(lo, hi))
 
 
 def _root_series(system, bracket, tol):
     s_inf = s_inf_exact(system)
     lo_default = s_inf if series_converges(system, s_inf) else s_inf + 1e-6
 
-    def P_parts(t):
-        slo, shi = diam_series(system, t)
-        return slo, shi
-
     def P_mid(t):
-        slo, shi = P_parts(t)
+        slo, shi = diam_series(system, t)
         if math.isinf(shi):
             return math.inf
         return math.log(0.5 * (slo + shi))
 
     lo, hi = _normalize_bracket(bracket, lo_default, 1.0)
-    if P_mid(lo) < 0 or P_mid(hi) > 1e-15:
+    value, tlo, thi = _root(lambda t: -P_mid(t), lo, hi, tol=min(tol, 1e-12))
+    if tlo == thi and P_mid(tlo) != 0:
         raise BracketError(
             f"pressure does not straddle 0 on [{lo}, {hi}]: "
             f"P({lo})={P_mid(lo):.3g}, P({hi})={P_mid(hi):.3g}")
-    value, _, _ = _bisect_root(P_mid, lo, hi, tol=min(tol, 1e-12))
 
     def P_low(t):
-        slo = P_parts(t)[0]
+        slo = diam_series(system, t)[0]
         return math.log(slo) if slo > 0 else -math.inf
 
     def P_high(t):
-        shi = P_parts(t)[1]
+        shi = diam_series(system, t)[1]
         return math.log(shi) if math.isfinite(shi) else math.inf
 
-    # each certified end is the outer end of its final bisection bracket
-    root_lo = _root_ends(P_low, lo, hi, 1e-13)[0]
-    root_hi = _root_ends(P_high, lo, hi, 1e-13)[1]
+    # each certified end is the outer end of its final bracket
+    root_lo = _root(lambda t: -P_low(t), lo, hi, tol=1e-13)[1]
+    root_hi = _root(lambda t: -P_high(t), lo, hi, tol=1e-13)[2]
     value = min(max(value, root_lo), root_hi)
     interval = (root_lo, root_hi)
     return RootResult(value=value, interval=interval, method="series",
@@ -674,11 +701,6 @@ def _root_analytic(system, bracket, tol, q, n_max, budget, workers):
     if use_enum:
         ensure_levels(n_eff)
 
-    p_lo, p_hi = point_pressure(lo), point_pressure(hi)
-    if p_lo < 0 or p_hi > 0:
-        raise BracketError(
-            f"pressure does not straddle 0 on [{lo}, {hi}]: P({lo})={p_lo:.3g}, P({hi})={p_hi:.3g}")
-
     # refine the level ladder before narrowing t whenever the certified
     # bracket at the midpoint still straddles zero and budget remains
     if use_enum:
@@ -692,11 +714,16 @@ def _root_analytic(system, bracket, tol, q, n_max, budget, workers):
             n_eff += 1
             ensure_levels(n_eff)
 
-    value, _, _ = _bisect_root(point_pressure, lo, hi, tol=min(tol, 1e-10))
+    value, tlo, thi = _root(lambda t: -point_pressure(t), lo, hi,
+                            tol=min(tol, 1e-10))
+    if tlo == thi and point_pressure(tlo) != 0:
+        raise BracketError(
+            f"pressure does not straddle 0 on [{lo}, {hi}]: "
+            f"P({lo})={point_pressure(lo):.3g}, P({hi})={point_pressure(hi):.3g}")
 
-    # each certified end is the outer end of its final bisection bracket
-    cert_lo = _root_ends(lambda t: certified_at(t)[0], lo, hi, 1e-12)[0]
-    cert_hi = _root_ends(lambda t: certified_at(t)[1], lo, hi, 1e-12)[1]
+    # each certified end is the outer end of its final bracket
+    cert_lo = _root(lambda t: -certified_at(t)[0], lo, hi, tol=1e-12)[1]
+    cert_hi = _root(lambda t: -certified_at(t)[1], lo, hi, tol=1e-12)[2]
     value = min(max(value, cert_lo), cert_hi)
     interval = (cert_lo, cert_hi)
     method = "enumeration" if use_enum else "level1-sandwich"

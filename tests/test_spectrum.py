@@ -7,7 +7,7 @@ import pytest
 from scipy.special import logsumexp
 
 import thermospec as ts
-from thermospec import spectrum
+from thermospec import spectrum, thermo
 from thermospec.spectrum import _logsumexp
 
 BE_QUARTER = 0.8112781244591328  # H(1/4) / log 2
@@ -58,12 +58,12 @@ def test_logsumexp_helper_bit_identical_to_scipy():
 
 
 def test_root_helper_widens_and_clamps():
-    root = spectrum._root
-    assert root(lambda x: x - 0.3, 0.0, 1.0) == pytest.approx(0.3, abs=1e-15)
-    assert root(lambda x: x - 123.4, -1.0, 1.0, (-700.0, 700.0)) == pytest.approx(123.4, rel=1e-15)
-    assert root(lambda x: x + 1000.0, -1.0, 1.0, (-700.0, 700.0)) == -700.0
-    assert root(lambda x: x - 1000.0, -1.0, 1.0, (-700.0, 700.0)) == 700.0
-    assert root(lambda x: x - 2.0, 0.0, 1.0) == 1.0  # no widening without limits
+    root = thermo._root
+    assert root(lambda x: x - 0.3, 0.0, 1.0)[0] == pytest.approx(0.3, abs=1e-15)
+    assert root(lambda x: x - 123.4, -1.0, 1.0, (-700.0, 700.0))[0] == pytest.approx(123.4, rel=1e-15)
+    assert root(lambda x: x + 1000.0, -1.0, 1.0, (-700.0, 700.0)) == (-700.0,) * 3
+    assert root(lambda x: x - 1000.0, -1.0, 1.0, (-700.0, 700.0)) == (700.0,) * 3
+    assert root(lambda x: x - 2.0, 0.0, 1.0) == (1.0,) * 3  # no widening without limits
     with pytest.raises(ts.ModelError):
         spectrum._monotone_zero(lambda q: 1.0, increasing=True)
 

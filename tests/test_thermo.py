@@ -1,6 +1,8 @@
 """Pressure estimates, critical exponents and pressure roots."""
 
+import ast
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -79,6 +81,19 @@ def test_pressure_divergence_flag():
     assert est.diverged
     est2 = ts.pressure(inv, t=0.8, q=64, n_max=2)
     assert not est2.diverged
+
+
+def test_pressure_log_deriv_divergence_at_t_minus_one():
+    # log|T'| - t log|T'| = -(t - 1) log|T'|: the series must converge at t - 1
+    ld = ts.log_deriv_potential()
+    for system, t in ((ts.gauss_system(), 1.0),
+                      (ts.powerlog_system([], c=0.5, a=2.0), 1.2)):
+        est = ts.pressure(system, ld, t=t, q=4, n_max=2)
+        assert est.diverged
+        assert est.bracket[1] == math.inf
+    est = ts.pressure(ts.gauss_system(), ld, t=2.0, q=4, n_max=2)
+    assert not est.diverged
+    assert math.isfinite(est.bracket[1])
 
 
 def test_pressure_budget_carries_partial():
@@ -182,11 +197,97 @@ def test_pressure_root_gauss_sandwich():
 
 def test_pressure_root_restricted_family():
     g = ts.gauss_system()
-    want = {10: 0.6995125334688326, 100: 0.6389937248721391,
-            1000: 0.6097565453709728}
+    # roots of the level-1 proxy t -> log(midpoint of diam_series(t)),
+    # solved to rounding (|P| <= 1e-15 there)
+    want = {10: 0.6995125335009053, 100: 0.6389937248978761,
+            1000: 0.6097565453888166}
     for N, frozen in want.items():
         res = ts.pressure_root(ts.restricted_system(g, N))
         assert res.value == pytest.approx(frozen, abs=1e-12)
+
+
+def _counting(monkeypatch, name):
+    calls = [0]
+    inner = getattr(thermo, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(thermo, name, counted)
+    return calls
+
+
+def test_pressure_root_restricted_work_count(monkeypatch):
+    calls = _counting(monkeypatch, "diam_series")
+    ts.pressure_root(ts.restricted_system(ts.gauss_system(), 10))
+    assert calls[0] <= 20
+
+
+def test_pressure_root_enumeration_work_count(monkeypatch):
+    passes = _counting(monkeypatch, "_log_partition")
+    res = ts.pressure_root(ts.gauss_system(), bracket=(0.8, 1.2), q=200, n_max=2)
+    assert res.n_used == 2
+    assert passes[0] <= 80
+
+
+_EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("fn, lo, hi", [
+    (lambda x: x ** 3 - 2.0, 0.0, 3.0),
+    (lambda x: math.expm1(50.0 * (x - 0.7)), 0.0, 1.0),
+    (lambda x: (x - 0.4) ** 3, 0.0, 1.0),
+    (lambda x: x - 0.25 if x < 0.25 else 1e-3 * (x - 0.25) + 1e-9, 0.0, 1.0),
+    (lambda x: -math.inf if x < 0.2 else math.log(x / 0.5), 0.1, 1.0),
+    (lambda x: x - 1e-20, -1.0, 1.0),
+    (lambda x: -math.log(0.5 ** x + 0.25 ** x), 0.0, 1.0),
+], ids=["cubic", "steep", "triple-zero", "kink", "minus-inf", "near-zero", "moran"])
+@pytest.mark.parametrize("tol", [1e-15, 1e-12, 1e-10])
+def test_root_helper_returns_final_bracket(fn, lo, hi, tol):
+    x, a, b = thermo._root(fn, lo, hi, tol=tol)
+    assert lo <= a <= b <= hi
+    assert x in (a, b)
+    assert a < b or fn(x) == 0.0  # a rounded value may hit zero exactly
+    assert fn(a) <= 0.0 <= fn(b)
+    assert b - a <= tol + 4.0 * _EPS * abs(x)
+
+
+def test_root_helper_exact_zero_and_clamped_ends():
+    root = thermo._root
+    # exact zeros, at the first midpoint and at either end
+    assert root(lambda x: x - 0.5, 0.0, 1.0) == (0.5, 0.5, 0.5)
+    assert root(lambda x: x, 0.0, 1.0) == (0.0, 0.0, 0.0)
+    assert root(lambda x: x - 1.0, 0.0, 1.0) == (1.0, 1.0, 1.0)
+    # no sign change within the limits: the end the zero lies beyond
+    assert root(lambda x: x + 5.0, 0.0, 1.0) == (0.0, 0.0, 0.0)
+    assert root(lambda x: x + 5.0, 0.0, 1.0, (-2.0, 3.0)) == (-2.0, -2.0, -2.0)
+    assert root(lambda x: x - 5.0, 0.0, 1.0, (-2.0, 3.0)) == (3.0, 3.0, 3.0)
+
+
+_SCIPY_ROOT_FINDERS = {"brentq", "brenth", "bisect", "ridder", "toms748",
+                       "newton", "root_scalar", "elementwise"}
+
+
+def test_one_root_solver_in_source():
+    # every bracketed root goes through thermo._root, which returns the
+    # final bracket that certified ends are read from
+    hits = []
+    for path in sorted(Path(ts.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = set()
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy"):
+                names = {a.name for a in node.names} | set(node.module.split("."))
+            elif isinstance(node, ast.Import):
+                names = {part for a in node.names if a.name.startswith("scipy")
+                         for part in a.name.split(".")}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, ast.FunctionDef) and node.name in ("_bisect_root", "_root_ends"):
+                names = {node.name}
+            if names & (_SCIPY_ROOT_FINDERS | {"_bisect_root", "_root_ends"}):
+                hits.append(f"{path.name}:{node.lineno}")
+    assert hits == []
 
 
 def _hurwitz_root(first):
