@@ -30,6 +30,7 @@ from .errors import (
 from .systems import (
     BranchSystem,
     _cf_log_cylinder_diams,
+    _decode_words,
     _logsumexp,
     check_word,
     diameters,
@@ -138,7 +139,7 @@ def _moment_rows(system, potential, arr: np.ndarray) -> np.ndarray:
         raise UnderdeterminedWordError(
             f"word of length {n} cannot carry a level-{potential.level} potential")
     cols = [arr[:, j] for j in range(n)]
-    return potential.birkhoff_sums(system, cols, int(arr.max())) / n
+    return potential.birkhoff_sums(system, cols) / n
 
 
 def stats(system: BranchSystem, measure: CylinderMeasure,
@@ -170,15 +171,6 @@ def golden_dirac_stats() -> MeasureStats:
 
 # ---------------------------------------------------------------------------
 # constrained ratio maximization
-
-
-def _enumerate_words(q: int, n: int) -> np.ndarray:
-    total = q ** n
-    idx = np.arange(total, dtype=np.int64)
-    arr = np.empty((total, n), dtype=np.int64)
-    for j in range(n):
-        arr[:, j] = (idx // q ** (n - 1 - j)) % q + 1
-    return arr
 
 
 def _project_box(p, A, lo, hi):
@@ -287,7 +279,7 @@ def maximize_ratio(system: BranchSystem, constraints=(), q: int | None = None,
             raise ModelError("a truncation level q is required for infinite systems")
     if q ** n > _OPT_BUDGET:
         raise BudgetExceededError(f"q^n = {q ** n} exceeds optimizer budget {_OPT_BUDGET}")
-    arr = _enumerate_words(q, n)
+    arr = _decode_words(q, n)
     logd = _log_cylinder_diams(system, arr)
 
     A = lo = hi = None
@@ -411,7 +403,7 @@ def feasible(system: BranchSystem, gamma, eps: float = 0.0,
     if q ** n > _OPT_BUDGET:
         raise BudgetExceededError(f"q^n = {q ** n} exceeds optimizer budget {_OPT_BUDGET}")
 
-    arr = _enumerate_words(q, n)
+    arr = _decode_words(q, n)
     A = np.vstack([_moment_rows(system, pot, arr) for pot in potentials])
     try:
         violation, lp_point = _check_feasible_lp(arr.shape[0], A, gam - eps, gam + eps)

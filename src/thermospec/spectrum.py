@@ -39,11 +39,11 @@ from .systems import (
     is_linear,
     restricted_system,
     s_inf_exact,
-    series_converges,
 )
 from .thermo import (
     _plc_head_arrays,
     _root,
+    _t_floor,
     pressure_locally_constant_bracket,
     pressure_root,
 )
@@ -253,25 +253,12 @@ def _solve_qhat(system, potential, t, alpha, family="diam"):
 
     alpha(t, .) is increasing; the bracket widens up to |q| = 700 and
     stays at that end when the level is out of reach.  Returns q and the
-    (f_lo, f, f_hi, alpha) tuple of ``_f_alpha`` there.
+    (f_lo, f, f_hi, alpha) tuple of ``_f_alpha`` there, which is the
+    solver's own evaluation.
     """
-    q = _root(lambda q: _f_alpha(system, potential, t, q, family)[3] - alpha,
-              -1.0, 1.0, (-700.0, 700.0))[0]
-    return q, _f_alpha(system, potential, t, q, family)
-
-
-def _t_floor(system):
-    """Lower end of the t-bracket of the Legendre solve.
-
-    The tilted series may blow up exactly at s_inf, in which case the
-    search starts a hair above it.
-    """
-    s_inf = s_inf_exact(system)
-    if system.tail is None:
-        return 0.0
-    if series_converges(system, s_inf):
-        return s_inf
-    return s_inf + 1e-6
+    f_alpha = functools.cache(lambda q: _f_alpha(system, potential, t, q, family))
+    q = _root(lambda q: f_alpha(q)[3] - alpha, -1.0, 1.0, (-700.0, 700.0))[0]
+    return q, f_alpha(q)
 
 
 def _decreasing_log_mass_root(logsum, floor: float, s_inf: float) -> float:

@@ -440,6 +440,16 @@ def restricted_system(system: BranchSystem, N: int) -> BranchSystem:
 # words and cylinders
 
 
+def _decode_words(q: int, n: int, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Symbols (1-based) of the words over {1..q} of length n with
+    lexicographic indices [start, stop), one row per word."""
+    idx = np.arange(start, q ** n if stop is None else stop, dtype=np.int64)
+    arr = np.empty((len(idx), n), dtype=np.int64)
+    for j in range(n):
+        arr[:, j] = (idx // q ** (n - 1 - j)) % q + 1
+    return arr
+
+
 def check_word(system: BranchSystem, word: Sequence[int]) -> Word:
     w = tuple(int(s) for s in word)
     if not w:
@@ -539,13 +549,13 @@ class Potential:
     Its subclasses are frozen values with one method set, the indices being
     logical: ``values(system, idx)`` on branches (level 1), ``value(system,
     window)`` on one window of ``level`` symbols, ``birkhoff_sums(system,
-    cols, q)`` along the periodic orbits of the words whose j-th symbols
-    are ``cols[j]`` (symbols <= q), ``tail_bounds(system, after)`` over the
-    branches past ``after``, ``var(system, n)`` over n-cylinders, and
-    ``dump()``.  ``level`` is the dependence length: the value on a point
-    depends only on its first ``level`` symbols.  ``lower``/``upper`` bound
-    the potential over the whole system when it is bounded, and
-    ``tail_inf_attained`` says whether the tail infimum is taken on a digit.
+    cols)`` along the periodic orbits of the words whose j-th symbols are
+    ``cols[j]``, ``tail_bounds(system, after)`` over the branches past
+    ``after``, ``var(system, n)`` over n-cylinders, and ``dump()``.
+    ``level`` is the dependence length: the value on a point depends only
+    on its first ``level`` symbols.  ``lower``/``upper`` bound the potential
+    over the whole system when it is bounded, and ``tail_inf_attained``
+    says whether the tail infimum is taken on a digit.
     """
 
     level = 1
@@ -557,11 +567,10 @@ class Potential:
     def bounded(self) -> bool:
         return self.lower is not None and self.upper is not None
 
-    def birkhoff_sums(self, system: BranchSystem, cols, q: int) -> np.ndarray:
-        vals = self.values(system, np.arange(1, q + 1))
+    def birkhoff_sums(self, system: BranchSystem, cols) -> np.ndarray:
         total = np.zeros(len(cols[0]))
         for c in cols:
-            total += vals[c - 1]
+            total += self.values(system, c)
         return total
 
     def tail_bounds(self, system: BranchSystem, after: int) -> tuple[float, float]:
@@ -658,7 +667,7 @@ class TablePotential(Potential):
                 return v
         raise ModelError("table potential lacks values for some windows")
 
-    def birkhoff_sums(self, system, cols, q):
+    def birkhoff_sums(self, system, cols):
         """Sum over cyclic windows, each found one symbol at a time by its rank
         among the keys' distinct prefixes: memory grows with the table only."""
         keys, vals = (np.array(x) for x in zip(*self.table))
@@ -705,11 +714,11 @@ class LogDerivPotential(Potential):
                 "log|T'| is not locally constant on analytic systems")
         return -math.log(b.diameter)
 
-    def birkhoff_sums(self, system, cols, q):
+    def birkhoff_sums(self, system, cols):
         """On analytic systems, sum log|T'| along each periodic orbit,
         found by cyclic backward iteration of the Moebius branches."""
         if is_linear(system):
-            return super().birkhoff_sums(system, cols, q)
+            return super().birkhoff_sums(system, cols)
         n = len(cols)
         ms = [c.astype(float) + system.offset for c in cols]
         x = np.full(len(cols[0]), 0.5)
@@ -807,17 +816,20 @@ def birkhoff_sum(system: BranchSystem, potential: Potential, word: Sequence[int]
 # model serialization
 
 
+def _read_json_source(source) -> dict:
+    """A parsed dict as is, JSON text starting with '{', or a JSON file path."""
+    if isinstance(source, dict):
+        return source
+    text = str(source)
+    if text.lstrip().startswith("{"):
+        return json.loads(text)
+    with open(text, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def load_model(source) -> BranchSystem:
     """Build a system from a JSON file path, JSON text, or a parsed dict."""
-    if isinstance(source, dict):
-        data = source
-    else:
-        text = str(source)
-        if text.lstrip().startswith("{"):
-            data = json.loads(text)
-        else:
-            with open(text, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
+    data = _read_json_source(source)
     kind = data.get("kind")
     if kind == "gauss":
         return gauss_system()
@@ -872,15 +884,7 @@ def dump_model(system: BranchSystem) -> dict:
 
 
 def load_potential(source) -> Potential:
-    if isinstance(source, dict):
-        data = source
-    else:
-        text = str(source)
-        if text.lstrip().startswith("{"):
-            data = json.loads(text)
-        else:
-            with open(text, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
+    data = _read_json_source(source)
     kind = data.get("kind")
     if kind == "indicator":
         return indicator_potential(int(data["index"]))

@@ -35,6 +35,7 @@ from .systems import (
     BranchSystem,
     GaussTail,
     Potential,
+    _decode_words,
     _logsumexp,
     diam_series,
     diameters,
@@ -84,16 +85,6 @@ def default_budget() -> int:
 # enumeration engine
 
 
-def _decode_chunk(q: int, n: int, start: int, end: int) -> list[np.ndarray]:
-    """Symbols (1-based) of lexicographic word indices [start, end)."""
-    idx = np.arange(start, end, dtype=np.int64)
-    cols = []
-    for j in range(n):
-        power = q ** (n - 1 - j)
-        cols.append((idx // power) % q + 1)
-    return cols
-
-
 class _ArrayCache:
     """Per-level weight arrays keyed by (system, potential, q, n)."""
 
@@ -134,10 +125,10 @@ def _build_level_arrays(system, potential, q, n, workers):
 
     def fill(start):
         end = min(start + _CHUNK, total)
-        cols = _decode_chunk(q, n, start, end)
-        L[start:end] = _LOG_DERIV.birkhoff_sums(system, cols, q)
+        cols = list(_decode_words(q, n, start, end).T)
+        L[start:end] = _LOG_DERIV.birkhoff_sums(system, cols)
         if needs_phi:
-            phi[start:end] = potential.birkhoff_sums(system, cols, q)
+            phi[start:end] = potential.birkhoff_sums(system, cols)
 
     starts = list(range(0, total, _CHUNK))
     if workers > 1 and len(starts) > 1:
@@ -543,11 +534,44 @@ def _zeta_tail(s: float, first: float) -> float:
     return float(_hurwitz_zeta(s, first))
 
 
-def _moran_point(system, t):
-    lo, hi = diam_series(system, t)
-    if math.isinf(hi):
-        return math.inf
-    return math.log(0.5 * (lo + hi))
+def _t_floor(system: BranchSystem) -> float:
+    """Lowest default start of a t-bracket: 0 for finite systems, else s_inf.
+
+    The series may blow up exactly at s_inf, in which case the search
+    starts a hair above it.
+    """
+    if system.tail is None:
+        return 0.0
+    s_inf = s_inf_exact(system)
+    return s_inf if series_converges(system, s_inf) else s_inf + 1e-6
+
+
+def _log_series(system, t):
+    """Logs of the lower end, midpoint and upper end of ``diam_series`` at t:
+    the lower, point and upper level-1 pressure, exact for linear systems."""
+    s_lo, s_hi = diam_series(system, t)
+    return tuple(math.log(s) if s > 0 else -math.inf
+                 for s in (s_lo, 0.5 * (s_lo + s_hi), s_hi))
+
+
+def _certified_root(lower, point, upper, lo, hi, tol, end_tol, limits=None):
+    """Root of the decreasing pressure ``point`` with a certified interval.
+
+    ``lower`` <= P <= ``upper`` bound the true pressure, so its root lies
+    between their roots: each certified end is the outer end of the final
+    ``_root`` bracket of its bound (at ``end_tol``), and the point root
+    (at ``tol``) is clamped into them.  Returns (value, interval).  A
+    bound that is the point function at the point tolerance repeats the
+    point solve, so the interval is that solve's own bracket.
+    """
+    value, a, b = _root(lambda t: -point(t), lo, hi, limits, tol)
+    if a == b and point(a) != 0:
+        raise BracketError(
+            f"pressure does not straddle 0 on [{lo}, {hi}]: "
+            f"P({lo})={point(lo):.3g}, P({hi})={point(hi):.3g}")
+    root_lo = _root(lambda t: -lower(t), lo, hi, limits, end_tol)[1]
+    root_hi = _root(lambda t: -upper(t), lo, hi, limits, end_tol)[2]
+    return min(max(value, root_lo), root_hi), (root_lo, root_hi)
 
 
 def pressure_root(system: BranchSystem, bracket=None, tol: float = 1e-10, *,
@@ -555,14 +579,17 @@ def pressure_root(system: BranchSystem, bracket=None, tol: float = 1e-10, *,
                   budget: int | None = None, workers: int = 1) -> RootResult:
     """Solve P(-t log|T'|) = 0 for t.
 
-    Finite all-linear systems solve the Moran equation directly.  Infinite
-    all-linear systems take the root of the certified series bracket's
-    midpoint, and the roots of its two ends enclose it.  Analytic tail
-    systems combine a level-1 derivative-range sandwich (upper weights m^-2t,
-    lower weights (m+1)^-2t per branch m) with optional periodic-word
-    enumeration when the truncation captures >= 99% of the level-1 mass.
-    Every root goes through ``_root``, and each certified end is the outer
-    end of its final bracket.
+    Every path hands a (lower, point, upper) triple of pressure functions
+    to ``_certified_root``, which solves each with ``_root``: the value is
+    the point root, and each end of the certified interval is the outer
+    end of its bound's final bracket.  Finite all-linear systems solve the
+    Moran equation, which is its own bound.  Infinite all-linear systems
+    take the logs of the ``diam_series`` bracket.  Analytic tail systems
+    combine a level-1 derivative-range sandwich (upper weights m^-2t, lower
+    weights (m+1)^-2t per branch m) with periodic-word enumeration when a
+    truncation q captures >= 99% of the level-1 mass; without it the point
+    is the level-1 proxy.  A bracket's default lower end is s_inf (a hair
+    above it when the series diverges there), or 0 for finite systems.
     """
     if budget is None:
         budget = default_budget()
@@ -589,144 +616,76 @@ def _root_finite_linear(system, bracket, tol):
     def P(t):
         return _logsumexp(t * logd)
 
-    lo, hi = _normalize_bracket(bracket, 0.0, 1.0)
-    value, tlo, thi = _root(lambda t: -P(t), lo, hi,
-                            (0.0, 64.0) if bracket is None else None,
-                            tol=min(tol, 1e-12))
-    residual = P(value)
-    if tlo == thi and residual != 0:
-        if bracket is None:
-            raise BracketError("no pressure root below t=64")
-        raise BracketError(
-            f"pressure does not straddle 0 on [{lo}, {hi}]: P({lo})={P(lo):.3g}, P({hi})={P(hi):.3g}")
-    return RootResult(value=value, interval=(tlo, thi), method="moran",
-                      residual=residual, q=None, n_used=None, bracket=(lo, hi))
+    lo, hi = _normalize_bracket(bracket, _t_floor(system), 1.0)
+    tol = min(tol, 1e-12)
+    value, interval = _certified_root(P, P, P, lo, hi, tol, tol,
+                                      (0.0, 64.0) if bracket is None else None)
+    return RootResult(value=value, interval=interval, method="moran",
+                      residual=P(value), q=None, n_used=None, bracket=(lo, hi))
 
 
 def _root_series(system, bracket, tol):
-    s_inf = s_inf_exact(system)
-    lo_default = s_inf if series_converges(system, s_inf) else s_inf + 1e-6
-
-    def P_mid(t):
-        slo, shi = diam_series(system, t)
-        if math.isinf(shi):
-            return math.inf
-        return math.log(0.5 * (slo + shi))
-
-    lo, hi = _normalize_bracket(bracket, lo_default, 1.0)
-    value, tlo, thi = _root(lambda t: -P_mid(t), lo, hi, tol=min(tol, 1e-12))
-    if tlo == thi and P_mid(tlo) != 0:
-        raise BracketError(
-            f"pressure does not straddle 0 on [{lo}, {hi}]: "
-            f"P({lo})={P_mid(lo):.3g}, P({hi})={P_mid(hi):.3g}")
-
-    def P_low(t):
-        slo = diam_series(system, t)[0]
-        return math.log(slo) if slo > 0 else -math.inf
-
-    def P_high(t):
-        shi = diam_series(system, t)[1]
-        return math.log(shi) if math.isfinite(shi) else math.inf
-
-    # each certified end is the outer end of its final bracket
-    root_lo = _root(lambda t: -P_low(t), lo, hi, tol=1e-13)[1]
-    root_hi = _root(lambda t: -P_high(t), lo, hi, tol=1e-13)[2]
-    value = min(max(value, root_lo), root_hi)
-    interval = (root_lo, root_hi)
+    lo, hi = _normalize_bracket(bracket, _t_floor(system), 1.0)
+    value, interval = _certified_root(
+        lambda t: _log_series(system, t)[0], lambda t: _log_series(system, t)[1],
+        lambda t: _log_series(system, t)[2], lo, hi, min(tol, 1e-12), 1e-13)
     return RootResult(value=value, interval=interval, method="series",
-                      residual=P_mid(value), q=None, n_used=None, bracket=(lo, hi))
+                      residual=_log_series(system, value)[1], q=None,
+                      n_used=None, bracket=(lo, hi))
 
 
 def _root_analytic(system, bracket, tol, q, n_max, budget, workers):
     if not isinstance(system.tail, GaussTail):
         raise ModelError("analytic root finding is implemented for the continued-fraction family")
     N = 1 + system.offset  # first physical digit
+    lo, hi = _normalize_bracket(bracket, _t_floor(system), 2.0)
 
-    def sandwich_hi(t):  # upper pressure bound: sup derivative weights
-        return math.log(_zeta_tail(2.0 * t, N)) if 2.0 * t > 1.0 else math.inf
-
-    def sandwich_lo(t):  # lower pressure bound: inf derivative weights
-        return math.log(_zeta_tail(2.0 * t, N + 1)) if 2.0 * t > 1.0 else math.inf
-
-    lo, hi = _normalize_bracket(bracket, 0.5 + 1e-6, 2.0)
-
-    use_enum = False
+    # enumerate the deepest level whose cumulative word count fits the
+    # budget, when the truncation captures >= 99% of the level-1 mass
     n_eff = 0
     if q is not None:
         t_mid = 0.5 * (lo + hi)
         full = _zeta_tail(2.0 * t_mid, N)
         captured = full - _zeta_tail(2.0 * t_mid, N + q)
-        use_enum = math.isfinite(full) and captured / full >= 0.99
-        if use_enum:
+        if math.isfinite(full) and captured / full >= 0.99:
             spent = 0
             for n in range(1, n_max + 1):
                 spent += q ** n
                 if spent > budget:
                     break
                 n_eff = n
-            use_enum = n_eff >= 1
+    levels = [_LEVEL_CACHE.get(system, None, q, n, workers) for n in range(1, n_eff + 1)]
 
-    levels = {}
+    @functools.cache
+    def log_partitions(t):  # log Z_n(t) for n = 1..n_eff, one pass each
+        return [_log_partition(L, phi, t) for L, phi in levels]
 
-    def ensure_levels(upto):
-        for n in range(1, upto + 1):
-            if n not in levels:
-                levels[n] = _LEVEL_CACHE.get(system, None, q, n, workers)
-
-    def point_pressure(t):
-        if use_enum:
-            vs = [_log_partition(levels[n][0], levels[n][1], t) / n
-                  for n in sorted(levels)]
-            est = _aitken(vs)
-            c_lo, c_hi = certified_at(t)
-            return min(max(est, c_lo), c_hi)
-        return _moran_point(system, t)
-
-    def certified_at(t):
-        lows = [sandwich_lo(t)]
-        highs = [sandwich_hi(t)]
-        if use_enum:
-            for n in sorted(levels):
-                L, phi = levels[n]
-                logZ = _log_partition(L, phi, t)
+    def certified(t):
+        # sandwich: sup derivative weights m^-2t above, inf weights below
+        S_full = _zeta_tail(2.0 * t, N)
+        lows = [math.log(_zeta_tail(2.0 * t, N + 1))]
+        highs = [math.log(S_full)]
+        if levels:
+            S_q = S_full - _zeta_tail(2.0 * t, N + q)
+            for n, logZ in enumerate(log_partitions(t), 1):
                 V = _variation_total(system, None, t, n)
                 lows.append((logZ - V) / n)
-                S_full = _zeta_tail(2.0 * t, N)
-                S_q = S_full - _zeta_tail(2.0 * t, N + q)
                 missing = max(S_full ** n - S_q ** n, 0.0)
                 completed = np.logaddexp(logZ + V, math.log(missing) if missing > 0 else -math.inf)
                 highs.append(float(completed) / n)
         return max(lows), min(highs)
 
-    if use_enum:
-        ensure_levels(n_eff)
+    def point(t):
+        if not levels:
+            return _log_series(system, t)[1]
+        est = _aitken([logZ / n for n, logZ in enumerate(log_partitions(t), 1)])
+        c_lo, c_hi = certified(t)
+        return min(max(est, c_lo), c_hi)
 
-    # refine the level ladder before narrowing t whenever the certified
-    # bracket at the midpoint still straddles zero and budget remains
-    if use_enum:
-        while True:
-            c_lo, c_hi = certified_at(0.5 * (lo + hi))
-            if not (c_lo <= 0.0 <= c_hi) or n_eff >= n_max:
-                break
-            spent = sum(q ** n for n in range(1, n_eff + 2))
-            if spent > budget:
-                break
-            n_eff += 1
-            ensure_levels(n_eff)
-
-    value, tlo, thi = _root(lambda t: -point_pressure(t), lo, hi,
-                            tol=min(tol, 1e-10))
-    if tlo == thi and point_pressure(tlo) != 0:
-        raise BracketError(
-            f"pressure does not straddle 0 on [{lo}, {hi}]: "
-            f"P({lo})={point_pressure(lo):.3g}, P({hi})={point_pressure(hi):.3g}")
-
-    # each certified end is the outer end of its final bracket
-    cert_lo = _root(lambda t: -certified_at(t)[0], lo, hi, tol=1e-12)[1]
-    cert_hi = _root(lambda t: -certified_at(t)[1], lo, hi, tol=1e-12)[2]
-    value = min(max(value, cert_lo), cert_hi)
-    interval = (cert_lo, cert_hi)
-    method = "enumeration" if use_enum else "level1-sandwich"
-    return RootResult(value=value, interval=interval, method=method,
-                      residual=point_pressure(value), q=q if use_enum else None,
-                      n_used=n_eff if use_enum else None, bracket=(lo, hi))
+    value, interval = _certified_root(
+        lambda t: certified(t)[0], point, lambda t: certified(t)[1],
+        lo, hi, min(tol, 1e-10), 1e-12)
+    return RootResult(value=value, interval=interval,
+                      method="enumeration" if levels else "level1-sandwich",
+                      residual=point(value), q=q if levels else None,
+                      n_used=n_eff if levels else None, bracket=(lo, hi))

@@ -56,6 +56,16 @@ def test_root_doubling(capsys):
     assert doc["result"]["method"] == "moran"
 
 
+def test_root_envelopes_match_golden(capsys, monkeypatch):
+    # byte-for-byte envelopes of the Moran, series, sandwich and enumeration
+    # roots and of the exit-3 straddle error (tests/golden/root_envelopes.json)
+    monkeypatch.delenv("THERMOSPEC_BUDGET", raising=False)
+    golden = Path(__file__).parent / "golden" / "root_envelopes.json"
+    for case in json.loads(golden.read_text(encoding="utf-8")):
+        rc, out = run_cli(capsys, case["argv"])
+        assert (rc, out) == (case["exit"], case["stdout"]), case["argv"]
+
+
 def test_spectrum_csv_row_count(capsys):
     rc, out = run_cli(capsys, ["spectrum", "--model", "doubling",
                                "--potential", "chi1", "--points", "5"])

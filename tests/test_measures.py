@@ -370,6 +370,20 @@ def test_moments_match_per_word_birkhoff_sums(case):
     assert ts.load_potential(json.dumps(ts.dump_potential(pot))) == pot
 
 
+def test_level1_moments_on_large_digits_use_word_sized_memory():
+    # level-1 values are taken on the words' digits only, not on every
+    # branch up to the largest digit (240 MB for this one-digit word)
+    mu = ts.CylinderMeasure(level=1, words=((10**7,),), weights=(1.0,))
+    tracemalloc.start()
+    try:
+        moments = ts.stats(ts.gauss_system(), mu, (ts.harmonic_potential(),)).moments
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert moments == (1e-7,)
+    assert peak < 5_000_000
+
+
 def test_table_moments_on_large_digits_use_table_sized_memory():
     # windows are matched against the table's keys, so the work does not
     # grow with (largest digit)^level: a dense lookup here would need 80 GB

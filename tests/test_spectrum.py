@@ -229,6 +229,22 @@ def test_legendre_row_evaluation_count(monkeypatch, chi1, model, alpha, max_t, m
     assert len(seen) <= max_calls
 
 
+def test_solve_qhat_evaluates_each_tilt_once(monkeypatch, chi1):
+    # the returned tuple is the root solver's own evaluation at q
+    tilts = []
+    real = spectrum._f_alpha
+
+    def counting(system, potential, t, qhat, family="diam"):
+        tilts.append(qhat)
+        return real(system, potential, t, qhat, family)
+
+    monkeypatch.setattr(spectrum, "_f_alpha", counting)
+    q, vals = spectrum._solve_qhat(ts.doubling_system(), chi1, 0.9, 0.3)
+    assert len(tilts) == len(set(tilts)) == 9
+    assert vals == real(ts.doubling_system(), chi1, 0.9, q)
+    assert vals[3] == pytest.approx(0.3, abs=1e-15)
+
+
 def test_flat_interior_rises_above_floor(flat, chi1):
     pt = ts.legendre_solve(flat, chi1, 0.5)
     assert pt.regime == "legendre"

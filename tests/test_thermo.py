@@ -225,10 +225,34 @@ def test_pressure_root_restricted_work_count(monkeypatch):
 
 
 def test_pressure_root_enumeration_work_count(monkeypatch):
-    passes = _counting(monkeypatch, "_log_partition")
+    # the point value and the certified bounds share one log-partition
+    # pass per distinct (t, level)
+    seen = []
+    real = thermo._log_partition
+
+    def counting(L, phi, t):
+        seen.append((t, len(L)))
+        return real(L, phi, t)
+
+    monkeypatch.setattr(thermo, "_log_partition", counting)
     res = ts.pressure_root(ts.gauss_system(), bracket=(0.8, 1.2), q=200, n_max=2)
     assert res.n_used == 2
-    assert passes[0] <= 80
+    assert len(seen) == len(set(seen))
+    assert len(seen) <= 40
+
+
+def test_pressure_root_budget_caps_enumeration_depth():
+    # 200 + 200^2 words fit the budget, 200^3 more do not
+    g = ts.gauss_system()
+    capped = ts.pressure_root(g, q=200, n_max=4, budget=200 + 200 ** 2)
+    assert capped.n_used == 2
+    assert capped == ts.pressure_root(g, q=200, n_max=2)
+
+
+def test_pressure_harmonic_enumeration_values_pinned():
+    # level-1 potential sums index no q-sized table, and the values stay
+    est = ts.pressure(ts.gauss_system(), ts.harmonic_potential(), t=1.0, q=100, n_max=3)
+    assert est.values == (0.559848229880013, 0.6527154983137293, 0.6197001784130427)
 
 
 _EPS = np.finfo(float).eps
@@ -288,6 +312,21 @@ def test_one_root_solver_in_source():
             if names & (_SCIPY_ROOT_FINDERS | {"_bisect_root", "_root_ends"}):
                 hits.append(f"{path.name}:{node.lineno}")
     assert hits == []
+
+
+def test_pressure_roots_solve_only_in_certified_root():
+    # every pressure root reaches _root through _certified_root, so a new
+    # path supplies a (lower, point, upper) triple instead of its own solves
+    tree = ast.parse(Path(thermo.__file__).read_text(encoding="utf-8"))
+    certified = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+                  and node.name == "_certified_root")
+
+    def uses(root):
+        return [node.lineno for node in ast.walk(root)
+                if isinstance(node, ast.Name) and node.id == "_root"]
+
+    assert uses(certified)
+    assert uses(tree) == uses(certified)
 
 
 def _hurwitz_root(first):
