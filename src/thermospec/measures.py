@@ -31,6 +31,7 @@ from .systems import (
     BranchSystem,
     _cf_log_cylinder_diams,
     _decode_words,
+    _log_diameters_at,
     _logsumexp,
     check_word,
     diameters,
@@ -127,8 +128,7 @@ def _word_array(measure: CylinderMeasure) -> np.ndarray:
 
 def _log_cylinder_diams(system, arr: np.ndarray) -> np.ndarray:
     if is_linear(system):
-        logd = np.log(diameters(system, int(arr.max())))
-        return logd[arr - 1].sum(axis=1)
+        return _log_diameters_at(system, arr).sum(axis=1)
     return _cf_log_cylinder_diams(arr.astype(float) + system.offset)
 
 

@@ -237,15 +237,35 @@ def diameters(system: BranchSystem, q: int) -> np.ndarray:
     """Diameters of the first q branches as a vector."""
     if q < 1:
         raise ValueError("q must be >= 1")
-    out = np.empty(q, dtype=float)
-    nh = min(q, len(system.head))
-    out[:nh] = [b.diameter for b in system.head[:nh]]
-    if q > nh:
+    return _diameters_at(system, np.arange(1, q + 1))
+
+
+def _diameters_at(system: BranchSystem, idx: np.ndarray) -> np.ndarray:
+    """Diameters of the branches with sorted 1-based indices ``idx``."""
+    nh = int(np.searchsorted(idx, len(system.head), side="right"))
+    out = np.empty(len(idx), dtype=float)
+    out[:nh] = [system.head[i - 1].diameter for i in idx[:nh].tolist()]
+    if nh < len(idx):
         if system.tail is None:
-            raise InvalidWordError(f"truncation {q} exceeds the finite system size {nh}")
-        m = np.arange(nh + 1, q + 1, dtype=float) + system.offset
-        out[nh:] = system.tail.diameters(m)
+            raise InvalidWordError(
+                f"truncation {idx[-1]} exceeds the finite system size {len(system.head)}")
+        out[nh:] = system.tail.diameters(idx[nh:] + float(system.offset))
     return out
+
+
+def _log_diameters_at(system: BranchSystem, idx: np.ndarray) -> np.ndarray:
+    """log diam(I_i) for each 1-based index i of the int array ``idx``.
+
+    The diameters are evaluated on a table no longer than ``idx``: branches
+    1..max(idx) when that fits, else the distinct indices only, so one huge
+    digit costs no memory in its size.  Diameters are elementwise in the
+    index, so both tables give the same bits.
+    """
+    top = int(idx.max())
+    if top <= idx.size:
+        return np.log(diameters(system, top))[idx - 1]
+    u, inv = np.unique(idx, return_inverse=True)
+    return np.log(_diameters_at(system, u))[inv.reshape(idx.shape)]
 
 
 def is_linear(system: BranchSystem) -> bool:
@@ -272,7 +292,8 @@ def _logsumexp(a: np.ndarray) -> float:
         if math.isfinite(a_max):
             ismax = a == a_max
             m = float(np.count_nonzero(ismax))
-            e = np.exp(a - a_max)
+            e = a - a_max
+            np.exp(e, out=e)
             e[ismax] = 0.0
             out = np.log1p(e.sum() / m) + np.log(m) + a_max
             if math.isfinite(out):
@@ -445,8 +466,9 @@ def _decode_words(q: int, n: int, start: int = 0, stop: int | None = None) -> np
     lexicographic indices [start, stop), one row per word."""
     idx = np.arange(start, q ** n if stop is None else stop, dtype=np.int64)
     arr = np.empty((len(idx), n), dtype=np.int64)
-    for j in range(n):
-        arr[:, j] = (idx // q ** (n - 1 - j)) % q + 1
+    for j in range(n - 1, -1, -1):  # last symbol first: one divmod per column
+        np.divmod(idx, q, out=(idx, arr[:, j]))
+    arr += 1
     return arr
 
 
@@ -705,7 +727,7 @@ class LogDerivPotential(Potential):
         if not is_linear(system):
             raise UnsupportedPotentialError(
                 "log|T'| is not locally constant on analytic systems")
-        return -np.log(diameters(system, int(idx.max())))[idx - 1]
+        return -_log_diameters_at(system, idx)
 
     def value(self, system, window):
         b = branch(system, window[0])
@@ -716,21 +738,35 @@ class LogDerivPotential(Potential):
 
     def birkhoff_sums(self, system, cols):
         """On analytic systems, sum log|T'| along each periodic orbit,
-        found by cyclic backward iteration of the Moebius branches."""
+        found by cyclic backward iteration of the Moebius branches.
+
+        Each word gets up to 60 backward sweeps x -> 1/(m + x), from x = 0.5.
+        A word whose x comes back from a sweep unchanged bit for bit sits at
+        a fixed point of the float sweep, which is elementwise and
+        deterministic, so every later sweep would return the same bits: it
+        leaves the loop, and only the words still moving are swept again.
+        The sums are therefore bit for bit those of 60 sweeps on every word.
+        """
         if is_linear(system):
             return super().birkhoff_sums(system, cols)
-        n = len(cols)
         ms = [c.astype(float) + system.offset for c in cols]
         x = np.full(len(cols[0]), 0.5)
-        tmp = np.empty_like(x)
+        moving, xm, mm = np.arange(len(x)), x, ms
         for _ in range(60):  # contraction is at least 0.382 per sweep
-            for j in range(n - 1, -1, -1):
-                np.add(ms[j], x, out=tmp)
-                np.divide(1.0, tmp, out=x)
+            prev, xm = xm, xm.copy()
+            for m in mm[::-1]:
+                np.add(m, xm, out=xm)
+                np.divide(1.0, xm, out=xm)
+            settled = xm == prev
+            if settled.any():
+                x[moving[settled]] = xm[settled]
+                keep = ~settled
+                moving, xm, mm = moving[keep], xm[keep], [m[keep] for m in mm]
+        x[moving] = xm
         lnsum = np.zeros_like(x)
-        ly = np.empty_like(x)
-        for j in range(n - 1, -1, -1):
-            np.add(ms[j], x, out=tmp)
+        tmp, ly = np.empty_like(x), np.empty_like(x)
+        for m in ms[::-1]:
+            np.add(m, x, out=tmp)
             np.divide(1.0, tmp, out=x)
             np.log(x, out=ly)
             lnsum += ly

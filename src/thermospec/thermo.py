@@ -21,7 +21,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 from scipy.special import zeta as _hurwitz_zeta
 
 from .errors import (
@@ -143,19 +142,21 @@ def _build_level_arrays(system, potential, q, n, workers):
     return L, phi
 
 
-def _ordered_logsumexp(arr: np.ndarray) -> float:
-    """Log-sum-exp over fixed chunks combined in index order (bit-stable)."""
-    parts = [logsumexp(arr[i:i + _CHUNK]) for i in range(0, len(arr), _CHUNK)]
-    out = parts[0]
-    for p in parts[1:]:
-        out = np.logaddexp(out, p)
-    return float(out)
-
-
 def _log_partition(L, phi, t):
-    if phi is None:
-        return _ordered_logsumexp(-t * L)
-    return _ordered_logsumexp(phi - t * L)
+    """log sum exp(phi - t L) over the words of one level (phi None: 0).
+
+    The exponents are formed one ``_CHUNK`` at a time, so no full-size
+    temporary is held, and each chunk's log-sum-exp is folded into the
+    running total in index order with ``np.logaddexp``.  Every exponent is
+    the same elementwise float operation as on the whole array,
+    ``_logsumexp`` does scipy's arithmetic, and the chunk boundaries and the
+    folding order are fixed, so streaming changes no bit of the value.
+    """
+    for i in range(0, len(L), _CHUNK):
+        s = slice(i, i + _CHUNK)
+        part = _logsumexp(-t * L[s] if phi is None else phi[s] - t * L[s])
+        out = part if i == 0 else np.logaddexp(out, part)
+    return float(out)
 
 
 # ---------------------------------------------------------------------------

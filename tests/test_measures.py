@@ -384,6 +384,26 @@ def test_level1_moments_on_large_digits_use_word_sized_memory():
     assert peak < 5_000_000
 
 
+@pytest.mark.parametrize("potentials", [(), (ts.log_deriv_potential(),),
+                                        (ts.harmonic_potential(),)],
+                         ids=["none", "log_deriv", "harmonic"])
+def test_linear_cylinder_diameters_on_large_digits_use_word_sized_memory(potentials):
+    # diameters of an infinite linear system are taken on the words' digits
+    # only, not on every branch up to the largest digit (40 MB here)
+    inv = ts.powerlog_system([], c=0.5, a=2.0)
+    mu = ts.CylinderMeasure(level=1, words=((10**6,),), weights=(1.0,))
+    tracemalloc.start()
+    try:
+        st_ = ts.stats(inv, mu, potentials)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
+    assert st_.lyapunov == pytest.approx(math.log(2.0) + 12.0 * math.log(10.0), rel=1e-15)
+    if potentials == (ts.log_deriv_potential(),):
+        assert st_.moments == (st_.lyapunov,)
+
+
 def test_table_moments_on_large_digits_use_table_sized_memory():
     # windows are matched against the table's keys, so the work does not
     # grow with (largest digit)^level: a dense lookup here would need 80 GB

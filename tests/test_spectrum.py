@@ -9,6 +9,7 @@ from scipy.special import logsumexp
 import thermospec as ts
 from thermospec import spectrum, thermo
 from thermospec.spectrum import _logsumexp
+from thermospec.systems import _decode_words
 
 BE_QUARTER = 0.8112781244591328  # H(1/4) / log 2
 # flat family with K = 0.55, C = 0.6: window edges and tilt roots
@@ -53,6 +54,14 @@ def test_logsumexp_helper_bit_identical_to_scipy():
     cases += [np.array([-np.inf, -np.inf]), np.array([-np.inf, 3.0]),
               np.array([np.inf, 1.0]), np.array([np.nan, 1.0]), np.array([]),
               np.array([1e308, 1e308])]
+    # whole log-partition chunks: -t L and phi - t L on Gauss level-3 words
+    g = ts.gauss_system()
+    for start in (0, 200 ** 3 - thermo._CHUNK):
+        cols = list(_decode_words(200, 3, start, start + thermo._CHUNK).T)
+        L = ts.log_deriv_potential().birkhoff_sums(g, cols)
+        phi = ts.harmonic_potential().birkhoff_sums(g, cols)
+        for t in (0.8, 1.0, 1.2):
+            cases += [-t * L, phi - t * L]
     for a in cases:
         assert _bits(_logsumexp(a)) == _bits(logsumexp(a)), a
 

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import thermospec as ts
-from thermospec.systems import level1_values, potential_value
+from thermospec import thermo
+from thermospec.systems import _decode_words, level1_values, potential_value
 
 
 def test_linear_system_basic():
@@ -249,6 +250,38 @@ def test_log_deriv_potential_is_unbounded():
     lo, hi = harm.tail_bounds(g, 10)
     assert lo == 0.0
     assert hi == pytest.approx(1.0 / 11.0)
+
+
+def _sixty_sweeps(system, cols):
+    """log|T'| orbit sums with exactly 60 backward sweeps on every word."""
+    ms = [c.astype(float) + system.offset for c in cols]
+    x = np.full(len(cols[0]), 0.5)
+    for _ in range(60):
+        for m in reversed(ms):
+            x = 1.0 / (m + x)
+    lnsum = np.zeros_like(x)
+    for m in reversed(ms):
+        x = 1.0 / (m + x)
+        lnsum += np.log(x)
+    return -2.0 * lnsum
+
+
+def test_log_deriv_sums_match_sixty_sweeps():
+    # words leave the sweep loop once their float orbit point stops moving;
+    # the sums must stay those of 60 sweeps, bit for bit
+    g = ts.gauss_system()
+    pot = ts.log_deriv_potential()
+    # 810,000 words: two enumeration chunks
+    L, _ = thermo._build_level_arrays(g, None, 30, 4, 1)
+    assert L.tobytes() == _sixty_sweeps(g, list(_decode_words(30, 4).T)).tobytes()
+    # (1, 3, 21) and its rotations never settle: a float 2-cycle of the sweep
+    words = [(1, 3, 21), (3, 21, 1), (21, 1, 3), (1, 3, 20), (1, 3, 22), (2, 2, 2)]
+    cols = [np.array(c) for c in zip(*words)]
+    assert pot.birkhoff_sums(g, cols).tobytes() == _sixty_sweeps(g, cols).tobytes()
+    for N in (20, 10**6):
+        sub = ts.restricted_system(g, N)
+        cols = list(_decode_words(12, 3).T)
+        assert pot.birkhoff_sums(sub, cols).tobytes() == _sixty_sweeps(sub, cols).tobytes()
 
 
 def test_birkhoff_sum_counts_matches():

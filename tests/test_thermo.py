@@ -2,11 +2,13 @@
 
 import ast
 import math
+import tracemalloc
 from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 import thermospec as ts
 from thermospec import thermo
@@ -120,6 +122,38 @@ def test_pressure_workers_bit_identical():
         est = ts.pressure(g, t=1.0, q=25, n_max=3, workers=w)
         assert est.values == base.values
         assert est.bracket == base.bracket
+
+
+def test_level_arrays_invariant_to_worker_count():
+    # 810,000 words in two chunks, so the thread pool really runs
+    g = ts.gauss_system()
+    L1, _ = thermo._build_level_arrays(g, None, 30, 4, 1)
+    L2, _ = thermo._build_level_arrays(g, None, 30, 4, 2)
+    assert L1.tobytes() == L2.tobytes()
+
+
+def test_log_partition_streams_chunks():
+    # the pass forms phi - t L one chunk at a time (no 16 MB temporary) and
+    # keeps the value of scipy's logsumexp per chunk folded by logaddexp
+    rng = np.random.default_rng(3)
+    L = rng.uniform(1.0, 60.0, 2_000_000)
+    phi = rng.normal(size=L.size)
+    chunk = thermo._CHUNK
+    for p in (None, phi):
+        a = -1.1 * L if p is None else p - 1.1 * L
+        parts = [logsumexp(a[i:i + chunk]) for i in range(0, a.size, chunk)]
+        expected = parts[0]
+        for part in parts[1:]:
+            expected = np.logaddexp(expected, part)
+        del a
+        tracemalloc.start()
+        try:
+            value = thermo._log_partition(L, p, 1.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.float64(value).tobytes() == np.float64(expected).tobytes()
+        assert peak < 12_000_000
 
 
 def test_locally_constant_bracket_flat_series():
