@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.special import xlogy
 
 from .errors import (
     BudgetExceededError,
@@ -233,11 +231,18 @@ def _project_box(p, A, lo, hi):
 
 
 def _ratio_of(p, logd):
-    return -xlogy(p, p).sum() / -(p @ logd)
+    """h/lambda of the weights p, with 0 log 0 = 0."""
+    return -(p * np.log(p, out=np.zeros_like(p), where=p > 0)).sum() / -(p @ logd)
 
 
 def _check_feasible_lp(logd_len, A, lo, hi):
-    """Max-violation LP; raises when no weight vector fits the boxes."""
+    """Max-violation LP; raises when no weight vector fits the boxes.
+
+    scipy is imported here, not at module level, because the LP runs only
+    when a KL projection fails to witness the boxes.
+    """
+    from scipy.optimize import linprog
+
     k = A.shape[0]
     n_var = logd_len + 1
     c = np.zeros(n_var)
@@ -260,6 +265,34 @@ def _check_feasible_lp(logd_len, A, lo, hi):
     return float(res.x[-1]), res.x[:-1]
 
 
+def _feasible_projection(p, A, lo, hi):
+    """``_project_box(p, A, lo, hi)``, with the verdict on the boxes.
+
+    A projection whose moments lie in the boxes, up to the LP's own 1e-9
+    slack, witnesses that they can be met, and no LP runs.  Otherwise the
+    max-violation LP decides: it raises InfeasibleConstraintsError when no
+    weight vector fits, and when one does, the projection's own result or
+    failure stands.
+    """
+    if A is None:
+        return p
+    try:
+        x = _project_box(p, A, lo, hi)
+    except UndeterminedError as exc:
+        x, failure = None, exc
+    else:
+        m = A @ x
+        if np.all(m >= lo - 1e-9) and np.all(m <= hi + 1e-9):
+            return x
+    violation, _ = _check_feasible_lp(len(p), A, lo, hi)
+    if violation > 1e-9:
+        raise InfeasibleConstraintsError(
+            f"constraints unattainable at truncation (violation {violation:.3g})")
+    if x is None:
+        raise failure
+    return x
+
+
 def maximize_ratio(system: BranchSystem, constraints=(), q: int | None = None,
                    n: int = 1):
     """Maximize h/lambda over level-n weights on words over {1..q}.
@@ -271,7 +304,10 @@ def maximize_ratio(system: BranchSystem, constraints=(), q: int | None = None,
     weights softmax(R log diam) onto the boxes, and R is raised to its
     ratio until it stops rising.  The ratio is quasi-concave, so this is
     the global maximum; the result is deterministic and uses no seeds.
-    Returns a (CylinderMeasure, MeasureStats) pair.
+    The first projection doubles as the feasibility check (see
+    ``_feasible_projection``): unattainable boxes raise
+    InfeasibleConstraintsError.  Returns a (CylinderMeasure, MeasureStats)
+    pair.
     """
     if q is None:
         q = system.branch_count()
@@ -291,14 +327,11 @@ def maximize_ratio(system: BranchSystem, constraints=(), q: int | None = None,
         if np.any(eps < 0):
             raise ModelError("constraint tolerances must be >= 0")
         lo, hi = gam - eps, gam + eps
-        violation, _ = _check_feasible_lp(len(logd), A, lo, hi)
-        if violation > 1e-9:
-            raise InfeasibleConstraintsError(
-                f"constraints unattainable at truncation (violation {violation:.3g})")
 
     R, best_p = 0.0, None
-    for _ in range(200):
-        p = _project_box(np.exp(R * logd - _logsumexp(R * logd)), A, lo, hi)
+    for i in range(200):
+        p = np.exp(R * logd - _logsumexp(R * logd))
+        p = _project_box(p, A, lo, hi) if i else _feasible_projection(p, A, lo, hi)
         r = _ratio_of(p, logd)
         if best_p is not None and r <= R + 1e-15 * max(1.0, R):
             break
@@ -386,7 +419,9 @@ def feasible(system: BranchSystem, gamma, eps: float = 0.0,
     Default potentials are the digit indicators chi_{I_1}..chi_{I_k}.  On
     success the witness is the maximum-entropy (exponential-family) weight
     vector when one exists, otherwise a vertex solution with its zero-weight
-    words dropped.
+    words dropped.  The max-violation LP, which supplies that vertex and
+    the infeasible verdicts, runs only when the maximum-entropy projection
+    fails or misses the moments.
     """
     gam = np.atleast_1d(np.asarray(gamma, dtype=float))
     if eps < 0:
@@ -405,6 +440,31 @@ def feasible(system: BranchSystem, gamma, eps: float = 0.0,
 
     arr = _decode_words(q, n)
     A = np.vstack([_moment_rows(system, pot, arr) for pot in potentials])
+
+    def report(witness_p):
+        keep = witness_p > 1e-15
+        words = tuple(tuple(int(s) for s in w) for w in arr[keep])
+        weights = witness_p[keep]
+        weights = weights / weights.sum()
+        moments = tuple(float(m) for m in (A[:, keep] @ weights))
+        measure = CylinderMeasure(level=n, words=words, weights=tuple(weights))
+        worst = float(np.max(np.abs(np.asarray(moments) - gam)))
+        if worst > eps + 1e-9:
+            return FeasibilityReport(tuple(gam), eps, q, n, "infeasible-at-truncation",
+                                     worst, None, moments)
+        return FeasibilityReport(tuple(gam), eps, q, n, "feasible-with-witness",
+                                 worst, measure, moments)
+
+    # a positive projection that meets the moments is the witness and
+    # proves feasibility without the LP; when it misses, the LP decides
+    try:
+        proj = _project_box(np.full(arr.shape[0], 1.0 / arr.shape[0]), A, gam, gam)
+    except UndeterminedError:
+        proj = None
+    rep = report(proj) if proj is not None and np.all(proj > 0) else None
+    if rep is not None and rep.witness is not None:
+        return rep
+
     try:
         violation, lp_point = _check_feasible_lp(arr.shape[0], A, gam - eps, gam + eps)
     except InfeasibleConstraintsError:
@@ -413,27 +473,7 @@ def feasible(system: BranchSystem, gamma, eps: float = 0.0,
     if violation > eps + 1e-9 or (eps == 0 and violation > 1e-9):
         return FeasibilityReport(tuple(gam), eps, q, n, "infeasible-at-truncation",
                                  violation, None, ())
-
-    witness_p = None
-    try:
-        witness_p = _project_box(np.full(arr.shape[0], 1.0 / arr.shape[0]), A, gam, gam)
-    except UndeterminedError:
-        pass
-    if witness_p is None or np.any(witness_p <= 0):
-        witness_p = lp_point
-
-    keep = witness_p > 1e-15
-    words = tuple(tuple(int(s) for s in w) for w in arr[keep])
-    weights = witness_p[keep]
-    weights = weights / weights.sum()
-    measure = CylinderMeasure(level=n, words=words, weights=tuple(weights))
-    moments = tuple(float(m) for m in (A[:, keep] @ weights))
-    worst = float(np.max(np.abs(np.asarray(moments) - gam)))
-    if worst > eps + 1e-9:
-        return FeasibilityReport(tuple(gam), eps, q, n, "infeasible-at-truncation",
-                                 worst, None, moments)
-    return FeasibilityReport(tuple(gam), eps, q, n, "feasible-with-witness",
-                             worst, measure, moments)
+    return rep if rep is not None else report(lp_point)
 
 
 # ---------------------------------------------------------------------------

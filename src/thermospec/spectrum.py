@@ -19,9 +19,8 @@ import functools
 import math
 from dataclasses import dataclass, replace
 
+import mpmath
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.special import zeta as _hurwitz_zeta
 
 from .errors import (
     InfeasibleModelError,
@@ -35,6 +34,7 @@ from .systems import (
     branch_diameter,
     diam_series,
     diameters,
+    hurwitz_zeta,
     indicator_potential,
     is_linear,
     restricted_system,
@@ -187,7 +187,7 @@ def _series_groups(system: BranchSystem, potential: Potential, t: float,
     else:
         first = H + 1 + system.offset + (1 if family == "lo" else 0)
         if 2.0 * t > 1.0:
-            T_lo = T_hi = float(_hurwitz_zeta(2.0 * t, first))
+            T_lo = T_hi = hurwitz_zeta(2.0 * t, first)
         else:
             T_lo = T_hi = math.inf
     logT_lo = math.log(T_lo) if T_lo > 0 else -math.inf
@@ -398,13 +398,20 @@ def flat_bounds(system: BranchSystem, potential: Potential | None = None) -> Fla
     """Window edges of the flat spectrum region for the two-block family.
 
     With K = diam(I_1)^delta and C = sum_{i>=2} diam(I_i)^delta at the
-    critical exponent delta, the tilt-to-level map is
-    alpha(q) = log(K e^q + C)/q.  q_minus and q_plus come from the closed
+    critical exponent delta, the tilt-to-level map is alpha(q) = P(q)/q
+    with P(q) = log(K e^q + C).  q_minus and q_plus come from the closed
     forms log((1-C)/K) and log(C/(1-K)), cross-checked as the unique roots
     of alpha(q) = 0 and alpha(q) = 1.  The flat windows end at the extremal
     values of alpha on the outer tilt ranges: alpha_lower is the maximum
     over q < q_minus (alpha tends to 0 at both ends of that range) and
-    alpha_upper the minimum over q > q_plus.
+    alpha_upper the minimum over q > q_plus.  Each extremum sits where the
+    line through the origin touches P, the unique zero of the tangency
+    P(q) - q P'(q) on its range (increasing below q_minus < 0, decreasing
+    above q_plus > 0, as its derivative is -q P''(q)).  alpha is stationary
+    there, so the float zero loses nothing to first order, and
+    log(K e^q + C)/q is evaluated at it once in 30-digit arithmetic and
+    rounded once: the edge is the correctly rounded extremum unless that
+    lies within about 1e-30 of a rounding boundary.
     """
     if potential not in (None, indicator_potential(1)):
         raise UnsupportedPotentialError(
@@ -417,9 +424,6 @@ def flat_bounds(system: BranchSystem, potential: Potential | None = None) -> Fla
     q_minus = math.log((1.0 - C) / K)
     q_plus = math.log(C / (1.0 - K))
 
-    def alpha_of(q):
-        return math.log(K * math.exp(q) + C) / q
-
     root0 = _root(lambda q: K * math.exp(q) + C - 1.0,
                   q_minus - 5.0, q_minus + 5.0, (-700.0, 700.0))[0]
     root1 = _root(lambda q: q - math.log(K * math.exp(q) + C),
@@ -427,21 +431,17 @@ def flat_bounds(system: BranchSystem, potential: Potential | None = None) -> Fla
     if abs(root0 - q_minus) > 1e-9 or abs(root1 - q_plus) > 1e-9:
         raise ModelError("flat window roots disagree with the closed forms")
 
-    qs = q_minus - np.geomspace(1e-6, 200.0, 800)
-    vals = np.array([alpha_of(q) for q in qs])
-    i = int(np.argmax(vals))
-    res = minimize_scalar(lambda q: -alpha_of(q),
-                          bounds=(qs[min(i + 1, len(qs) - 1)], qs[max(i - 1, 0)]),
-                          method="bounded", options={"xatol": 1e-14})
-    alpha_lower = -float(res.fun)
+    def tangency(q):
+        Ke = K * math.exp(q)
+        return math.log(Ke + C) - q * Ke / (Ke + C)
 
-    qs = q_plus + np.geomspace(1e-6, 200.0, 800)
-    vals = np.array([alpha_of(q) for q in qs])
-    i = int(np.argmin(vals))
-    res = minimize_scalar(alpha_of,
-                          bounds=(qs[max(i - 1, 0)], qs[min(i + 1, len(qs) - 1)]),
-                          method="bounded", options={"xatol": 1e-14})
-    alpha_upper = float(res.fun)
+    def alpha_at(q):
+        with mpmath.workdps(30):
+            return float(mpmath.log(K * mpmath.exp(q) + C) / q)
+
+    q_lower = _root(tangency, q_minus - 1.0, q_minus, (-700.0, q_minus))[0]
+    q_upper = _root(lambda q: -tangency(q), q_plus, q_plus + 1.0, (q_plus, 700.0))[0]
+    alpha_lower, alpha_upper = alpha_at(q_lower), alpha_at(q_upper)
 
     if not (0.0 < alpha_lower < alpha_upper < 1.0):
         raise ModelError("flat window edges out of order; model outside the flat family")

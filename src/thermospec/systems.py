@@ -19,7 +19,6 @@ from typing import Sequence
 
 import mpmath
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import (
     InfeasibleModelError,
@@ -284,21 +283,83 @@ def _logsumexp(a: np.ndarray) -> float:
     Performs ``scipy.special.logsumexp``'s arithmetic without its
     array-API dispatch, which dominates on few-element arrays: shift by
     the maximum, drop the maximal entries from the sum, divide by their
-    count m, and return log1p(s) + log(m) + max.  Empty, non-finite or
-    overflowing cases defer to scipy.
+    count m, and return log1p(s) + log(m) + max.  An empty array gives
+    -inf.  Where that result is not finite (a NaN or infinite maximum, or
+    an overflow), scipy returns the direct log(sum(exp(a))), and so does
+    this.
     """
-    if a.size:
-        a_max = a.max()
-        if math.isfinite(a_max):
-            ismax = a == a_max
-            m = float(np.count_nonzero(ismax))
-            e = a - a_max
-            np.exp(e, out=e)
-            e[ismax] = 0.0
-            out = np.log1p(e.sum() / m) + np.log(m) + a_max
-            if math.isfinite(out):
-                return float(out)
-    return float(logsumexp(a))
+    if not a.size:
+        return -math.inf
+    a_max = a.max()
+    if math.isfinite(a_max):
+        ismax = a == a_max
+        m = float(np.count_nonzero(ismax))
+        e = a - a_max
+        np.exp(e, out=e)
+        e[ismax] = 0.0
+        out = np.log1p(e.sum() / m) + np.log(m) + a_max
+        if math.isfinite(out):
+            return float(out)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return float(np.log(np.exp(a).sum()))
+
+
+# cephes' Euler-Maclaurin coefficients (2k)!/B_2k
+_ZETA_A = (12.0, -720.0, 30240.0, -1209600.0, 47900160.0,
+           -1.8924375803183791606e9, 7.47242496e10, -2.950130727918164224e12,
+           1.1646782814350067249e14, -4.5979787224074726105e15,
+           1.8152105401943546773e17, -7.1661652561756670113e18)
+_ZETA_MACHEP = 1.11022302462515654042e-16  # 2^-53
+
+
+def hurwitz_zeta(x: float, q: float) -> float:
+    """Hurwitz zeta sum_{k >= 0} (k + q)^(-x) for x > 1 and q > 0.
+
+    x = 1 gives inf, and any other x or q outside that domain gives NaN.
+
+    A port of cephes' ``zeta(x, q)`` (S. L. Moshier), which
+    ``scipy.special.zeta`` evaluates, operation for operation: the
+    asymptotic (1/(x-1) + 1/(2q)) q^(1-x) above q = 1e8 (DLMF 25.11.43),
+    else at least nine explicit terms up to k + q > 9, then the integral,
+    half the last term and up to twelve Bernoulli corrections of the
+    Euler-Maclaurin formula.  Python's float power is the C library's pow,
+    so the result matches scipy's bit for bit.
+    """
+    x, q = float(x), float(q)
+    if x == 1.0:
+        return math.inf
+    if not (x > 1.0 and q > 0.0):
+        return math.nan
+    if q > 1e8:
+        return (1.0 / (x - 1.0) + 1.0 / (2.0 * q)) * q ** (1.0 - x)
+    s = q ** -x
+    a = q
+    i = 0
+    b = 0.0
+    while i < 9 or a <= 9.0:
+        i += 1
+        a += 1.0
+        b = a ** -x
+        s += b
+        if abs(b / s) < _ZETA_MACHEP:
+            return s
+    w = a
+    s += b * w / (x - 1.0)
+    s -= 0.5 * b
+    a = 1.0
+    k = 0.0
+    for coeff in _ZETA_A:
+        a *= x + k
+        b /= w
+        t = a * b / coeff
+        s += t
+        if abs(t / s) < _ZETA_MACHEP:
+            return s
+        k += 1.0
+        a *= x + k
+        b /= w
+        k += 1.0
+    return s
 
 
 def _powerlog_integral(x0: float, p: float, r: float) -> float:

@@ -21,7 +21,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import zeta as _hurwitz_zeta
 
 from .errors import (
     BracketError,
@@ -38,6 +37,7 @@ from .systems import (
     _logsumexp,
     diam_series,
     diameters,
+    hurwitz_zeta,
     is_linear,
     level1_values,
     log_deriv_potential,
@@ -115,7 +115,8 @@ def _build_level_arrays(system, potential, q, n, workers):
     """(L, phi): summed log-derivatives and potential sums per word.
 
     The arrays are filled chunk by chunk into preallocated buffers, so the
-    result is identical for any worker count.
+    result is identical for any worker count.  For the log|T'| potential
+    phi is L itself: neither array is written after the build.
     """
     total = q ** n
     L = np.empty(total)
@@ -138,7 +139,7 @@ def _build_level_arrays(system, potential, q, n, workers):
             fill(s)
 
     if potential == _LOG_DERIV:
-        phi = L.copy()
+        phi = L
     return L, phi
 
 
@@ -532,7 +533,7 @@ def _zeta_tail(s: float, first: float) -> float:
     """sum_{m >= first} m^{-s} for s > 1 (Hurwitz zeta)."""
     if s <= 1.0:
         return math.inf
-    return float(_hurwitz_zeta(s, first))
+    return hurwitz_zeta(s, first)
 
 
 def _t_floor(system: BranchSystem) -> float:

@@ -1,0 +1,47 @@
+"""What importing and running the package loads."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# each step runs in the order given, and the scipy modules loaded after it
+# are reported
+_PROBE = r"""
+import json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import thermospec as ts
+seen = {"import": scipy_modules()}
+g = ts.gauss_system()
+ts.pressure_root(ts.restricted_system(g, 10))
+seen["restricted root"] = scipy_modules()
+ts.flat_bounds(ts.flat_example_system())
+seen["flat_bounds"] = scipy_modules()
+ts.maximize_ratio(ts.doubling_system(), ((ts.indicator_potential(1), 0.3, 1e-6),), n=2)
+seen["maximize_ratio"] = scipy_modules()
+rep = ts.feasible(g, (0.6,), eps=1e-6, q=50, potentials=(ts.harmonic_potential(),))
+assert rep.verdict == "feasible-with-witness", rep.verdict
+seen["feasible"] = scipy_modules()
+print(json.dumps(seen))
+"""
+
+
+def test_package_runs_without_loading_scipy():
+    # importing scipy takes longer than importing the package itself; the
+    # package imports it only for the feasibility LP, which runs when a KL
+    # projection misses its boxes
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", _PROBE], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert list(seen) == ["import", "restricted root", "flat_bounds",
+                          "maximize_ratio", "feasible"]
+    assert seen == {step: [] for step in seen}

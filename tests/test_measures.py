@@ -268,6 +268,48 @@ def test_projection_failure_is_not_an_empty_set(monkeypatch):
     assert rep.moments[0] == pytest.approx(0.6, abs=1e-12)
 
 
+def test_lp_decides_only_when_the_projection_misses(monkeypatch):
+    # a projection inside the boxes is the feasibility witness; the LP runs
+    # only when the projection raises or misses a box, and its verdicts stand
+    calls = []
+    real_lp = measures._check_feasible_lp
+
+    def counted_lp(*args):
+        calls.append(args)
+        return real_lp(*args)
+
+    monkeypatch.setattr(measures, "_check_feasible_lp", counted_lp)
+    sys2 = ts.doubling_system()
+    chi1 = ts.indicator_potential(1)
+    _, st = ts.maximize_ratio(sys2, constraints=((chi1, 0.25, 1e-6),))
+    assert calls == []
+    assert st.ratio == pytest.approx(BE_QUARTER, abs=1e-5)
+    assert ts.feasible(ts.gauss_system(), [0.6], q=50).verdict == "feasible-with-witness"
+    assert calls == []
+
+    with pytest.raises(ts.InfeasibleConstraintsError, match="violation 0.5"):
+        ts.maximize_ratio(sys2, constraints=((chi1, 1.5, 0.0),))
+    assert len(calls) == 1
+
+    g = ts.gauss_system()
+    rep = ts.feasible(g, [1.5], q=30)
+    assert len(calls) == 2
+    lp_violation, _ = real_lp(*calls[-1])
+    assert rep.verdict == "infeasible-at-truncation"
+    assert rep.max_violation == lp_violation == pytest.approx(0.5, abs=1e-9)
+    assert rep.witness is None
+
+    def failing(p, A, lo, hi):
+        raise ts.UndeterminedError("constraint projection did not converge")
+
+    monkeypatch.setattr(measures, "_project_box", failing)
+    with pytest.raises(ts.UndeterminedError):
+        ts.maximize_ratio(sys2, constraints=((chi1, 0.25, 1e-6),))
+    assert len(calls) == 3
+    with pytest.raises(ts.InfeasibleConstraintsError):
+        ts.maximize_ratio(sys2, constraints=((chi1, 1.5, 0.0),))
+
+
 def test_mixture_affine_combination_exact():
     a = ts.MeasureStats(h=0.3, lyapunov=1.0, ratio=0.3, moments=(0.2,))
     b = ts.MeasureStats(h=0.0, lyapunov=2.0, ratio=0.0, moments=(1.0,))

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import logsumexp
@@ -152,6 +153,29 @@ def test_flat_bounds_frozen_values(flat):
     assert fb.alpha_upper == pytest.approx(ALPHA_UPPER, abs=1e-12)
     assert fb.delta == 0.5
     assert 0.0 < fb.alpha_lower < fb.alpha_upper < 1.0
+
+
+def _flat_edge_reference(K, C, q0):
+    """Extremum of log(K e^q + C)/q near q0, from its tangency at 50 digits."""
+    with mpmath.workdps(50):
+        K, C = mpmath.mpf(K), mpmath.mpf(C)
+        P = lambda q: mpmath.log(K * mpmath.exp(q) + C)
+        q = mpmath.findroot(lambda q: P(q) - q * K * mpmath.exp(q) / (K * mpmath.exp(q) + C),
+                            mpmath.mpf(q0))
+        return float(P(q) / q)
+
+
+def test_flat_bounds_edges_correctly_rounded(flat):
+    fb = ts.flat_bounds(flat)
+    assert _bits(fb.alpha_lower) == _bits(ALPHA_LOWER)
+    assert _bits(fb.alpha_upper) == _bits(ALPHA_UPPER)
+    rng = np.random.default_rng(21)
+    for _ in range(40):
+        K = rng.uniform(0.05, 0.95)
+        C = rng.uniform(1.01 - K, 0.99)
+        fb = ts.flat_bounds(ts.flat_example_system(K, C))
+        assert fb.alpha_lower == _flat_edge_reference(K, C, fb.q_minus - 1.0), (K, C)
+        assert fb.alpha_upper == _flat_edge_reference(K, C, fb.q_plus + 1.0), (K, C)
 
 
 def test_flat_bounds_closed_forms(flat):

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import thermospec as ts
 from thermospec import thermo
-from thermospec.systems import _decode_words, level1_values, potential_value
+from thermospec.systems import _decode_words, hurwitz_zeta, level1_values, potential_value
 
 
 def test_linear_system_basic():
@@ -86,6 +86,33 @@ def test_diam_series_bracket_contains_reference():
     ref = float(mp.mpf(0.5) ** 0.75 * mp.zeta(1.5))
     assert lo <= ref <= hi
     assert hi - lo < 1e-6
+
+
+def _zeta_sample(seed, size):
+    # x in (1, 4]; integer q from 1 to 10^45, log-uniform, and real q in [1, 100]
+    rng = np.random.default_rng(seed)
+    x = 1.0 + rng.uniform(1e-9, 3.0, 2 * size)
+    q_int = [int(10.0 ** e) for e in rng.uniform(0.0, 45.0, size)]
+    q_real = rng.uniform(1.0, 100.0, size)
+    return list(zip(x, q_int + list(q_real)))
+
+
+def test_hurwitz_zeta_matches_scipy_bit_for_bit():
+    from scipy.special import zeta
+    pts = _zeta_sample(11, 10_000) + [(2.0, 1), (1.5, 10 ** 8), (1.5, 10 ** 8 + 1), (4.0, 9.5)]
+    diffs = [(x, q) for x, q in pts
+             if np.float64(hurwitz_zeta(x, q)).tobytes() != np.float64(zeta(x, q)).tobytes()]
+    assert diffs == []
+
+
+def test_hurwitz_zeta_close_to_mpmath():
+    import mpmath as mp
+    with mp.workdps(50):
+        for x, q in _zeta_sample(12, 150):
+            ref = mp.zeta(mp.mpf(x), mp.mpf(q))
+            assert abs(hurwitz_zeta(x, q) - ref) <= 1e-15 * ref, (x, q)
+    assert hurwitz_zeta(1.0, 3) == math.inf
+    assert math.isnan(hurwitz_zeta(0.5, 3)) and math.isnan(hurwitz_zeta(2.0, 0.0))
 
 
 def test_diam_series_start_drops_prefix():

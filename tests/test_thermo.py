@@ -132,6 +132,20 @@ def test_level_arrays_invariant_to_worker_count():
     assert L1.tobytes() == L2.tobytes()
 
 
+def test_log_deriv_level_arrays_hold_one_array():
+    # for the log|T'| potential phi equals L, so one 8 MB array serves both
+    g = ts.gauss_system()
+    tracemalloc.start()
+    try:
+        L, phi = thermo._build_level_arrays(g, ts.log_deriv_potential(), 100, 3, 1)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert L.nbytes == 8_000_000
+    assert held < 12_000_000
+    assert phi.tobytes() == L.tobytes()
+
+
 def test_log_partition_streams_chunks():
     # the pass forms phi - t L one chunk at a time (no 16 MB temporary) and
     # keeps the value of scipy's logsumexp per chunk folded by logaddexp
