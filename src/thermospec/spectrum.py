@@ -144,20 +144,22 @@ def _head_grouping(system: BranchSystem, potential: Potential):
 
     Returns (H, uvals, edges, logd, m): the distinct potential values, the
     group boundaries, and log diam(I_i) and the physical digits in grouped
-    order.  With more than 512 distinct values the head stays ungrouped in
-    digit order: uvals are the per-digit values and edges is None.
+    order.  Only the "lo"/"hi" surrogates of the continued-fraction family
+    read the digits, so m is None on linear systems.  With more than 512
+    distinct values the head stays ungrouped in digit order: uvals are the
+    per-digit values and edges is None.
     """
     H, logd, vals = _plc_head_arrays(system, potential)
-    m = np.arange(1, H + 1, dtype=float) + system.offset
+    m = None if is_linear(system) else np.arange(1, H + 1, dtype=float) + system.offset
     uvals, inv = np.unique(vals, return_inverse=True)
     if len(uvals) > 512:
         return H, vals, None, logd, m
     order = np.argsort(inv, kind="stable")
     edges = np.searchsorted(inv[order], np.arange(len(uvals) + 1))
-    return H, uvals, edges, logd[order], m[order]
+    return H, uvals, edges, logd[order], None if m is None else m[order]
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=16)
 def _series_groups(system: BranchSystem, potential: Potential, t: float,
                    family: str):
     """Grouped log-weights of e^{q phi} x w_i at tilt q = 0.

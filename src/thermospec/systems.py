@@ -77,10 +77,11 @@ class Tail:
     """Parametric model for branch diameters beyond the explicit head.
 
     Its subclasses are frozen values with one method set, m being physical
-    labels: ``branch(index, m)``, ``diameters(m)`` and the summands
-    ``terms(m, s)`` = diam^s on float arrays, ``converges(s)`` and ``s_inf``
-    for the series sum diam^s, and ``bracket(s, first)``, a certified
-    bracket for its sum over m >= first.
+    labels: ``branch(index, m)`` and ``diameters(m)``; the summands of the
+    series sum diam^s in two parts, ``base(m)``, which does not depend on
+    s, and ``terms(base, s)`` = diam^s from it, both on float arrays;
+    ``converges(s)`` and ``s_inf`` for that series, and
+    ``bracket(s, first)``, a certified bracket for its sum over m >= first.
     """
 
 
@@ -106,8 +107,11 @@ class PowerLogTail(Tail):
     def diameters(self, m: np.ndarray) -> np.ndarray:
         return self.c * m ** (-self.a) * np.log(m + self.b) ** (-self.d)
 
-    def terms(self, m: np.ndarray, s: float) -> np.ndarray:
-        return self.diameters(m) ** s
+    def base(self, m: np.ndarray) -> np.ndarray:
+        return self.diameters(m)
+
+    def terms(self, base: np.ndarray, s: float) -> np.ndarray:
+        return base ** s
 
     def converges(self, s: float) -> bool:
         p = self.a * s
@@ -140,8 +144,11 @@ class GaussTail(Tail):
     def diameters(self, m: np.ndarray) -> np.ndarray:
         return 1.0 / (m * (m + 1.0))
 
-    def terms(self, m: np.ndarray, s: float) -> np.ndarray:
-        return (m * (m + 1.0)) ** (-s)
+    def base(self, m: np.ndarray) -> np.ndarray:
+        return m * (m + 1.0)
+
+    def terms(self, base: np.ndarray, s: float) -> np.ndarray:
+        return base ** (-s)
 
     def converges(self, s: float) -> bool:
         return s > 0.5
@@ -377,6 +384,19 @@ def series_converges(system: BranchSystem, s: float) -> bool:
     return system.tail is None or system.tail.converges(s)
 
 
+@functools.lru_cache(maxsize=1)
+def _tail_base(tail: Tail, offset: int, first: int, stop: int) -> np.ndarray:
+    """Read-only ``tail.base`` of the logical indices first..stop-1.
+
+    The base does not depend on the exponent, so a series solved at many
+    exponents builds it once; one slot holds the 1e5-float head of the
+    system under study.
+    """
+    base = tail.base(np.arange(first, stop, dtype=float) + offset)
+    base.flags.writeable = False
+    return base
+
+
 @functools.lru_cache(maxsize=16384)
 def _diam_series_cached(system: BranchSystem, s: float, start: int,
                         head_terms: int) -> tuple[float, float]:
@@ -393,8 +413,8 @@ def _diam_series_cached(system: BranchSystem, s: float, start: int,
         return math.inf, math.inf
     first_logical = max(start, n_explicit + 1)
     part_hi = first_logical + head_terms
-    m = np.arange(first_logical, part_hi, dtype=float) + system.offset
-    total += float(np.sum(system.tail.terms(m, s)))
+    base = _tail_base(system.tail, system.offset, first_logical, part_hi)
+    total += float(np.sum(system.tail.terms(base, s)))
     lo, hi = system.tail.bracket(s, part_hi + system.offset)
     return total + lo, total + hi
 

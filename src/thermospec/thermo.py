@@ -85,48 +85,61 @@ def default_budget() -> int:
 
 
 class _ArrayCache:
-    """Per-level weight arrays keyed by (system, potential, q, n)."""
+    """Per-level arrays, up to ``slots`` of each kind, oldest out first.
+
+    L, the log|T'| sums, does not depend on the potential and is keyed by
+    (system, q, n); phi is keyed by (system, potential, q, n).
+    """
 
     def __init__(self, slots: int = 4):
         self.slots = slots
-        self.data: dict = {}
-        self.order: list = []
+        self.L: dict = {}
+        self.phi: dict = {}
         self.lock = threading.Lock()
 
     def get(self, system, potential, q, n, workers):
-        key = (system, potential, q, n)
+        needs_phi = potential is not None and potential != _LOG_DERIV
+        l_key, phi_key = (system, q, n), (system, potential, q, n)
         with self.lock:
-            if key in self.data:
-                return self.data[key]
-        arrays = _build_level_arrays(system, potential, q, n, workers)
-        with self.lock:
-            self.data[key] = arrays
-            self.order.append(key)
-            while len(self.order) > self.slots:
-                old = self.order.pop(0)
-                self.data.pop(old, None)
-        return arrays
+            L = self.L.get(l_key)
+            phi = self.phi.get(phi_key)
+        if L is None or (needs_phi and phi is None):
+            L, phi = _build_level_arrays(system, potential, q, n, workers, L)
+            with self.lock:
+                self._put(self.L, l_key, L)
+                if needs_phi:
+                    self._put(self.phi, phi_key, phi)
+        return L, L if potential == _LOG_DERIV else phi
+
+    def _put(self, store, key, array):
+        store[key] = array
+        while len(store) > self.slots:
+            del store[next(iter(store))]
 
 
 _LEVEL_CACHE = _ArrayCache()
 
 
-def _build_level_arrays(system, potential, q, n, workers):
+def _build_level_arrays(system, potential, q, n, workers, L=None):
     """(L, phi): summed log-derivatives and potential sums per word.
 
     The arrays are filled chunk by chunk into preallocated buffers, so the
-    result is identical for any worker count.  For the log|T'| potential
-    phi is L itself: neither array is written after the build.
+    result is identical for any worker count.  A given L is reused and only
+    phi is built.  For the log|T'| potential phi is L itself: neither array
+    is written after the build.
     """
     total = q ** n
-    L = np.empty(total)
+    needs_L = L is None
+    if needs_L:
+        L = np.empty(total)
     needs_phi = potential is not None and potential != _LOG_DERIV
     phi = np.empty(total) if needs_phi else None
 
     def fill(start):
         end = min(start + _CHUNK, total)
         cols = list(_decode_words(q, n, start, end).T)
-        L[start:end] = _LOG_DERIV.birkhoff_sums(system, cols)
+        if needs_L:
+            L[start:end] = _LOG_DERIV.birkhoff_sums(system, cols)
         if needs_phi:
             phi[start:end] = potential.birkhoff_sums(system, cols)
 
@@ -286,7 +299,7 @@ def _finish_estimate(system, potential, t, q, values, levels, diverged):
 _PLC_HEAD = 100_000
 
 
-@functools.lru_cache(maxsize=4096)
+@functools.lru_cache(maxsize=16)
 def _plc_head_arrays(system, potential):
     count = system.branch_count()
     H = count if count is not None else _PLC_HEAD

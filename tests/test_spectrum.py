@@ -1,6 +1,7 @@
 """Legendre solver, flat-window bounds and spectrum curves."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -239,6 +240,24 @@ def test_flat_window_edges_are_flat_floor(flat, chi1):
         inside = ts.legendre_solve(flat, chi1, edge + inward)
         assert inside.regime == "legendre", edge
         assert inside.dim > 0.5
+
+
+def test_series_groups_hold_bounded_memory_on_ungrouped_head():
+    # the harmonic head of the flat model has 1e5 distinct values, so it
+    # stays ungrouped and every t caches a 1e5-float logS (0.8 MB); the
+    # cache keeps 16 of them however many t a run visits
+    flat, harm = ts.flat_example_system(), ts.harmonic_potential()
+    spectrum._series_groups.cache_clear()
+    spectrum._f_alpha(flat, harm, 0.99, 0.0)  # head arrays built before the trace
+    tracemalloc.start()
+    try:
+        for t in np.linspace(0.55, 0.95, 40):
+            spectrum._f_alpha(flat, harm, float(t), 0.3)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert spectrum._series_groups.cache_info().currsize == 16
+    assert held < 16_000_000
 
 
 @pytest.mark.parametrize("model, alpha, max_t, max_calls", [

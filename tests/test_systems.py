@@ -12,8 +12,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import thermospec as ts
-from thermospec import thermo
-from thermospec.systems import _decode_words, hurwitz_zeta, level1_values, potential_value
+from thermospec import systems, thermo
+from thermospec.systems import (
+    SERIES_HEAD_TERMS,
+    GaussTail,
+    _decode_words,
+    hurwitz_zeta,
+    level1_values,
+    potential_value,
+)
 
 
 def test_linear_system_basic():
@@ -124,6 +131,64 @@ def test_diam_series_start_drops_prefix():
     assert lo_tail - 1e-12 <= hi_all - head
     assert lo_all - head <= hi_tail + 1e-12
     assert hi_tail - lo_tail < 1e-6
+
+
+def _tail_terms_direct(system, s, first):
+    # the tail summands diam^s of logical indices first.., built afresh
+    m = np.arange(first, first + SERIES_HEAD_TERMS, dtype=float) + system.offset
+    if isinstance(system.tail, GaussTail):
+        return (m * (m + 1.0)) ** (-s)
+    return system.tail.diameters(m) ** s
+
+
+def _diam_series_direct(system, s, start):
+    n_explicit = len(system.head)
+    total = 0.0
+    if start <= n_explicit:
+        total += float(np.sum(ts.diameters(system, n_explicit)[start - 1:] ** s))
+    first = max(start, n_explicit + 1)
+    total += float(np.sum(_tail_terms_direct(system, s, first)))
+    lo, hi = system.tail.bracket(s, first + SERIES_HEAD_TERMS + system.offset)
+    return total + lo, total + hi
+
+
+def test_diam_series_bit_identical_to_direct_formula():
+    g = ts.gauss_system()
+    models = [g] + [ts.restricted_system(g, N) for N in (20, 10**6, 10**45)] + [
+        ts.powerlog_system([], c=0.5, a=2.0),
+        ts.powerlog_system([0.3, 0.1], c=0.2, a=1.5, b=2.0, d=1.0),
+        ts.flat_example_system()]
+    H = thermo._PLC_HEAD
+    for system in models:
+        s_inf = ts.s_inf_exact(system)
+        for s in (s_inf + 0.05, s_inf + 0.3, 1.0, 1.3):
+            for start in (1, 2, H + 1):
+                got = ts.diam_series(system, s, start=start)
+                assert got == _diam_series_direct(system, s, start), (system, s, start)
+            # the summands agree elementwise, not just in their sum
+            first = len(system.head) + 1
+            base = systems._tail_base(system.tail, system.offset, first,
+                                      first + SERIES_HEAD_TERMS)
+            terms = system.tail.terms(base, s)
+            assert terms.tobytes() == _tail_terms_direct(system, s, first).tobytes()
+    flat = models[-1]
+    for start in (1, 2, H + 1):
+        assert ts.diam_series(flat, 0.5, start=start) == _diam_series_direct(flat, 0.5, start)
+
+
+def test_diam_series_builds_tail_base_once():
+    # the exponent-free part of the summands is built once for a system,
+    # whatever the number of exponents, and cannot be written to
+    sub = ts.restricted_system(ts.gauss_system(), 37)
+    systems._tail_base.cache_clear()
+    for s in np.linspace(0.61, 1.9, 50):
+        ts.diam_series(sub, float(s))
+    info = systems._tail_base.cache_info()
+    assert (info.misses, info.hits) == (1, 49)
+    base = systems._tail_base(sub.tail, sub.offset, 1, 1 + SERIES_HEAD_TERMS)
+    assert systems._tail_base.cache_info().misses == 1
+    with pytest.raises(ValueError):
+        base[0] = 1.0
 
 
 def test_flat_example_geometry():

@@ -146,6 +146,25 @@ def test_log_deriv_level_arrays_hold_one_array():
     assert phi.tobytes() == L.tobytes()
 
 
+def test_level_arrays_shared_across_potentials():
+    # L does not depend on the potential: a harmonic or log|T'| pressure
+    # after a plain one reuses the swept L and builds only what it lacks
+    g = ts.gauss_system()
+    harm, logd = ts.harmonic_potential(), ts.log_deriv_potential()
+    ts.pressure(g, t=1.0, q=40, n_max=2)
+    L_plain, _ = thermo._LEVEL_CACHE.get(g, None, 40, 2, 1)
+    est = ts.pressure(g, harm, t=1.0, q=40, n_max=2)
+    L_harm, phi = thermo._LEVEL_CACHE.get(g, harm, 40, 2, 1)
+    assert L_harm is L_plain
+    L_logd, phi_logd = thermo._LEVEL_CACHE.get(g, logd, 40, 2, 1)
+    assert L_logd is L_plain and phi_logd is L_plain
+    # phi built beside a reused L is the phi of a fresh build
+    L_new, phi_new = thermo._build_level_arrays(g, harm, 40, 2, 1)
+    assert L_new.tobytes() == L_plain.tobytes()
+    assert phi_new.tobytes() == phi.tobytes()
+    assert est.values[1] == thermo._log_partition(L_new, phi_new, 1.0) / 2
+
+
 def test_log_partition_streams_chunks():
     # the pass forms phi - t L one chunk at a time (no 16 MB temporary) and
     # keeps the value of scipy's logsumexp per chunk folded by logaddexp
