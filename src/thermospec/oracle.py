@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import islice, product, repeat
 
 import mpmath
 import numpy as np
@@ -30,7 +30,9 @@ from .systems import (
     indicator_potential,
     is_linear,
     linear_system,
+    log_deriv_potential,
     powerlog_system,
+    restricted_system,
 )
 
 __all__ = [
@@ -419,6 +421,14 @@ def _thermo_reports() -> list[OracleReport]:
     v3_module = pressure(gauss, t=1.0, q=4, n_max=3).values[2]
     out.append(_report("Gauss level-3 periodic sum at t=1, q=4",
                        v3_oracle, v3_module, 1e-10))
+
+    # closed-form orbit sums past the float range of the continuants
+    words = list(product((1, 2), repeat=8))
+    sums = log_deriv_potential().birkhoff_sums(restricted_system(gauss, 10**45), np.array(words).T)
+    exact = [cf_orbit_log_deriv([m + 10**45 - 1 for m in w]) for w in words]
+    i = max(range(len(words)), key=lambda i: abs(sums[i] - exact[i]) / exact[i])
+    out.append(_report("worst log|T'| orbit sum of 256 length-8 words on digits >= 1e45",
+                       exact[i], sums[i], 4.4e-16 * float(exact[i])))
 
     out.append(_report("pressure root of the doubling model",
                        1.0, pressure_root(doubling).value, 1e-10))

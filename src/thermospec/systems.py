@@ -33,6 +33,7 @@ Word = tuple  # tuple of 1-based branch indices
 
 SERIES_HEAD_TERMS = 100_000  # explicit terms summed before the integral tail bound
 _PACKING_SLACK = 1e-9
+_LN2_HI, _LN2_LO = 0.6931471803691238, 1.9082149292705877e-10  # fdlibm's log 2
 
 
 # ---------------------------------------------------------------------------
@@ -284,31 +285,29 @@ def is_linear(system: BranchSystem) -> bool:
 # series of diameters: head sums plus certified integral tail brackets
 
 
-def _logsumexp(a: np.ndarray) -> float:
+def _logsumexp(a: np.ndarray, mask: np.ndarray | None = None) -> float:
     """log sum exp(a) of a 1-D float array, bit-identical to scipy's.
 
     Performs ``scipy.special.logsumexp``'s arithmetic without its
     array-API dispatch, which dominates on few-element arrays: shift by
     the maximum, drop the maximal entries from the sum, divide by their
-    count m, and return log1p(s) + log(m) + max.  An empty array gives
-    -inf.  Where that result is not finite (a NaN or infinite maximum, or
-    an overflow), scipy returns the direct log(sum(exp(a))), and so does
-    this.
+    count m, and return log1p(s) + log(m) + max, finite with the maximum.
+    An empty array gives -inf, and a NaN or infinite maximum scipy's direct
+    log(sum(exp(a))).  Given a bool ``mask`` of a's shape, the maxima are
+    marked in it and the exponentials overwrite ``a``: nothing is allocated.
     """
     if not a.size:
         return -math.inf
     a_max = a.max()
-    if math.isfinite(a_max):
-        ismax = a == a_max
-        m = float(np.count_nonzero(ismax))
-        e = a - a_max
-        np.exp(e, out=e)
-        e[ismax] = 0.0
-        out = np.log1p(e.sum() / m) + np.log(m) + a_max
-        if math.isfinite(out):
-            return float(out)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return float(np.log(np.exp(a).sum()))
+    if not math.isfinite(a_max):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            return float(np.log(np.exp(a).sum()))
+    ismax = np.equal(a, a_max, out=mask)
+    m = float(np.count_nonzero(ismax))
+    e = np.subtract(a, a_max, out=None if mask is None else a)
+    np.exp(e, out=e)
+    e[ismax] = 0.0
+    return float(np.log1p(e.sum() / m) + np.log(m) + a_max)
 
 
 # cephes' Euler-Maclaurin coefficients (2k)!/B_2k
@@ -653,12 +652,13 @@ class Potential:
     logical: ``values(system, idx)`` on branches (level 1), ``value(system,
     window)`` on one window of ``level`` symbols, ``birkhoff_sums(system,
     cols)`` along the periodic orbits of the words whose j-th symbols are
-    ``cols[j]``, ``tail_bounds(system, after)`` over the branches past
-    ``after``, ``var(system, n)`` over n-cylinders, and ``dump()``.
-    ``level`` is the dependence length: the value on a point depends only
-    on its first ``level`` symbols.  ``lower``/``upper`` bound the potential
-    over the whole system when it is bounded, and ``tail_inf_attained``
-    says whether the tail infimum is taken on a digit.
+    ``cols[j]``, arrays that broadcast together, ``tail_bounds(system,
+    after)`` over the branches past ``after``, ``var(system, n)`` over
+    n-cylinders, and ``dump()``.  ``level`` is the dependence length: the
+    value on a point depends only on its first ``level`` symbols.
+    ``lower``/``upper`` bound the potential over the whole system when it
+    is bounded, and ``tail_inf_attained`` says whether the tail infimum is
+    taken on a digit.
     """
 
     level = 1
@@ -671,7 +671,7 @@ class Potential:
         return self.lower is not None and self.upper is not None
 
     def birkhoff_sums(self, system: BranchSystem, cols) -> np.ndarray:
-        total = np.zeros(len(cols[0]))
+        total = np.zeros(np.broadcast_shapes(*(np.shape(c) for c in cols)))
         for c in cols:
             total += self.values(system, c)
         return total
@@ -741,7 +741,7 @@ class ConstantPotential(Potential):
     upper = property(lambda self: self.value_c)
 
     def values(self, system, idx):
-        return np.full(len(idx), self.value_c)
+        return np.full(np.shape(idx), self.value_c)
 
     def value(self, system, window):
         return self.value_c
@@ -780,7 +780,7 @@ class TablePotential(Potential):
             code = rank * len(syms) + np.searchsorted(syms, keys[:, k])
             prefixes, rank = np.unique(code, return_inverse=True)
             steps.append((syms, prefixes))
-        n, total = len(cols), np.zeros(len(cols[0]))
+        n, total = len(cols), np.zeros(np.broadcast_shapes(*(np.shape(c) for c in cols)))
         for j in range(n):
             rank, found = 0, True
             for k, (syms, prefixes) in enumerate(steps):
@@ -818,40 +818,37 @@ class LogDerivPotential(Potential):
         return -math.log(b.diameter)
 
     def birkhoff_sums(self, system, cols):
-        """On analytic systems, sum log|T'| along each periodic orbit,
-        found by cyclic backward iteration of the Moebius branches.
-
-        Each word gets up to 60 backward sweeps x -> 1/(m + x), from x = 0.5.
-        A word whose x comes back from a sweep unchanged bit for bit sits at
-        a fixed point of the float sweep, which is elementwise and
-        deterministic, so every later sweep would return the same bits: it
-        leaves the loop, and only the words still moving are swept again.
-        The sums are therefore bit for bit those of 60 sweeps on every word.
+        """On analytic systems, log|(T^n)'| at each word's periodic point in
+        closed form (Jenkinson & Pollicott, ETDS 21, 2001): 2 log mu, with
+        mu = T/2 + sqrt(T^2/4 - (-1)^n) the expanding eigenvalue of the
+        product of [[0, 1], [1, m_j]] over the physical digits and T =
+        K(m_1..m_n) + K(m_2..m_{n-1}) its continuant trace.  The product
+        [[a, b], [c, d]] of all digits but the last is scaled by exact powers
+        of two, 2^-e in all, whenever d reaches 2^128, so nothing overflows;
+        the last digit closes the half trace y = (b + c + d m_n) 2^-e / 2.
+        Columns may broadcast, e.g. prefix digits (P, 1) against last digits
+        (1, q): every step before the trace then runs on P elements.
         """
         if is_linear(system):
             return super().birkhoff_sums(system, cols)
-        ms = [c.astype(float) + system.offset for c in cols]
-        x = np.full(len(cols[0]), 0.5)
-        moving, xm, mm = np.arange(len(x)), x, ms
-        for _ in range(60):  # contraction is at least 0.382 per sweep
-            prev, xm = xm, xm.copy()
-            for m in mm[::-1]:
-                np.add(m, xm, out=xm)
-                np.divide(1.0, xm, out=xm)
-            settled = xm == prev
-            if settled.any():
-                x[moving[settled]] = xm[settled]
-                keep = ~settled
-                moving, xm, mm = moving[keep], xm[keep], [m[keep] for m in mm]
-        x[moving] = xm
-        lnsum = np.zeros_like(x)
-        tmp, ly = np.empty_like(x), np.empty_like(x)
-        for m in ms[::-1]:
-            np.add(m, x, out=tmp)
-            np.divide(1.0, tmp, out=x)
-            np.log(x, out=ly)
-            lnsum += ly
-        return -2.0 * lnsum
+        *head, last = [c + float(system.offset) for c in cols]
+        a, b, c, d, e = 1.0, 0.0, 0.0, 1.0, 0
+        for m in head:
+            a, b, c, d = b, a + b * m, d, c + d * m
+            k = np.where(d < 2.0 ** 128, 0, np.frexp(d)[1])
+            a, b, c, d = (np.ldexp(x, -k) for x in (a, b, c, d))
+            e = e + k
+        y = 0.5 * d * last
+        y += 0.5 * (b + c)
+        mu = y * y
+        mu -= np.ldexp((-1.0) ** len(cols), -2 * e)
+        np.sqrt(mu, out=mu)
+        mu += y
+        np.log(mu, out=mu)
+        mu *= 2.0
+        mu += 2 * e * _LN2_LO  # e log 2 in two parts, the larger one exact
+        mu += 2 * e * _LN2_HI
+        return mu
 
     def var(self, system, n):
         return var_log_deriv(system, n)

@@ -123,27 +123,29 @@ _LEVEL_CACHE = _ArrayCache()
 def _build_level_arrays(system, potential, q, n, workers, L=None):
     """(L, phi): summed log-derivatives and potential sums per word.
 
-    The arrays are filled chunk by chunk into preallocated buffers, so the
-    result is identical for any worker count.  A given L is reused and only
-    phi is built.  For the log|T'| potential phi is L itself: neither array
-    is written after the build.
+    Each block is as many whole (n-1)-prefixes as fit in ``_CHUNK`` words,
+    at least one, as columns of shape (P, 1) against the q last digits as
+    (1, q), so prefix-only steps run on P elements.  Blocks depend only on
+    (q, n), so the result is identical for any worker count.  A given L is
+    reused and only phi is built; for the log|T'| potential phi is L itself.
     """
-    total = q ** n
+    total, block = q ** n, max(1, _CHUNK // q)
     needs_L = L is None
     if needs_L:
         L = np.empty(total)
     needs_phi = potential is not None and potential != _LOG_DERIV
     phi = np.empty(total) if needs_phi else None
 
-    def fill(start):
-        end = min(start + _CHUNK, total)
-        cols = list(_decode_words(q, n, start, end).T)
+    def fill(first):
+        prefixes = _decode_words(q, n - 1, first, min(first + block, q ** (n - 1)))
+        cols = [p[:, None] for p in prefixes.T] + [np.arange(1, q + 1)[None, :]]
+        words = slice(first * q, (first + len(prefixes)) * q)
         if needs_L:
-            L[start:end] = _LOG_DERIV.birkhoff_sums(system, cols)
+            L[words] = _LOG_DERIV.birkhoff_sums(system, cols).ravel()
         if needs_phi:
-            phi[start:end] = potential.birkhoff_sums(system, cols)
+            phi[words] = potential.birkhoff_sums(system, cols).ravel()
 
-    starts = list(range(0, total, _CHUNK))
+    starts = list(range(0, q ** (n - 1), block))
     if workers > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(fill, starts))
@@ -159,16 +161,17 @@ def _build_level_arrays(system, potential, q, n, workers, L=None):
 def _log_partition(L, phi, t):
     """log sum exp(phi - t L) over the words of one level (phi None: 0).
 
-    The exponents are formed one ``_CHUNK`` at a time, so no full-size
-    temporary is held, and each chunk's log-sum-exp is folded into the
-    running total in index order with ``np.logaddexp``.  Every exponent is
-    the same elementwise float operation as on the whole array,
-    ``_logsumexp`` does scipy's arithmetic, and the chunk boundaries and the
-    folding order are fixed, so streaming changes no bit of the value.
+    The exponents are formed one ``_CHUNK`` at a time in one scratch buffer,
+    which ``_logsumexp`` exponentiates in place beside one mask, both made
+    once per pass, and each chunk's log-sum-exp is folded into the total in
+    index order with ``np.logaddexp``.  Exponents are elementwise, and the
+    chunks and the folding order are fixed, so the buffers change no bit.
     """
+    buf, mask = np.empty(min(_CHUNK, len(L))), np.empty(min(_CHUNK, len(L)), bool)
     for i in range(0, len(L), _CHUNK):
         s = slice(i, i + _CHUNK)
-        part = _logsumexp(-t * L[s] if phi is None else phi[s] - t * L[s])
+        a = np.multiply(L[s], -t, out=buf[:len(L[s])])
+        part = _logsumexp(a if phi is None else np.add(phi[s], a, out=a), mask[:len(a)])
         out = part if i == 0 else np.logaddexp(out, part)
     return float(out)
 

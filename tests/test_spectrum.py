@@ -66,6 +66,8 @@ def test_logsumexp_helper_bit_identical_to_scipy():
             cases += [-t * L, phi - t * L]
     for a in cases:
         assert _bits(_logsumexp(a)) == _bits(logsumexp(a)), a
+        # in place, in the caller's buffers
+        assert _bits(_logsumexp(a.copy(), np.empty(a.shape, bool))) == _bits(logsumexp(a)), a
 
 
 def test_root_helper_widens_and_clamps():

@@ -16,7 +16,6 @@ from thermospec import systems, thermo
 from thermospec.systems import (
     SERIES_HEAD_TERMS,
     GaussTail,
-    _decode_words,
     hurwitz_zeta,
     level1_values,
     potential_value,
@@ -344,36 +343,30 @@ def test_log_deriv_potential_is_unbounded():
     assert hi == pytest.approx(1.0 / 11.0)
 
 
-def _sixty_sweeps(system, cols):
-    """log|T'| orbit sums with exactly 60 backward sweeps on every word."""
-    ms = [c.astype(float) + system.offset for c in cols]
-    x = np.full(len(cols[0]), 0.5)
-    for _ in range(60):
-        for m in reversed(ms):
-            x = 1.0 / (m + x)
-    lnsum = np.zeros_like(x)
-    for m in reversed(ms):
-        x = 1.0 / (m + x)
-        lnsum += np.log(x)
-    return -2.0 * lnsum
-
-
-def test_log_deriv_sums_match_sixty_sweeps():
-    # words leave the sweep loop once their float orbit point stops moving;
-    # the sums must stay those of 60 sweeps, bit for bit
+def test_log_deriv_sums_match_continued_fraction_oracle():
+    # the closed form 2 log mu of the continuant trace against the
+    # 50-digit integer-matrix oracle, on all-ones, all-twos and 40 seeded
+    # words per (N, n) with logical digits log-uniform on [1, 1000]
+    import mpmath as mp
+    from thermospec.oracle import cf_orbit_log_deriv
     g = ts.gauss_system()
     pot = ts.log_deriv_potential()
-    # 810,000 words: two enumeration chunks
-    L, _ = thermo._build_level_arrays(g, None, 30, 4, 1)
-    assert L.tobytes() == _sixty_sweeps(g, list(_decode_words(30, 4).T)).tobytes()
-    # (1, 3, 21) and its rotations never settle: a float 2-cycle of the sweep
-    words = [(1, 3, 21), (3, 21, 1), (21, 1, 3), (1, 3, 20), (1, 3, 22), (2, 2, 2)]
-    cols = [np.array(c) for c in zip(*words)]
-    assert pot.birkhoff_sums(g, cols).tobytes() == _sixty_sweeps(g, cols).tobytes()
-    for N in (20, 10**6):
+    rng = np.random.default_rng(13)
+    for N in (1, 20, 10**6, 10**12, 10**45):
         sub = ts.restricted_system(g, N)
-        cols = list(_decode_words(12, 3).T)
-        assert pot.birkhoff_sums(sub, cols).tobytes() == _sixty_sweeps(sub, cols).tobytes()
+        for n in (1, 2, 3, 6, 9, 12):
+            digits = np.exp(rng.uniform(0.0, math.log(1000.0), (40, n))).astype(np.int64)
+            words = [(1,) * n, (2,) * n] + [tuple(map(int, w)) for w in digits]
+            if N == 1 and n == 3:
+                # (1, 3, 21) and its rotations: backward iteration of their
+                # branches in floats ends in a 2-cycle, not a fixed point
+                words += [(1, 3, 21), (3, 21, 1), (21, 1, 3)]
+            L = pot.birkhoff_sums(sub, [np.array(c) for c in zip(*words)])
+            assert np.isfinite(L).all()
+            bound = 2.2e-16 if N <= 10**12 else 4.4e-16
+            for w, value in zip(words, L):
+                exact = cf_orbit_log_deriv(tuple(m + N - 1 for m in w))
+                assert abs((mp.mpf(float(value)) - exact) / exact) <= bound, (N, w)
 
 
 def test_birkhoff_sum_counts_matches():

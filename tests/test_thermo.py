@@ -8,10 +8,10 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import logsumexp
 
 import thermospec as ts
 from thermospec import thermo
+from thermospec.systems import _decode_words, _logsumexp
 
 LOG2 = math.log(2.0)
 # root of (1/2)^s + (1/4)^s = 1, i.e. log2 of the golden ratio
@@ -124,12 +124,45 @@ def test_pressure_workers_bit_identical():
         assert est.bracket == base.bracket
 
 
-def test_level_arrays_invariant_to_worker_count():
-    # 810,000 words in two chunks, so the thread pool really runs
+def test_level_arrays_invariant_to_worker_count(monkeypatch):
+    # whole (n-1)-prefixes times all q last digits per block: 810,000 words
+    # in two blocks at (30, 4) and 8e6 in sixteen at (200, 3), so the
+    # thread pool really runs
     g = ts.gauss_system()
-    L1, _ = thermo._build_level_arrays(g, None, 30, 4, 1)
-    L2, _ = thermo._build_level_arrays(g, None, 30, 4, 2)
-    assert L1.tobytes() == L2.tobytes()
+    shapes = []
+    real = ts.LogDerivPotential.birkhoff_sums
+
+    def recording(self, system, cols):
+        shapes.append(np.broadcast_shapes(*(np.shape(c) for c in cols)))
+        return real(self, system, cols)
+
+    for q, n in ((30, 4), (200, 3)):
+        monkeypatch.setattr(ts.LogDerivPotential, "birkhoff_sums", recording)
+        shapes.clear()
+        L1, _ = thermo._build_level_arrays(g, None, q, n, 1)
+        L2, _ = thermo._build_level_arrays(g, None, q, n, 2)
+        monkeypatch.undo()
+        assert L1.tobytes() == L2.tobytes()
+        block = thermo._CHUNK // q
+        assert shapes[0] == (block, q)
+        assert sum(math.prod(s) for s in shapes) == 2 * q ** n
+        # the same words as flat per-word columns give the same bits
+        flat = ts.log_deriv_potential().birkhoff_sums(g, list(_decode_words(q, n, 0, 5000).T))
+        assert flat.tobytes() == L1[:5000].tobytes()
+    assert shapes[0] == (2621, 200) and 2621 * 200 == 524_200 < thermo._CHUNK
+
+
+def test_table_potential_level_arrays_match_per_word_sums():
+    # prefix columns (P, 1) and last digits (1, q) broadcast through the
+    # table lookup; every word's sum is birkhoff_sum's, bit for bit
+    g = ts.gauss_system()
+    for level in (2, 3):
+        table = {w: 0.1 * sum(w) + 0.01 * w[0] for w in map(tuple, _decode_words(4, level))}
+        pot = ts.table_potential(level, table)
+        for n in (level, 4):
+            _, phi = thermo._build_level_arrays(g, pot, 4, n, 1)
+            expected = [ts.birkhoff_sum(g, pot, w) for w in _decode_words(4, n)]
+            assert phi.tolist() == expected
 
 
 def test_log_deriv_level_arrays_hold_one_array():
@@ -166,27 +199,28 @@ def test_level_arrays_shared_across_potentials():
 
 
 def test_log_partition_streams_chunks():
-    # the pass forms phi - t L one chunk at a time (no 16 MB temporary) and
-    # keeps the value of scipy's logsumexp per chunk folded by logaddexp
-    rng = np.random.default_rng(3)
-    L = rng.uniform(1.0, 60.0, 2_000_000)
-    phi = rng.normal(size=L.size)
+    # one pass over the 8e6 level-3 words holds one chunk of floats and its
+    # mask (plus a few Python objects), allocated once, and keeps the bits
+    # of the per-chunk _logsumexp(phi - t L) folded by logaddexp
+    g = ts.gauss_system()
+    L, phi = thermo._build_level_arrays(g, ts.harmonic_potential(), 200, 3, 1)
     chunk = thermo._CHUNK
     for p in (None, phi):
-        a = -1.1 * L if p is None else p - 1.1 * L
-        parts = [logsumexp(a[i:i + chunk]) for i in range(0, a.size, chunk)]
-        expected = parts[0]
-        for part in parts[1:]:
-            expected = np.logaddexp(expected, part)
-        del a
-        tracemalloc.start()
-        try:
-            value = thermo._log_partition(L, p, 1.1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert np.float64(value).tobytes() == np.float64(expected).tobytes()
-        assert peak < 12_000_000
+        for t in (0.8, 1.0, 1.2):
+            parts = [_logsumexp(-t * L[i:i + chunk] if p is None
+                                else p[i:i + chunk] - t * L[i:i + chunk])
+                     for i in range(0, L.size, chunk)]
+            expected = parts[0]
+            for part in parts[1:]:
+                expected = np.logaddexp(expected, part)
+            tracemalloc.start()
+            try:
+                value = thermo._log_partition(L, p, t)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert np.float64(value).tobytes() == np.float64(expected).tobytes()
+            assert peak < 9 * chunk + 65_536
 
 
 def test_locally_constant_bracket_flat_series():
@@ -319,7 +353,7 @@ def test_pressure_root_budget_caps_enumeration_depth():
 def test_pressure_harmonic_enumeration_values_pinned():
     # level-1 potential sums index no q-sized table, and the values stay
     est = ts.pressure(ts.gauss_system(), ts.harmonic_potential(), t=1.0, q=100, n_max=3)
-    assert est.values == (0.559848229880013, 0.6527154983137293, 0.6197001784130427)
+    assert est.values == (0.559848229880013, 0.6527154983137293, 0.6197001784130428)
 
 
 _EPS = np.finfo(float).eps
