@@ -824,10 +824,10 @@ class LogDerivPotential(Potential):
         product of [[0, 1], [1, m_j]] over the physical digits and T =
         K(m_1..m_n) + K(m_2..m_{n-1}) its continuant trace.  The product
         [[a, b], [c, d]] of all digits but the last is scaled by exact powers
-        of two, 2^-e in all, whenever d reaches 2^128, so nothing overflows;
-        the last digit closes the half trace y = (b + c + d m_n) 2^-e / 2.
-        Columns may broadcast, e.g. prefix digits (P, 1) against last digits
-        (1, q): every step before the trace then runs on P elements.
+        of two, 2^-e in all, once d reaches 2^128 (no overflow below digits
+        of about 1e154); the last digit closes the half trace (b + c + d m_n)
+        2^-e / 2.  Columns may broadcast, as prefix digits (P, 1) against last
+        digits (1, q): every step before the trace runs on P elements.
         """
         if is_linear(system):
             return super().birkhoff_sums(system, cols)
