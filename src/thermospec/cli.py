@@ -200,7 +200,7 @@ def _curve_csv(curve) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _numeric_guard(config: dict, compute, partial_fn=None):
+def _numeric_guard(compute, partial_fn=None):
     """Run one library call; map numeric failures to exit code 3."""
     try:
         return compute(), 0
@@ -225,7 +225,6 @@ def _cmd_pressure(args):
               "q": args.q, "n": args.n, "budget": budget, "workers": args.workers,
               "out": args.out}
     result, code = _numeric_guard(
-        config,
         lambda: _pressure_dict(pressure(system, potential, t=args.t, q=args.q,
                                         n_max=args.n, budget=budget,
                                         workers=args.workers)),
@@ -243,7 +242,7 @@ def _cmd_sinf(args):
                 "s_hi": res.s_hi, "certificate": res.certificate,
                 "cross_check": res.cross_check, "agree": res.agree}
 
-    result, code = _numeric_guard(config, compute)
+    result, code = _numeric_guard(compute)
     return _envelope("sinf", config, result), code
 
 
@@ -263,7 +262,7 @@ def _cmd_root(args):
                 "n_used": res.n_used,
                 "bracket": list(res.bracket) if res.bracket else None}
 
-    result, code = _numeric_guard(config, compute)
+    result, code = _numeric_guard(compute)
     return _envelope("root", config, result), code
 
 
@@ -296,7 +295,7 @@ def _cmd_flat_bounds(args):
         return {"alpha_lower": fb.alpha_lower, "alpha_upper": fb.alpha_upper,
                 "q_minus": fb.q_minus, "q_plus": fb.q_plus, "delta": fb.delta}
 
-    result, code = _numeric_guard(config, compute)
+    result, code = _numeric_guard(compute)
     return _envelope("flat-bounds", config, result), code
 
 
@@ -314,7 +313,7 @@ def _cmd_freq_dim(args):
         return {"dimension": res.dimension, "s_inf": res.s_inf,
                 "alpha3": res.alpha3, "regime": res.regime}
 
-    result, code = _numeric_guard(config, compute)
+    result, code = _numeric_guard(compute)
     return _envelope("freq-dim", config, result), code
 
 
@@ -337,7 +336,7 @@ def _cmd_feasible(args):
                 "max_violation": rep.max_violation, "moments": list(rep.moments),
                 "witness": witness}
 
-    result, code = _numeric_guard(config, compute)
+    result, code = _numeric_guard(compute)
     return _envelope("feasible", config, result), code
 
 
@@ -381,7 +380,7 @@ def _cmd_sample(args):
                 "escape_frequency": sample.escape_frequency,
                 "averages": [list(a) for a in sample.averages]}
 
-    result, code = _numeric_guard(config, compute)
+    result, code = _numeric_guard(compute)
     return _envelope("sample", config, result), code
 
 

@@ -10,7 +10,9 @@ is convex in q with q-derivative equal to the tilted mean of phi.  An
 interior level alpha is solved by the stationarity system f_q(t, q) = alpha,
 f(t, q) - q alpha = 0, and the solution t is the level-set dimension above
 the floor s_inf.  Below the floor the regime is flat: dim = s_inf, certified
-by a single q with f(s_inf, q) - q alpha <= 0.
+by a single q with f(s_inf, q) - q alpha <= 0.  The series and its
+certified bracket come from ``thermo._f_alpha``, which on the
+continued-fraction family sandwiches f between derivative-range weights.
 """
 
 from __future__ import annotations
@@ -33,18 +35,16 @@ from .systems import (
     _logsumexp,
     branch_diameter,
     diam_series,
-    diameters,
-    hurwitz_zeta,
     indicator_potential,
     is_linear,
     restricted_system,
     s_inf_exact,
 )
 from .thermo import (
-    _plc_head_arrays,
+    _f_alpha,
+    _level1_head,
     _root,
     _t_floor,
-    pressure_locally_constant_bracket,
     pressure_root,
 )
 
@@ -128,7 +128,7 @@ class SpectrumCurve:
 
 
 # ---------------------------------------------------------------------------
-# tilted series evaluation
+# level-1 potentials
 
 
 def _require_level1(potential: Potential) -> None:
@@ -138,94 +138,6 @@ def _require_level1(potential: Potential) -> None:
             "higher-level averages go through measures.maximize_ratio")
 
 
-@functools.lru_cache(maxsize=32)
-def _head_grouping(system: BranchSystem, potential: Potential):
-    """t-independent grouping of the explicit head by potential value.
-
-    Returns (H, uvals, edges, logd, m): the distinct potential values, the
-    group boundaries, and log diam(I_i) and the physical digits in grouped
-    order.  Only the "lo"/"hi" surrogates of the continued-fraction family
-    read the digits, so m is None on linear systems.  With more than 512
-    distinct values the head stays ungrouped in digit order: uvals are the
-    per-digit values and edges is None.
-    """
-    H, logd, vals = _plc_head_arrays(system, potential)
-    m = None if is_linear(system) else np.arange(1, H + 1, dtype=float) + system.offset
-    uvals, inv = np.unique(vals, return_inverse=True)
-    if len(uvals) > 512:
-        return H, vals, None, logd, m
-    order = np.argsort(inv, kind="stable")
-    edges = np.searchsorted(inv[order], np.arange(len(uvals) + 1))
-    return H, uvals, edges, logd[order], None if m is None else m[order]
-
-
-@functools.lru_cache(maxsize=16)
-def _series_groups(system: BranchSystem, potential: Potential, t: float,
-                   family: str):
-    """Grouped log-weights of e^{q phi} x w_i at tilt q = 0.
-
-    ``family`` selects the weight w_i: "diam" uses diam(I_i)^t (exact on
-    linear systems), while "lo"/"hi" use the derivative-range surrogates
-    (m+1)^(-2t) / m^(-2t) that bracket the continued-fraction family.
-    Returns (values, logS, tail_lo, tail_hi, logT_lo, logT_hi): the distinct
-    potential values, their grouped log-weights, and the tail description
-    beyond the explicit head (None entries for finite systems).
-    """
-    H, uvals, edges, logd, m = _head_grouping(system, potential)
-    if family == "diam":
-        w = t * logd
-    else:
-        w = -2.0 * t * np.log(m + 1.0 if family == "lo" else m)
-    if edges is None:
-        logS = w
-    else:
-        logS = np.array([_logsumexp(w[edges[g]:edges[g + 1]])
-                         for g in range(len(uvals))])
-    if system.tail is None:
-        return uvals, logS, None, None, None, None
-    p_lo, p_hi = potential.tail_bounds(system, H)
-    if family == "diam":
-        T_lo, T_hi = diam_series(system, t, start=H + 1)
-    else:
-        first = H + 1 + system.offset + (1 if family == "lo" else 0)
-        if 2.0 * t > 1.0:
-            T_lo = T_hi = hurwitz_zeta(2.0 * t, first)
-        else:
-            T_lo = T_hi = math.inf
-    logT_lo = math.log(T_lo) if T_lo > 0 else -math.inf
-    logT_hi = math.log(T_hi) if math.isfinite(T_hi) else math.inf
-    return uvals, logS, p_lo, p_hi, logT_lo, logT_hi
-
-
-def _f_alpha(system, potential, t, qhat, family="diam"):
-    """(f_lo, f, f_hi, alpha) of the tilted series at (t, qhat).
-
-    The midpoint value folds the tail into one synthetic group, so the
-    reported alpha is exactly the q-derivative of the reported f and the
-    stationarity residuals measure solver closure alone.
-    """
-    uvals, logS, p_lo, p_hi, logT_lo, logT_hi = _series_groups(
-        system, potential, t, family)
-    terms = qhat * uvals + logS
-    if p_lo is None:
-        f = _logsumexp(terms)
-        weights = np.exp(terms - f)
-        return f, f, f, float(weights @ uvals)
-    if math.isinf(logT_hi):
-        return math.inf, math.inf, math.inf, math.nan
-    lo_val, hi_val = (p_lo, p_hi) if qhat >= 0 else (p_hi, p_lo)
-    head = _logsumexp(terms)
-    f_lo = float(np.logaddexp(head, qhat * lo_val + logT_lo))
-    f_hi = float(np.logaddexp(head, qhat * hi_val + logT_hi))
-    p_mid = 0.5 * (p_lo + p_hi)
-    logT_mid = 0.5 * (logT_lo + logT_hi)
-    all_terms = np.append(terms, qhat * p_mid + logT_mid)
-    all_vals = np.append(uvals, p_mid)
-    f = _logsumexp(all_terms)
-    weights = np.exp(all_terms - f)
-    return f_lo, f, f_hi, float(weights @ all_vals)
-
-
 def _value_range(system, potential):
     """(inf, sup, inf attained, sup attained) of a level-1 potential.
 
@@ -233,7 +145,7 @@ def _value_range(system, potential):
     constant tails take their bound values on actual digits, while the
     harmonic infimum 0 is a limit only.
     """
-    H, _, vals = _plc_head_arrays(system, potential)
+    H, vals = _level1_head(system, potential)[:2]
     lo = float(vals.min())
     hi = float(vals.max())
     lo_att = hi_att = True
@@ -250,7 +162,7 @@ def _value_range(system, potential):
 # Legendre solution
 
 
-def _solve_qhat(system, potential, t, alpha, family="diam"):
+def _solve_qhat(system, potential, t, alpha):
     """Tilt q with alpha(t, q) = alpha, by ``thermo._root`` from [-1, 1].
 
     alpha(t, .) is increasing; the bracket widens up to |q| = 700 and
@@ -258,7 +170,7 @@ def _solve_qhat(system, potential, t, alpha, family="diam"):
     (f_lo, f, f_hi, alpha) tuple of ``_f_alpha`` there, which is the
     solver's own evaluation.
     """
-    f_alpha = functools.cache(lambda q: _f_alpha(system, potential, t, q, family))
+    f_alpha = functools.cache(lambda q: _f_alpha(system, potential, t, q))
     q = _root(lambda q: f_alpha(q)[3] - alpha, -1.0, 1.0, (-700.0, 700.0))[0]
     return q, f_alpha(q)
 
@@ -281,7 +193,7 @@ def _subsystem_dimension(system, potential, alpha):
     the restricted-system pressure root; other analytic sets fall back to
     the level-1 diameter proxy.
     """
-    H, _, vals = _plc_head_arrays(system, potential)
+    H, vals, logd = _level1_head(system, potential)[:3]
     mask = np.abs(vals - alpha) <= 1e-12
     tail_in = False
     if system.tail is not None:
@@ -296,7 +208,6 @@ def _subsystem_dimension(system, potential, alpha):
             N -= 1
         if np.array_equal(digits, np.arange(N, H + 1)):
             return pressure_root(restricted_system(system, N)).value
-    logd = np.log(diameters(system, H))
     s_inf = s_inf_exact(system)
 
     def logsum(t):
@@ -481,42 +392,29 @@ def flat_certificate(system: BranchSystem, potential: Potential, alpha: float,
     _require_level1(potential)
     if delta is None:
         delta = s_inf_exact(system)
-    linear = is_linear(system)
-    family = "diam" if linear else "hi"
-    lo_family = "diam" if linear else "lo"
 
-    def F_mid(q):
-        return _f_alpha(system, potential, delta, q, family)[1] - q * alpha
+    def F(q):
+        f_lo, f, f_hi, _ = _f_alpha(system, potential, delta, q)
+        return f_lo - q * alpha, f - q * alpha, f_hi - q * alpha
 
-    def F_bracket(q):
-        if linear:
-            b_lo, b_hi = pressure_locally_constant_bracket(
-                system, potential, t=delta, coeff=q)
-            return b_lo - q * alpha, b_hi - q * alpha
-        b_lo = _f_alpha(system, potential, delta, q, lo_family)[0]
-        b_hi = _f_alpha(system, potential, delta, q, family)[2]
-        return b_lo - q * alpha, b_hi - q * alpha
-
-    probe_lo, probe_hi = F_bracket(0.0)
-    if math.isinf(probe_hi):
-        note = ("tilted series diverges at delta for every tilt"
-                if math.isinf(probe_lo) else "tilted series upper bound diverges")
+    if math.isinf(F(0.0)[2]):
+        note = "tilted series diverges at delta for every tilt"
         return FlatCertificate(alpha=alpha, delta=delta, qhat=None,
                                value_lo=math.inf, value_hi=math.inf,
                                witness=False, note=note)
 
     v_lo, v_hi, lo_att, hi_att = _value_range(system, potential)
     if alpha >= v_hi - 1e-12 and hi_att:
-        qhat = _monotone_zero(F_mid, increasing=False)
+        qhat = _monotone_zero(lambda q: F(q)[1], increasing=False)
         note = "upper endpoint: zero of the decreasing branch"
     elif alpha <= v_lo + 1e-12 and lo_att:
-        qhat = _monotone_zero(F_mid, increasing=True)
+        qhat = _monotone_zero(lambda q: F(q)[1], increasing=True)
         note = "lower endpoint: zero of the increasing branch"
     else:
-        qhat, _ = _solve_qhat(system, potential, delta, alpha, family)
+        qhat, _ = _solve_qhat(system, potential, delta, alpha)
         note = ""
 
-    val_lo, val_hi = F_bracket(qhat)
+    val_lo, _, val_hi = F(qhat)
     witness = val_hi <= _BAND
     return FlatCertificate(alpha=alpha, delta=delta,
                            qhat=qhat if witness else None,

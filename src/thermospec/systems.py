@@ -81,8 +81,10 @@ class Tail:
     labels: ``branch(index, m)`` and ``diameters(m)``; the summands of the
     series sum diam^s in two parts, ``base(m)``, which does not depend on
     s, and ``terms(base, s)`` = diam^s from it, both on float arrays;
-    ``converges(s)`` and ``s_inf`` for that series, and
-    ``bracket(s, first)``, a certified bracket for its sum over m >= first.
+    ``converges(s)`` and ``s_inf`` for that series,
+    ``bracket(s, first)``, a certified bracket for its sum over m >= first,
+    and ``terms_to_exceed_log10(s, bound)``, log10 of a term count whose
+    partial sum provably exceeds ``bound`` where the series diverges.
     """
 
 
@@ -134,6 +136,32 @@ class PowerLogTail(Tail):
         g0 = cs * x0 ** (-p) * math.log(x0 + self.b) ** (-r)
         return cs * kappa * base, cs * base + g0
 
+    def terms_to_exceed_log10(self, s: float, bound: float) -> float:
+        p = self.a * s
+        r = self.d * s
+        if p > 1.0 or (p == 1.0 and r > 1.0):
+            return math.inf
+        cs = self.c ** s
+        if p < 1.0:
+            # ignore the log factor's help; bound each term below by
+            # cs * m^{-p} (log(m+b))^{-r} >= cs * m^{-p-eps} for large m; use the
+            # crude certified bound with the log factor frozen at K.
+            # Solve cs * K^{1-p} / ((1-p) (log K)^r) >= bound iteratively in log10.
+            x = 10.0
+            for _ in range(200):
+                lx = x * math.log(10.0)
+                need = (math.log10(bound * (1.0 - p)) - math.log10(cs)
+                        + r * math.log10(lx)) / (1.0 - p)
+                if abs(need - x) < 1e-9:
+                    return need
+                x = max(need, 1.0)
+            return x
+        # p == 1, r < 1: partial sums grow like cs (log K)^{1-r} / (1-r), so
+        # log K = (bound (1-r) / cs)^{1/(1-r)} and the report is log10 K.
+        if r < 1.0:
+            return (bound * (1.0 - r) / cs) ** (1.0 / (1.0 - r)) / math.log(10.0)
+        return math.inf  # r == 1: log log growth; report as out of reach
+
 
 @dataclass(frozen=True)
 class GaussTail(Tail):
@@ -166,6 +194,14 @@ class GaussTail(Tail):
         lo = (1.0 + 1.0 / x0) ** (-s) * base
         g0 = (x0 * (x0 + 1.0)) ** (-s)
         return lo, base + g0
+
+    def terms_to_exceed_log10(self, s: float, bound: float) -> float:
+        p = 2.0 * s
+        if p >= 1.0:
+            return math.inf
+        # sum_{m<=K} (m(m+1))^{-s} >= ((K+1)^{1-p} - 2^{1-p}) / ((1-p) 2^s)
+        target = bound * (1.0 - p) * 2.0 ** s + 2.0 ** (1.0 - p)
+        return math.log10(target) / (1.0 - p)
 
 
 @dataclass(frozen=True)
@@ -273,6 +309,11 @@ def _log_diameters_at(system: BranchSystem, idx: np.ndarray) -> np.ndarray:
         return np.log(diameters(system, top))[idx - 1]
     u, inv = np.unique(idx, return_inverse=True)
     return np.log(_diameters_at(system, u))[inv.reshape(idx.shape)]
+
+
+def has_gauss_tail(system: BranchSystem) -> bool:
+    """True when the tail is the continued-fraction family's."""
+    return isinstance(system.tail, GaussTail)
 
 
 def is_linear(system: BranchSystem) -> bool:

@@ -31,12 +31,13 @@ from .errors import (
 )
 from .systems import (
     BranchSystem,
-    GaussTail,
     Potential,
     _decode_words,
     _logsumexp,
+    constant_potential,
     diam_series,
     diameters,
+    has_gauss_tail,
     hurwitz_zeta,
     is_linear,
     level1_values,
@@ -296,19 +297,123 @@ def _finish_estimate(system, potential, t, q, values, levels, diverged):
 
 
 # ---------------------------------------------------------------------------
-# level-1 closed form for all-linear systems
+# the tilted level-1 series
+#
+#     f(t, q) = log sum_i e^{q phi(i)} w_i^t
+#
+# for a level-1 potential phi: an explicit head of digits and a certified
+# tail beyond it.  On all-linear systems w_i = diam(I_i) and f is the exact
+# pressure of q phi - t log|T'| (the full shift factorizes).
 
 
 _PLC_HEAD = 100_000
+_ZERO = constant_potential(0.0)
+
+
+def _log(x: float) -> float:
+    """math.log, with -inf for a sum that underflowed to 0."""
+    return math.log(x) if x > 0 else -math.inf
+
+
+def _zeta_tail(s: float, first: float) -> float:
+    """sum_{m >= first} m^{-s} for s > 1 (Hurwitz zeta)."""
+    if s <= 1.0:
+        return math.inf
+    return hurwitz_zeta(s, first)
 
 
 @functools.lru_cache(maxsize=16)
-def _plc_head_arrays(system, potential):
+def _level1_head(system: BranchSystem, potential: Potential):
+    """t-independent head of the tilted series: the one cache of its data.
+
+    Returns (H, vals, logd, uvals, edges, glogd, digits): the head length,
+    the potential values and log diam(I_i) in digit order, the distinct
+    values and their group boundaries, and log diam(I_i) and the physical
+    digits in grouped order.  Only the continued-fraction family reads the
+    digits, so they are None on linear systems.  With more than 512
+    distinct values the head stays ungrouped in digit order: uvals are the
+    per-digit values and edges is None.
+    """
     count = system.branch_count()
     H = count if count is not None else _PLC_HEAD
     logd = np.log(diameters(system, H))
-    vals = level1_values(system, potential, H) if potential is not None else np.zeros(H)
-    return H, logd, vals
+    vals = level1_values(system, potential, H)
+    digits = None if is_linear(system) else np.arange(1, H + 1, dtype=float) + system.offset
+    uvals, inv = np.unique(vals, return_inverse=True)
+    if len(uvals) > 512:
+        return H, vals, logd, vals, None, logd, digits
+    order = np.argsort(inv, kind="stable")
+    edges = np.searchsorted(inv[order], np.arange(len(uvals) + 1))
+    return (H, vals, logd, uvals, edges, logd[order],
+            None if digits is None else digits[order])
+
+
+@functools.lru_cache(maxsize=16)
+def _series_groups(system: BranchSystem, potential: Potential, t: float):
+    """Grouped log-weights of e^{q phi} x w_i at tilt q = 0, and the tail.
+
+    The system chooses the weights w_i: diam(I_i)^t with the ``diam_series``
+    tail on linear systems; on the continued-fraction family the
+    derivative-range surrogates m^(-2t) for the point and upper values and
+    (m+1)^(-2t) for the lower one, with Hurwitz tails, which bracket it.
+    Returns (values, logS_lo, logS, p_lo, p_hi, logT_lo, logT, logT_hi): the
+    distinct potential values, their lower and point log-weights (the same
+    array on linear systems), the potential's tail bounds and the logs of
+    the lower, point and upper tail sums (None entries for finite systems).
+    """
+    H, _, _, uvals, edges, glogd, digits = _level1_head(system, potential)
+
+    def grouped(w):
+        if edges is None:
+            return w
+        return np.array([_logsumexp(w[edges[g]:edges[g + 1]])
+                         for g in range(len(uvals))])
+
+    if digits is None:
+        logS_lo = logS = grouped(t * glogd)
+    else:
+        logS_lo = grouped(-2.0 * t * np.log(digits + 1.0))
+        logS = grouped(-2.0 * t * np.log(digits))
+    if system.tail is None:
+        return uvals, logS_lo, logS, None, None, None, None, None
+    p_lo, p_hi = potential.tail_bounds(system, H)
+    if digits is None:
+        logT_lo, logT_hi = map(_log, diam_series(system, t, start=H + 1))
+        logT = 0.5 * (logT_lo + logT_hi)
+    else:
+        first = H + 1 + system.offset
+        logT_lo = _log(_zeta_tail(2.0 * t, first + 1))
+        logT = logT_hi = _log(_zeta_tail(2.0 * t, first))
+    return uvals, logS_lo, logS, p_lo, p_hi, logT_lo, logT, logT_hi
+
+
+def _f_alpha(system, potential, t, q):
+    """(f_lo, f, f_hi, alpha) of the tilted series at (t, q).
+
+    f_lo <= f_hi is the certified bracket, and f the point value: it folds
+    the tail into one synthetic group, so the reported alpha is exactly the
+    q-derivative of the reported f and stationarity residuals measure
+    solver closure alone.  A divergent tail gives (inf, inf, inf, nan).
+    """
+    uvals, logS_lo, logS, p_lo, p_hi, logT_lo, logT, logT_hi = _series_groups(
+        system, potential, t)
+    if p_lo is not None and math.isinf(logT_hi):
+        return math.inf, math.inf, math.inf, math.nan
+    terms = q * uvals + logS
+    head = _logsumexp(terms)
+    head_lo = head if logS_lo is logS else _logsumexp(q * uvals + logS_lo)
+    if p_lo is None:
+        weights = np.exp(terms - head)
+        return head_lo, head, head, float(weights @ uvals)
+    lo_val, hi_val = (p_lo, p_hi) if q >= 0 else (p_hi, p_lo)
+    f_lo = float(np.logaddexp(head_lo, q * lo_val + logT_lo))
+    f_hi = float(np.logaddexp(head, q * hi_val + logT_hi))
+    p_mid = 0.5 * (p_lo + p_hi)
+    all_terms = np.append(terms, q * p_mid + logT)
+    all_vals = np.append(uvals, p_mid)
+    f = _logsumexp(all_terms)
+    weights = np.exp(all_terms - f)
+    return f_lo, f, f_hi, float(weights @ all_vals)
 
 
 def pressure_locally_constant_bracket(system: BranchSystem,
@@ -327,20 +432,8 @@ def pressure_locally_constant_bracket(system: BranchSystem,
         raise UnsupportedPotentialError("closed-form pressure requires a level-1 potential")
     if system.tail is not None and not series_converges(system, t):
         return math.inf, math.inf
-    H, logd, vals = _plc_head_arrays(system, potential)
-    head = _logsumexp(coeff * vals + t * logd)
-    if system.tail is None:
-        return head, head
-    t_lo, t_hi = diam_series(system, t, start=H + 1)
-    if potential is None:
-        p_lo = p_hi = 0.0
-    else:
-        p_lo, p_hi = potential.tail_bounds(system, H)
-    if coeff >= 0:
-        tail_lo, tail_hi = coeff * p_lo + math.log(t_lo), coeff * p_hi + math.log(t_hi)
-    else:
-        tail_lo, tail_hi = coeff * p_hi + math.log(t_lo), coeff * p_lo + math.log(t_hi)
-    return (float(np.logaddexp(head, tail_lo)), float(np.logaddexp(head, tail_hi)))
+    f_lo, _, f_hi, _ = _f_alpha(system, _ZERO if potential is None else potential, t, coeff)
+    return f_lo, f_hi
 
 
 def pressure_locally_constant(system: BranchSystem,
@@ -378,49 +471,11 @@ class SInfinityResult:
     agree: bool
 
 
-def _terms_to_exceed_log10(system, s, bound) -> float:
-    """log10 of a term count whose partial sum provably exceeds ``bound``."""
-    if system.tail is None:
-        return math.nan
-    if isinstance(system.tail, GaussTail):
-        p = 2.0 * s
-        if p >= 1.0:
-            return math.inf
-        # sum_{m<=K} (m(m+1))^{-s} >= ((K+1)^{1-p} - 2^{1-p}) / ((1-p) 2^s)
-        target = bound * (1.0 - p) * 2.0 ** s + 2.0 ** (1.0 - p)
-        return math.log10(target) / (1.0 - p)
-    tail = system.tail
-    p = tail.a * s
-    r = tail.d * s
-    if p > 1.0 or (p == 1.0 and r > 1.0):
-        return math.inf
-    cs = tail.c ** s
-    if p < 1.0:
-        # ignore the log factor's help; bound each term below by
-        # cs * m^{-p} (log(m+b))^{-r} >= cs * m^{-p-eps} for large m; use the
-        # crude certified bound with the log factor frozen at K.
-        # Solve cs * K^{1-p} / ((1-p) (log K)^r) >= bound iteratively in log10.
-        x = 10.0
-        for _ in range(200):
-            lx = x * math.log(10.0)
-            need = (math.log10(bound * (1.0 - p)) - math.log10(cs)
-                    + r * math.log10(lx)) / (1.0 - p)
-            if abs(need - x) < 1e-9:
-                return need
-            x = max(need, 1.0)
-        return x
-    # p == 1, r < 1: partial sums grow like cs (log K)^{1-r} / (1-r), so
-    # log K = (bound (1-r) / cs)^{1/(1-r)} and the report is log10 K.
-    if r < 1.0:
-        return (bound * (1.0 - r) / cs) ** (1.0 / (1.0 - r)) / math.log(10.0)
-    return math.inf  # r == 1: log log growth; report as out of reach
-
-
 def _pressure_scan_finite(system, t) -> bool:
     """Dual finiteness test through the pressure machinery."""
     if system.tail is None:
         return True
-    if isinstance(system.tail, GaussTail):
+    if has_gauss_tail(system):
         return series_converges(system, t)
     return math.isfinite(pressure_locally_constant(system, None, t))
 
@@ -454,7 +509,7 @@ def s_infinity(system: BranchSystem, tol: float = 1e-3) -> SInfinityResult:
         "series_upper_bound_at_s_hi": upper_hi,
         "series_lower_bound_at_s_lo": math.inf,
         "probe_bound": 1e6,
-        "log10_terms_to_exceed_probe_at_s_lo": _terms_to_exceed_log10(system, s_lo, 1e6),
+        "log10_terms_to_exceed_probe_at_s_lo": system.tail.terms_to_exceed_log10(s_lo, 1e6),
         "converges_at_value": series_converges(system, value),
     }
     scan_lo, scan_hi = bisect(lambda s: _pressure_scan_finite(system, s))
@@ -545,13 +600,6 @@ def _root(fn, lo, hi, limits=None, tol=1e-15):
         t = min(max(t, t_min), 1.0 - t_min)
 
 
-def _zeta_tail(s: float, first: float) -> float:
-    """sum_{m >= first} m^{-s} for s > 1 (Hurwitz zeta)."""
-    if s <= 1.0:
-        return math.inf
-    return hurwitz_zeta(s, first)
-
-
 def _t_floor(system: BranchSystem) -> float:
     """Lowest default start of a t-bracket: 0 for finite systems, else s_inf.
 
@@ -568,8 +616,7 @@ def _log_series(system, t):
     """Logs of the lower end, midpoint and upper end of ``diam_series`` at t:
     the lower, point and upper level-1 pressure, exact for linear systems."""
     s_lo, s_hi = diam_series(system, t)
-    return tuple(math.log(s) if s > 0 else -math.inf
-                 for s in (s_lo, 0.5 * (s_lo + s_hi), s_hi))
+    return tuple(_log(s) for s in (s_lo, 0.5 * (s_lo + s_hi), s_hi))
 
 
 def _certified_root(lower, point, upper, lo, hi, tol, end_tol, limits=None):
@@ -653,7 +700,7 @@ def _root_series(system, bracket, tol):
 
 
 def _root_analytic(system, bracket, tol, q, n_max, budget, workers):
-    if not isinstance(system.tail, GaussTail):
+    if not has_gauss_tail(system):
         raise ModelError("analytic root finding is implemented for the continued-fraction family")
     N = 1 + system.offset  # first physical digit
     lo, hi = _normalize_bracket(bracket, _t_floor(system), 2.0)
@@ -681,15 +728,15 @@ def _root_analytic(system, bracket, tol, q, n_max, budget, workers):
     def certified(t):
         # sandwich: sup derivative weights m^-2t above, inf weights below
         S_full = _zeta_tail(2.0 * t, N)
-        lows = [math.log(_zeta_tail(2.0 * t, N + 1))]
-        highs = [math.log(S_full)]
+        lows = [_log(_zeta_tail(2.0 * t, N + 1))]
+        highs = [_log(S_full)]
         if levels:
             S_q = S_full - _zeta_tail(2.0 * t, N + q)
             for n, logZ in enumerate(log_partitions(t), 1):
                 V = _variation_total(system, None, t, n)
                 lows.append((logZ - V) / n)
                 missing = max(S_full ** n - S_q ** n, 0.0)
-                completed = np.logaddexp(logZ + V, math.log(missing) if missing > 0 else -math.inf)
+                completed = np.logaddexp(logZ + V, _log(missing))
                 highs.append(float(completed) / n)
         return max(lows), min(highs)
 

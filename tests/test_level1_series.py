@@ -1,0 +1,111 @@
+"""The tilted level-1 series on the continued-fraction family and on
+linear systems, pinned bit for bit to values recorded before its head
+data and weights moved into one evaluator."""
+
+import pytest
+
+import thermospec as ts
+
+# flat_certificate on the continued-fraction family (the level-1 sandwich
+# above delta = 1/2), recorded bit for bit: (qhat, value_lo, value_hi) as
+# float hex with None for no witness, or the error message
+GAUSS_CERTIFICATES = [
+    ('gauss', 'harmonic', 0.6, 0.0, (None, '0x1.b07273a1374b0p-3', '0x1.b6ec3c0fd849cp-3')),
+    ('gauss', 'harmonic', 0.6, 0.3, (None, '0x1.7f4004928221cp+0', '0x1.b7a384fc84e5ep+0')),
+    ('gauss', 'harmonic', 0.6, 1.0, ('0x1.fc00000000000p+6', '-0x1.a9de9fec5df00p-1', '0x0.0p+0')),
+    ('gauss', 'harmonic', 0.75, 0.0, ('-0x1.5e00000000000p+9', '-0x1.5a3312db9321ap+1', '-0x1.59fa7189a911dp+1')),
+    ('gauss', 'harmonic', 0.75, 0.3, (None, '0x1.0b5dbdb67ef6fp-1', '0x1.a0ee72d8b0a35p-1')),
+    ('gauss', 'harmonic', 0.75, 1.0, ('0x1.fc00000000000p+6', '-0x1.0a2b23f3bab80p+0', '0x0.0p+0')),
+    ('gauss', 'chi1', 0.6, 0.0, 'no zero of the certificate function found'),
+    ('gauss', 'chi1', 0.6, 0.3, (None, '0x1.68af6c95a6a2dp+0', '0x1.ad85b787cc5c2p+0')),
+    ('gauss', 'chi1', 0.6, 1.0, ('0x1.f800000000000p+5', '-0x1.a9de9fec5df00p-1', '0x0.0p+0')),
+    ('gauss', 'chi1', 0.75, 0.0, 'no zero of the certificate function found'),
+    ('gauss', 'chi1', 0.75, 0.3, (None, '0x1.096f830797accp-1', '0x1.e3f925fe73614p-1')),
+    ('gauss', 'chi1', 0.75, 1.0, ('0x1.f800000000000p+5', '-0x1.0a2b23f3bab80p+0', '0x0.0p+0')),
+    ('restricted3', 'harmonic', 0.6, 0.0, (None, '0x1.b0727b2ee4cd8p-3', '0x1.b6ec3a8cf9088p-3')),
+    ('restricted3', 'harmonic', 0.6, 0.3, ('0x1.1d03a5b066173p+4', '-0x1.8881e9de93940p-1', '-0x1.d36df9b6233d0p-2')),
+    ('restricted3', 'harmonic', 0.6, 1.0, ('0x1.89b6ad0ca69a3p+0', '-0x1.533546598cd30p-4', '0x1.bb6c9f3a00000p-21')),
+    ('restricted3', 'harmonic', 0.75, 0.0, ('-0x1.5e00000000000p+9', '-0x1.5a3312bf59362p+1', '-0x1.59fa7197cc81dp+1')),
+    ('restricted3', 'harmonic', 0.75, 0.3, ('0x1.ecd080c9a6374p+3', '-0x1.3b96dd2b2f53ep+0', '-0x1.b09fc5fc6114cp-1')),
+    ('restricted3', 'harmonic', 0.75, 1.0, ('0x1.0fbd7c973251ap-2', '-0x1.5ce2d2f01a14bp-3', '0x1.ba3fbfc000000p-28')),
+    ('restricted3', 'chi1', 0.6, 0.0, 'no zero of the certificate function found'),
+    ('restricted3', 'chi1', 0.6, 0.3, (None, '0x1.094909d1685c2p+0', '0x1.2a805c0c16de9p+0')),
+    ('restricted3', 'chi1', 0.6, 1.0, ('0x1.ab63477f6e978p+0', '-0x1.eed9d494b4d40p-4', '-0x1.0000000000000p-52')),
+    ('restricted3', 'chi1', 0.75, 0.0, 'no zero of the certificate function found'),
+    ('restricted3', 'chi1', 0.75, 0.3, (None, '-0x1.7728a7bf90710p-5', '0x1.4ab1f65f4e64ep-3')),
+    ('restricted3', 'chi1', 0.75, 1.0, ('0x1.1caf50dc598adp-2', '-0x1.6a3aa3078651bp-3', '0x1.0000000000000p-53')),
+    ('truncate8', 'harmonic', 0.6, 0.0, ('-0x1.a5b7071862fdfp+0', '-0x1.7fbe13800f63cp-2', '0x0.0p+0')),
+    ('truncate8', 'harmonic', 0.6, 0.3, (None, '0x1.a1e0d1e345280p-4', '0x1.8fcb0161f7580p-2')),
+    ('truncate8', 'harmonic', 0.6, 1.0, ('0x1.fc00000000000p+6', '-0x1.a9de9fec5df00p-1', '0x0.0p+0')),
+    ('truncate8', 'harmonic', 0.75, 0.0, ('-0x1.0f6a8ca264c06p+0', '-0x1.2645d2f50ce44p-1', '-0x1.0000000000000p-52')),
+    ('truncate8', 'harmonic', 0.75, 0.3, ('-0x1.12137f7cc2e7dp+2', '-0x1.85a6689ff55d4p-2', '-0x1.5fbd3f6cf67c0p-6')),
+    ('truncate8', 'harmonic', 0.75, 1.0, ('0x1.fc00000000000p+6', '-0x1.0a2b23f3bab80p+0', '0x0.0p+0')),
+    ('truncate8', 'chi1', 0.6, 0.0, 'no zero of the certificate function found'),
+    ('truncate8', 'chi1', 0.6, 0.3, (None, '0x1.75f0ac370fe9ep-2', '0x1.9fc878474be43p-1')),
+    ('truncate8', 'chi1', 0.6, 1.0, ('0x1.f800000000000p+5', '-0x1.a9de9fec5df00p-1', '0x0.0p+0')),
+    ('truncate8', 'chi1', 0.75, 0.0, ('-0x1.4e72bd50c79efp+1', '-0x1.cf486493b906ap-2', '0x0.0p+0')),
+    ('truncate8', 'chi1', 0.75, 0.3, (None, '-0x1.43df20cb2c9c0p-7', '0x1.1d785ca31b3aep-1')),
+    ('truncate8', 'chi1', 0.75, 1.0, ('0x1.f800000000000p+5', '-0x1.0a2b23f3bab80p+0', '0x0.0p+0')),
+]
+# pressure_locally_constant_bracket as float hex: (lo, hi)
+LOCALLY_CONSTANT_BRACKETS = [
+    ('flat', 'none', 0.6, -1.5, ('-0x1.0a203e81177cbp-2', '-0x1.0a203e7298e2ap-2')),
+    ('flat', 'none', 0.6, 0.0, ('-0x1.0a203e81177cbp-2', '-0x1.0a203e7298e2ap-2')),
+    ('flat', 'none', 0.6, 2.0, ('-0x1.0a203e81177cbp-2', '-0x1.0a203e7298e2ap-2')),
+    ('flat', 'none', 0.75, -1.5, ('-0x1.3ba3856a5b932p-1', '-0x1.3ba3856a51208p-1')),
+    ('flat', 'none', 0.75, 0.0, ('-0x1.3ba3856a5b932p-1', '-0x1.3ba3856a51208p-1')),
+    ('flat', 'none', 0.75, 2.0, ('-0x1.3ba3856a5b932p-1', '-0x1.3ba3856a51208p-1')),
+    ('flat', 'harmonic', 0.6, -1.5, ('-0x1.4346a404d55f2p+0', '-0x1.4346a3b6ab4f3p+0')),
+    ('flat', 'harmonic', 0.6, 0.0, ('-0x1.0a203e81177cbp-2', '-0x1.0a203e7298e2ap-2')),
+    ('flat', 'harmonic', 0.6, 2.0, ('0x1.6f95f18a92aebp+0', '0x1.6f95f1915d67bp+0')),
+    ('flat', 'harmonic', 0.75, -1.5, ('-0x1.ce4cef6178e89p+0', '-0x1.ce4cef610fa37p+0')),
+    ('flat', 'harmonic', 0.75, 0.0, ('-0x1.3ba3856a5b932p-1', '-0x1.3ba3856a51208p-1')),
+    ('flat', 'harmonic', 0.75, 2.0, ('0x1.334a3143bc5fep+0', '0x1.334a3143c3096p+0')),
+    ('invsq', 'none', 0.6, -1.5, ('0x1.4e2cfd4aeb6e2p+0', '0x1.4e2cfe99421d1p+0')),
+    ('invsq', 'none', 0.6, 0.0, ('0x1.4e2cfd4aeb6e2p+0', '0x1.4e2cfe99421d1p+0')),
+    ('invsq', 'none', 0.6, 2.0, ('0x1.4e2cfd4aeb6e2p+0', '0x1.4e2cfe99421d1p+0')),
+    ('invsq', 'none', 0.75, -1.5, ('0x1.c2f8172b55882p-2', '0x1.c2f81774dbf98p-2')),
+    ('invsq', 'none', 0.75, 0.0, ('0x1.c2f8172b55882p-2', '0x1.c2f81774dbf98p-2')),
+    ('invsq', 'none', 0.75, 2.0, ('0x1.c2f8172b55882p-2', '0x1.c2f81774dbf98p-2')),
+    ('invsq', 'harmonic', 0.6, -1.5, ('0x1.06ecacb53b6f0p+0', '0x1.06eccc284eaeep+0')),
+    ('invsq', 'harmonic', 0.6, 0.0, ('0x1.4e2cfd4aeb6e2p+0', '0x1.4e2cfe99421d1p+0')),
+    ('invsq', 'harmonic', 0.6, 2.0, ('0x1.1717f8915b1d7p+1', '0x1.1717ff17f390ep+1')),
+    ('invsq', 'harmonic', 0.75, -1.5, ('-0x1.3e497a0d5fe4dp-3', '-0x1.3e49702a81e10p-3')),
+    ('invsq', 'harmonic', 0.75, 0.0, ('0x1.c2f8172b55882p-2', '0x1.c2f81774dbf98p-2')),
+    ('invsq', 'harmonic', 0.75, 2.0, ('0x1.c92e409982dc0p+0', '0x1.c92e40d4748c4p+0')),
+]
+
+
+def _system(name):
+    g = ts.gauss_system()
+    return {"gauss": g, "restricted3": ts.restricted_system(g, 3),
+            "truncate8": ts.truncate(g, 8), "flat": ts.flat_example_system(),
+            "invsq": ts.powerlog_system([], c=0.5, a=2.0)}[name]
+
+
+def _potential(name):
+    return {"none": None, "harmonic": ts.harmonic_potential(),
+            "chi1": ts.indicator_potential(1)}[name]
+
+
+def _hex(x):
+    return None if x is None else float(x).hex()
+
+
+@pytest.mark.parametrize("system, potential, delta, alpha, expected", GAUSS_CERTIFICATES)
+def test_gauss_flat_certificates_bit_for_bit(system, potential, delta, alpha, expected):
+    args = (_system(system), _potential(potential), alpha, delta)
+    if isinstance(expected, str):
+        with pytest.raises(ts.ModelError, match=expected):
+            ts.flat_certificate(*args)
+        return
+    cert = ts.flat_certificate(*args)
+    assert (_hex(cert.qhat), _hex(cert.value_lo), _hex(cert.value_hi)) == expected
+    assert cert.witness == (expected[0] is not None)
+
+
+@pytest.mark.parametrize("system, potential, t, coeff, expected", LOCALLY_CONSTANT_BRACKETS)
+def test_locally_constant_brackets_bit_for_bit(system, potential, t, coeff, expected):
+    lo, hi = ts.pressure_locally_constant_bracket(
+        _system(system), _potential(potential), t, coeff)
+    assert (_hex(lo), _hex(hi)) == expected

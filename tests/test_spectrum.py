@@ -249,7 +249,7 @@ def test_series_groups_hold_bounded_memory_on_ungrouped_head():
     # stays ungrouped and every t caches a 1e5-float logS (0.8 MB); the
     # cache keeps 16 of them however many t a run visits
     flat, harm = ts.flat_example_system(), ts.harmonic_potential()
-    spectrum._series_groups.cache_clear()
+    thermo._series_groups.cache_clear()
     spectrum._f_alpha(flat, harm, 0.99, 0.0)  # head arrays built before the trace
     tracemalloc.start()
     try:
@@ -258,7 +258,7 @@ def test_series_groups_hold_bounded_memory_on_ungrouped_head():
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert spectrum._series_groups.cache_info().currsize == 16
+    assert thermo._series_groups.cache_info().currsize == 16
     assert held < 16_000_000
 
 
@@ -268,13 +268,13 @@ def test_legendre_row_evaluation_count(monkeypatch, chi1, model, alpha, max_t, m
     # counts tilted-series work per row rather than timing it: one fresh
     # series build per distinct t, one _f_alpha call per root-solver step
     system = ts.flat_example_system() if model == "flat" else ts.doubling_system()
-    spectrum._series_groups.cache_clear()
+    thermo._series_groups.cache_clear()
     seen = []
     real = spectrum._f_alpha
 
-    def counting(system, potential, t, qhat, family="diam"):
+    def counting(system, potential, t, qhat):
         seen.append(t)
-        return real(system, potential, t, qhat, family)
+        return real(system, potential, t, qhat)
 
     monkeypatch.setattr(spectrum, "_f_alpha", counting)
     pt = ts.legendre_solve(system, chi1, alpha)
@@ -288,9 +288,9 @@ def test_solve_qhat_evaluates_each_tilt_once(monkeypatch, chi1):
     tilts = []
     real = spectrum._f_alpha
 
-    def counting(system, potential, t, qhat, family="diam"):
+    def counting(system, potential, t, qhat):
         tilts.append(qhat)
-        return real(system, potential, t, qhat, family)
+        return real(system, potential, t, qhat)
 
     monkeypatch.setattr(spectrum, "_f_alpha", counting)
     q, vals = spectrum._solve_qhat(ts.doubling_system(), chi1, 0.9, 0.3)

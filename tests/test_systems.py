@@ -320,6 +320,23 @@ def test_no_kind_comparisons_in_source():
     assert hits == []
 
 
+def test_only_systems_names_the_tail_families():
+    # the tail families are told apart in systems.py alone; other modules
+    # call Tail methods or ask systems.py about the family
+    hits = []
+    for path in sorted(Path(ts.__file__).parent.glob("*.py")):
+        if path.name in ("systems.py", "__init__.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ({node.id} if isinstance(node, ast.Name)
+                     else {node.attr} if isinstance(node, ast.Attribute)
+                     else {a.name for a in node.names} if isinstance(node, ast.ImportFrom)
+                     else set())
+            if names & {"GaussTail", "PowerLogTail"}:
+                hits.append(f"{path.name}:{node.lineno}")
+    assert hits == []
+
+
 def test_indicator_requires_positive_index():
     with pytest.raises(ts.ThermospecError):
         ts.indicator_potential(0)

@@ -458,6 +458,19 @@ def test_pressure_root_restricted_family_inside_hurwitz_sandwich():
         assert res.interval[0] <= res.value <= res.interval[1]
 
 
+def test_pressure_root_restricted_family_far_out():
+    # at t = 2 the Hurwitz sums past N = 10**120 underflow to 0; their logs
+    # are -inf, and the roots keep falling towards 1/2 as N grows
+    g = ts.gauss_system()
+    values = []
+    for N in (10 ** 100, 10 ** 120, 10 ** 150):
+        res = ts.pressure_root(ts.restricted_system(g, N))
+        assert math.isfinite(res.value)
+        assert res.interval[0] <= res.value <= res.interval[1]
+        values.append(res.value)
+    assert values[0] > values[1] > values[2] > 0.5
+
+
 def test_pressure_root_bad_bracket():
     with pytest.raises(ts.BracketError):
         ts.pressure_root(ts.doubling_system(), bracket=(1.5, 2.0))
