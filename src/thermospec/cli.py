@@ -13,6 +13,7 @@ parse errors, 3 numeric failures (with partial results where available).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib.resources
 import json
 import math
@@ -56,17 +57,16 @@ def _to_json(value, indent: int = 0) -> str:
     version-dependent in spirit; this pins the exact format instead.
     """
     pad = " " * indent
+    if dataclasses.is_dataclass(value):
+        return _to_json(dataclasses.asdict(value), indent)
     if isinstance(value, dict):
         if not value:
             return "{}"
         inner = ",\n".join(f"{pad}  {json.dumps(str(k))}: {_to_json(v, indent + 2)}"
                            for k, v in value.items())
         return "{\n" + inner + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)) or isinstance(value, np.ndarray):
-        seq = [v for v in value]
-        if not seq:
-            return "[]"
-        return "[" + ", ".join(_to_json(v, indent) for v in seq) + "]"
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return "[" + ", ".join(_to_json(v, indent) for v in value) + "]"
     if value is None or isinstance(value, (bool, np.bool_)):
         return json.dumps(bool(value) if value is not None else None)
     if isinstance(value, (int, np.integer)):
@@ -78,10 +78,25 @@ def _to_json(value, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
-def _envelope(command: str, config: dict, result: dict) -> str:
-    doc = {"command": command, "version": __version__,
+def _envelope(args, compute) -> tuple[str, int]:
+    """Run one library call and render its JSON envelope, with the exit code.
+
+    ``config`` is every parsed flag but the command, so handlers normalise
+    ``args`` in place first.  ``result`` is what ``compute`` returns, mostly a
+    result dataclass whose field order is the envelope's.  Numeric failures
+    give exit code 3 and an ``error`` result, with the ``partial`` estimate
+    that a budget overrun carries.
+    """
+    config = {k: v for k, v in vars(args).items() if k != "command"}
+    try:
+        result, code = compute(), 0
+    except ThermospecError as exc:
+        result, code = {"error": str(exc)}, 3
+        if isinstance(exc, BudgetExceededError) and exc.partial is not None:
+            result["partial"] = exc.partial
+    doc = {"command": args.command, "version": __version__,
            "config": config, "result": result}
-    return _to_json(doc) + "\n"
+    return _to_json(doc) + "\n", code
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -166,15 +181,18 @@ def _load_gamma_arg(arg: str):
     return gamma, pots
 
 
+def _resolve_budget(args) -> None:
+    """Fill in the default enumeration budget; a bad THERMOSPEC_BUDGET is a
+    configuration error (exit code 2), like a bad flag."""
+    if args.budget is None:
+        try:
+            args.budget = default_budget()
+        except ThermospecError as exc:
+            raise _ConfigError(str(exc)) from exc
+
+
 # ---------------------------------------------------------------------------
 # result rendering helpers
-
-
-def _pressure_dict(est) -> dict:
-    return {"values": list(est.values), "levels": list(est.levels),
-            "q": est.q, "t": est.t, "extrapolated": est.extrapolated,
-            "bracket": list(est.bracket), "diverged": est.diverged,
-            "var_totals": list(est.var_totals)}
 
 
 def _point_dict(pt) -> dict:
@@ -185,32 +203,16 @@ def _point_dict(pt) -> dict:
             "s_inf": pt.s_inf, "note": pt.note}
 
 
-def _opt_float(x) -> str:
-    return "" if x is None else _format_float(float(x))
+def _csv_cell(x) -> str:
+    if x is None:
+        return ""
+    return x if isinstance(x, str) else _format_float(float(x))
 
 
 def _curve_csv(curve) -> str:
-    lines = ["alpha,dim,t,q,regime,resid1,resid2"]
-    for pt in curve.points:
-        r1 = pt.residuals[0] if pt.residuals else None
-        r2 = pt.residuals[1] if pt.residuals else None
-        lines.append(",".join([
-            _format_float(pt.alpha), _opt_float(pt.dim), _opt_float(pt.t),
-            _opt_float(pt.q), pt.regime, _opt_float(r1), _opt_float(r2)]))
-    return "\n".join(lines) + "\n"
-
-
-def _numeric_guard(compute, partial_fn=None):
-    """Run one library call; map numeric failures to exit code 3."""
-    try:
-        return compute(), 0
-    except BudgetExceededError as exc:
-        result = {"error": str(exc)}
-        if partial_fn is not None and exc.partial is not None:
-            result["partial"] = partial_fn(exc.partial)
-        return result, 3
-    except ThermospecError as exc:
-        return {"error": str(exc)}, 3
+    columns = ("alpha", "dim", "t", "q", "regime", "resid1", "resid2")
+    rows = [columns] + [[_point_dict(pt)[c] for c in columns] for pt in curve.points]
+    return "".join(",".join(map(_csv_cell, row)) + "\n" for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -220,50 +222,23 @@ def _numeric_guard(compute, partial_fn=None):
 def _cmd_pressure(args):
     system = _load_model_arg(args.model)
     potential = _load_potential_arg(args.potential) if args.potential else None
-    budget = args.budget if args.budget is not None else default_budget()
-    config = {"model": args.model, "potential": args.potential, "t": args.t,
-              "q": args.q, "n": args.n, "budget": budget, "workers": args.workers,
-              "out": args.out}
-    result, code = _numeric_guard(
-        lambda: _pressure_dict(pressure(system, potential, t=args.t, q=args.q,
-                                        n_max=args.n, budget=budget,
-                                        workers=args.workers)),
-        partial_fn=_pressure_dict)
-    return _envelope("pressure", config, result), code
+    _resolve_budget(args)
+    return _envelope(args, lambda: pressure(
+        system, potential, t=args.t, q=args.q, n_max=args.n, budget=args.budget,
+        workers=args.workers))
 
 
 def _cmd_sinf(args):
     system = _load_model_arg(args.model)
-    config = {"model": args.model, "tol": args.tol, "out": args.out}
-
-    def compute():
-        res = s_infinity(system, tol=args.tol)
-        return {"value": res.value, "method": res.method, "s_lo": res.s_lo,
-                "s_hi": res.s_hi, "certificate": res.certificate,
-                "cross_check": res.cross_check, "agree": res.agree}
-
-    result, code = _numeric_guard(compute)
-    return _envelope("sinf", config, result), code
+    return _envelope(args, lambda: s_infinity(system, tol=args.tol))
 
 
 def _cmd_root(args):
     system = _load_model_arg(args.model)
-    budget = args.budget if args.budget is not None else default_budget()
-    bracket = tuple(args.bracket) if args.bracket else None
-    config = {"model": args.model, "bracket": list(bracket) if bracket else None,
-              "tol": args.tol, "q": args.q, "n": args.n, "budget": budget,
-              "workers": args.workers, "out": args.out}
-
-    def compute():
-        res = pressure_root(system, bracket=bracket, tol=args.tol, q=args.q,
-                            n_max=args.n, budget=budget, workers=args.workers)
-        return {"value": res.value, "interval": list(res.interval),
-                "method": res.method, "residual": res.residual, "q": res.q,
-                "n_used": res.n_used,
-                "bracket": list(res.bracket) if res.bracket else None}
-
-    result, code = _numeric_guard(compute)
-    return _envelope("root", config, result), code
+    _resolve_budget(args)
+    return _envelope(args, lambda: pressure_root(
+        system, bracket=args.bracket, tol=args.tol, q=args.q, n_max=args.n,
+        budget=args.budget, workers=args.workers))
 
 
 def _cmd_spectrum(args):
@@ -273,71 +248,43 @@ def _cmd_spectrum(args):
         raise _ConfigError("--alpha-max must be >= --alpha-min")
     if args.points < 1:
         raise _ConfigError("--points must be >= 1")
-    config = {"model": args.model, "potential": args.potential,
-              "alpha_min": args.alpha_min, "alpha_max": args.alpha_max,
-              "points": args.points, "format": args.format, "out": args.out}
     grid = np.linspace(args.alpha_min, args.alpha_max, args.points)
     curve = spectrum_curve(system, potential, grid)
     if args.format == "csv":
         return _curve_csv(curve), 0
-    result = {"points": [_point_dict(pt) for pt in curve.points],
-              "transitions": curve.transitions}
-    return _envelope("spectrum", config, result), 0
+    # built by hand: each point's residual pair is split into the resid1 and
+    # resid2 columns of the CSV form
+    return _envelope(args, lambda: {
+        "points": [_point_dict(pt) for pt in curve.points],
+        "transitions": curve.transitions})
 
 
 def _cmd_flat_bounds(args):
     system = _load_model_arg(args.model)
     potential = _load_potential_arg(args.potential) if args.potential else None
-    config = {"model": args.model, "potential": args.potential, "out": args.out}
-
-    def compute():
-        fb = flat_bounds(system, potential)
-        return {"alpha_lower": fb.alpha_lower, "alpha_upper": fb.alpha_upper,
-                "q_minus": fb.q_minus, "q_plus": fb.q_plus, "delta": fb.delta}
-
-    result, code = _numeric_guard(compute)
-    return _envelope("flat-bounds", config, result), code
+    return _envelope(args, lambda: flat_bounds(system, potential))
 
 
 def _cmd_freq_dim(args):
     system = _load_model_arg(args.model)
-    freqs = _parse_floats(args.freqs, "--freqs")
-    if not freqs:
+    args.freqs = _parse_floats(args.freqs, "--freqs")
+    if not args.freqs:
         raise _ConfigError("--freqs must name at least one frequency")
-    config = {"model": args.model, "freqs": freqs, "mode": args.mode,
-              "eps": args.eps, "q": args.q, "n": args.n, "out": args.out}
-
-    def compute():
-        res = digit_frequency_dimension(system, freqs, mode=args.mode,
-                                        eps=args.eps, q=args.q, n=args.n)
-        return {"dimension": res.dimension, "s_inf": res.s_inf,
-                "alpha3": res.alpha3, "regime": res.regime}
-
-    result, code = _numeric_guard(compute)
-    return _envelope("freq-dim", config, result), code
+    return _envelope(args, lambda: digit_frequency_dimension(
+        system, args.freqs, mode=args.mode, eps=args.eps, q=args.q, n=args.n))
 
 
 def _cmd_feasible(args):
     system = _load_model_arg(args.model)
-    gamma, pots = _load_gamma_arg(args.gamma)
-    config = {"model": args.model, "gamma": gamma, "eps": args.eps,
-              "q": args.q, "n": args.n, "out": args.out}
+    args.gamma, pots = _load_gamma_arg(args.gamma)
 
     def compute():
-        rep = feasible(system, gamma, eps=args.eps, q=args.q, n=args.n,
-                       potentials=pots)
-        witness = None
-        if rep.witness is not None:
-            witness = {"level": rep.witness.level,
-                       "words": [list(w) for w in rep.witness.words],
-                       "weights": list(rep.witness.weights)}
-        return {"gamma": list(rep.gamma), "eps": rep.eps, "q": rep.q,
-                "n": rep.n, "verdict": rep.verdict,
-                "max_violation": rep.max_violation, "moments": list(rep.moments),
-                "witness": witness}
+        result = dataclasses.asdict(feasible(system, args.gamma, eps=args.eps, q=args.q,
+                                             n=args.n, potentials=pots))
+        result["witness"] = result.pop("witness")  # the envelope lists it last
+        return result
 
-    result, code = _numeric_guard(compute)
-    return _envelope("feasible", config, result), code
+    return _envelope(args, compute)
 
 
 def _cmd_verify(args):
@@ -360,28 +307,25 @@ def _cmd_sample(args):
     system = _load_model_arg(args.model)
     if (args.recipe is None) == (args.word is None):
         raise _ConfigError("provide exactly one of --recipe or --word")
-    pots = tuple(_load_potential_arg(p) for p in (args.potential or []))
-    recipe = _parse_floats(args.recipe, "--recipe") if args.recipe else None
-    word = None
+    pots = tuple(_load_potential_arg(p) for p in args.potentials)
+    args.recipe = _parse_floats(args.recipe, "--recipe") if args.recipe else None
     if args.word is not None:
         try:
-            word = [int(x) for x in args.word.split(",") if x.strip() != ""]
+            args.word = [int(x) for x in args.word.split(",") if x.strip() != ""]
         except ValueError as exc:
             raise _ConfigError(f"--word expects comma-separated digits: {exc}") from exc
-    config = {"model": args.model, "recipe": recipe, "word": word, "n": args.n,
-              "potentials": list(args.potential or []), "base": args.base,
-              "out": args.out}
 
     def compute():
-        sample = sample_orbit(system, recipe=recipe, word=word, n=args.n,
+        # built by hand: the envelope orders the fields unlike OrbitSample and
+        # sorts the frequencies by digit
+        sample = sample_orbit(system, recipe=args.recipe, word=args.word, n=args.n,
                               potentials=pots, base=args.base)
         return {"word": list(sample.word), "points": list(sample.points),
                 "frequencies": {str(k): v for k, v in sorted(sample.frequencies.items())},
                 "escape_frequency": sample.escape_frequency,
                 "averages": [list(a) for a in sample.averages]}
 
-    result, code = _numeric_guard(compute)
-    return _envelope("sample", config, result), code
+    return _envelope(args, compute)
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +348,6 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--potential", default=None,
                             help="potential JSON path or built-in name "
                                  f"({', '.join(_BUILTIN_POTENTIALS)})")
-        sp.add_argument("--out", default=None, help="write output to this file")
 
     sp = sub.add_parser("pressure", help="periodic-word pressure estimate")
     common(sp, potential=True)
@@ -457,7 +400,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run the oracle validation suite")
     sp.add_argument("--suite", choices=("all", "thermo", "spectrum", "measures"),
                     default="all")
-    sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("sample", help="deterministic orbit sampler")
     common(sp)
@@ -465,10 +407,14 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="comma-separated digit frequencies (sum <= 1)")
     sp.add_argument("--word", default=None, help="comma-separated digits")
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--potential", action="append", default=None,
+    sp.add_argument("--potential", action="append", default=[], dest="potentials",
+                    metavar="POTENTIAL",
                     help="potential for running averages (repeatable)")
     sp.add_argument("--base", type=float, default=0.5)
 
+    # last, so that every envelope's config ends with it
+    for sp in sub.choices.values():
+        sp.add_argument("--out", default=None, help="write output to this file")
     return parser
 
 
@@ -493,7 +439,7 @@ def main(argv=None) -> int:
     except _ConfigError as exc:
         print(f"thermospec: {exc}", file=sys.stderr)
         return 2
-    _emit(text, getattr(args, "out", None))
+    _emit(text, args.out)
     return code
 
 

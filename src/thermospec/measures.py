@@ -220,7 +220,7 @@ def _project_box(p, A, lo, hi):
             new = theta - t * step
             new[(w > 0) & (new * side < 0)] = 0.0
             delta = new - theta
-            with np.errstate(over="ignore", invalid="ignore"):
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 change = (np.log1p(x @ np.expm1(delta @ A)) - delta @ c
                           + w @ (np.abs(new) - np.abs(theta)))
             if change <= 1e-4 * grad @ delta or t < 1e-12:
@@ -470,7 +470,7 @@ def feasible(system: BranchSystem, gamma, eps: float = 0.0,
     except InfeasibleConstraintsError:
         return FeasibilityReport(tuple(gam), eps, q, n, "infeasible-at-truncation",
                                  math.inf, None, ())
-    if violation > eps + 1e-9 or (eps == 0 and violation > 1e-9):
+    if violation > eps + 1e-9:
         return FeasibilityReport(tuple(gam), eps, q, n, "infeasible-at-truncation",
                                  violation, None, ())
     return rep if rep is not None else report(lp_point)

@@ -366,15 +366,6 @@ def flat_bounds(system: BranchSystem, potential: Potential | None = None) -> Fla
 # flat upper-bound certificates
 
 
-def _monotone_zero(fn, increasing: bool):
-    """Zero of a monotone function of the tilt; expands from [-1, 1]."""
-    sign = 1.0 if increasing else -1.0
-    q = _root(lambda q: sign * fn(q), -1.0, 1.0, (-1e6, 1e6))[0]
-    if abs(q) >= 1e6:
-        raise ModelError("no zero of the certificate function found")
-    return q
-
-
 def flat_certificate(system: BranchSystem, potential: Potential, alpha: float,
                      delta: float | None = None) -> FlatCertificate:
     """Search for a tilt q with f(delta, q) - q alpha <= 0.
@@ -385,9 +376,12 @@ def flat_certificate(system: BranchSystem, potential: Potential, alpha: float,
     f_q = alpha; at an exactly attained extreme value of the potential the
     minimum is an unattained limit and the zero of the monotone branch is
     returned instead (for the two-block family at alpha = 1 this zero is
-    exactly q_plus).  On the continued-fraction family at delta <= 1/2 the
-    series diverges for every tilt, so no witness can exist and the
-    reported minimum is +inf.
+    exactly q_plus).  A branch without a zero gives no witness and the
+    values at its limit end: chi1 at alpha = 0 on the continued-fraction
+    family, where the increasing branch tends to log sum_{m>=2} w_m > 0.
+    On the continued-fraction family at delta <= 1/2 the series diverges
+    for every tilt, so no witness can exist and the reported minimum is
+    +inf.
     """
     _require_level1(potential)
     if delta is None:
@@ -403,13 +397,18 @@ def flat_certificate(system: BranchSystem, potential: Potential, alpha: float,
                                value_lo=math.inf, value_hi=math.inf,
                                witness=False, note=note)
 
+    def branch_zero(sign):
+        # a branch that keeps one sign leaves q at the end of the search
+        q = _root(lambda q: sign * F(q)[1], -1.0, 1.0, (-1e6, 1e6))[0]
+        return q, "zero" if abs(q) < 1e6 else "no zero"
+
     v_lo, v_hi, lo_att, hi_att = _value_range(system, potential)
     if alpha >= v_hi - 1e-12 and hi_att:
-        qhat = _monotone_zero(lambda q: F(q)[1], increasing=False)
-        note = "upper endpoint: zero of the decreasing branch"
+        qhat, found = branch_zero(-1.0)
+        note = f"upper endpoint: {found} of the decreasing branch"
     elif alpha <= v_lo + 1e-12 and lo_att:
-        qhat = _monotone_zero(lambda q: F(q)[1], increasing=True)
-        note = "lower endpoint: zero of the increasing branch"
+        qhat, found = branch_zero(1.0)
+        note = f"lower endpoint: {found} of the increasing branch"
     else:
         qhat, _ = _solve_qhat(system, potential, delta, alpha)
         note = ""

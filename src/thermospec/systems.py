@@ -59,10 +59,6 @@ class Branch:
             raise ModelError(f"branch {index}: diameter must lie in (0, 1), got {diameter}")
         return Branch(diameter=float(diameter))
 
-    @property
-    def kind(self) -> str:
-        return "linear" if self.digit is None else "analytic"
-
     def inverse(self, y: float) -> float:
         """T_i^{-1}(y) for y in [0, 1] (Moebius branches)."""
         return 1.0 / (self.digit + y)

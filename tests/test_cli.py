@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from thermospec import cli
+from thermospec import cli, thermo
 
 
 def run_cli(capsys, argv):
@@ -57,13 +57,16 @@ def test_root_doubling(capsys):
 
 
 def test_root_envelopes_match_golden(capsys, monkeypatch):
-    # byte-for-byte envelopes of the Moran, series, sandwich and enumeration
-    # roots and of the exit-3 straddle error (tests/golden/root_envelopes.json)
+    # byte-for-byte envelopes: root_envelopes.json holds the Moran, series,
+    # sandwich and enumeration roots and the exit-3 straddle error;
+    # cli_envelopes.json holds the other enveloped commands, their exit-3
+    # errors and the budget partial
     monkeypatch.delenv("THERMOSPEC_BUDGET", raising=False)
-    golden = Path(__file__).parent / "golden" / "root_envelopes.json"
-    for case in json.loads(golden.read_text(encoding="utf-8")):
-        rc, out = run_cli(capsys, case["argv"])
-        assert (rc, out) == (case["exit"], case["stdout"]), case["argv"]
+    for name in ("root_envelopes.json", "cli_envelopes.json"):
+        golden = Path(__file__).parent / "golden" / name
+        for case in json.loads(golden.read_text(encoding="utf-8")):
+            rc, out = run_cli(capsys, case["argv"])
+            assert (rc, out) == (case["exit"], case["stdout"]), case["argv"]
 
 
 def test_spectrum_csv_row_count(capsys):
@@ -175,11 +178,17 @@ def test_outputs_are_deterministic(capsys):
     assert first == second
 
 
-def test_worker_count_does_not_change_results(capsys):
-    base = ["pressure", "--model", "gauss", "--t", "1.0", "--q", "20", "--n", "3"]
-    _, out1 = run_cli(capsys, base + ["--workers", "1"])
-    _, out4 = run_cli(capsys, base + ["--workers", "4"])
-    assert json.loads(out1)["result"] == json.loads(out4)["result"]
+def test_worker_count_does_not_change_results(capsys, monkeypatch):
+    # level 4 at q = 30 is two blocks, so the thread pool runs; a fresh level
+    # cache per worker count keeps the 4-worker call from reading the arrays
+    # of the 1-worker call
+    base = ["pressure", "--model", "gauss", "--t", "1.0", "--q", "30", "--n", "4"]
+    results = []
+    for workers in ("1", "4"):
+        monkeypatch.setattr(thermo, "_LEVEL_CACHE", thermo._ArrayCache())
+        _, out = run_cli(capsys, base + ["--workers", workers])
+        results.append(json.loads(out)["result"])
+    assert results[0] == results[1]
 
 
 def test_missing_model_exit_2(capsys):
@@ -213,6 +222,19 @@ def test_unknown_command_exits_2(capsys):
         cli.main(["frobnicate"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_bad_budget_environment_exit_2(capsys, monkeypatch):
+    for raw in ("abc", "0"):
+        monkeypatch.setenv("THERMOSPEC_BUDGET", raw)
+        for argv in (["pressure", "--model", "doubling"], ["root", "--model", "gauss"]):
+            rc = cli.main(argv)
+            captured = capsys.readouterr()
+            assert (rc, captured.out) == (2, ""), (raw, argv)
+            assert "THERMOSPEC_BUDGET" in captured.err
+        # an explicit budget never reads the environment
+        rc, out = run_cli(capsys, ["pressure", "--model", "doubling", "--budget", "100"])
+        assert rc == 0 and json.loads(out)["config"]["budget"] == 100
 
 
 def test_budget_exhaustion_exit_3(capsys):

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -243,6 +244,17 @@ def test_feasible_detects_unreachable_moment():
     rep = ts.feasible(g, [1.5], q=30)
     assert rep.verdict.startswith("infeasible")
     assert rep.max_violation > 0
+    assert rep.witness is None
+
+
+def test_feasible_is_silent_on_an_unreachable_box():
+    # digit frequencies 0.2 and 0.3 of the doubling map cannot sum to 1; the
+    # Armijo steps of the box projection meet log1p(-1) on the way there
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = ts.feasible(ts.doubling_system(), (0.2, 0.3), eps=0.01)
+    assert rep.verdict == "infeasible-at-truncation"
+    assert rep.max_violation == pytest.approx(0.24, abs=1e-9)
     assert rep.witness is None
 
 

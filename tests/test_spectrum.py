@@ -77,8 +77,6 @@ def test_root_helper_widens_and_clamps():
     assert root(lambda x: x + 1000.0, -1.0, 1.0, (-700.0, 700.0)) == (-700.0,) * 3
     assert root(lambda x: x - 1000.0, -1.0, 1.0, (-700.0, 700.0)) == (700.0,) * 3
     assert root(lambda x: x - 2.0, 0.0, 1.0) == (1.0,) * 3  # no widening without limits
-    with pytest.raises(ts.ModelError):
-        spectrum._monotone_zero(lambda q: 1.0, increasing=True)
 
 
 def test_legendre_doubling_interior(chi1):
@@ -211,6 +209,19 @@ def test_flat_certificate_attained_endpoints(flat, chi1):
     bot = ts.flat_certificate(flat, chi1, 0.0)
     assert bot.witness
     assert bot.qhat == pytest.approx(Q_MINUS, abs=1e-6)
+
+
+def test_flat_certificate_lower_endpoint_without_zero(chi1):
+    # on the Gauss map the increasing branch q -> f(delta, q) tends to the
+    # sum over the digits m >= 2 as q -> -inf: log(zeta(2 delta, 3)) with the
+    # lower weights (m+1)^(-2 delta), log(zeta(2 delta, 2)) with the upper
+    for delta in (0.6, 0.75):
+        cert = ts.flat_certificate(ts.gauss_system(), chi1, 0.0, delta)
+        assert not cert.witness and cert.qhat is None
+        assert cert.note == "lower endpoint: no zero of the increasing branch"
+        assert cert.value_lo == pytest.approx(float(mpmath.log(mpmath.zeta(2 * delta, 3))), abs=1e-12)
+        assert cert.value_hi == pytest.approx(float(mpmath.log(mpmath.zeta(2 * delta, 2))), abs=1e-12)
+        assert cert.value_lo > 0.0
 
 
 def test_flat_certificate_interior_window(flat, chi1):

@@ -115,13 +115,18 @@ def test_default_budget_env(monkeypatch):
     assert ts.default_budget() == 100_000_000
 
 
-def test_pressure_workers_bit_identical():
+def test_pressure_workers_bit_identical(monkeypatch):
+    # level 4 at q = 30 is two blocks, so the thread pool runs; a fresh level
+    # cache per worker count keeps each call from reading the arrays of the
+    # one before
     g = ts.gauss_system()
-    base = ts.pressure(g, t=1.0, q=25, n_max=3, workers=1)
-    for w in (4, 8):
-        est = ts.pressure(g, t=1.0, q=25, n_max=3, workers=w)
-        assert est.values == base.values
-        assert est.bracket == base.bracket
+    ests = []
+    for w in (1, 4, 8):
+        monkeypatch.setattr(thermo, "_LEVEL_CACHE", thermo._ArrayCache())
+        ests.append(ts.pressure(g, t=1.0, q=30, n_max=4, workers=w))
+    for est in ests[1:]:
+        assert est.values == ests[0].values
+        assert est.bracket == ests[0].bracket
 
 
 def test_level_arrays_invariant_to_worker_count(monkeypatch):
