@@ -5,6 +5,8 @@ of level sets of Birkhoff averages."""
 
 __version__ = "0.1.0"
 
+from importlib import import_module as _import_module
+
 from .errors import (
     BracketError,
     BudgetExceededError,
@@ -96,19 +98,30 @@ from .spectrum import (
     legendre_solve,
     spectrum_curve,
 )
-from .oracle import (
-    OracleReport,
-    OrbitSample,
-    besicovitch_eggleston,
-    canonical_cylinder,
-    cf_cylinder_diameter_exact,
-    cf_cylinder_matrix,
-    cf_orbit_log_deriv,
-    cf_periodic_point,
-    moran_root,
-    sample_orbit,
-    truncation_ladder_check,
-    verification_suite,
+
+# the verification suite (``oracle``) loads on first use of one of its names
+_ORACLE_NAMES = (
+    "OracleReport",
+    "OrbitSample",
+    "besicovitch_eggleston",
+    "canonical_cylinder",
+    "cf_cylinder_diameter_exact",
+    "cf_cylinder_matrix",
+    "cf_orbit_log_deriv",
+    "cf_periodic_point",
+    "moran_root",
+    "sample_orbit",
+    "truncation_ladder_check",
+    "verification_suite",
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+
+def __getattr__(name):
+    if name == "oracle" or name in _ORACLE_NAMES:
+        oracle = _import_module(".oracle", __name__)
+        return oracle if name == "oracle" else getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = sorted([name for name in dir() if not name.startswith("_")]
+                 + ["oracle", *_ORACLE_NAMES])

@@ -25,7 +25,6 @@ import numpy as np
 from . import __version__
 from .errors import BudgetExceededError, ThermospecError
 from .measures import digit_frequency_dimension, feasible
-from .oracle import sample_orbit, verification_suite
 from .spectrum import flat_bounds, spectrum_curve
 from .systems import load_model, load_potential
 from .thermo import default_budget, pressure, pressure_root, s_infinity
@@ -288,6 +287,8 @@ def _cmd_feasible(args):
 
 
 def _cmd_verify(args):
+    from .oracle import verification_suite  # the suite loads only when it runs
+
     reports = verification_suite(args.suite)
     width = max(len(r.quantity) for r in reports)
     lines = [f"{'status':<6} {'quantity':<{width}} {'oracle':>24} "
@@ -304,6 +305,8 @@ def _cmd_verify(args):
 
 
 def _cmd_sample(args):
+    from .oracle import sample_orbit
+
     system = _load_model_arg(args.model)
     if (args.recipe is None) == (args.word is None):
         raise _ConfigError("provide exactly one of --recipe or --word")

@@ -854,20 +854,27 @@ class LogDerivPotential(Potential):
                 "log|T'| is not locally constant on analytic systems")
         return -math.log(b.diameter)
 
-    def birkhoff_sums(self, system, cols):
+    def birkhoff_sums(self, system, cols, out=None):
         """On analytic systems, log|(T^n)'| at each word's periodic point in
         closed form (Jenkinson & Pollicott, ETDS 21, 2001): 2 log mu, with
         mu = T/2 + sqrt(T^2/4 - (-1)^n) the expanding eigenvalue of the
         product of [[0, 1], [1, m_j]] over the physical digits and T =
         K(m_1..m_n) + K(m_2..m_{n-1}) its continuant trace.  The product
         [[a, b], [c, d]] of all digits but the last is scaled by exact powers
-        of two, 2^-e in all, once d reaches 2^128 (no overflow below digits
-        of about 1e154); the last digit closes the half trace (b + c + d m_n)
-        2^-e / 2.  Columns may broadcast, as prefix digits (P, 1) against last
-        digits (1, q): every step before the trace runs on P elements.
+        of two, 2^-e in all, once d reaches 2^128; the last digit closes the
+        half trace y = (b + c + d m_n) 2^-e / 2.  Where y^2 overflows (digits
+        above about 1e154) mu is 2y, which it equals in floats there.
+        Columns may broadcast, as prefix digits (P, 1) against last digits
+        (1, q): every step before the trace runs on P elements.  y is the one
+        temporary of the full shape; mu and its logarithm are written into
+        ``out`` when it is given (it must have that shape).
         """
         if is_linear(system):
-            return super().birkhoff_sums(system, cols)
+            sums = super().birkhoff_sums(system, cols)
+            if out is None:
+                return sums
+            out[...] = sums
+            return out
         *head, last = [c + float(system.offset) for c in cols]
         a, b, c, d, e = 1.0, 0.0, 0.0, 1.0, 0
         for m in head:
@@ -877,10 +884,13 @@ class LogDerivPotential(Potential):
             e = e + k
         y = 0.5 * d * last
         y += 0.5 * (b + c)
-        mu = y * y
+        with np.errstate(over="ignore"):
+            mu = np.multiply(y, y, out=out)
         mu -= np.ldexp((-1.0) ** len(cols), -2 * e)
         np.sqrt(mu, out=mu)
         mu += y
+        if np.max(d) * np.max(last) + np.max(b + c) > 2.0 ** 512:  # y^2 may overflow
+            np.multiply(y, 2.0, out=mu, where=np.isinf(mu))
         np.log(mu, out=mu)
         mu *= 2.0
         mu += 2 * e * _LN2_LO  # e log 2 in two parts, the larger one exact

@@ -65,6 +65,7 @@ _CHUNK = 1 << 19
 _LOG_DERIV = log_deriv_potential()
 _FALLBACK_BUDGET = 100_000_000
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 
 def default_budget() -> int:
@@ -89,7 +90,9 @@ class _ArrayCache:
     """Per-level arrays, up to ``slots`` of each kind, oldest out first.
 
     L, the log|T'| sums, does not depend on the potential and is keyed by
-    (system, q, n); phi is keyed by (system, potential, q, n).
+    (system, q, n); phi is keyed by (system, potential, q, n).  Each L is
+    a ``_LevelArray``: it carries its per-chunk minima, found once when it
+    is built, which let ``_log_partition`` skip the maximum search.
     """
 
     def __init__(self, slots: int = 4):
@@ -121,14 +124,46 @@ class _ArrayCache:
 _LEVEL_CACHE = _ArrayCache()
 
 
+class _LevelArray(np.ndarray):
+    """A level's L with ``minima``: for the k-th ``_CHUNK`` of L, its least
+    value and the indices (within the chunk) of the values at most a
+    relative 2^-40 above it, or None for those indices when the minimum is
+    not finite or more than ``_NEAR_MAX`` values are that close (a constant
+    L, as log|T'| on the doubling map, would hold an index per word).
+    Slices, copies and other views have ``minima`` None."""
+
+    minima = None
+
+
+_NEAR_MAX = 64
+
+
+def _with_minima(L):
+    """L as a ``_LevelArray`` carrying its per-chunk minima."""
+    minima = []
+    for i in range(0, len(L), _CHUNK):
+        part = L[i:i + _CHUNK]
+        lo = float(part.min())
+        near = None
+        if math.isfinite(lo):
+            near = np.flatnonzero(part <= lo + abs(lo) * 2.0 ** -40)
+            near = near if len(near) <= _NEAR_MAX else None
+        minima.append((lo, near))
+    L = L.view(_LevelArray)
+    L.minima = tuple(minima)
+    return L
+
+
 def _build_level_arrays(system, potential, q, n, workers, L=None):
     """(L, phi): summed log-derivatives and potential sums per word.
 
     Each block is as many whole (n-1)-prefixes as fit in ``_CHUNK`` words,
     at least one, as columns of shape (P, 1) against the q last digits as
-    (1, q), so prefix-only steps run on P elements.  Blocks depend only on
-    (q, n), so the result is identical for any worker count.  A given L is
-    reused and only phi is built; for the log|T'| potential phi is L itself.
+    (1, q), so prefix-only steps run on P elements, and L's block is
+    written in place.  Blocks depend only on (q, n), so the result is
+    identical for any worker count.  A new L gets its per-chunk minima
+    (``_with_minima``); a given L is reused and only phi is built; for the
+    log|T'| potential phi is L itself.
     """
     total, block = q ** n, max(1, _CHUNK // q)
     needs_L = L is None
@@ -142,7 +177,7 @@ def _build_level_arrays(system, potential, q, n, workers, L=None):
         cols = [p[:, None] for p in prefixes.T] + [np.arange(1, q + 1)[None, :]]
         words = slice(first * q, (first + len(prefixes)) * q)
         if needs_L:
-            L[words] = _LOG_DERIV.birkhoff_sums(system, cols).ravel()
+            _LOG_DERIV.birkhoff_sums(system, cols, out=L[words].reshape(-1, q))
         if needs_phi:
             phi[words] = potential.birkhoff_sums(system, cols).ravel()
 
@@ -154,6 +189,8 @@ def _build_level_arrays(system, potential, q, n, workers, L=None):
         for s in starts:
             fill(s)
 
+    if needs_L:
+        L = _with_minima(L)
     if potential == _LOG_DERIV:
         phi = L
     return L, phi
@@ -167,12 +204,31 @@ def _log_partition(L, phi, t):
     once per pass, and each chunk's log-sum-exp is folded into the total in
     index order with ``np.logaddexp``.  Exponents are elementwise, and the
     chunks and the folding order are fixed, so the buffers change no bit.
+
+    The one special case: with phi None, t > 0 and L a ``_LevelArray``,
+    rounding is monotone, so a chunk's largest exponent is exactly
+    fl(-t min L) and its maxima lie among the stored near-minimal indices.
+    The chunk then skips ``_logsumexp``'s maximum search and mask and does
+    the rest of its arithmetic, bit for bit.  A chunk falls back to
+    ``_logsumexp`` when its minimum is not finite, its near-minimal
+    indices were not stored, or fl(-t min L) is not a normal float.
     """
+    minima = L.minima if phi is None and t > 0 and isinstance(L, _LevelArray) else None
     buf, mask = np.empty(min(_CHUNK, len(L))), np.empty(min(_CHUNK, len(L)), bool)
-    for i in range(0, len(L), _CHUNK):
+    for k, i in enumerate(range(0, len(L), _CHUNK)):
         s = slice(i, i + _CHUNK)
         a = np.multiply(L[s], -t, out=buf[:len(L[s])])
-        part = _logsumexp(a if phi is None else np.add(phi[s], a, out=a), mask[:len(a)])
+        lo, near = minima[k] if minima else (math.nan, None)
+        a_max = lo * -t
+        if near is not None and _TINY <= abs(a_max) < math.inf:
+            top = near[a[near] == a_max]
+            a -= a_max
+            np.exp(a, out=a)
+            a[top] = 0.0
+            m = float(len(top))
+            part = float(np.log1p(a.sum() / m) + np.log(m) + a_max)
+        else:
+            part = _logsumexp(a if phi is None else np.add(phi[s], a, out=a), mask[:len(a)])
         out = part if i == 0 else np.logaddexp(out, part)
     return float(out)
 
@@ -700,6 +756,19 @@ def _root_series(system, bracket, tol):
 
 
 def _root_analytic(system, bracket, tol, q, n_max, budget, workers):
+    """Root on the continued-fraction family: Hurwitz sandwich plus levels.
+
+    log Z_n(t) is computed at most once per (t, level) and only where it
+    can be used.  The point value needs every level (Aitken).  A certified
+    bound evaluates level n only when the level's a-priori range could
+    move it: for t > 0, S_lo_q^n <= Z_n <= S_q^n, with S_q the sum of
+    m^-2t over the words' digits m = N..N+q-1 and S_lo_q over N+1..N+q.
+    The level's lower term is then at most log S_q - V_n/n and its upper
+    term at least its completion from n log S_lo_q + V_n.  The level is
+    skipped only when that range misses the bound so far by more than
+    1e-12 max(1, |bound|), so the bound keeps every bit; at t <= 0 or when
+    a sum is not finite every level is evaluated.
+    """
     if not has_gauss_tail(system):
         raise ModelError("analytic root finding is implemented for the continued-fraction family")
     N = 1 + system.offset  # first physical digit
@@ -722,33 +791,41 @@ def _root_analytic(system, bracket, tol, q, n_max, budget, workers):
     levels = [_LEVEL_CACHE.get(system, None, q, n, workers) for n in range(1, n_eff + 1)]
 
     @functools.cache
-    def log_partitions(t):  # log Z_n(t) for n = 1..n_eff, one pass each
-        return [_log_partition(L, phi, t) for L, phi in levels]
+    def log_partition(t, n):  # log Z_n(t), one pass per (t, level)
+        return _log_partition(*levels[n - 1], t)
 
-    def certified(t):
+    def certified(t, upper):
         # sandwich: sup derivative weights m^-2t above, inf weights below
-        S_full = _zeta_tail(2.0 * t, N)
-        lows = [_log(_zeta_tail(2.0 * t, N + 1))]
-        highs = [_log(S_full)]
-        if levels:
-            S_q = S_full - _zeta_tail(2.0 * t, N + q)
-            for n, logZ in enumerate(log_partitions(t), 1):
-                V = _variation_total(system, None, t, n)
-                lows.append((logZ - V) / n)
-                missing = max(S_full ** n - S_q ** n, 0.0)
-                completed = np.logaddexp(logZ + V, _log(missing))
-                highs.append(float(completed) / n)
-        return max(lows), min(highs)
+        S_full, S_lo = _zeta_tail(2.0 * t, N), _zeta_tail(2.0 * t, N + 1)
+        terms = [_log(S_full if upper else S_lo)]
+        if not levels:
+            return terms[0]
+        # the words' digits are N..N+q-1 and m^2 <= |T'| <= (m+1)^2 on
+        # digit m, so S_lo_q^n <= Z_n <= S_q^n for t > 0
+        S_q = S_full - _zeta_tail(2.0 * t, N + q)
+        S_lo_q = S_lo - _zeta_tail(2.0 * t, N + q + 1)
+        lazy = t > 0 and all(map(math.isfinite, (S_full, S_q, S_lo_q)))
+        for n in range(1, len(levels) + 1):
+            V = _variation_total(system, None, t, n)
+            bound = min(terms) if upper else max(terms)
+            slack = 1e-12 * max(1.0, abs(bound))
+            if upper:
+                missing = _log(max(S_full ** n - S_q ** n, 0.0))
+                least = float(np.logaddexp(n * _log(S_lo_q) + V, missing)) / n
+                if not (lazy and least > bound + slack):
+                    terms.append(float(np.logaddexp(log_partition(t, n) + V, missing)) / n)
+            elif not (lazy and _log(S_q) - V / n < bound - slack):
+                terms.append((log_partition(t, n) - V) / n)
+        return min(terms) if upper else max(terms)
 
     def point(t):
         if not levels:
             return _log_series(system, t)[1]
-        est = _aitken([logZ / n for n, logZ in enumerate(log_partitions(t), 1)])
-        c_lo, c_hi = certified(t)
-        return min(max(est, c_lo), c_hi)
+        est = _aitken([log_partition(t, n) / n for n in range(1, len(levels) + 1)])
+        return min(max(est, certified(t, False)), certified(t, True))
 
     value, interval = _certified_root(
-        lambda t: certified(t)[0], point, lambda t: certified(t)[1],
+        lambda t: certified(t, False), point, lambda t: certified(t, True),
         lo, hi, min(tol, 1e-10), 1e-12)
     return RootResult(value=value, interval=interval,
                       method="enumeration" if levels else "level1-sandwich",

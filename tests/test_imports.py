@@ -45,3 +45,29 @@ def test_package_runs_without_loading_scipy():
     assert list(seen) == ["import", "restricted root", "flat_bounds",
                           "maximize_ratio", "feasible"]
     assert seen == {step: [] for step in seen}
+
+
+_LAZY_ORACLE = r"""
+import json, sys
+import thermospec as ts
+import thermospec.cli
+seen = {"import": "thermospec.oracle" in sys.modules}
+names = [ts.verification_suite.__name__, ts.sample_orbit.__name__]
+seen["after use"] = "thermospec.oracle" in sys.modules
+seen["names"] = names
+seen["all"] = "verification_suite" in ts.__all__ and "oracle" in ts.__all__
+print(json.dumps(seen))
+"""
+
+
+def test_oracle_loads_on_first_use():
+    # the verification suite is not part of a plain import, of the package
+    # or of the command line, and its names still resolve from the package
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", _LAZY_ORACLE], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert seen == {"import": False, "after use": True,
+                    "names": ["verification_suite", "sample_orbit"], "all": True}

@@ -386,6 +386,28 @@ def test_log_deriv_sums_match_continued_fraction_oracle():
                 assert abs((mp.mpf(float(value)) - exact) / exact) <= bound, (N, w)
 
 
+def test_log_deriv_sums_past_the_square_overflow():
+    # above digits of about 1e154 the half trace's square overflows; there
+    # mu = 2y, both for flat word columns and for the level arrays' prefix
+    # blocks, and the pressure stays finite
+    import mpmath as mp
+    from thermospec.oracle import cf_orbit_log_deriv
+    g = ts.gauss_system()
+    pot = ts.log_deriv_potential()
+    words = [(1,), (2,), (7,), (1, 1), (1, 3), (5, 2), (9, 9)]
+    for N in (10**160, 10**200, 10**300):
+        sub = ts.restricted_system(g, N)
+        flat = [(w, pot.birkhoff_sums(sub, [np.array([m]) for m in w])[0]) for w in words]
+        L, _ = thermo._build_level_arrays(sub, None, 3, 2, 1)
+        blocks = zip((tuple(map(int, w)) for w in systems._decode_words(3, 2)), L)
+        for w, value in flat + list(blocks):
+            exact = cf_orbit_log_deriv(tuple(m + N - 1 for m in w))
+            assert abs((mp.mpf(float(value)) - exact) / exact) <= 1e-15, (N, w)
+    est = ts.pressure(ts.restricted_system(g, 10**160), t=0.6, q=3, n_max=2)
+    lo, hi = est.bracket
+    assert -442.0 < lo <= hi < -440.0
+
+
 def test_birkhoff_sum_counts_matches():
     sys2 = ts.doubling_system()
     chi1 = ts.indicator_potential(1)

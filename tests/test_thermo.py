@@ -1,6 +1,7 @@
 """Pressure estimates, critical exponents and pressure roots."""
 
 import ast
+import hashlib
 import math
 import tracemalloc
 from pathlib import Path
@@ -137,9 +138,9 @@ def test_level_arrays_invariant_to_worker_count(monkeypatch):
     shapes = []
     real = ts.LogDerivPotential.birkhoff_sums
 
-    def recording(self, system, cols):
+    def recording(self, system, cols, **kwargs):
         shapes.append(np.broadcast_shapes(*(np.shape(c) for c in cols)))
-        return real(self, system, cols)
+        return real(self, system, cols, **kwargs)
 
     for q, n in ((30, 4), (200, 3)):
         monkeypatch.setattr(ts.LogDerivPotential, "birkhoff_sums", recording)
@@ -226,6 +227,145 @@ def test_log_partition_streams_chunks():
                 tracemalloc.stop()
             assert np.float64(value).tobytes() == np.float64(expected).tobytes()
             assert peak < 9 * chunk + 65_536
+
+
+@pytest.mark.parametrize("system, q, n, digest", [
+    (ts.gauss_system(), 200, 3,
+     "8b15c81462b220101b6da4530580d1139010954d94f0b864c0b819e78d33890c"),
+    (ts.gauss_system(), 30, 4,  # two blocks
+     "6601e960a650d268b59b0ec807574474571e70887bf47e25740fea8d9b36de56"),
+    (ts.restricted_system(ts.gauss_system(), 20), 50, 3,
+     "a590c060aef057cb897b8b0092523e31e6e0d9aff5cab42cddd2c92869bb0d68"),
+    (ts.powerlog_system([0.3], c=0.5, a=2.0), 6, 3,  # linear: summed per digit
+     "edbfaf20dc9417bfe835e8670af05b689c76c104851512aba992fab51a4ec1c1"),
+])
+def test_level_array_bits_pinned(system, q, n, digest):
+    # L written in place, block by block, keeps the bits of the copied blocks
+    L, _ = thermo._build_level_arrays(system, None, q, n, 1)
+    assert hashlib.sha256(L.tobytes()).hexdigest() == digest
+
+
+def test_level_array_build_holds_one_block_beyond_L():
+    # the half-trace scratch (one 524,200-word block) is all the level-3
+    # build holds beyond L; the copied blocks held twice that
+    g = ts.gauss_system()
+    tracemalloc.start()
+    try:
+        L, _ = thermo._build_level_arrays(g, None, 200, 3, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - L.nbytes < 6_000_000
+
+
+def _chunk_fold(L, phi, t):
+    chunk = thermo._CHUNK
+    parts = [_logsumexp(-t * L[i:i + chunk] if phi is None
+                        else phi[i:i + chunk] - t * L[i:i + chunk])
+             for i in range(0, L.size, chunk)]
+    out = parts[0]
+    for part in parts[1:]:
+        out = np.logaddexp(out, part)
+    return float(out)
+
+
+def _same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def test_log_partition_minima_path_bit_identical():
+    # three chunks (the last partial), each with repeated minima and values
+    # one and two ulps above them, whose exponents round to the maximum at
+    # small t: the stored near-minimal indices find every tie
+    chunk = thermo._CHUNK
+    rng = np.random.default_rng(5)
+    L = rng.uniform(2.0, 40.0, 2 * chunk + 1000)
+    for start, lo in ((0, 1.955), (chunk, 1.729), (2 * chunk, 0.99)):
+        at = start + rng.choice(min(chunk, L.size - start), 12, replace=False)
+        L[at[:4]] = lo
+        L[at[4:8]] = np.nextafter(lo, np.inf)
+        L[at[8:]] = np.nextafter(np.nextafter(lo, np.inf), np.inf)
+    Lm = thermo._with_minima(L.copy())
+    assert all(near is not None and len(near) == 12 for _, near in Lm.minima)
+    ties = []
+    for t in (1e-3, 0.5, 1.0, 7.0):
+        assert _same_bits(thermo._log_partition(Lm, None, t), _chunk_fold(L, None, t))
+        ties.append([int(np.count_nonzero(a == a.max()))
+                     for a in (-t * L[i:i + chunk] for i in range(0, L.size, chunk))])
+    # values above a minimum round onto the maximum: chunk 0 at t = 1e-3,
+    # chunk 1 at t = 7
+    assert ties[0][0] > 4 and ties[3][1] > 4
+
+
+def test_log_partition_minima_fallbacks_bit_identical():
+    # every case the minima cannot serve takes the per-chunk _logsumexp
+    chunk = thermo._CHUNK
+    rng = np.random.default_rng(6)
+    base = rng.uniform(2.0, 40.0, chunk + 500)
+    phi = rng.uniform(-1.0, 1.0, base.size)
+    cases = [(base, phi, 0.8),  # phi given
+             (base, None, 0.0), (base, None, -0.5),  # t <= 0
+             (base, None, 1e-320), (base, None, 1e308)]  # t min L not normal
+    zero = base.copy()
+    zero[3] = 0.0  # minimum 0: fl(-t min L) = 0
+    cases.append((zero, None, 1.0))
+    for bad in (-np.inf, np.nan):  # minimum not finite
+        L = base.copy()
+        L[chunk + 7] = bad
+        cases.append((L, None, 1.0))
+    crowded = base.copy()
+    crowded[:thermo._NEAR_MAX + 1] = 1.5  # too many near-minimal indices
+    cases.append((crowded, None, 1.0))
+    for L, p, t in cases:
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = thermo._log_partition(thermo._with_minima(L.copy()), p, t)
+            assert _same_bits(value, _chunk_fold(L, p, t)), (p is None, t)
+    assert thermo._with_minima(crowded.copy()).minima[0][1] is None
+
+
+def test_level_partitions_within_their_a_priori_range():
+    # the skip rule of the enumeration root: on physical digits N..N+q-1,
+    # m^2 <= |T'| <= (m+1)^2 gives S_lo^n <= Z_n(t) <= S_hi^n for t > 0
+    g = ts.gauss_system()
+    for N, q in ((1, 30), (10, 20), (10**6, 10)):
+        system = g if N == 1 else ts.restricted_system(g, N)
+        for n in (1, 2, 3):
+            L, phi = thermo._LEVEL_CACHE.get(system, None, q, n, 1)
+            for t in (0.55, 1.0, 3.0):
+                S_hi = thermo._zeta_tail(2 * t, N) - thermo._zeta_tail(2 * t, N + q)
+                S_lo = thermo._zeta_tail(2 * t, N + 1) - thermo._zeta_tail(2 * t, N + q + 1)
+                logZ = thermo._log_partition(L, phi, t)
+                slack = 1e-12 * max(1.0, abs(logZ))
+                assert n * math.log(S_lo) - slack <= logZ <= n * math.log(S_hi) + slack
+
+
+def test_pressure_root_criterion_2_bits_and_level_passes(monkeypatch):
+    # a level pass runs only where a bound or the point value can use it:
+    # near the lower end the level-1 Hurwitz term already wins max(lows),
+    # so its solve makes no level-3 pass (11 such passes before, 7 now)
+    seen = []
+    real = thermo._log_partition
+
+    def counting(L, phi, t):
+        seen.append((t, len(L)))
+        return real(L, phi, t)
+
+    monkeypatch.setattr(thermo, "_log_partition", counting)
+    g = ts.gauss_system()
+    res = ts.pressure_root(g, bracket=(0.8, 1.2), q=200, n_max=4)
+    assert res.value.hex() == "0x1.feb062408fa75p-1"
+    assert [x.hex() for x in res.interval] == ["0x1.ba88a01dd1180p-1",
+                                               "0x1.3333333333333p+0"]
+    assert res.n_used == 3
+    level3 = [t for t, size in seen if size == 200 ** 3]
+    assert len(level3) == len(set(level3)) == 7
+    seen.clear()
+    res = ts.pressure_root(g, q=200, n_max=4)
+    assert res.value.hex() == "0x1.feb062408d8e1p-1"
+    assert [x.hex() for x in res.interval] == ["0x1.ba88a01dd052dp-1",
+                                               "0x1.0000000000000p+1"]
+    level3 = [t for t, size in seen if size == 200 ** 3]
+    assert len(level3) == len(set(level3)) == 9
 
 
 def test_locally_constant_bracket_flat_series():
