@@ -110,6 +110,7 @@ _ORACLE_NAMES = (
     "cf_orbit_log_deriv",
     "cf_periodic_point",
     "moran_root",
+    "powerlog_series",
     "sample_orbit",
     "truncation_ladder_check",
     "verification_suite",

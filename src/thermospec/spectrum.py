@@ -21,7 +21,6 @@ import functools
 import math
 from dataclasses import dataclass, replace
 
-import mpmath
 import numpy as np
 
 from .errors import (
@@ -347,6 +346,8 @@ def flat_bounds(system: BranchSystem, potential: Potential | None = None) -> Fla
     def tangency(q):
         Ke = K * math.exp(q)
         return math.log(Ke + C) - q * Ke / (Ke + C)
+
+    import mpmath  # the 30-digit edges and the verification suite load it, nothing else
 
     def alpha_at(q):
         with mpmath.workdps(30):

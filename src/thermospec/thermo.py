@@ -389,9 +389,18 @@ def _level1_head(system: BranchSystem, potential: Potential):
     digits, so they are None on linear systems.  With more than 512
     distinct values the head stays ungrouped in digit order: uvals are the
     per-digit values and edges is None.
+
+    A finite system's head is all of it.  On a linear system whose
+    potential is one constant past the explicit head (equal
+    ``tail_bounds``) the head is that explicit head, at least one digit,
+    and ``diam_series`` carries every later digit; otherwise the first
+    ``_PLC_HEAD`` digits are explicit.
     """
-    count = system.branch_count()
-    H = count if count is not None else _PLC_HEAD
+    H = system.branch_count()
+    if H is None:
+        H = max(1, len(system.head))
+        if not (is_linear(system) and len(set(potential.tail_bounds(system, H))) == 1):
+            H = _PLC_HEAD
     logd = np.log(diameters(system, H))
     vals = level1_values(system, potential, H)
     digits = None if is_linear(system) else np.arange(1, H + 1, dtype=float) + system.offset
@@ -412,10 +421,11 @@ def _series_groups(system: BranchSystem, potential: Potential, t: float):
     tail on linear systems; on the continued-fraction family the
     derivative-range surrogates m^(-2t) for the point and upper values and
     (m+1)^(-2t) for the lower one, with Hurwitz tails, which bracket it.
-    Returns (values, logS_lo, logS, p_lo, p_hi, logT_lo, logT, logT_hi): the
-    distinct potential values, their lower and point log-weights (the same
-    array on linear systems), the potential's tail bounds and the logs of
-    the lower, point and upper tail sums (None entries for finite systems).
+    Returns (H, values, logS_lo, logS, p_lo, p_hi, logT_lo, logT, logT_hi):
+    the head length, the distinct potential values, their lower and point
+    log-weights (the same array on linear systems), the potential's tail
+    bounds and the logs of the lower, point and upper tail sums (None
+    entries for finite systems).
     """
     H, _, _, uvals, edges, glogd, digits = _level1_head(system, potential)
 
@@ -431,7 +441,7 @@ def _series_groups(system: BranchSystem, potential: Potential, t: float):
         logS_lo = grouped(-2.0 * t * np.log(digits + 1.0))
         logS = grouped(-2.0 * t * np.log(digits))
     if system.tail is None:
-        return uvals, logS_lo, logS, None, None, None, None, None
+        return H, uvals, logS_lo, logS, None, None, None, None, None
     p_lo, p_hi = potential.tail_bounds(system, H)
     if digits is None:
         logT_lo, logT_hi = map(_log, diam_series(system, t, start=H + 1))
@@ -440,7 +450,7 @@ def _series_groups(system: BranchSystem, potential: Potential, t: float):
         first = H + 1 + system.offset
         logT_lo = _log(_zeta_tail(2.0 * t, first + 1))
         logT = logT_hi = _log(_zeta_tail(2.0 * t, first))
-    return uvals, logS_lo, logS, p_lo, p_hi, logT_lo, logT, logT_hi
+    return H, uvals, logS_lo, logS, p_lo, p_hi, logT_lo, logT, logT_hi
 
 
 def _f_alpha(system, potential, t, q):
@@ -449,9 +459,11 @@ def _f_alpha(system, potential, t, q):
     f_lo <= f_hi is the certified bracket, and f the point value: it folds
     the tail into one synthetic group, so the reported alpha is exactly the
     q-derivative of the reported f and stationarity residuals measure
-    solver closure alone.  A divergent tail gives (inf, inf, inf, nan).
+    solver closure alone.  On linear systems with a tail the bracket also
+    covers the rounding of the head sum.  A divergent tail gives
+    (inf, inf, inf, nan).
     """
-    uvals, logS_lo, logS, p_lo, p_hi, logT_lo, logT, logT_hi = _series_groups(
+    H, uvals, logS_lo, logS, p_lo, p_hi, logT_lo, logT, logT_hi = _series_groups(
         system, potential, t)
     if p_lo is not None and math.isinf(logT_hi):
         return math.inf, math.inf, math.inf, math.nan
@@ -461,9 +473,17 @@ def _f_alpha(system, potential, t, q):
     if p_lo is None:
         weights = np.exp(terms - head)
         return head_lo, head, head, float(weights @ uvals)
+    head_hi = head
+    if logS_lo is logS:
+        # linear: the tail bracket is narrow to rounding, so the head sum's
+        # own rounding joins it.  Each exponent x_i = q phi(i) + t log diam
+        # is rounded relative to |x_i|, and with weights w_i = e^(x_i - head)
+        # sum_i w_i |x_i| <= |head| + log H
+        slack = _EPS * (2.0 * (abs(head) + math.log(H)) + math.log2(H) + 2.0)
+        head_lo, head_hi = head - slack, head + slack
     lo_val, hi_val = (p_lo, p_hi) if q >= 0 else (p_hi, p_lo)
     f_lo = float(np.logaddexp(head_lo, q * lo_val + logT_lo))
-    f_hi = float(np.logaddexp(head, q * hi_val + logT_hi))
+    f_hi = float(np.logaddexp(head_hi, q * hi_val + logT_hi))
     p_mid = 0.5 * (p_lo + p_hi)
     all_terms = np.append(terms, q * p_mid + logT)
     all_vals = np.append(uvals, p_mid)

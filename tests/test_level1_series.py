@@ -56,32 +56,33 @@ GAUSS_CERTIFICATES = [
     ('truncate8', 'chi1', 0.75, 0.3, (None, '-0x1.43df20cb2c9c0p-7', '0x1.1d785ca31b3aep-1')),
     ('truncate8', 'chi1', 0.75, 1.0, ('0x1.f800000000000p+5', '-0x1.0a2b23f3bab80p+0', '0x0.0p+0')),
 ]
-# pressure_locally_constant_bracket as float hex: (lo, hi)
+# pressure_locally_constant_bracket as float hex: (lo, hi); each contains
+# the 40-digit value of its series
 LOCALLY_CONSTANT_BRACKETS = [
-    ('flat', 'none', 0.6, -1.5, ('-0x1.0a203e81177cbp-2', '-0x1.0a203e7298e2ap-2')),
-    ('flat', 'none', 0.6, 0.0, ('-0x1.0a203e81177cbp-2', '-0x1.0a203e7298e2ap-2')),
-    ('flat', 'none', 0.6, 2.0, ('-0x1.0a203e81177cbp-2', '-0x1.0a203e7298e2ap-2')),
-    ('flat', 'none', 0.75, -1.5, ('-0x1.3ba3856a5b932p-1', '-0x1.3ba3856a51208p-1')),
-    ('flat', 'none', 0.75, 0.0, ('-0x1.3ba3856a5b932p-1', '-0x1.3ba3856a51208p-1')),
-    ('flat', 'none', 0.75, 2.0, ('-0x1.3ba3856a5b932p-1', '-0x1.3ba3856a51208p-1')),
-    ('flat', 'harmonic', 0.6, -1.5, ('-0x1.4346a404d55f2p+0', '-0x1.4346a3b6ab4f3p+0')),
-    ('flat', 'harmonic', 0.6, 0.0, ('-0x1.0a203e81177cbp-2', '-0x1.0a203e7298e2ap-2')),
-    ('flat', 'harmonic', 0.6, 2.0, ('0x1.6f95f18a92aebp+0', '0x1.6f95f1915d67bp+0')),
-    ('flat', 'harmonic', 0.75, -1.5, ('-0x1.ce4cef6178e89p+0', '-0x1.ce4cef610fa37p+0')),
-    ('flat', 'harmonic', 0.75, 0.0, ('-0x1.3ba3856a5b932p-1', '-0x1.3ba3856a51208p-1')),
-    ('flat', 'harmonic', 0.75, 2.0, ('0x1.334a3143bc5fep+0', '0x1.334a3143c3096p+0')),
-    ('invsq', 'none', 0.6, -1.5, ('0x1.4e2cfd4aeb6e2p+0', '0x1.4e2cfe99421d1p+0')),
-    ('invsq', 'none', 0.6, 0.0, ('0x1.4e2cfd4aeb6e2p+0', '0x1.4e2cfe99421d1p+0')),
-    ('invsq', 'none', 0.6, 2.0, ('0x1.4e2cfd4aeb6e2p+0', '0x1.4e2cfe99421d1p+0')),
-    ('invsq', 'none', 0.75, -1.5, ('0x1.c2f8172b55882p-2', '0x1.c2f81774dbf98p-2')),
-    ('invsq', 'none', 0.75, 0.0, ('0x1.c2f8172b55882p-2', '0x1.c2f81774dbf98p-2')),
-    ('invsq', 'none', 0.75, 2.0, ('0x1.c2f8172b55882p-2', '0x1.c2f81774dbf98p-2')),
-    ('invsq', 'harmonic', 0.6, -1.5, ('0x1.06ecacb53b6f0p+0', '0x1.06eccc284eaeep+0')),
-    ('invsq', 'harmonic', 0.6, 0.0, ('0x1.4e2cfd4aeb6e2p+0', '0x1.4e2cfe99421d1p+0')),
-    ('invsq', 'harmonic', 0.6, 2.0, ('0x1.1717f8915b1d7p+1', '0x1.1717ff17f390ep+1')),
-    ('invsq', 'harmonic', 0.75, -1.5, ('-0x1.3e497a0d5fe4dp-3', '-0x1.3e49702a81e10p-3')),
-    ('invsq', 'harmonic', 0.75, 0.0, ('0x1.c2f8172b55882p-2', '0x1.c2f81774dbf98p-2')),
-    ('invsq', 'harmonic', 0.75, 2.0, ('0x1.c92e409982dc0p+0', '0x1.c92e40d4748c4p+0')),
+    ('flat', 'none', 0.6, -1.5, ('-0x1.0a203ff0a67c4p-2', '-0x1.0a203ff0a6798p-2')),
+    ('flat', 'none', 0.6, 0.0, ('-0x1.0a203ff0a67c4p-2', '-0x1.0a203ff0a6798p-2')),
+    ('flat', 'none', 0.6, 2.0, ('-0x1.0a203ff0a67c4p-2', '-0x1.0a203ff0a6798p-2')),
+    ('flat', 'none', 0.75, -1.5, ('-0x1.3ba38606d2304p-1', '-0x1.3ba38606d22efp-1')),
+    ('flat', 'none', 0.75, 0.0, ('-0x1.3ba38606d2304p-1', '-0x1.3ba38606d22efp-1')),
+    ('flat', 'none', 0.75, 2.0, ('-0x1.3ba38606d2304p-1', '-0x1.3ba38606d22efp-1')),
+    ('flat', 'harmonic', 0.6, -1.5, ('-0x1.4346a49c86464p+0', '-0x1.4346a4583d20bp+0')),
+    ('flat', 'harmonic', 0.6, 0.0, ('-0x1.0a203ff0a6857p-2', '-0x1.0a203ff0a6705p-2')),
+    ('flat', 'harmonic', 0.6, 2.0, ('0x1.6f95f16691e53p+0', '0x1.6f95f16cb2742p+0')),
+    ('flat', 'harmonic', 0.75, -1.5, ('-0x1.ce4ceff0429f3p+0', '-0x1.ce4cefefea7d8p+0')),
+    ('flat', 'harmonic', 0.75, 0.0, ('-0x1.3ba38606d234fp-1', '-0x1.3ba38606d22a3p-1')),
+    ('flat', 'harmonic', 0.75, 2.0, ('0x1.334a31261d45bp+0', '0x1.334a3126231b4p+0')),
+    ('invsq', 'none', 0.6, -1.5, ('0x1.4e2cfdf216d05p+0', '0x1.4e2cfdf216d12p+0')),
+    ('invsq', 'none', 0.6, 0.0, ('0x1.4e2cfdf216d05p+0', '0x1.4e2cfdf216d12p+0')),
+    ('invsq', 'none', 0.6, 2.0, ('0x1.4e2cfdf216d05p+0', '0x1.4e2cfdf216d12p+0')),
+    ('invsq', 'none', 0.75, -1.5, ('0x1.c2f8175018c26p-2', '0x1.c2f8175018c53p-2')),
+    ('invsq', 'none', 0.75, 0.0, ('0x1.c2f8175018c26p-2', '0x1.c2f8175018c53p-2')),
+    ('invsq', 'none', 0.75, 2.0, ('0x1.c2f8175018c26p-2', '0x1.c2f8175018c53p-2')),
+    ('invsq', 'harmonic', 0.6, -1.5, ('0x1.06ecad920baacp+0', '0x1.06eccb4b7dd17p+0')),
+    ('invsq', 'harmonic', 0.6, 0.0, ('0x1.4e2cfdf216ce4p+0', '0x1.4e2cfdf216d35p+0')),
+    ('invsq', 'harmonic', 0.6, 2.0, ('0x1.1717f8b43297dp+1', '0x1.1717fef51bef1p+1')),
+    ('invsq', 'harmonic', 0.75, -1.5, ('-0x1.3e497987f703cp-3', '-0x1.3e4970afeb2ecp-3')),
+    ('invsq', 'harmonic', 0.75, 0.0, ('0x1.c2f8175018b94p-2', '0x1.c2f8175018ce7p-2')),
+    ('invsq', 'harmonic', 0.75, 2.0, ('0x1.c92e409be790ap+0', '0x1.c92e40d20fd4fp+0')),
 ]
 
 

@@ -9,7 +9,7 @@ import pytest
 from scipy.special import logsumexp
 
 import thermospec as ts
-from thermospec import spectrum, thermo
+from thermospec import spectrum, systems, thermo
 from thermospec.spectrum import _logsumexp
 from thermospec.systems import _decode_words
 
@@ -19,7 +19,8 @@ ALPHA_LOWER = 0.2226131530056198
 ALPHA_UPPER = 0.738087685404822
 Q_MINUS = -0.3184537311185346   # log((1 - C)/K)
 Q_PLUS = 0.28768207245178085    # log(C/(1 - K))
-FLAT_ALPHA_TILDE = 0.533416185742672
+# diam(I_1)^t* at the root t* of the 40-digit series of flat_example_system()
+FLAT_ALPHA_TILDE = 0.5334161901296876
 
 
 @pytest.fixture(scope="module")
@@ -271,6 +272,23 @@ def test_series_groups_hold_bounded_memory_on_ungrouped_head():
         tracemalloc.stop()
     assert thermo._series_groups.cache_info().currsize == 16
     assert held < 16_000_000
+
+
+def test_flat_chi1_row_holds_no_long_series_arrays():
+    # chi1 is constant past the one explicit digit of the flat model, so a
+    # row's series are the explicit digit, a 1e3-term tail head and the
+    # Euler-Maclaurin remainder; built from cold caches it peaks far below
+    # the 0.8 MB of one 1e5-float array
+    for cache in (thermo._level1_head, thermo._series_groups,
+                  systems._diam_series_cached, systems._tail_base):
+        cache.cache_clear()
+    tracemalloc.start()
+    try:
+        ts.legendre_solve(ts.flat_example_system(), ts.indicator_potential(1), 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("model, alpha, max_t, max_calls", [

@@ -7,9 +7,10 @@ from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import thermospec as ts
 from thermospec import systems, thermo
@@ -20,6 +21,7 @@ from thermospec.systems import (
     level1_values,
     potential_value,
 )
+from thermospec.oracle import powerlog_series
 
 
 def test_linear_system_basic():
@@ -153,10 +155,7 @@ def _diam_series_direct(system, s, start):
 
 def test_diam_series_bit_identical_to_direct_formula():
     g = ts.gauss_system()
-    models = [g] + [ts.restricted_system(g, N) for N in (20, 10**6, 10**45)] + [
-        ts.powerlog_system([], c=0.5, a=2.0),
-        ts.powerlog_system([0.3, 0.1], c=0.2, a=1.5, b=2.0, d=1.0),
-        ts.flat_example_system()]
+    models = [g] + [ts.restricted_system(g, N) for N in (20, 10**6, 10**45)]
     H = thermo._PLC_HEAD
     for system in models:
         s_inf = ts.s_inf_exact(system)
@@ -170,9 +169,93 @@ def test_diam_series_bit_identical_to_direct_formula():
                                       first + SERIES_HEAD_TERMS)
             terms = system.tail.terms(base, s)
             assert terms.tobytes() == _tail_terms_direct(system, s, first).tobytes()
-    flat = models[-1]
-    for start in (1, 2, H + 1):
-        assert ts.diam_series(flat, 0.5, start=start) == _diam_series_direct(flat, 0.5, start)
+
+
+def _relative_width(bracket):
+    lo, hi = bracket
+    return (hi - lo) / hi
+
+
+def _encloses(bracket, value):
+    # float ends against an mpmath sum: mpmath compares floats exactly
+    return bracket[0] <= value <= bracket[1]
+
+
+_SERIES_CASES = [
+    ("flat", ts.flat_example_system()),
+    ("invsq", ts.powerlog_system([], c=0.5, a=2.0)),
+    ("log", ts.powerlog_system([0.3, 0.1], c=0.2, a=1.5, b=2.0, d=1.0)),
+]
+
+
+@pytest.mark.parametrize("name, system", _SERIES_CASES, ids=[c[0] for c in _SERIES_CASES])
+def test_powerlog_diam_series_encloses_mpmath_sum(name, system):
+    # explicit head plus the Euler-Maclaurin tail bracket, at several starts
+    # and exponents, against the oracle's 40-digit sum
+    s_inf = ts.s_inf_exact(system)
+    n = len(system.head)
+    for s in (s_inf + 1e-6, s_inf + 0.3, 1.3):
+        for start in (1, n + 1, 10**4 + 3):
+            got = ts.diam_series(system, s, start=start)
+            first = max(start, n + 1)
+            with mp.workdps(30):
+                head = mp.fsum(mp.mpf(ts.branch_diameter(system, i)) ** mp.mpf(s)
+                               for i in range(start, first))
+                want = head + powerlog_series(system.tail, s, first)
+            assert _encloses(got, want), (name, s, start)
+            assert _relative_width(got) <= 1e-14, (name, s, start)
+
+
+def test_powerlog_bracket_at_the_critical_exponent():
+    # flat_example at s = s_inf exactly: p = a s = 1, and the critical
+    # series still converges through its log factor
+    flat = ts.flat_example_system()
+    assert flat.tail.a * 0.5 == 1.0
+    for start in (1, 2, 50):
+        got = ts.diam_series(flat, 0.5, start=start)
+        with mp.workdps(30):
+            head = mp.fsum(mp.mpf(ts.branch_diameter(flat, i)) ** mp.mpf(0.5)
+                           for i in range(start, max(start, 2)))
+            assert _encloses(got, head + powerlog_series(flat.tail, 0.5, max(start, 2)))
+        assert _relative_width(got) <= 1e-14
+
+
+def test_inverse_square_bracket_encloses_hurwitz_zeta():
+    # sum_{m >= first} (0.5 m^-2)^s = 0.5^s zeta(2s, first), against the
+    # package's Hurwitz zeta and mpmath's, for s >= s_inf + 1e-6
+    inv = ts.powerlog_system([], c=0.5, a=2.0)
+    for s in (0.5 + 1e-6, 0.5 + 1e-3, 0.55, 0.75, 1.0, 2.0):
+        for first in (1, 7, 1000, 10**6):
+            got = ts.diam_series(inv, s, start=first)
+            approx = 0.5 ** s * hurwitz_zeta(2.0 * s, first)
+            assert got[0] <= approx <= got[1], (s, first)
+            with mp.workdps(30):
+                want = mp.mpf(0.5) ** mp.mpf(s) * mp.zeta(2 * mp.mpf(s), first)
+            assert _encloses(got, want), (s, first)
+            assert _relative_width(got) <= 1e-14, (s, first)
+
+
+@st.composite
+def _powerlog_tails(draw):
+    a = draw(st.floats(1.05, 3.0))
+    s = 1.0 / a + draw(st.sampled_from([1e-6, 1e-3, 0.05, 0.4, 1.5]))
+    # r = d s on an integer, next to one, or anywhere up to 8
+    r = draw(st.one_of(st.integers(0, 6).map(float),
+                       st.integers(1, 6).map(lambda k: k + 1e-7),
+                       st.floats(0.0, 8.0)))
+    tail = ts.PowerLogTail(c=draw(st.floats(0.05, 1.0)), a=a,
+                           b=draw(st.floats(1.0, 10.0)), d=r / s)
+    return tail, s, draw(st.integers(1, 10**7))
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(_powerlog_tails())
+def test_powerlog_bracket_encloses_mpmath_sum(case):
+    tail, s, first = case
+    assume(tail.converges(s))
+    got = tail.bracket(s, first)
+    assert _encloses(got, powerlog_series(tail, s, first))
+    assert _relative_width(got) <= 1e-14
 
 
 def test_diam_series_builds_tail_base_once():
@@ -196,9 +279,12 @@ def test_flat_example_geometry():
     assert flat.flat.K == 0.55 and flat.flat.C == 0.6
     # |I_1|^s_inf = K at s_inf = 1/2
     assert ts.branch_diameter(flat, 1) == pytest.approx(0.55 ** 2, rel=1e-14)
-    # calibrated tail: series of tail diameters at s_inf equals C
+    # calibrated tail: series of tail diameters at s_inf equals C, to
+    # rounding in the float bracket and in the oracle's 40-digit sum
     lo, hi = ts.diam_series(flat, 0.5, start=2)
     assert lo - 1e-6 <= 0.6 <= hi + 1e-6
+    assert abs(0.5 * (lo + hi) - 0.6) <= 1e-14
+    assert abs(powerlog_series(flat.tail, 0.5, 2) - mp.mpf("0.6")) <= 1e-14
     assert ts.s_inf_exact(flat) == 0.5
 
 
