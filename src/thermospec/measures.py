@@ -421,7 +421,8 @@ def feasible(system: BranchSystem, gamma, eps: float = 0.0,
     vector when one exists, otherwise a vertex solution with its zero-weight
     words dropped.  The max-violation LP, which supplies that vertex and
     the infeasible verdicts, runs only when the maximum-entropy projection
-    fails or misses the moments.
+    fails or misses the moments.  ``max_violation`` is max |moment - gamma|
+    over the reported moments: the witness's, or the LP point's.
     """
     gam = np.atleast_1d(np.asarray(gamma, dtype=float))
     if eps < 0:
@@ -466,13 +467,10 @@ def feasible(system: BranchSystem, gamma, eps: float = 0.0,
         return rep
 
     try:
-        violation, lp_point = _check_feasible_lp(arr.shape[0], A, gam - eps, gam + eps)
+        lp_point = _check_feasible_lp(arr.shape[0], A, gam - eps, gam + eps)[1]
     except InfeasibleConstraintsError:
         return FeasibilityReport(tuple(gam), eps, q, n, "infeasible-at-truncation",
                                  math.inf, None, ())
-    if violation > eps + 1e-9:
-        return FeasibilityReport(tuple(gam), eps, q, n, "infeasible-at-truncation",
-                                 violation, None, ())
     return rep if rep is not None else report(lp_point)
 
 

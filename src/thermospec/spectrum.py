@@ -58,11 +58,11 @@ __all__ = [
     "spectrum_curve",
 ]
 
-# Witness acceptance band for certificate values.  The truncated tail series
-# carries a certified bracket of width ~1e-8 around the ideal value, so an
-# exact zero (the alpha = 1 identity) lands within this band, while the
-# strictly positive minima of the non-certifiable region exceed it by orders
-# of magnitude outside a 1e-6 neighborhood of the window edges.
+# Witness acceptance band for certificate values.  The tail series carries a
+# certified bracket narrow to rounding around the ideal value, so an exact
+# zero (the alpha = 1 identity) lands within this band, while the strictly
+# positive minima of the non-certifiable region exceed it by orders of
+# magnitude outside a 1e-6 neighborhood of the window edges.
 _BAND = 1e-6
 
 

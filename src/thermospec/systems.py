@@ -31,8 +31,7 @@ from .errors import (
 
 Word = tuple  # tuple of 1-based branch indices
 
-SERIES_HEAD_TERMS = 100_000  # explicit Gauss tail terms summed before the integral bound
-_EM_HEAD = 1_000  # explicit power-log tail terms before the Euler-Maclaurin remainder
+_EM_HEAD = 1_000  # explicit tail terms before the Euler-Maclaurin remainder
 _ROUND = 2.0 ** -53  # unit roundoff
 _PACKING_SLACK = 1e-9
 _LN2_HI, _LN2_LO = 0.6931471803691238, 1.9082149292705877e-10  # fdlibm's log 2
@@ -79,22 +78,43 @@ class Tail:
     labels: ``branch(index, m)`` and ``diameters(m)``; the summands of the
     series sum diam^s in two parts, ``base(m)``, which does not depend on
     s, and ``terms(base, s)`` = diam^s from it, both on float arrays;
-    ``converges(s)`` and ``s_inf`` for that series,
-    ``bracket(s, first)``, a certified bracket for its sum over m >= first,
-    and ``terms_to_exceed_log10(s, bound)``, log10 of a term count whose
-    partial sum provably exceeds ``bound`` where the series diverges.
-    ``head_terms`` is the number of terms ``diam_series`` sums explicitly
-    before it asks for ``bracket``: the Gauss bracket is an integral bound,
-    which needs a long head to be narrow, while the power-log bracket is
-    narrow to rounding from any start.
+    ``converges(s)`` and ``s_inf`` for that series, ``_em_terms(s, M)``
+    for the shared ``bracket``, and ``terms_to_exceed_log10(s, bound)``,
+    log10 of a term count whose partial sum provably exceeds ``bound``
+    where the series diverges.
     """
+
+    def bracket(self, s: float, first: int) -> tuple[float, float]:
+        """Bracket for sum_{m >= first} diam(I_m)^s, narrow to rounding.
+
+        The summand f(x) is completely monotone on both tail families, so
+        past the ``_EM_HEAD`` terms summed here the remainder from M lies
+        between the Euler-Maclaurin truncations
+
+            int_M^inf f + f(M)/2 - sum_{k <= K} B_2k/(2k)! f^(2k-1)(M)
+
+        after K = 2 and K = 3 Bernoulli terms (Olver, Asymptotics and
+        Special Functions, 1974, ch. 8).  ``_em_terms(s, M)`` gives a scale
+        F, f(M) or a factor of it that keeps every quantity a normal float,
+        the Taylor coefficients c_0..c_5 of f(M + h)/F (so f^(n)(M) =
+        n! c_n F), the integral over F, and the rounding allowance of the
+        float evaluation, in units of 2^-53, that widens both ends.
+        """
+        if not self.converges(s):
+            return math.inf, math.inf
+        M = first + _EM_HEAD
+        head = float(np.sum(self.terms(_tail_base(self, first, M), s)))
+        F, taylor, integral, allowance = self._em_terms(s, M)
+        em2 = F * (integral + taylor[0] / 2.0 - taylor[1] / 12.0 + taylor[3] / 120.0)
+        em3 = em2 - F * taylor[5] / 252.0
+        lo, hi = head + min(em2, em3), head + max(em2, em3)
+        slack = allowance * _ROUND * hi
+        return lo - slack, hi + slack
 
 
 @dataclass(frozen=True)
 class PowerLogTail(Tail):
     """diam(I_n) = c * n^(-a) * (log(n + b))^(-d); linear branches."""
-
-    head_terms = 0
 
     c: float
     a: float
@@ -121,55 +141,33 @@ class PowerLogTail(Tail):
         return base ** s
 
     def converges(self, s: float) -> bool:
-        p = self.a * s
-        return p > 1.0 or (p == 1.0 and self.d * s > 1.0)
+        # rounding is monotone: only products that round to 1 can mislead
+        p, r = (x * s if x * s != 1.0 else Fraction(x) * Fraction(s)
+                for x in (self.a, self.d))
+        return p > 1 or (p == 1 and r > 1)
 
     @property
     def s_inf(self) -> float:
         return 1.0 / self.a
 
-    def bracket(self, s: float, first: int) -> tuple[float, float]:
-        """Bracket for sum_{m >= first} diam(I_m)^s, narrow to rounding.
-
-        The summand f(x) = c^s x^(-p) log(x + b)^(-r), p = a s, r = d s, is
-        completely monotone, so past the ``_EM_HEAD`` terms summed here the
-        remainder from M lies between the Euler-Maclaurin truncations
-
-            int_M^inf f + f(M)/2 - sum_{k <= K} B_2k/(2k)! f^(2k-1)(M)
-
-        after K = 2 and K = 3 Bernoulli terms (Olver, Asymptotics and
-        Special Functions, 1974, ch. 8).  The derivatives come from Taylor
-        series arithmetic and the integral from ``_powerlog_integral``; both
-        ends then widen by a rounding allowance of the float evaluation.
-        """
-        if not self.converges(s):
-            return math.inf, math.inf
+    def _em_terms(self, s: float, M: int) -> tuple:
+        # f(x) = c^s x^(-p) log(x + b)^(-r), with p = a s and r = d s
         p, r = self.a * s, self.d * s
-        M = first + _EM_HEAD
-        head = float(np.sum(self.terms(_tail_base(self, 0, first, M), s)))
         x, xb = float(M), M + self.b
         L = math.log(xb)
         f0 = self.diameter(M) ** s  # f(M), rounded as the head terms are
-        taylor = _powerlog_taylor(p, r, x, xb, L)
         # int_M^inf f = f(M) L xb (x/xb)^p sum_k c_k: factoring f(M) out keeps
         # the rounding of p = a s out of x^(-p).  p - 1 is rounded once,
-        # because near p = 1 the integral grows like 1/(p - 1), and is
-        # clamped at 0, where ``converges`` counts a float p of 1 as 1
-        lam = max(0.0, float(Fraction(self.a) * Fraction(s) - 1))
+        # because near p = 1 the integral grows like 1/(p - 1)
+        lam = float(Fraction(self.a) * Fraction(s) - 1)
         scale = L * xb * math.exp(-p * math.log1p(self.b / x))
-        r_exact = Fraction(self.d) * Fraction(s)
-        em2 = f0 * (scale * _powerlog_integral(lam, r_exact, self.b, L, xb)
-                    + 0.5 - taylor[1] / 12.0 + taylor[3] / 120.0)
-        em3 = em2 - f0 * taylor[5] / 252.0
-        lo, hi = head + min(em2, em3), head + max(em2, em3)
-        slack = (12.0 + s * (4.0 + self.d)) * _ROUND * hi
-        return lo - slack, hi + slack
+        integral = scale * _powerlog_integral(lam, Fraction(self.d) * Fraction(s), self.b, L, xb)
+        return f0, _powerlog_taylor(p, r, x, xb, L), integral, 12.0 + s * (4.0 + self.d)
 
     def terms_to_exceed_log10(self, s: float, bound: float) -> float:
-        p = self.a * s
-        r = self.d * s
-        if p > 1.0 or (p == 1.0 and r > 1.0):
+        if self.converges(s):
             return math.inf
+        p, r = self.a * s, self.d * s
         cs = self.c ** s
         if p < 1.0:
             # ignore the log factor's help; bound each term below by
@@ -196,8 +194,6 @@ class PowerLogTail(Tail):
 class GaussTail(Tail):
     """diam(I_n) = 1/(n(n+1)); Moebius branches y -> 1/(n + y)."""
 
-    head_terms = SERIES_HEAD_TERMS
-
     def branch(self, index: int, m: int) -> Branch:
         return Branch(diameter=1.0 / (m * (m + 1.0)), digit=m)
 
@@ -205,10 +201,11 @@ class GaussTail(Tail):
         return 1.0 / (m * (m + 1.0))
 
     def base(self, m: np.ndarray) -> np.ndarray:
-        return m * (m + 1.0)
+        return m
 
     def terms(self, base: np.ndarray, s: float) -> np.ndarray:
-        return base ** (-s)
+        # two powers: m (m + 1) overflows past m = 1.3e154
+        return base ** (-s) * (base + 1.0) ** (-s)
 
     def converges(self, s: float) -> bool:
         return s > 0.5
@@ -217,14 +214,24 @@ class GaussTail(Tail):
     def s_inf(self) -> float:
         return 0.5
 
-    def bracket(self, s: float, first: int) -> tuple[float, float]:
-        if s <= 0.5:
-            return math.inf, math.inf
-        x0 = float(first)
-        base = x0 ** (1.0 - 2.0 * s) / (2.0 * s - 1.0)  # integral of x^(-2s)
-        lo = (1.0 + 1.0 / x0) ** (-s) * base
-        g0 = (x0 * (x0 + 1.0)) ** (-s)
-        return lo, base + g0
+    def _em_terms(self, s: float, M: int) -> tuple:
+        """f(x) = (x (x+1))^(-s) over F = M^(-s), as f(M) underflows where
+        the sum need not: f(M + h)/F is (M+1)^(-s) times the binomial series
+        of (1 + h/M)^(-s) and (1 + h/(M+1))^(-s).  f = y^(-2s) (1 -
+        1/(4 y^2))^(-s), y = x + 1/2, expands binomially, so with Y = M + 1/2
+        and z = 1/(4 Y^2), int_M^inf f = Y^(1-2s) sum_k binom(s+k-1, k)
+        z^k/(2s - 1 + 2k) and f(M) = Y^(-2s) (1 - z)^(-s)."""
+        x = float(M)
+        g = (x + 1.0) ** (-s)
+        A, B = _binomial_taylor(s, x), _binomial_taylor(s, x + 1.0)
+        taylor = [g * sum(A[k] * B[n - k] for k in range(n + 1)) for n in range(6)]
+        Y = x + 0.5
+        z = 1.0 / (4.0 * Y * Y)
+        total, coef = 0.0, 1.0
+        for k in range(4):  # z s < 1.4e-5 wherever M^(-s) is normal
+            total += coef / (2.0 * s - 1.0 + 2.0 * k)
+            coef *= z * (s + k) / (k + 1)
+        return x ** (-s), taylor, Y * g * (1.0 - z) ** s * total, 12.0 + 4.0 * s
 
     def terms_to_exceed_log10(self, s: float, bound: float) -> float:
         p = 2.0 * s
@@ -532,24 +539,31 @@ def _powerlog_integral(lam: float, r: Fraction, b: float, L: float, xb: float) -
         coef *= b * (lam + k) / (k * xb)
 
 
+def _binomial_taylor(p: float, x: float) -> list:
+    """Taylor coefficients c_0..c_5 of (1 + h/x)^(-p) in h."""
+    A = [1.0]
+    for n in range(1, 6):
+        A.append(A[-1] * (1.0 - p - n) / (n * x))
+    return A
+
+
 def _powerlog_taylor(p: float, r: float, x: float, xb: float, L: float) -> list:
     """Taylor coefficients c_0..c_5 of f(x + h)/f(x) in h, where
-    f(x) = x^(-p) log(x + b)^(-r), xb = x + b and L = log xb, so that
-    f^(n)(x) = n! c_n f(x).
+    f(x) = x^(-p) log(x + b)^(-r), xb = x + b and L = log xb.
 
     x^(-p) expands binomially; log(xb + h) = L (1 + u(h)) with
     u = log(1 + h/xb)/L, and (1 + u)^(-r) follows J. C. P. Miller's power
     recurrence w_n = sum_{k=1..n} ((1 - r) k - n) u_k w_(n-k) / n.
     """
-    A, u, W = [1.0], [0.0, 1.0 / (xb * L)], [1.0]
+    u, W = [0.0, 1.0 / (xb * L)], [1.0]
     for n in range(1, 6):
-        A.append(A[-1] * (1.0 - p - n) / (n * x))
         if n > 1:
             u.append(-u[-1] * (n - 1) / (n * xb))
         w = 0.0
         for k in range(1, n + 1):
             w += ((1.0 - r) * k - n) * u[k] * W[n - k]
         W.append(w / n)
+    A = _binomial_taylor(p, x)
     return [sum(A[k] * W[n - k] for k in range(n + 1)) for n in range(6)]
 
 
@@ -559,22 +573,19 @@ def series_converges(system: BranchSystem, s: float) -> bool:
 
 
 @functools.lru_cache(maxsize=1)
-def _tail_base(tail: Tail, offset: int, first: int, stop: int) -> np.ndarray:
-    """Read-only ``tail.base`` of the logical indices first..stop-1.
+def _tail_base(tail: Tail, first: int, stop: int) -> np.ndarray:
+    """Read-only ``tail.base`` of the physical labels first..stop-1.
 
     The base does not depend on the exponent, so a series solved at many
-    exponents builds it once; one slot holds the explicit tail head of the
-    system under study (1e5 floats on the Gauss tail, 1e3 on power-log
-    tails, which pass physical labels with offset 0).
+    exponents builds it once: one slot, the last bracket head.
     """
-    base = tail.base(np.arange(first, stop, dtype=float) + offset)
+    base = tail.base(first + np.arange(stop - first, dtype=float))
     base.flags.writeable = False
     return base
 
 
 @functools.lru_cache(maxsize=16384)
-def _diam_series_cached(system: BranchSystem, s: float, start: int,
-                        head_terms: int) -> tuple[float, float]:
+def _diam_series_cached(system: BranchSystem, s: float, start: int) -> tuple[float, float]:
     if s < 0:
         raise ValueError("series exponent must be >= 0")
     n_explicit = len(system.head)
@@ -586,28 +597,18 @@ def _diam_series_cached(system: BranchSystem, s: float, start: int,
         return total, total
     if not series_converges(system, s):
         return math.inf, math.inf
-    first_logical = max(start, n_explicit + 1)
-    part_hi = first_logical + head_terms
-    if head_terms:
-        base = _tail_base(system.tail, system.offset, first_logical, part_hi)
-        total += float(np.sum(system.tail.terms(base, s)))
-    lo, hi = system.tail.bracket(s, part_hi + system.offset)
+    lo, hi = system.tail.bracket(s, max(start, n_explicit + 1) + system.offset)
     return total + lo, total + hi
 
 
-def diam_series(system: BranchSystem, s: float, *, start: int = 1,
-                head_terms: int | None = None) -> tuple[float, float]:
+def diam_series(system: BranchSystem, s: float, *, start: int = 1) -> tuple[float, float]:
     """Certified bracket for sum_{i >= start} diam(I_i)^s (logical indices).
 
-    The explicit head is summed, then ``head_terms`` tail terms (by default
-    the tail's own ``head_terms``), and the tail's ``bracket`` covers the
-    rest: on power-log tails an Euler-Maclaurin bracket whose relative
-    width is about 1e-14 or less, on the Gauss tail an integral bound past
-    1e5 terms.
+    The explicit head is summed and the tail's ``bracket`` covers the rest:
+    an Euler-Maclaurin bracket past a 1e3-term head on both tail families,
+    whose relative width is about 1e-14 or less.
     """
-    if head_terms is None:
-        head_terms = 0 if system.tail is None else system.tail.head_terms
-    return _diam_series_cached(system, float(s), int(start), int(head_terms))
+    return _diam_series_cached(system, float(s), int(start))
 
 
 def s_inf_exact(system: BranchSystem) -> float:

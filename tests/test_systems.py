@@ -15,7 +15,6 @@ from hypothesis import assume, given, settings, strategies as st
 import thermospec as ts
 from thermospec import systems, thermo
 from thermospec.systems import (
-    SERIES_HEAD_TERMS,
     GaussTail,
     hurwitz_zeta,
     level1_values,
@@ -134,43 +133,6 @@ def test_diam_series_start_drops_prefix():
     assert hi_tail - lo_tail < 1e-6
 
 
-def _tail_terms_direct(system, s, first):
-    # the tail summands diam^s of logical indices first.., built afresh
-    m = np.arange(first, first + SERIES_HEAD_TERMS, dtype=float) + system.offset
-    if isinstance(system.tail, GaussTail):
-        return (m * (m + 1.0)) ** (-s)
-    return system.tail.diameters(m) ** s
-
-
-def _diam_series_direct(system, s, start):
-    n_explicit = len(system.head)
-    total = 0.0
-    if start <= n_explicit:
-        total += float(np.sum(ts.diameters(system, n_explicit)[start - 1:] ** s))
-    first = max(start, n_explicit + 1)
-    total += float(np.sum(_tail_terms_direct(system, s, first)))
-    lo, hi = system.tail.bracket(s, first + SERIES_HEAD_TERMS + system.offset)
-    return total + lo, total + hi
-
-
-def test_diam_series_bit_identical_to_direct_formula():
-    g = ts.gauss_system()
-    models = [g] + [ts.restricted_system(g, N) for N in (20, 10**6, 10**45)]
-    H = thermo._PLC_HEAD
-    for system in models:
-        s_inf = ts.s_inf_exact(system)
-        for s in (s_inf + 0.05, s_inf + 0.3, 1.0, 1.3):
-            for start in (1, 2, H + 1):
-                got = ts.diam_series(system, s, start=start)
-                assert got == _diam_series_direct(system, s, start), (system, s, start)
-            # the summands agree elementwise, not just in their sum
-            first = len(system.head) + 1
-            base = systems._tail_base(system.tail, system.offset, first,
-                                      first + SERIES_HEAD_TERMS)
-            terms = system.tail.terms(base, s)
-            assert terms.tobytes() == _tail_terms_direct(system, s, first).tobytes()
-
-
 def _relative_width(bracket):
     lo, hi = bracket
     return (hi - lo) / hi
@@ -181,17 +143,52 @@ def _encloses(bracket, value):
     return bracket[0] <= value <= bracket[1]
 
 
+def _gauss_series(s, first):
+    """sum_{m >= first} (m (m+1))^(-s) to 40 digits, as Hurwitz sums at
+    first + 1/2: (m (m+1))^(-s) = y^(-2s) (1 - 1/(4y^2))^(-s) with y = m + 1/2
+    expands into sum_k binom(s+k-1, k) 4^(-k) zeta(2s + 2k, first + 1/2)."""
+    with mp.workdps(40):
+        s, y = mp.mpf(s), mp.mpf(first) + mp.mpf(0.5)
+        total, coef, k = mp.mpf(0), mp.mpf(1), 0
+        while True:
+            term = coef * mp.zeta(2 * s + 2 * k, y) / mp.mpf(4) ** k
+            total += term
+            if term < mp.mpf(10) ** -45 * total:
+                return total
+            k += 1
+            coef *= (s + k - 1) / k
+
+
+def test_gauss_reference_matches_closed_forms_and_brute_force():
+    # telescoping at s = 1, pi^2/3 - 3 at s = 2 from m = 1, and differences
+    # of the reference against 2000 explicit terms at other exponents
+    with mp.workdps(40):
+        for first in (1, 7, 10**9):
+            assert abs(_gauss_series(1.0, first) - mp.mpf(1) / first) <= 1e-39 / first
+        assert abs(_gauss_series(2.0, 1) - (mp.pi ** 2 / 3 - 3)) <= 1e-39
+        for s in (0.5 + 1e-6, 0.55, 1.3, 3.0):
+            S = mp.mpf(s)
+            brute = mp.fsum((m * (m + 1)) ** -S for m in range(5, 2005))
+            diff = _gauss_series(s, 5) - _gauss_series(s, 2005)
+            assert abs(diff - brute) <= 1e-36 * brute, s
+
+
 _SERIES_CASES = [
     ("flat", ts.flat_example_system()),
     ("invsq", ts.powerlog_system([], c=0.5, a=2.0)),
     ("log", ts.powerlog_system([0.3, 0.1], c=0.2, a=1.5, b=2.0, d=1.0)),
+    ("gauss", ts.gauss_system()),
+    ("gauss37", ts.restricted_system(ts.gauss_system(), 37)),
 ]
 
 
 @pytest.mark.parametrize("name, system", _SERIES_CASES, ids=[c[0] for c in _SERIES_CASES])
-def test_powerlog_diam_series_encloses_mpmath_sum(name, system):
+def test_diam_series_encloses_mpmath_sum(name, system):
     # explicit head plus the Euler-Maclaurin tail bracket, at several starts
-    # and exponents, against the oracle's 40-digit sum
+    # and exponents, against a 40-digit sum: the oracle's on power-log
+    # tails, the Hurwitz expansion on the Gauss tail
+    series = _gauss_series if isinstance(system.tail, GaussTail) else (
+        lambda s, first: powerlog_series(system.tail, s, first))
     s_inf = ts.s_inf_exact(system)
     n = len(system.head)
     for s in (s_inf + 1e-6, s_inf + 0.3, 1.3):
@@ -201,7 +198,7 @@ def test_powerlog_diam_series_encloses_mpmath_sum(name, system):
             with mp.workdps(30):
                 head = mp.fsum(mp.mpf(ts.branch_diameter(system, i)) ** mp.mpf(s)
                                for i in range(start, first))
-                want = head + powerlog_series(system.tail, s, first)
+                want = head + series(s, first + system.offset)
             assert _encloses(got, want), (name, s, start)
             assert _relative_width(got) <= 1e-14, (name, s, start)
 
@@ -258,19 +255,74 @@ def test_powerlog_bracket_encloses_mpmath_sum(case):
     assert _relative_width(got) <= 1e-14
 
 
+def test_gauss_bracket_encloses_mpmath_sum_seeded():
+    # 300 seeded tails: s - 1/2 log-uniform in [1e-6, 2.5], first
+    # log-uniform up to 1e15
+    rng = np.random.default_rng(18)
+    for s, first in zip(0.5 + 10.0 ** rng.uniform(-6.0, math.log10(2.5), 300),
+                        (int(10.0 ** e) for e in rng.uniform(0.0, 15.0, 300))):
+        got = GaussTail().bracket(float(s), first)
+        assert _encloses(got, _gauss_series(s, first)), (s, first)
+        assert _relative_width(got) <= 1e-14, (s, first)
+
+
+def test_diam_series_bit_identical_to_direct_formula():
+    # the explicit head plus the tail's bracket from the first physical
+    # label past it, on restricted systems of both families, far out too
+    g = ts.gauss_system()
+    flat = ts.flat_example_system()
+    models = ([g] + [ts.restricted_system(g, N) for N in (20, 10**6, 10**45)]
+              + [flat, ts.restricted_system(flat, 5)])
+    for system in models:
+        s_inf = ts.s_inf_exact(system)
+        n = len(system.head)
+        for s in (s_inf + 0.05, s_inf + 0.3, 1.0, 1.3):
+            for start in (1, 2, 7):
+                head = 0.0
+                if start <= n:
+                    head = float(np.sum(ts.diameters(system, n)[start - 1:] ** s))
+                lo, hi = system.tail.bracket(s, max(start, n + 1) + system.offset)
+                got = ts.diam_series(system, s, start=start)
+                assert got == (head + lo, head + hi), (system, s, start)
+
+
 def test_diam_series_builds_tail_base_once():
-    # the exponent-free part of the summands is built once for a system,
-    # whatever the number of exponents, and cannot be written to
+    # the exponent-free part of the bracket's 1e3-term head is built once
+    # for a system, whatever the number of exponents, and cannot be
+    # written to
     sub = ts.restricted_system(ts.gauss_system(), 37)
+    systems._diam_series_cached.cache_clear()
     systems._tail_base.cache_clear()
     for s in np.linspace(0.61, 1.9, 50):
         ts.diam_series(sub, float(s))
     info = systems._tail_base.cache_info()
     assert (info.misses, info.hits) == (1, 49)
-    base = systems._tail_base(sub.tail, sub.offset, 1, 1 + SERIES_HEAD_TERMS)
+    base = systems._tail_base(sub.tail, 37, 37 + systems._EM_HEAD)
     assert systems._tail_base.cache_info().misses == 1
     with pytest.raises(ValueError):
         base[0] = 1.0
+
+
+def test_tails_share_one_bracket():
+    # both tail families supply Euler-Maclaurin terms, not a bracket
+    subclasses = systems.Tail.__subclasses__()
+    assert {ts.PowerLogTail, GaussTail} <= set(subclasses)
+    for cls in subclasses:
+        assert "bracket" not in vars(cls), cls
+
+
+def test_powerlog_converges_decides_on_the_exact_product():
+    # 1.5 * fl(1/1.5) rounds to 1 but is 1 - 2^-54 exactly: p < 1 diverges
+    # whatever the log factor
+    tail = ts.PowerLogTail(c=0.5, a=1.5, d=4.5)
+    s = 1 / 1.5
+    assert 1.5 * s == 1.0 and Fraction(1.5) * Fraction(s) < 1
+    assert not tail.converges(s)
+    assert tail.bracket(s, 1) == (math.inf, math.inf)
+    system = systems.BranchSystem(head=(), tail=tail, xi=2.0)
+    assert ts.diam_series(system, s) == (math.inf, math.inf)
+    # a product that is 1 exactly still converges through the log factor
+    assert ts.PowerLogTail(c=0.5, a=2.0, d=4.5).converges(0.5)
 
 
 def test_flat_example_geometry():

@@ -441,12 +441,20 @@ def test_pressure_root_gauss_sandwich():
     assert abs(res.value - 1.0) < 0.05
 
 
+def test_pressure_root_level_four_narrows_the_gauss_interval():
+    # from level 4 on the per-level bounds beat the level-1 sandwich: the
+    # upper end falls from the bracket end 2 to about 1.698
+    res = ts.pressure_root(ts.gauss_system(), q=40, n_max=4)
+    assert res.n_used == 4
+    assert res.interval[0] <= 1.0 <= res.interval[1] < 1.75
+
+
 def test_pressure_root_restricted_family():
     g = ts.gauss_system()
-    # roots of the level-1 proxy t -> log(midpoint of diam_series(t)),
-    # solved to rounding (|P| <= 1e-15 there)
-    want = {10: 0.6995125335009053, 100: 0.6389937248978761,
-            1000: 0.6097565453888166}
+    # 40-digit roots of the level-1 proxy sum_{m >= N} (m (m+1))^(-t) = 1,
+    # which the midpoint of the diam_series bracket meets to rounding
+    want = {10: 0.69951253745962373, 100: 0.63899374100395037,
+            1000: 0.60975657598494303}
     for N, frozen in want.items():
         res = ts.pressure_root(ts.restricted_system(g, N))
         assert res.value == pytest.approx(frozen, abs=1e-12)
