@@ -126,8 +126,6 @@ def _read_spec_text(arg: str, builtin: tuple) -> str:
 def _load_model_arg(arg: str):
     try:
         return load_model(_read_spec_text(arg, _BUILTIN_MODELS))
-    except _ConfigError:
-        raise
     except (OSError, json.JSONDecodeError, ThermospecError) as exc:
         raise _ConfigError(f"cannot load model {arg!r}: {exc}") from exc
 
@@ -135,8 +133,6 @@ def _load_model_arg(arg: str):
 def _load_potential_arg(arg: str):
     try:
         return load_potential(_read_spec_text(arg, _BUILTIN_POTENTIALS))
-    except _ConfigError:
-        raise
     except (OSError, json.JSONDecodeError, ThermospecError) as exc:
         raise _ConfigError(f"cannot load potential {arg!r}: {exc}") from exc
 

@@ -46,7 +46,16 @@ class InvalidMeasureError(ThermospecError):
 
 
 class InfeasibleConstraintsError(ThermospecError):
-    """Moment constraints admit no measure at the given truncation."""
+    """Moment constraints admit no measure at the given truncation.
+
+    ``direction`` d, |d|_1 = 1, has d.m <= d.c - w.|d| - ``distance`` for
+    every word's moments m (box centres c, half-widths w), so all weights
+    miss some box by at least ``distance``."""
+
+    def __init__(self, message, direction=None, distance=None):
+        super().__init__(message)
+        self.direction = direction
+        self.distance = distance
 
 
 class UnsupportedPotentialError(ThermospecError):

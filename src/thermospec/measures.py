@@ -171,6 +171,14 @@ def golden_dirac_stats() -> MeasureStats:
 # constrained ratio maximization
 
 
+class _ProjectionFailed(UndeterminedError):
+    """A KL projection that stopped short of its boxes, with its dual iterates."""
+
+    def __init__(self, message, thetas):
+        super().__init__(message)
+        self.thetas = thetas
+
+
 def _project_box(p, A, lo, hi):
     """KL projection of p onto {x >= 0, sum x = 1, lo <= A x <= hi}.
 
@@ -182,17 +190,24 @@ def _project_box(p, A, lo, hi):
     stopped at theta_i = 0 and backtracked until the dual decreases, so
     dependent rows and rows that must leave their edge need no special
     case.  Deterministic; ``lo == hi`` gives the equality projection.
-    Raises UndeterminedError when the solve fails: whether the boxes can
-    be met at all is the feasibility LP's verdict, not this solver's.
+    Its last weights are returned when their moments lie in the boxes up
+    to 1e-9, also where the solve stops short (dependent rows can hold the
+    gradient above its tolerance); else it raises ``_ProjectionFailed`` with
+    every theta it saw: where the boxes cannot be met the dual is unbounded
+    below, theta/|theta|_1 tends to a separating direction, and a capped
+    step that repeats bit for bit and separates the boxes ends the solve.
     """
     if A is None:
         return p
     logp = np.log(p)
     c, w = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    theta = np.zeros(A.shape[0])
+    theta = last = np.zeros(A.shape[0])
+    thetas = [theta]
+    message = "constraint projection did not converge"
     for _ in range(100):
         logits = logp + theta @ A
-        x = np.exp(logits - _logsumexp(logits))
+        logx = logits - _logsumexp(logits)
+        x = np.exp(logx)
         m = A @ x
         g = m - c
         # the side of each row's kink that the dual descends into
@@ -200,7 +215,7 @@ def _project_box(p, A, lo, hi):
         active = (side != 0) | (w == 0)
         grad = np.where(active, g + w * side, 0.0)
         if np.max(np.abs(grad)) <= 1e-13:
-            return x
+            break
         centered = A[active] - m[active, None]
         H = (centered * x) @ centered.T
         H[np.diag_indices_from(H)] += 1e-14
@@ -208,26 +223,37 @@ def _project_box(p, A, lo, hi):
         try:
             step[active] = np.linalg.solve(H, grad[active])
         except np.linalg.LinAlgError:
-            raise UndeterminedError("degenerate constraint system")
+            message = "degenerate constraint system"
+            break
         if not np.all(np.isfinite(step)):
-            raise UndeterminedError("constraint projection diverged")
-        step *= min(1.0, 50.0 / np.max(np.abs(step)))
-        # Armijo backtracking on the change of the dual, written so that its
-        # rounding stays far below the decrease; a row whose theta would
-        # change sign stops at 0
+            message = "constraint projection diverged"
+            break
+        cap = 50.0 / np.max(np.abs(step))
+        step *= min(1.0, cap)
+        # Armijo backtracking on the change of the dual, rounded far below
+        # the decrease (log1p of the mean of expm1, or a log-sum-exp where
+        # log1p would cancel); a row whose theta would change sign stops at 0
         t = 1.0
         while True:
             new = theta - t * step
             new[(w > 0) & (new * side < 0)] = 0.0
             delta = new - theta
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                change = (np.log1p(x @ np.expm1(delta @ A)) - delta @ c
-                          + w @ (np.abs(new) - np.abs(theta)))
+            with np.errstate(over="ignore", invalid="ignore"):
+                mean = x @ np.expm1(delta @ A)
+            lse = np.log1p(mean) if mean > -0.5 else _logsumexp(logx + delta @ A)
+            change = lse - delta @ c + w @ (np.abs(new) - np.abs(theta))
             if change <= 1e-4 * grad @ delta or t < 1e-12:
                 break
             t *= 0.5
-        theta = new
-    raise UndeterminedError("constraint projection did not converge")
+        if (cap < 1.0 and np.array_equal(delta, last)
+                and delta @ c - w @ np.abs(delta) > np.max(delta @ A)):
+            thetas.append(delta)  # the dual runs off along this step
+            break
+        theta, last = new, delta
+        thetas.append(theta)
+    if np.all(m >= lo - 1e-9) and np.all(m <= hi + 1e-9):
+        return x
+    raise _ProjectionFailed(message, thetas)
 
 
 def _ratio_of(p, logd):
@@ -235,62 +261,29 @@ def _ratio_of(p, logd):
     return -(p * np.log(p, out=np.zeros_like(p), where=p > 0)).sum() / -(p @ logd)
 
 
-def _check_feasible_lp(logd_len, A, lo, hi):
-    """Max-violation LP; raises when no weight vector fits the boxes.
-
-    scipy is imported here, not at module level, because the LP runs only
-    when a KL projection fails to witness the boxes.
-    """
-    from scipy.optimize import linprog
-
-    k = A.shape[0]
-    n_var = logd_len + 1
-    c = np.zeros(n_var)
-    c[-1] = 1.0
-    A_ub = np.zeros((2 * k, n_var))
-    b_ub = np.zeros(2 * k)
-    A_ub[:k, :-1] = A
-    A_ub[:k, -1] = -1.0
-    b_ub[:k] = hi
-    A_ub[k:, :-1] = -A
-    A_ub[k:, -1] = -1.0
-    b_ub[k:] = -lo
-    A_eq = np.zeros((1, n_var))
-    A_eq[0, :-1] = 1.0
-    b_eq = [1.0]
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                  bounds=[(0, 1)] * logd_len + [(0, None)], method="highs")
-    if res.status != 0:
-        raise InfeasibleConstraintsError(f"feasibility LP failed: {res.message}")
-    return float(res.x[-1]), res.x[:-1]
-
-
 def _feasible_projection(p, A, lo, hi):
-    """``_project_box(p, A, lo, hi)``, with the verdict on the boxes.
+    """``_project_box(p, A, lo, hi)``, or the proof that the boxes cannot be met.
 
-    A projection whose moments lie in the boxes, up to the LP's own 1e-9
-    slack, witnesses that they can be met, and no LP runs.  Otherwise the
-    max-violation LP decides: it raises InfeasibleConstraintsError when no
-    weight vector fits, and when one does, the projection's own result or
-    failure stands.
+    Where the projection fails, each dual iterate theta gives a direction
+    d = theta/|theta|_1 and the distance d.c - w.|d| - max_w (A^T d)_w by
+    which all weights miss some box (c, w: box centres and half-widths).
+    The largest, when above 1e-9 (relative to the largest |A|, |lo|, |hi|
+    above 1, so that rounding cannot fake it), raises
+    InfeasibleConstraintsError with its d; else the UndeterminedError stands.
     """
-    if A is None:
-        return p
     try:
-        x = _project_box(p, A, lo, hi)
-    except UndeterminedError as exc:
-        x, failure = None, exc
-    else:
-        m = A @ x
-        if np.all(m >= lo - 1e-9) and np.all(m <= hi + 1e-9):
-            return x
-    violation, _ = _check_feasible_lp(len(p), A, lo, hi)
-    if violation > 1e-9:
-        raise InfeasibleConstraintsError(
-            f"constraints unattainable at truncation (violation {violation:.3g})")
-    if x is None:
-        raise failure
-    return x
+        return _project_box(p, A, lo, hi)
+    except _ProjectionFailed as failure:
+        c, w = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        dirs = [t / np.abs(t).sum() for t in failure.thetas if np.abs(t).sum() > 0]
+        gaps = [float(d @ c - w @ np.abs(d) - np.max(d @ A)) for d in dirs]
+        scale = max(1.0, np.max(np.abs(A)), np.max(np.abs(lo)), np.max(np.abs(hi)))
+        if gaps and max(gaps) > 1e-9 * scale:
+            best = int(np.argmax(gaps))
+            raise InfeasibleConstraintsError(
+                f"constraints unattainable at truncation (violation {gaps[best]:.3g})",
+                dirs[best], gaps[best]) from None
+        raise
 
 
 def maximize_ratio(system: BranchSystem, constraints=(), q: int | None = None,
@@ -305,9 +298,10 @@ def maximize_ratio(system: BranchSystem, constraints=(), q: int | None = None,
     ratio until it stops rising.  The ratio is quasi-concave, so this is
     the global maximum; the result is deterministic and uses no seeds.
     The first projection doubles as the feasibility check (see
-    ``_feasible_projection``): unattainable boxes raise
-    InfeasibleConstraintsError.  Returns a (CylinderMeasure, MeasureStats)
-    pair.
+    ``_feasible_projection``): boxes that its dual proves unattainable raise
+    InfeasibleConstraintsError, carrying the separating direction, and ones
+    it can neither meet nor refute UndeterminedError.  Returns a
+    (CylinderMeasure, MeasureStats) pair.
     """
     if q is None:
         q = system.branch_count()
@@ -371,38 +365,30 @@ def digit_frequency_dimension(system: BranchSystem, p, mode: str = "full", *,
     if count is not None and len(freqs) > count:
         raise ModelError("frequency vector longer than the branch alphabet")
 
+    if mode not in ("full", "partial"):
+        raise ModelError(f"unknown mode {mode!r}")
+    empty = FreqDimResult(None, s_inf, None, "empty")
+    if total > 1.0 + 1e-9:
+        return empty
     if mode == "full":
-        if total > 1.0 + 1e-9:
-            return FreqDimResult(None, s_inf, None, "empty")
         if total < 1.0 - 1e-9:
-            if count is not None:
-                return FreqDimResult(None, s_inf, None, "empty")
-            return FreqDimResult(s_inf, s_inf, None, "s_inf-floor")
+            return empty if count is not None else FreqDimResult(s_inf, s_inf, None, "s_inf-floor")
         support = freqs > 0
         pw = freqs[support] / total
         logd = np.log(diameters(system, len(freqs)))[support]
-        h = float(-(pw * np.log(pw)).sum())
-        lam = float(-(pw @ logd))
-        ratio = h / lam
-        regime = "variational" if ratio >= s_inf else "s_inf-floor"
-        return FreqDimResult(max(s_inf, ratio), s_inf, ratio, regime)
-
-    if mode != "partial":
-        raise ModelError(f"unknown mode {mode!r}")
-    if total > 1.0 + 1e-9:
-        return FreqDimResult(None, s_inf, None, "empty")
-    if q is None:
-        q = max(16, 2 * len(freqs))
-        if count is not None:
-            q = min(q, count)
-    if q < len(freqs):
-        raise ModelError("truncation q must cover the pinned digits")
-    cons = [(indicator_potential(i + 1), float(freqs[i]), eps) for i in range(len(freqs))]
-    try:
-        _, st = maximize_ratio(system, cons, q=q, n=n)
-    except InfeasibleConstraintsError:
-        return FreqDimResult(None, s_inf, None, "empty")
-    ratio = st.ratio
+        ratio = float(-(pw * np.log(pw)).sum()) / float(-(pw @ logd))
+    else:
+        if q is None:
+            q = max(16, 2 * len(freqs))
+            if count is not None:
+                q = min(q, count)
+        if q < len(freqs):
+            raise ModelError("truncation q must cover the pinned digits")
+        cons = [(indicator_potential(i + 1), float(freqs[i]), eps) for i in range(len(freqs))]
+        try:
+            ratio = maximize_ratio(system, cons, q=q, n=n)[1].ratio
+        except InfeasibleConstraintsError:
+            return empty
     regime = "variational" if ratio >= s_inf else "s_inf-floor"
     return FreqDimResult(max(s_inf, ratio), s_inf, ratio, regime)
 
@@ -416,13 +402,15 @@ def feasible(system: BranchSystem, gamma, eps: float = 0.0,
              potentials=None) -> FeasibilityReport:
     """Decide whether weights on level-n words can match target moments.
 
-    Default potentials are the digit indicators chi_{I_1}..chi_{I_k}.  On
-    success the witness is the maximum-entropy (exponential-family) weight
-    vector when one exists, otherwise a vertex solution with its zero-weight
-    words dropped.  The max-violation LP, which supplies that vertex and
-    the infeasible verdicts, runs only when the maximum-entropy projection
-    fails or misses the moments.  ``max_violation`` is max |moment - gamma|
-    over the reported moments: the witness's, or the LP point's.
+    Default potentials are the digit indicators chi_{I_1}..chi_{I_k}.  The
+    witness is the maximum-entropy (exponential-family) weight vector when
+    it meets the moments, else the KL projection of the uniform weights onto
+    the boxes [gamma - eps, gamma + eps], which also decides the infeasible
+    verdicts (``_feasible_projection``); words of weight <= 1e-15 are
+    dropped.  ``max_violation`` is the witness's max |moment - gamma|, or on
+    an infeasible verdict the certified distance plus eps, a lower bound on
+    it over all weights (``moments`` is then empty).  UndeterminedError
+    when the projection can neither meet nor refute the boxes.
     """
     gam = np.atleast_1d(np.asarray(gamma, dtype=float))
     if eps < 0:
@@ -432,9 +420,7 @@ def feasible(system: BranchSystem, gamma, eps: float = 0.0,
     if len(potentials) != len(gam):
         raise ModelError("gamma and potential list lengths differ")
     if q is None:
-        q = system.branch_count()
-        if q is None:
-            q = 64
+        q = system.branch_count() or 64
     check_word(system, (q,))
     if q ** n > _OPT_BUDGET:
         raise BudgetExceededError(f"q^n = {q ** n} exceeds optimizer budget {_OPT_BUDGET}")
@@ -442,36 +428,29 @@ def feasible(system: BranchSystem, gamma, eps: float = 0.0,
     arr = _decode_words(q, n)
     A = np.vstack([_moment_rows(system, pot, arr) for pot in potentials])
 
-    def report(witness_p):
-        keep = witness_p > 1e-15
-        words = tuple(tuple(int(s) for s in w) for w in arr[keep])
-        weights = witness_p[keep]
-        weights = weights / weights.sum()
+    def report(x):
+        keep = x > 1e-15
+        weights = x[keep] / x[keep].sum()
         moments = tuple(float(m) for m in (A[:, keep] @ weights))
-        measure = CylinderMeasure(level=n, words=words, weights=tuple(weights))
-        worst = float(np.max(np.abs(np.asarray(moments) - gam)))
-        if worst > eps + 1e-9:
-            return FeasibilityReport(tuple(gam), eps, q, n, "infeasible-at-truncation",
-                                     worst, None, moments)
+        measure = CylinderMeasure(level=n, words=tuple(tuple(int(s) for s in w) for w in arr[keep]),
+                                  weights=tuple(weights))
         return FeasibilityReport(tuple(gam), eps, q, n, "feasible-with-witness",
-                                 worst, measure, moments)
+                                 float(np.max(np.abs(np.asarray(moments) - gam))), measure, moments)
 
-    # a positive projection that meets the moments is the witness and
-    # proves feasibility without the LP; when it misses, the LP decides
+    # the maximum-entropy projection that meets the moments is the witness;
+    # when it fails or misses them, the projection onto the boxes decides
+    uniform = np.full(arr.shape[0], 1.0 / arr.shape[0])
     try:
-        proj = _project_box(np.full(arr.shape[0], 1.0 / arr.shape[0]), A, gam, gam)
+        proj = _project_box(uniform, A, gam, gam)
     except UndeterminedError:
         proj = None
-    rep = report(proj) if proj is not None and np.all(proj > 0) else None
-    if rep is not None and rep.witness is not None:
+    if proj is not None and (rep := report(proj)).max_violation <= eps + 1e-9:
         return rep
-
     try:
-        lp_point = _check_feasible_lp(arr.shape[0], A, gam - eps, gam + eps)[1]
-    except InfeasibleConstraintsError:
+        return report(_feasible_projection(uniform, A, gam - eps, gam + eps))
+    except InfeasibleConstraintsError as exc:
         return FeasibilityReport(tuple(gam), eps, q, n, "infeasible-at-truncation",
-                                 math.inf, None, ())
-    return rep if rep is not None else report(lp_point)
+                                 exc.distance + eps, None, ())
 
 
 # ---------------------------------------------------------------------------

@@ -543,6 +543,12 @@ def _measures_reports() -> list[OracleReport]:
     out.append(_report("harmonic moment of the feasibility witness",
                        0.6, rep.moments[0], 2e-6))
 
+    # certified distances (max_violation - eps): 1/a_1 <= 1, chi1 + chi2 = 1
+    out.append(_report("certified distance of harmonic moment 1.5 on Gauss", 0.5, feasible(
+        gauss, (1.5,), q=30, potentials=(harmonic_potential(),)).max_violation, 1e-12))
+    out.append(_report("certified distance of chi1, chi2 at 0.8 +- 1e-3", 0.3 - 1e-3,
+                       feasible(doubling, (0.8, 0.8), eps=1e-3).max_violation - 1e-3, 1e-12))
+
     out.append(_report("digit-frequency dimension, full vector on doubling",
                        besicovitch_eggleston([0.25, 0.75], [0.5, 0.5]),
                        digit_frequency_dimension(doubling, [0.25, 0.75]).dimension,

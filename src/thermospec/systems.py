@@ -33,6 +33,7 @@ Word = tuple  # tuple of 1-based branch indices
 
 _EM_HEAD = 1_000  # explicit tail terms before the Euler-Maclaurin remainder
 _ROUND = 2.0 ** -53  # unit roundoff
+_NORMAL = 2.0 ** -1022  # least normal float
 _PACKING_SLACK = 1e-9
 _LN2_HI, _LN2_LO = 0.6931471803691238, 1.9082149292705877e-10  # fdlibm's log 2
 
@@ -162,7 +163,14 @@ class PowerLogTail(Tail):
         lam = float(Fraction(self.a) * Fraction(s) - 1)
         scale = L * xb * math.exp(-p * math.log1p(self.b / x))
         integral = scale * _powerlog_integral(lam, Fraction(self.d) * Fraction(s), self.b, L, xb)
-        return f0, _powerlog_taylor(p, r, x, xb, L), integral, 12.0 + s * (4.0 + self.d)
+        taylor, allowance = _powerlog_taylor(p, r, x, xb, L), 12.0 + s * (4.0 + self.d)
+        if f0 >= _NORMAL:
+            return f0, taylor, integral, allowance
+        # f(M) is subnormal while the sum need not be: scale by M f(M) =
+        # c^s M^-lam log(M + b)^-r, from logs, and widen by their rounding
+        logs = (s * math.log(self.c), -lam * math.log(x), -r * math.log(L))
+        return (math.exp(math.fsum(logs)), [t / x for t in taylor], integral / x,
+                allowance + 4.0 + 2.0 * sum(abs(v) for v in logs))
 
     def terms_to_exceed_log10(self, s: float, bound: float) -> float:
         if self.converges(s):

@@ -1,5 +1,6 @@
 """What importing and running the package loads."""
 
+import ast
 import json
 import os
 import subprocess
@@ -7,6 +8,12 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+GOLDEN = Path(__file__).resolve().parent / "golden" / "cli_envelopes.json"
+
+
+def _child_env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
 
 # each step runs in the order given, and the scipy and mpmath modules
 # loaded after it are reported
@@ -40,14 +47,12 @@ print(json.dumps(seen))
 
 
 def test_package_runs_without_loading_scipy():
-    # importing scipy takes longer than importing the package itself; the
-    # package imports it only for the feasibility LP, which runs when a KL
-    # projection misses its boxes.  mpmath loads only for the 30-digit
-    # flat-window edges (and the verification suite), not for the series
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    # importing scipy takes longer than importing the package itself, and
+    # the package never imports it: only the tests use it, as a reference.
+    # mpmath loads only for the 30-digit flat-window edges (and the
+    # verification suite), not for the series
     proc = subprocess.run([sys.executable, "-c", _PROBE], capture_output=True,
-                          text=True, env=env, timeout=120)
+                          text=True, env=_child_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.strip().splitlines()[-1])
     assert list(seen) == ["import", "restricted root", "flat legendre row",
@@ -73,11 +78,83 @@ print(json.dumps(seen))
 def test_oracle_loads_on_first_use():
     # the verification suite is not part of a plain import, of the package
     # or of the command line, and its names still resolve from the package
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     proc = subprocess.run([sys.executable, "-c", _LAZY_ORACLE], capture_output=True,
-                          text=True, env=env, timeout=120)
+                          text=True, env=_child_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.strip().splitlines()[-1])
     assert seen == {"import": False, "after use": True,
                     "names": ["verification_suite", "sample_orbit"], "all": True}
+
+
+# scipy cannot be imported in this child: every feasibility verdict, and the
+# golden `feasible` envelopes (argv lists in sys.argv[1]), come from the
+# package alone
+_NO_SCIPY = r"""
+import contextlib, io, json, sys
+sys.modules["scipy"] = None
+import thermospec as ts
+from thermospec.cli import main
+
+d, g = ts.doubling_system(), ts.gauss_system()
+chi1, chi2, harm = ts.indicator_potential(1), ts.indicator_potential(2), ts.harmonic_potential()
+calls = {
+    "ratio chi1,chi2 0.8+-1e-3": lambda: ts.maximize_ratio(d, ((chi1, 0.8, 1e-3), (chi2, 0.8, 1e-3))),
+    "ratio chi1 1.5": lambda: ts.maximize_ratio(d, ((chi1, 1.5, 0.0),)),
+    "feasible gauss 1.5": lambda: ts.feasible(g, [1.5], q=30),
+    "feasible doubling 0.2,0.3": lambda: ts.feasible(d, (0.2, 0.3), eps=0.01),
+    "feasible doubling 1.0000005": lambda: ts.feasible(d, [1.0000005], eps=1e-6),
+    "feasible gauss 1.0000005": lambda: ts.feasible(g, [1.0000005], eps=1e-6, q=5),
+    "feasible gauss harmonic 1.2": lambda: ts.feasible(g, [1.2], eps=0.3, q=5, potentials=(harm,)),
+    "feasible gauss 0.6,0.5": lambda: ts.feasible(g, (0.6, 0.5), eps=0.06, q=5),
+}
+seen = {}
+for name, call in calls.items():
+    try:
+        rep = call()
+    except ts.InfeasibleConstraintsError as exc:
+        seen[name] = ["infeasible", exc.distance]
+    else:
+        seen[name] = [rep.verdict, rep.max_violation]
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    seen[" ".join(argv)] = [code, out.getvalue()]
+print(json.dumps(seen))
+"""
+
+
+def test_feasibility_verdicts_need_no_scipy():
+    golden = [case for case in json.loads(GOLDEN.read_text(encoding="utf-8"))
+              if case["argv"][0] == "feasible"]
+    assert len(golden) == 2
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY,
+                           json.dumps([case["argv"] for case in golden])],
+                          capture_output=True, text=True, env=_child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.strip().splitlines()[-1])
+    for name, violation in [("ratio chi1,chi2 0.8+-1e-3", 0.299), ("ratio chi1 1.5", 0.5)]:
+        assert seen[name][0] == "infeasible" and abs(seen[name][1] - violation) <= 1e-9, name
+    for name, violation in [("feasible gauss 1.5", 0.5), ("feasible doubling 0.2,0.3", 0.25)]:
+        assert seen[name][0] == "infeasible-at-truncation", name
+        assert abs(seen[name][1] - violation) <= 1e-9, name
+    for name, eps in [("feasible doubling 1.0000005", 1e-6), ("feasible gauss 1.0000005", 1e-6),
+                      ("feasible gauss harmonic 1.2", 0.3), ("feasible gauss 0.6,0.5", 0.06)]:
+        assert seen[name][0] == "feasible-with-witness" and seen[name][1] <= eps + 1e-9, name
+    for case in golden:
+        assert seen[" ".join(case["argv"])] == [case["exit"], case["stdout"]], case["argv"]
+
+
+def test_no_module_imports_scipy():
+    hits = []
+    for path in sorted((SRC / "thermospec").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            hits += [f"{path.name}:{node.lineno}" for name in names
+                     if name == "scipy" or name.startswith("scipy.")]
+    assert hits == []

@@ -5,6 +5,7 @@ import json
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -249,7 +250,8 @@ def test_feasible_detects_unreachable_moment():
 
 def test_feasible_is_silent_on_an_unreachable_box():
     # digit frequencies 0.2 and 0.3 of the doubling map cannot sum to 1; the
-    # Armijo steps of the box projection meet log1p(-1) on the way there
+    # Armijo steps of the box projection move nearly all the weight on the
+    # way there, where the log1p form of their change would meet log1p(-1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rep = ts.feasible(ts.doubling_system(), (0.2, 0.3), eps=0.01)
@@ -266,60 +268,138 @@ def test_feasible_custom_potentials():
 
 
 def test_projection_failure_is_not_an_empty_set(monkeypatch):
-    # a NaN start drives the real projection into its failure path; only the
-    # feasibility LP may call a level set empty
+    # a NaN start drives the real projection into its failure path, with no
+    # dual direction to certify anything: it is undetermined, never "empty"
     real = measures._project_box
     monkeypatch.setattr(measures, "_project_box",
                         lambda p, A, lo, hi: real(np.full_like(p, np.nan), A, lo, hi))
     with pytest.raises(ts.UndeterminedError):
         ts.digit_frequency_dimension(ts.doubling_system(), [0.25, 0.745],
                                      mode="partial", eps=0.01)
-    rep = ts.feasible(ts.gauss_system(), [0.6], q=50)
-    assert rep.verdict == "feasible-with-witness"
-    assert rep.witness.words == ((1,), (2,))  # the LP vertex
-    assert rep.moments[0] == pytest.approx(0.6, abs=1e-12)
+    with pytest.raises(ts.UndeterminedError):
+        ts.feasible(ts.gauss_system(), [0.6], q=50)
 
 
-def test_lp_decides_only_when_the_projection_misses(monkeypatch):
-    # a projection inside the boxes is the feasibility witness; the LP runs
-    # only when the projection raises or misses a box, and its verdicts stand
-    calls = []
-    real_lp = measures._check_feasible_lp
+def _exact_distance(d, A, lo, hi):
+    """(d.c - w.|d| - max_w (A^T d)_w) / |d|_1 in exact rational arithmetic,
+    c and w being the centres and half-widths of the boxes [lo, hi]."""
+    d = [Fraction(float(v)) for v in d]
+    lo, hi = [Fraction(float(v)) for v in lo], [Fraction(float(v)) for v in hi]
+    inner = sum(di * (l + h) / 2 - abs(di) * (h - l) / 2 for di, l, h in zip(d, lo, hi))
+    reach = max(sum(di * Fraction(float(a)) for di, a in zip(d, col)) for col in zip(*A))
+    return (inner - reach) / sum(abs(di) for di in d)
 
-    def counted_lp(*args):
-        calls.append(args)
-        return real_lp(*args)
 
-    monkeypatch.setattr(measures, "_check_feasible_lp", counted_lp)
+def test_infeasible_verdicts_carry_a_checked_certificate(monkeypatch):
+    # a projection inside the boxes is the witness; boxes that cannot be met
+    # are refuted by the projection's own dual direction d, whose distance is
+    # re-checked here in exact arithmetic over the words' moment vectors
     sys2 = ts.doubling_system()
-    chi1 = ts.indicator_potential(1)
+    chi1, chi2 = ts.indicator_potential(1), ts.indicator_potential(2)
     _, st = ts.maximize_ratio(sys2, constraints=((chi1, 0.25, 1e-6),))
-    assert calls == []
     assert st.ratio == pytest.approx(BE_QUARTER, abs=1e-5)
-    assert ts.feasible(ts.gauss_system(), [0.6], q=50).verdict == "feasible-with-witness"
-    assert calls == []
 
-    with pytest.raises(ts.InfeasibleConstraintsError, match="violation 0.5"):
+    with pytest.raises(ts.InfeasibleConstraintsError, match="violation 0.5") as info:
         ts.maximize_ratio(sys2, constraints=((chi1, 1.5, 0.0),))
-    assert len(calls) == 1
+    assert info.value.distance == 0.5
+    assert _exact_distance(info.value.direction, [[1.0, 0.0]], [1.5], [1.5]) == 0.5
 
+    with pytest.raises(ts.InfeasibleConstraintsError, match="violation 0.299") as info:
+        ts.maximize_ratio(sys2, constraints=((chi1, 0.8, 1e-3), (chi2, 0.8, 1e-3)))
+    exact = _exact_distance(info.value.direction, [[1.0, 0.0], [0.0, 1.0]],
+                            [0.8 - 1e-3] * 2, [0.8 + 1e-3] * 2)
+    assert exact > 0 and abs(exact - Fraction(info.value.distance)) <= 1e-15
+
+    # the harmonic moment 1/a_1 of the Gauss digits is at most 1
     g = ts.gauss_system()
-    rep = ts.feasible(g, [1.5], q=30)
-    assert len(calls) == 2
-    lp_violation, _ = real_lp(*calls[-1])
-    assert rep.verdict == "infeasible-at-truncation"
-    assert rep.max_violation == lp_violation == pytest.approx(0.5, abs=1e-9)
-    assert rep.witness is None
+    rows = [[1.0 / m for m in range(1, 31)]]
+    with pytest.raises(ts.InfeasibleConstraintsError) as info:
+        ts.maximize_ratio(g, constraints=((ts.harmonic_potential(), 1.5, 0.0),), q=30)
+    assert _exact_distance(info.value.direction, rows, [1.5], [1.5]) == info.value.distance == 0.5
 
+    rep = ts.feasible(g, [1.5], q=30)
+    assert rep.verdict == "infeasible-at-truncation"
+    assert rep.max_violation == 0.5
+    assert rep.witness is None and rep.moments == ()
+
+    # a projection that fails without dual iterates decides nothing
     def failing(p, A, lo, hi):
         raise ts.UndeterminedError("constraint projection did not converge")
 
     monkeypatch.setattr(measures, "_project_box", failing)
-    with pytest.raises(ts.UndeterminedError):
-        ts.maximize_ratio(sys2, constraints=((chi1, 0.25, 1e-6),))
-    assert len(calls) == 3
-    with pytest.raises(ts.InfeasibleConstraintsError):
-        ts.maximize_ratio(sys2, constraints=((chi1, 1.5, 0.0),))
+    for gamma in (0.25, 1.5):
+        with pytest.raises(ts.UndeterminedError):
+            ts.maximize_ratio(sys2, constraints=((chi1, gamma, 0.0),))
+
+
+def _lp_violations(problems):
+    """Least t_j with lo_j - t_j <= A_j x_j <= hi_j + t_j for weights x_j,
+    for every box problem (A_j, lo_j, hi_j), from one scipy LP: the blocks
+    share no variable, so minimising the sum of the t_j minimises each."""
+    from scipy.optimize import linprog
+    from scipy.sparse import block_diag
+
+    ub, eq, b_ub, cost, bounds = [], [], [], [], []
+    for A, lo, hi in problems:
+        k, n = A.shape
+        slack = -np.ones((k, 1))
+        ub.append(np.block([[A, slack], [-A, slack]]))
+        b_ub.append(np.concatenate([hi, -lo]))
+        eq.append(np.append(np.ones(n), 0.0)[None])
+        cost.append(np.append(np.zeros(n), 1.0))
+        bounds += [(0, 1)] * n + [(0, None)]
+    res = linprog(np.concatenate(cost), A_ub=block_diag(ub, format="csr"),
+                  b_ub=np.concatenate(b_ub), A_eq=block_diag(eq, format="csr"),
+                  b_eq=np.ones(len(problems)), bounds=bounds, method="highs")
+    assert res.status == 0, res.message
+    return res.x[np.cumsum([A.shape[1] + 1 for A, _, _ in problems]) - 1]
+
+
+def _box_problems(count, seed):
+    """Seeded moment boxes over 2-50 words with 1-3 rows each: a digit
+    indicator, the harmonic row 1/m or a uniform row in [0, 1].  Each box
+    is centred on the moments of a random weight vector, and about half are
+    then pushed off it by up to twice the rows' range."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        k, n = int(rng.integers(1, 4)), int(rng.integers(2, 51))
+        rows = []
+        for kind in rng.integers(0, 3, size=k):
+            if kind == 0:
+                rows.append(np.eye(n)[rng.integers(0, n)])
+            elif kind == 1:
+                rows.append(1.0 / np.arange(1, n + 1))
+            else:
+                rows.append(rng.random(n))
+        A = np.vstack(rows)
+        gam = A @ rng.dirichlet(np.full(n, 0.5))
+        if rng.random() < 0.5:
+            gam += rng.choice([-1.0, 1.0], size=k) * rng.uniform(0, 1.2, size=k) * (1 + rng.random())
+        eps = 0.0 if rng.random() < 0.3 else float(10 ** rng.uniform(-6, -1))
+        yield A, gam - eps, gam + eps
+
+
+def test_box_verdicts_agree_with_an_lp_reference():
+    # scipy's LP is the reference here only; the package does not use it.
+    # Every box the LP can meet gets a witness, and every box it misses by
+    # more than 1e-6 a certificate no stronger than the LP's violation
+    problems = list(_box_problems(200, seed=0))
+    verdicts = {"witness": 0, "infeasible": 0, "undetermined": 0}
+    for (A, lo, hi), v in zip(problems, _lp_violations(problems)):
+        try:
+            x = measures._feasible_projection(np.full(A.shape[1], 1.0 / A.shape[1]), A, lo, hi)
+        except ts.InfeasibleConstraintsError as exc:
+            verdicts["infeasible"] += 1
+            assert v > 1e-9 and exc.distance <= v + 1e-12, (v, exc.distance)
+        except ts.UndeterminedError:
+            verdicts["undetermined"] += 1
+            assert 1e-9 < v <= 1e-6, v
+        else:
+            verdicts["witness"] += 1
+            m = A @ x
+            assert v <= 1e-9 and np.all(m >= lo - 1e-9) and np.all(m <= hi + 1e-9), v
+            assert abs(x.sum() - 1.0) <= 1e-12 and np.all(x >= 0)
+    assert verdicts["infeasible"] >= 80 and verdicts["witness"] >= 80, verdicts
 
 
 def test_mixture_affine_combination_exact():

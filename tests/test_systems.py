@@ -182,6 +182,9 @@ _SERIES_CASES = [
 ]
 
 
+_FAR_STARTS = {"invsq": ((1.0, 10**160), (1.6, 10**100))}
+
+
 @pytest.mark.parametrize("name, system", _SERIES_CASES, ids=[c[0] for c in _SERIES_CASES])
 def test_diam_series_encloses_mpmath_sum(name, system):
     # explicit head plus the Euler-Maclaurin tail bracket, at several starts
@@ -201,6 +204,12 @@ def test_diam_series_encloses_mpmath_sum(name, system):
                 want = head + series(s, first + system.offset)
             assert _encloses(got, want), (name, s, start)
             assert _relative_width(got) <= 1e-14, (name, s, start)
+    # far labels where diam(I_M)^s is subnormal and the sum is not; the
+    # bracket's scale is then formed from logs and its allowance is wider
+    for s, start in _FAR_STARTS.get(name, ()):
+        got = ts.diam_series(system, s, start=start)
+        assert _encloses(got, powerlog_series(system.tail, s, start)), (name, s, start)
+        assert _relative_width(got) <= 1e-12, (name, s, start)
 
 
 def test_powerlog_bracket_at_the_critical_exponent():
