@@ -195,7 +195,8 @@ def _project_box(p, A, lo, hi):
     gradient above its tolerance); else it raises ``_ProjectionFailed`` with
     every theta it saw: where the boxes cannot be met the dual is unbounded
     below, theta/|theta|_1 tends to a separating direction, and a capped
-    step that repeats bit for bit and separates the boxes ends the solve.
+    step that repeats to a relative 1e-12 and separates the boxes ends the
+    solve (the step may drift in its last bits while theta runs off).
     """
     if A is None:
         return p
@@ -245,7 +246,7 @@ def _project_box(p, A, lo, hi):
             if change <= 1e-4 * grad @ delta or t < 1e-12:
                 break
             t *= 0.5
-        if (cap < 1.0 and np.array_equal(delta, last)
+        if (cap < 1.0 and np.max(np.abs(delta - last)) <= 1e-12 * np.max(np.abs(delta))
                 and delta @ c - w @ np.abs(delta) > np.max(delta @ A)):
             thetas.append(delta)  # the dual runs off along this step
             break

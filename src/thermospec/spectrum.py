@@ -31,6 +31,7 @@ from .errors import (
 from .systems import (
     BranchSystem,
     Potential,
+    _logaddexp,
     _logsumexp,
     branch_diameter,
     diam_series,
@@ -218,7 +219,7 @@ def _subsystem_dimension(system, potential, alpha):
             parts.append(math.log(0.5 * (t_lo + t_hi)))
         out = parts[0]
         for p in parts[1:]:
-            out = float(np.logaddexp(out, p))
+            out = _logaddexp(out, p)
         return out
 
     floor = _t_floor(system) if tail_in else 0.0

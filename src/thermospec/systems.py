@@ -372,7 +372,7 @@ def is_linear(system: BranchSystem) -> bool:
 # series of diameters: head sums plus certified tail brackets
 
 
-def _logsumexp(a: np.ndarray, mask: np.ndarray | None = None) -> float:
+def _logsumexp(a: np.ndarray | list, mask: np.ndarray | None = None) -> float:
     """log sum exp(a) of a 1-D float array, bit-identical to scipy's.
 
     Performs ``scipy.special.logsumexp``'s arithmetic without its
@@ -382,7 +382,30 @@ def _logsumexp(a: np.ndarray, mask: np.ndarray | None = None) -> float:
     An empty array gives -inf, and a NaN or infinite maximum scipy's direct
     log(sum(exp(a))).  Given a bool ``mask`` of a's shape, the maxima are
     marked in it and the exponentials overwrite ``a``: nothing is allocated.
+
+    ``a`` may also be a short list of at most 7 Python floats, which skips
+    numpy's dispatch on tiny arrays.  Below 8 terms numpy's ``sum`` adds
+    in sequence (from 8 on it keeps 8 partial sums), so the explicit loop
+    adds left to right as it does; builtin ``sum()`` would not, being
+    compensated from Python 3.12.  The exponentials and logarithms stay
+    numpy's scalar ufuncs, which match the array loops bit for bit where
+    the C library's ``math.exp`` and ``math.log1p`` do not.  A list whose
+    maximum is not finite, or that holds a NaN, takes the array path.
     """
+    if isinstance(a, list):
+        if not a:
+            return -math.inf
+        a_max = max(a)
+        if math.isfinite(a_max):
+            s = m = 0.0
+            for x in a:
+                if x == a_max:
+                    m += 1.0
+                else:
+                    s += np.exp(x - a_max)
+            if s == s:
+                return float(np.log1p(s / m) + np.log(m) + a_max)
+        return _logsumexp(np.array(a))
     if not a.size:
         return -math.inf
     a_max = a.max()
@@ -395,6 +418,27 @@ def _logsumexp(a: np.ndarray, mask: np.ndarray | None = None) -> float:
     np.exp(e, out=e)
     e[ismax] = 0.0
     return float(np.log1p(e.sum() / m) + np.log(m) + a_max)
+
+
+_LOG2 = math.log(2.0)
+
+
+def _logaddexp(x: float, y: float) -> float:
+    """log(e^x + e^y) of two floats, bit-identical to ``np.logaddexp``.
+
+    numpy's scalar arithmetic (``npy_logaddexp``): x + log 2 on a tie,
+    which keeps equal infinities, else the larger plus log1p(exp(-|x - y|))
+    from the C library, and NaN when x - y is NaN.  ``math`` runs it
+    without a ufunc dispatch.
+    """
+    if x == y:
+        return float(x + _LOG2)
+    d = x - y
+    if d > 0:
+        return float(x + math.log1p(math.exp(-d)))
+    if d <= 0:
+        return float(y + math.log1p(math.exp(d)))
+    return float(d)
 
 
 # cephes' Euler-Maclaurin coefficients (2k)!/B_2k

@@ -33,6 +33,7 @@ from .systems import (
     BranchSystem,
     Potential,
     _decode_words,
+    _logaddexp,
     _logsumexp,
     constant_potential,
     diam_series,
@@ -202,7 +203,7 @@ def _log_partition(L, phi, t):
     The exponents are formed one ``_CHUNK`` at a time in one scratch buffer,
     which ``_logsumexp`` exponentiates in place beside one mask, both made
     once per pass, and each chunk's log-sum-exp is folded into the total in
-    index order with ``np.logaddexp``.  Exponents are elementwise, and the
+    index order with ``_logaddexp``.  Exponents are elementwise, and the
     chunks and the folding order are fixed, so the buffers change no bit.
 
     The one special case: with phi None, t > 0 and L a ``_LevelArray``,
@@ -229,8 +230,8 @@ def _log_partition(L, phi, t):
             part = float(np.log1p(a.sum() / m) + np.log(m) + a_max)
         else:
             part = _logsumexp(a if phi is None else np.add(phi[s], a, out=a), mask[:len(a)])
-        out = part if i == 0 else np.logaddexp(out, part)
-    return float(out)
+        out = part if i == 0 else _logaddexp(out, part)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -383,12 +384,14 @@ def _level1_head(system: BranchSystem, potential: Potential):
     """t-independent head of the tilted series: the one cache of its data.
 
     Returns (H, vals, logd, uvals, edges, glogd, digits): the head length,
-    the potential values and log diam(I_i) in digit order, the distinct
-    values and their group boundaries, and log diam(I_i) and the physical
-    digits in grouped order.  Only the continued-fraction family reads the
-    digits, so they are None on linear systems.  With more than 512
-    distinct values the head stays ungrouped in digit order: uvals are the
-    per-digit values and edges is None.
+    the potential values and log diam(I_i) in digit order, the term values
+    and the group boundaries, and log diam(I_i) and the physical digits in
+    grouped order.  The term values are the distinct head values, then on
+    a system with a tail the midpoint of the potential's tail bounds.  Only
+    the continued-fraction family reads the digits, so they are None on
+    linear systems.  With more than 512 distinct values the head stays
+    ungrouped in digit order: the term values are the per-digit values,
+    ``vals`` is a view of them, and edges is None.
 
     A finite system's head is all of it.  On a linear system whose
     potential is one constant past the explicit head (equal
@@ -404,53 +407,80 @@ def _level1_head(system: BranchSystem, potential: Potential):
     logd = np.log(diameters(system, H))
     vals = level1_values(system, potential, H)
     digits = None if is_linear(system) else np.arange(1, H + 1, dtype=float) + system.offset
+    p_mid = []
+    if system.tail is not None:
+        p_lo, p_hi = potential.tail_bounds(system, H)
+        p_mid = [0.5 * (p_lo + p_hi)]
     uvals, inv = np.unique(vals, return_inverse=True)
     if len(uvals) > 512:
-        return H, vals, logd, vals, None, logd, digits
+        uvals = np.append(vals, p_mid)
+        return H, uvals[:H], logd, uvals, None, logd, digits
     order = np.argsort(inv, kind="stable")
     edges = np.searchsorted(inv[order], np.arange(len(uvals) + 1))
-    return (H, vals, logd, uvals, edges, logd[order],
+    return (H, vals, logd, np.append(uvals, p_mid), edges, logd[order],
             None if digits is None else digits[order])
 
 
 @functools.lru_cache(maxsize=16)
 def _series_groups(system: BranchSystem, potential: Potential, t: float):
-    """Grouped log-weights of e^{q phi} x w_i at tilt q = 0, and the tail.
+    """Terms of the tilted series at tilt q = 0: grouped log-weights of
+    e^{q phi} x w_i, then the tail as one more term.
 
     The system chooses the weights w_i: diam(I_i)^t with the ``diam_series``
     tail on linear systems; on the continued-fraction family the
     derivative-range surrogates m^(-2t) for the point and upper values and
     (m+1)^(-2t) for the lower one, with Hurwitz tails, which bracket it.
-    Returns (H, values, logS_lo, logS, p_lo, p_hi, logT_lo, logT, logT_hi):
-    the head length, the distinct potential values, their lower and point
-    log-weights (the same array on linear systems), the potential's tail
-    bounds and the logs of the lower, point and upper tail sums (None
-    entries for finite systems).
+    Returns (H, vals, logS, logS_lo, tail): the head length; the term
+    values of ``_level1_head`` and their point log-weights, the tail's
+    being the log of its point sum; the lower log-weights of the head
+    groups alone, or None where they are the point ones (linear systems);
+    and for a system with a tail (p_lo, p_hi, logT_lo, logT_hi), the
+    potential's tail bounds and the logs of the lower and upper tail sums,
+    else None.  Every q-step of ``_f_alpha`` reads them as they are.
+
+    The form is chosen here, once per t.  Series of at most 7 terms (6
+    groups and the tail) are lists of Python floats, which ``_f_alpha``
+    tilts and log-sums without numpy's per-call dispatch: numpy's sum adds
+    in sequence below 8 terms, as the list loop of ``_logsumexp`` does, and
+    from 8 on keeps 8 partial sums, so longer series and ungrouped heads
+    stay arrays.
     """
     H, _, _, uvals, edges, glogd, digits = _level1_head(system, potential)
+    tail, tail_term = None, []
+    if system.tail is not None:
+        p_lo, p_hi = potential.tail_bounds(system, H)
+        if digits is None:
+            logT_lo, logT_hi = map(_log, diam_series(system, t, start=H + 1))
+            logT = 0.5 * (logT_lo + logT_hi)
+        else:
+            first = H + 1 + system.offset
+            logT_lo = _log(_zeta_tail(2.0 * t, first + 1))
+            logT = logT_hi = _log(_zeta_tail(2.0 * t, first))
+        tail, tail_term = (p_lo, p_hi, logT_lo, logT_hi), [logT]
+    short = len(uvals) <= 7
 
-    def grouped(w):
+    def log_weights(scale, logw, after=()):
+        # log sum over each group of scale * logw, then the entries of after
+        w = scale * logw
         if edges is None:
-            return w
-        return np.array([_logsumexp(w[edges[g]:edges[g + 1]])
-                         for g in range(len(uvals))])
+            return np.append(w, after) if after else w
+        out = [_logsumexp(w[edges[g]:edges[g + 1]]) for g in range(len(edges) - 1)]
+        out += after
+        return out if short else np.array(out)
 
     if digits is None:
-        logS_lo = logS = grouped(t * glogd)
+        logS, logS_lo = log_weights(t, glogd, tail_term), None
     else:
-        logS_lo = grouped(-2.0 * t * np.log(digits + 1.0))
-        logS = grouped(-2.0 * t * np.log(digits))
-    if system.tail is None:
-        return H, uvals, logS_lo, logS, None, None, None, None, None
-    p_lo, p_hi = potential.tail_bounds(system, H)
-    if digits is None:
-        logT_lo, logT_hi = map(_log, diam_series(system, t, start=H + 1))
-        logT = 0.5 * (logT_lo + logT_hi)
-    else:
-        first = H + 1 + system.offset
-        logT_lo = _log(_zeta_tail(2.0 * t, first + 1))
-        logT = logT_hi = _log(_zeta_tail(2.0 * t, first))
-    return H, uvals, logS_lo, logS, p_lo, p_hi, logT_lo, logT, logT_hi
+        logS_lo = log_weights(-2.0 * t, np.log(digits + 1.0))
+        logS = log_weights(-2.0 * t, np.log(digits), tail_term)
+    return H, uvals.tolist() if short else uvals, logS, logS_lo, tail
+
+
+def _tilt(q, vals, logw):
+    """q * vals + logw over the first len(logw) terms, in the form of logw."""
+    if isinstance(logw, list):
+        return [q * u + l for u, l in zip(vals, logw)]
+    return q * vals[:len(logw)] + logw
 
 
 def _f_alpha(system, potential, t, q):
@@ -462,19 +492,25 @@ def _f_alpha(system, potential, t, q):
     solver closure alone.  On linear systems with a tail the bracket also
     covers the rounding of the head sum.  A divergent tail gives
     (inf, inf, inf, nan).
+
+    One body serves both forms of ``_series_groups``.  On the short lists
+    (at most 7 terms, where numpy's sum still adds in sequence) the terms,
+    their log-sum-exp and the log-add of the tail bounds are scalar float
+    arithmetic that repeats numpy's bit for bit.  The mean alpha stays one
+    numpy dot product in both forms, because BLAS's ``ddot`` fuses
+    multiply and add, which a Python loop cannot repeat.
     """
-    H, uvals, logS_lo, logS, p_lo, p_hi, logT_lo, logT, logT_hi = _series_groups(
-        system, potential, t)
-    if p_lo is not None and math.isinf(logT_hi):
+    H, vals, logS, logS_lo, tail = _series_groups(system, potential, t)
+    if tail is not None and math.isinf(tail[3]):
         return math.inf, math.inf, math.inf, math.nan
-    terms = q * uvals + logS
-    head = _logsumexp(terms)
-    head_lo = head if logS_lo is logS else _logsumexp(q * uvals + logS_lo)
-    if p_lo is None:
-        weights = np.exp(terms - head)
-        return head_lo, head, head, float(weights @ uvals)
+    terms = _tilt(q, vals, logS)
+    head = _logsumexp(terms if tail is None else terms[:-1])
+    head_lo = head if logS_lo is None else _logsumexp(_tilt(q, vals, logS_lo))
+    if tail is None:
+        return head_lo, head, head, float(np.exp(np.subtract(terms, head)) @ vals)
+    p_lo, p_hi, logT_lo, logT_hi = tail
     head_hi = head
-    if logS_lo is logS:
+    if logS_lo is None:
         # linear: the tail bracket is narrow to rounding, so the head sum's
         # own rounding joins it.  Each exponent x_i = q phi(i) + t log diam
         # is rounded relative to |x_i|, and with weights w_i = e^(x_i - head)
@@ -482,14 +518,10 @@ def _f_alpha(system, potential, t, q):
         slack = _EPS * (2.0 * (abs(head) + math.log(H)) + math.log2(H) + 2.0)
         head_lo, head_hi = head - slack, head + slack
     lo_val, hi_val = (p_lo, p_hi) if q >= 0 else (p_hi, p_lo)
-    f_lo = float(np.logaddexp(head_lo, q * lo_val + logT_lo))
-    f_hi = float(np.logaddexp(head_hi, q * hi_val + logT_hi))
-    p_mid = 0.5 * (p_lo + p_hi)
-    all_terms = np.append(terms, q * p_mid + logT)
-    all_vals = np.append(uvals, p_mid)
-    f = _logsumexp(all_terms)
-    weights = np.exp(all_terms - f)
-    return f_lo, f, f_hi, float(weights @ all_vals)
+    f_lo = _logaddexp(head_lo, q * lo_val + logT_lo)
+    f_hi = _logaddexp(head_hi, q * hi_val + logT_hi)
+    f = _logsumexp(terms)
+    return f_lo, f, f_hi, float(np.exp(np.subtract(terms, f)) @ vals)
 
 
 def pressure_locally_constant_bracket(system: BranchSystem,
@@ -831,9 +863,9 @@ def _root_analytic(system, bracket, tol, q, n_max, budget, workers):
             slack = 1e-12 * max(1.0, abs(bound))
             if upper:
                 missing = _log(max(S_full ** n - S_q ** n, 0.0))
-                least = float(np.logaddexp(n * _log(S_lo_q) + V, missing)) / n
+                least = _logaddexp(n * _log(S_lo_q) + V, missing) / n
                 if not (lazy and least > bound + slack):
-                    terms.append(float(np.logaddexp(log_partition(t, n) + V, missing)) / n)
+                    terms.append(_logaddexp(log_partition(t, n) + V, missing) / n)
             elif not (lazy and _log(S_q) - V / n < bound - slack):
                 terms.append((log_partition(t, n) - V) / n)
         return min(terms) if upper else max(terms)

@@ -1,10 +1,16 @@
 """The tilted level-1 series on the continued-fraction family and on
 linear systems, pinned bit for bit to values recorded before its head
-data and weights moved into one evaluator."""
+data and weights moved into one evaluator, and checked against the
+array evaluator it had before short series became lists of floats."""
 
+import math
+
+import numpy as np
 import pytest
 
 import thermospec as ts
+from thermospec import thermo
+from thermospec.systems import _logaddexp, _logsumexp
 
 
 def _no_zero(system, potential, delta, alpha, expected):
@@ -114,3 +120,129 @@ def test_locally_constant_brackets_bit_for_bit(system, potential, t, coeff, expe
     lo, hi = ts.pressure_locally_constant_bracket(
         _system(system), _potential(potential), t, coeff)
     assert (_hex(lo), _hex(hi)) == expected
+
+
+def _array_f_alpha(system, potential, t, q, memo):
+    """``thermo._f_alpha`` as its all-array form computed it: the head
+    regrouped here, the tail appended per call and folded by np.logaddexp.
+    ``memo`` keeps the per-t groups, as the cache did."""
+    key = (system, potential, t)
+    if key not in memo:
+        H, vals, logd = thermo._level1_head(system, potential)[:3]
+        digits = None if ts.is_linear(system) else np.arange(1, H + 1, dtype=float) + system.offset
+        uvals, inv = np.unique(vals, return_inverse=True)
+        edges, glogd = None, logd
+        if len(uvals) > 512:
+            uvals = vals
+        else:
+            order = np.argsort(inv, kind="stable")
+            edges = np.searchsorted(inv[order], np.arange(len(uvals) + 1))
+            glogd = logd[order]
+            digits = None if digits is None else digits[order]
+
+        def grouped(w):
+            if edges is None:
+                return w
+            return np.array([_logsumexp(w[edges[g]:edges[g + 1]])
+                             for g in range(len(uvals))])
+
+        if digits is None:
+            logS_lo = logS = grouped(t * glogd)
+        else:
+            logS_lo = grouped(-2.0 * t * np.log(digits + 1.0))
+            logS = grouped(-2.0 * t * np.log(digits))
+        tail = None
+        if system.tail is not None:
+            p_lo, p_hi = potential.tail_bounds(system, H)
+            if digits is None:
+                logT_lo, logT_hi = map(thermo._log, ts.diam_series(system, t, start=H + 1))
+                logT = 0.5 * (logT_lo + logT_hi)
+            else:
+                first = H + 1 + system.offset
+                logT_lo = thermo._log(thermo._zeta_tail(2.0 * t, first + 1))
+                logT = logT_hi = thermo._log(thermo._zeta_tail(2.0 * t, first))
+            tail = (p_lo, p_hi, logT_lo, logT, logT_hi)
+        memo[key] = (H, uvals, logS_lo, logS, tail)
+    H, uvals, logS_lo, logS, tail = memo[key]
+    if tail is not None and math.isinf(tail[4]):
+        return math.inf, math.inf, math.inf, math.nan
+    terms = q * uvals + logS
+    head = _logsumexp(terms)
+    head_lo = head if logS_lo is logS else _logsumexp(q * uvals + logS_lo)
+    if tail is None:
+        weights = np.exp(terms - head)
+        return head_lo, head, head, float(weights @ uvals)
+    p_lo, p_hi, logT_lo, logT, logT_hi = tail
+    head_hi = head
+    if logS_lo is logS:
+        slack = thermo._EPS * (2.0 * (abs(head) + math.log(H)) + math.log2(H) + 2.0)
+        head_lo, head_hi = head - slack, head + slack
+    lo_val, hi_val = (p_lo, p_hi) if q >= 0 else (p_hi, p_lo)
+    f_lo = float(np.logaddexp(head_lo, q * lo_val + logT_lo))
+    f_hi = float(np.logaddexp(head_hi, q * hi_val + logT_hi))
+    p_mid = 0.5 * (p_lo + p_hi)
+    all_terms = np.append(terms, q * p_mid + logT)
+    f = _logsumexp(all_terms)
+    weights = np.exp(all_terms - f)
+    return f_lo, f, f_hi, float(weights @ np.append(uvals, p_mid))
+
+
+def _linear(rng, n):
+    d = rng.uniform(0.2, 1.0, n)
+    return ts.linear_system((0.9 * d / d.sum()).tolist())
+
+
+def test_f_alpha_matches_the_array_evaluator_seeded():
+    # both forms of the series, short float lists (up to 7 terms) and
+    # arrays (8 terms, and the ungrouped 1e5-digit harmonic heads), across
+    # finite, linear-tail and continued-fraction systems; t below 1/2
+    # reaches the divergent tails
+    rng = np.random.default_rng(20)
+    g = ts.gauss_system()
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    systems = [ts.doubling_system(), ts.linear_system([golden, golden ** 2]),
+               _linear(rng, 3), _linear(rng, 6), _linear(rng, 7), _linear(rng, 8),
+               ts.flat_example_system(), g, ts.truncate(g, 5), ts.restricted_system(g, 7)]
+    potentials = [ts.indicator_potential(1), ts.indicator_potential(2),
+                  ts.constant_potential(float(rng.uniform(-2.0, 2.0))), ts.harmonic_potential()]
+    memo, forms, cases = {}, set(), 0
+    for system in systems:
+        for potential in potentials:
+            for t in rng.uniform(0.3, 1.6, 5).tolist():
+                for q in [0.0, *rng.uniform(-5.0, 5.0, 5).tolist(),
+                          *rng.uniform(-700.0, 700.0, 4).tolist()]:
+                    got = thermo._f_alpha(system, potential, t, q)
+                    want = _array_f_alpha(system, potential, t, q, memo)
+                    assert [x.hex() for x in got] == [x.hex() for x in want], (
+                        system, potential, t, q)
+                    cases += 1
+                forms.add(type(thermo._series_groups(system, potential, t)[2]))
+    assert cases >= 1500
+    assert forms == {list, np.ndarray}
+    # the benchmark's flat and doubling chi1 rows take the float lists
+    for system in (ts.flat_example_system(), ts.doubling_system()):
+        assert type(thermo._series_groups(system, ts.indicator_potential(1), 0.6)[2]) is list
+
+
+def test_short_logsumexp_and_logaddexp_match_numpy():
+    rng = np.random.default_rng(21)
+    special = [0.0, -0.0, 1.0, -1.0, 709.5, -745.0, math.inf, -math.inf, math.nan]
+    cases = [[], [math.inf, 1.0], [-math.inf, -math.inf], [1.0, math.nan],
+             [math.nan, 1.0], [2.0, 2.0, 2.0], [1e308, 1e308], [0.0, -40.0, -45.0]]
+    for _ in range(4000):
+        n = int(rng.integers(1, 8))
+        a = rng.normal(scale=10.0 ** rng.uniform(-3, 3), size=n) + rng.normal(scale=50.0)
+        ties = rng.integers(0, n, size=int(rng.integers(0, n + 1)))
+        a[ties] = a.max()
+        if rng.random() < 0.2:
+            a[rng.integers(0, n)] = special[rng.integers(0, len(special))]
+        cases.append(a.tolist())
+    for a in cases:
+        assert _logsumexp(a).hex() == _logsumexp(np.array(a)).hex(), a
+    x = rng.normal(scale=10.0 ** rng.uniform(-3, 3, 100_000))
+    y = np.where(rng.random(100_000) < 0.1, x, x + rng.normal(scale=10.0 ** rng.uniform(-18, 3, 100_000)))
+    pairs = list(zip(x.tolist(), y.tolist()))
+    pairs += [(a, b) for a in special for b in special]
+    with np.errstate(invalid="ignore"):
+        for a, b in pairs:
+            assert _logaddexp(a, b).hex() == float(np.logaddexp(a, b)).hex(), (a, b)
