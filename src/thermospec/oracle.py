@@ -461,7 +461,7 @@ def _thermo_reports() -> list[OracleReport]:
         v3_oracle = float(mpmath.log(total) / 3)
     v3_module = pressure(gauss, t=1.0, q=4, n_max=3).values[2]
     out.append(_report("Gauss level-3 periodic sum at t=1, q=4",
-                       v3_oracle, v3_module, 1e-10))
+                       v3_oracle, v3_module, 1e-14))
 
     # closed-form orbit sums past the float range of the continuants
     words = list(product((1, 2), repeat=8))

@@ -273,6 +273,20 @@ class BranchSystem:
     offset: int = 0
     flat: FlatParams | None = None
 
+    def __hash__(self) -> int:
+        # the dataclass hash of the fields, computed once: every cache keyed
+        # on a system (lru_cache, the level arrays) looks it up per call
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            h = hash((self.head, self.tail, self.xi, self.offset, self.flat))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __getstate__(self):
+        # a pickle carries no hash: hash(None) differs between processes
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
     def digit(self, i: int) -> int:
         """Physical branch label for logical index i."""
         return i + self.offset
@@ -1065,13 +1079,20 @@ class LogDerivPotential(Potential):
         product of [[0, 1], [1, m_j]] over the physical digits and T =
         K(m_1..m_n) + K(m_2..m_{n-1}) its continuant trace.  The product
         [[a, b], [c, d]] of all digits but the last is scaled by exact powers
-        of two, 2^-e in all, once d reaches 2^128; the last digit closes the
-        half trace y = (b + c + d m_n) 2^-e / 2.  Where y^2 overflows (digits
-        above about 1e154) mu is 2y, which it equals in floats there.
-        Columns may broadcast, as prefix digits (P, 1) against last digits
-        (1, q): every step before the trace runs on P elements.  y is the one
-        temporary of the full shape; mu and its logarithm are written into
-        ``out`` when it is given (it must have that shape).
+        of two, 2^-e in all, at each step where some d reaches 2^128 (below
+        it the scaling would be an exact ldexp by 0, so it is skipped); the
+        last digit closes the half trace y = (b + c + d m_n) 2^-e / 2.  Where
+        y^2 overflows (digits above about 1e154) mu is 2y, which it equals in
+        floats there.  Columns may broadcast, as prefix digits (P, 1) against
+        last digits (1, q): every step before the trace runs on P elements.
+        y is the one temporary of the full shape; mu and its logarithm are
+        written into ``out`` when it is given (it must have that shape).
+
+        T is invariant under rotation and reversal of the word, and for
+        n <= 3 every permutation is one of those: T is m, m_1 m_2 + 2 and
+        m_1 m_2 m_3 + m_1 + m_2 + m_3.  So up to length 3 the sum depends
+        only on the multiset of digits, and where the continuants are exact
+        integers (below 2^53) every ordering gives the same bits.
         """
         if is_linear(system):
             sums = super().birkhoff_sums(system, cols)
@@ -1083,9 +1104,10 @@ class LogDerivPotential(Potential):
         a, b, c, d, e = 1.0, 0.0, 0.0, 1.0, 0
         for m in head:
             a, b, c, d = b, a + b * m, d, c + d * m
-            k = np.where(d < 2.0 ** 128, 0, np.frexp(d)[1])
-            a, b, c, d = (np.ldexp(x, -k) for x in (a, b, c, d))
-            e = e + k
+            if np.max(d) >= 2.0 ** 128:  # below, the scaling is ldexp by 0
+                k = np.where(d < 2.0 ** 128, 0, np.frexp(d)[1])
+                a, b, c, d = (np.ldexp(x, -k) for x in (a, b, c, d))
+                e = e + k
         y = 0.5 * d * last
         y += 0.5 * (b + c)
         with np.errstate(over="ignore"):
@@ -1097,8 +1119,9 @@ class LogDerivPotential(Potential):
             np.multiply(y, 2.0, out=mu, where=np.isinf(mu))
         np.log(mu, out=mu)
         mu *= 2.0
-        mu += 2 * e * _LN2_LO  # e log 2 in two parts, the larger one exact
-        mu += 2 * e * _LN2_HI
+        if np.any(e):
+            mu += 2 * e * _LN2_LO  # e log 2 in two parts, the larger one exact
+            mu += 2 * e * _LN2_HI
         return mu
 
     def var(self, system, n):

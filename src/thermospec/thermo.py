@@ -91,9 +91,15 @@ class _ArrayCache:
     """Per-level arrays, up to ``slots`` of each kind, oldest out first.
 
     L, the log|T'| sums, does not depend on the potential and is keyed by
-    (system, q, n); phi is keyed by (system, potential, q, n).  Each L is
-    a ``_LevelArray``: it carries its per-chunk minima, found once when it
-    is built, which let ``_log_partition`` skip the maximum search.
+    (system, q, n, layout); phi is keyed by (system, potential, q, n), which
+    fixes its layout.  Up to n = 3 a level with no potential or a level-1
+    one holds one value per multiset of digits (``_multiset_level``): the
+    trace that gives log|(T^n)'| is then symmetric in the digits, and a
+    level-1 potential's sum is too.  So ``pressure`` with a level-1
+    potential and the enumeration root share one L.  Each L is a
+    ``_LevelArray``: it carries its segments of equal multiplicity and its
+    per-chunk minima, found once when it is built, which let
+    ``_log_partition`` skip the maximum search.
     """
 
     def __init__(self, slots: int = 4):
@@ -104,7 +110,8 @@ class _ArrayCache:
 
     def get(self, system, potential, q, n, workers):
         needs_phi = potential is not None and potential != _LOG_DERIV
-        l_key, phi_key = (system, q, n), (system, potential, q, n)
+        l_key = (system, q, n, _multiset_level(potential, n))
+        phi_key = (system, potential, q, n)
         with self.lock:
             L = self.L.get(l_key)
             phi = self.phi.get(phi_key)
@@ -126,72 +133,156 @@ _LEVEL_CACHE = _ArrayCache()
 
 
 class _LevelArray(np.ndarray):
-    """A level's L with ``minima``: for the k-th ``_CHUNK`` of L, its least
-    value and the indices (within the chunk) of the values at most a
-    relative 2^-40 above it, or None for those indices when the minimum is
-    not finite or more than ``_NEAR_MAX`` values are that close (a constant
-    L, as log|T'| on the doubling map, would hold an index per word).
-    Slices, copies and other views have ``minima`` None."""
+    """A level's L with ``segments`` and ``minima``.
 
+    ``segments`` are (mult, start, stop): each value in L[start:stop] stands
+    for ``mult`` words.  ``minima`` has, for the k-th ``_CHUNK`` of the
+    segments' chunks in pass order (``_chunks``), its least value and the
+    indices (within the chunk) of the values at most a relative 2^-40 above
+    it, or None for those indices when the minimum is not finite or more
+    than ``_NEAR_MAX`` values are that close (a constant L, as log|T'| on
+    the doubling map, would hold an index per word).  Slices, copies and
+    other views have both None, which reads as one segment of single
+    words."""
+
+    segments = None
     minima = None
 
 
 _NEAR_MAX = 64
 
 
-def _with_minima(L):
-    """L as a ``_LevelArray`` carrying its per-chunk minima."""
-    minima = []
-    for i in range(0, len(L), _CHUNK):
-        part = L[i:i + _CHUNK]
-        lo = float(part.min())
-        near = None
-        if math.isfinite(lo):
-            near = np.flatnonzero(part <= lo + abs(lo) * 2.0 ** -40)
-            near = near if len(near) <= _NEAR_MAX else None
-        minima.append((lo, near))
+def _chunks(L):
+    """(mult, [slices]) per segment of L: its ``_CHUNK``-long pieces."""
+    segments = getattr(L, "segments", None) or ((1, 0, len(L)),)
+    return [(mult, [slice(i, min(i + _CHUNK, stop)) for i in range(start, stop, _CHUNK)])
+            for mult, start, stop in segments]
+
+
+def _with_minima(L, segments=None):
+    """L as a ``_LevelArray`` carrying its segments (None: one segment of
+    single words) and its per-chunk minima."""
     L = L.view(_LevelArray)
+    L.segments = segments
+    minima = []
+    for _, pieces in _chunks(L):
+        for s in pieces:
+            part = L[s]
+            lo = float(part.min())
+            near = None
+            if math.isfinite(lo):
+                near = np.flatnonzero(part <= lo + abs(lo) * 2.0 ** -40)
+                near = near if len(near) <= _NEAR_MAX else None
+            minima.append((lo, near))
     L.minima = tuple(minima)
     return L
 
 
-def _build_level_arrays(system, potential, q, n, workers, L=None):
-    """(L, phi): summed log-derivatives and potential sums per word.
+def _multiset_level(potential, n) -> bool:
+    """Whether level n holds one value per digit multiset: for n = 2, 3
+    with no potential or a level-1 one (n = 1 is the same either way)."""
+    return n in (2, 3) and (potential is None or potential.level == 1)
 
-    Each block is as many whole (n-1)-prefixes as fit in ``_CHUNK`` words,
-    at least one, as columns of shape (P, 1) against the q last digits as
-    (1, q), so prefix-only steps run on P elements, and L's block is
-    written in place.  Blocks depend only on (q, n), so the result is
-    identical for any worker count.  A new L gets its per-chunk minima
-    (``_with_minima``); a given L is reused and only phi is built; for the
-    log|T'| potential phi is L itself.
+
+def _level_plan(q, n, multiset):
+    """(segments, blocks) of a level over the digits 1..q.
+
+    Each block is a function that returns (cols, places): digit columns
+    that broadcast to the block's shape, and (mask, start) pairs that put
+    the block's values selected by mask (None: all), in row-major order,
+    at L[start:].  Blocks depend only on (q, n, multiset), so the level is
+    the same for any worker count.
+
+    All words: one segment of single words, built as whole (n-1)-prefixes,
+    at least one and as many as fit in ``_CHUNK`` words, as columns (P, 1)
+    against the q last digits as (1, q).
+
+    One value per digit multiset (n = 2, 3): segments of multiplicity
+    n!/prod k_i!, the number of words that reorder the multiset, and
+    C(q+n-1, n) values in all.  The words (v, w) at n = 2 and (v, v, w) at
+    n = 3 are built in rows v, as prefixes above, and split by mask: w = v
+    is the multiset {v^n}, multiplicity 1; w > v at n = 2 is {v, w},
+    multiplicity 2; w != v at n = 3 is {v, v, w}, multiplicity 3.  The
+    multisets of three distinct digits, multiplicity 6, are the words
+    (a, m, b) with a < m < b: one block per middle digit m, rows a against
+    columns b, written in place.  The continuant steps run on the rows.
     """
-    total, block = q ** n, max(1, _CHUNK // q)
+    rows = max(1, _CHUNK // q)
+    digits = np.arange(1, q + 1)
+    last = digits[None, :]
+    if not multiset:
+        prefixes = q ** (n - 1)
+
+        def words(first):
+            p = _decode_words(q, n - 1, first, min(first + rows, prefixes))
+            return [c[:, None] for c in p.T] + [last], [(None, first * q)]
+
+        blocks = [functools.partial(words, f) for f in range(0, prefixes, rows)]
+        return ((1, 0, q ** n),), blocks
+
+    pairs = q * (q - 1) // (2 if n == 2 else 1)
+
+    def by_row(r0):
+        v = digits[r0:r0 + rows, None]
+        after = r0 * (q - 1) - (r0 * (r0 - 1) // 2 if n == 2 else 0)
+        return [v] * (n - 1) + [last], [(v == last, r0), (last > v if n == 2 else last != v, q + after)]
+
+    def by_middle(m, start):
+        return [digits[:m - 1, None], np.array([[m]]), digits[None, m:]], [(None, start)]
+
+    blocks = [functools.partial(by_row, r0) for r0 in range(0, q, rows)]
+    segments = [(1, 0, q), (n, q, q + pairs)]
+    if n == 3:
+        start = q + pairs
+        for m in range(2, q):
+            blocks.append(functools.partial(by_middle, m, start))
+            start += (m - 1) * (q - m)
+        segments.append((6, q + pairs, start))
+    return tuple(seg for seg in segments if seg[2] > seg[1]), blocks
+
+
+def _build_level_arrays(system, potential, q, n, workers, L=None):
+    """(L, phi): summed log-derivatives and potential sums, in the layout
+    of ``_level_plan`` (one value per digit multiset where
+    ``_multiset_level`` allows it, else per word).
+
+    A whole-block L is written in place.  A new L gets its segments and
+    per-chunk minima (``_with_minima``); a given L is reused and only phi is
+    built; for the log|T'| potential phi is L itself.
+    """
+    segments, blocks = _level_plan(q, n, _multiset_level(potential, n))
+    total = segments[-1][2]
     needs_L = L is None
     if needs_L:
         L = np.empty(total)
     needs_phi = potential is not None and potential != _LOG_DERIV
     phi = np.empty(total) if needs_phi else None
 
-    def fill(first):
-        prefixes = _decode_words(q, n - 1, first, min(first + block, q ** (n - 1)))
-        cols = [p[:, None] for p in prefixes.T] + [np.arange(1, q + 1)[None, :]]
-        words = slice(first * q, (first + len(prefixes)) * q)
-        if needs_L:
-            _LOG_DERIV.birkhoff_sums(system, cols, out=L[words].reshape(-1, q))
-        if needs_phi:
-            phi[words] = potential.birkhoff_sums(system, cols).ravel()
+    def place(arr, values, places):
+        for mask, start in places:
+            part = values.ravel() if mask is None else values[mask]
+            arr[start:start + part.size] = part
 
-    starts = list(range(0, q ** (n - 1), block))
-    if workers > 1 and len(starts) > 1:
+    def fill(block):
+        cols, places = block()
+        if needs_L and places[0][0] is None:
+            shape = np.broadcast_shapes(*(np.shape(c) for c in cols))
+            start = places[0][1]
+            _LOG_DERIV.birkhoff_sums(system, cols, out=L[start:start + math.prod(shape)].reshape(shape))
+        elif needs_L:
+            place(L, _LOG_DERIV.birkhoff_sums(system, cols), places)
+        if needs_phi:
+            place(phi, potential.birkhoff_sums(system, cols), places)
+
+    if workers > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, starts))
+            list(pool.map(fill, blocks))
     else:
-        for s in starts:
-            fill(s)
+        for block in blocks:
+            fill(block)
 
     if needs_L:
-        L = _with_minima(L)
+        L = _with_minima(L, segments)
     if potential == _LOG_DERIV:
         phi = L
     return L, phi
@@ -200,37 +291,48 @@ def _build_level_arrays(system, potential, q, n, workers, L=None):
 def _log_partition(L, phi, t):
     """log sum exp(phi - t L) over the words of one level (phi None: 0).
 
-    The exponents are formed one ``_CHUNK`` at a time in one scratch buffer,
-    which ``_logsumexp`` exponentiates in place beside one mask, both made
-    once per pass, and each chunk's log-sum-exp is folded into the total in
-    index order with ``_logaddexp``.  Exponents are elementwise, and the
-    chunks and the folding order are fixed, so the buffers change no bit.
+    Each segment of L (``_LevelArray``) stands for mult words per value, so
+    its log-sum-exp, plus log(mult), is its words' share; the segments are
+    folded in order with ``_logaddexp``.  Within a segment the exponents are
+    formed one ``_CHUNK`` at a time in one scratch buffer, which
+    ``_logsumexp`` exponentiates in place beside one mask, both made once
+    per pass, and each chunk's log-sum-exp is folded into the segment's in
+    index order.  Exponents are elementwise, and the chunks and the folding
+    order are fixed, so the buffers change no bit.
 
     The one special case: with phi None, t > 0 and L a ``_LevelArray``,
     rounding is monotone, so a chunk's largest exponent is exactly
     fl(-t min L) and its maxima lie among the stored near-minimal indices.
     The chunk then skips ``_logsumexp``'s maximum search and mask and does
-    the rest of its arithmetic, bit for bit.  A chunk falls back to
-    ``_logsumexp`` when its minimum is not finite, its near-minimal
-    indices were not stored, or fl(-t min L) is not a normal float.
+    the rest of its arithmetic, bit for bit; the multiplicity enters only
+    after the exponent, so the shortcut holds in every segment.  A chunk
+    falls back to ``_logsumexp`` when its minimum is not finite, its
+    near-minimal indices were not stored, or fl(-t min L) is not a normal
+    float.
     """
-    minima = L.minima if phi is None and t > 0 and isinstance(L, _LevelArray) else None
-    buf, mask = np.empty(min(_CHUNK, len(L))), np.empty(min(_CHUNK, len(L)), bool)
-    for k, i in enumerate(range(0, len(L), _CHUNK)):
-        s = slice(i, i + _CHUNK)
-        a = np.multiply(L[s], -t, out=buf[:len(L[s])])
-        lo, near = minima[k] if minima else (math.nan, None)
-        a_max = lo * -t
-        if near is not None and _TINY <= abs(a_max) < math.inf:
-            top = near[a[near] == a_max]
-            a -= a_max
-            np.exp(a, out=a)
-            a[top] = 0.0
-            m = float(len(top))
-            part = float(np.log1p(a.sum() / m) + np.log(m) + a_max)
-        else:
-            part = _logsumexp(a if phi is None else np.add(phi[s], a, out=a), mask[:len(a)])
-        out = part if i == 0 else _logaddexp(out, part)
+    chunks = _chunks(L)
+    minima = iter(L.minima) if phi is None and t > 0 and isinstance(L, _LevelArray) else None
+    size = max(s.stop - s.start for _, pieces in chunks for s in pieces)
+    buf, mask = np.empty(size), np.empty(size, bool)
+    out = None
+    for mult, pieces in chunks:
+        for k, s in enumerate(pieces):
+            a = np.multiply(L[s], -t, out=buf[:s.stop - s.start])
+            lo, near = next(minima) if minima else (math.nan, None)
+            a_max = lo * -t
+            if near is not None and _TINY <= abs(a_max) < math.inf:
+                top = near[a[near] == a_max]
+                a -= a_max
+                np.exp(a, out=a)
+                a[top] = 0.0
+                m = float(len(top))
+                part = float(np.log1p(a.sum() / m) + np.log(m) + a_max)
+            else:
+                part = _logsumexp(a if phi is None else np.add(phi[s], a, out=a), mask[:len(a)])
+            seg = part if k == 0 else _logaddexp(seg, part)
+        if mult != 1:
+            seg += math.log(mult)
+        out = seg if out is None else _logaddexp(out, seg)
     return out
 
 

@@ -117,12 +117,12 @@ def test_default_budget_env(monkeypatch):
 
 
 def test_pressure_workers_bit_identical(monkeypatch):
-    # level 4 at q = 30 is two blocks, so the thread pool runs; a fresh level
-    # cache per worker count keeps each call from reading the arrays of the
-    # one before
+    # level 4 at q = 30 is two blocks and level 3 one block per middle
+    # digit, so the thread pool runs; a fresh level cache per worker count
+    # keeps each call from reading the arrays of the one before
     g = ts.gauss_system()
     ests = []
-    for w in (1, 4, 8):
+    for w in (1, 2, 4, 8):
         monkeypatch.setattr(thermo, "_LEVEL_CACHE", thermo._ArrayCache())
         ests.append(ts.pressure(g, t=1.0, q=30, n_max=4, workers=w))
     for est in ests[1:]:
@@ -131,9 +131,11 @@ def test_pressure_workers_bit_identical(monkeypatch):
 
 
 def test_level_arrays_invariant_to_worker_count(monkeypatch):
-    # whole (n-1)-prefixes times all q last digits per block: 810,000 words
-    # in two blocks at (30, 4) and 8e6 in sixteen at (200, 3), so the
-    # thread pool really runs
+    # all words at (30, 4): whole 3-prefixes times all 30 last digits per
+    # block, 810,000 words in two blocks.  One value per multiset at
+    # (200, 3): the words (v, v, w) in one block of 200 rows, then one block
+    # (m - 1, 200 - m) of words (a, m, b), a < m < b, per middle digit m.
+    # So the thread pool really runs, and workers 1, 2 and 8 agree
     g = ts.gauss_system()
     shapes = []
     real = ts.LogDerivPotential.birkhoff_sums
@@ -146,16 +148,26 @@ def test_level_arrays_invariant_to_worker_count(monkeypatch):
         monkeypatch.setattr(ts.LogDerivPotential, "birkhoff_sums", recording)
         shapes.clear()
         L1, _ = thermo._build_level_arrays(g, None, q, n, 1)
-        L2, _ = thermo._build_level_arrays(g, None, q, n, 2)
+        built = list(shapes)
+        for workers in (2, 8):
+            L2, _ = thermo._build_level_arrays(g, None, q, n, workers)
+            assert L1.tobytes() == L2.tobytes()
+            assert L1.segments == L2.segments
         monkeypatch.undo()
-        assert L1.tobytes() == L2.tobytes()
-        block = thermo._CHUNK // q
-        assert shapes[0] == (block, q)
-        assert sum(math.prod(s) for s in shapes) == 2 * q ** n
-        # the same words as flat per-word columns give the same bits
-        flat = ts.log_deriv_potential().birkhoff_sums(g, list(_decode_words(q, n, 0, 5000).T))
-        assert flat.tobytes() == L1[:5000].tobytes()
-    assert shapes[0] == (2621, 200) and 2621 * 200 == 524_200 < thermo._CHUNK
+        assert sorted(shapes) == sorted(built * 3)
+        if n == 4:
+            assert built == [(thermo._CHUNK // q, q), (27_000 - thermo._CHUNK // q, q)]
+            # the same words as flat per-word columns give the same bits
+            flat = ts.log_deriv_potential().birkhoff_sums(g, list(_decode_words(q, n, 0, 5000).T))
+            assert flat.tobytes() == L1[:5000].tobytes()
+        else:
+            assert built == [(q, q)] + [(m - 1, q - m) for m in range(2, q)]
+            assert sum(math.prod(s) for s in built) == q * q + math.comb(q, 3)
+            # the first rows as flat per-word columns (1, 1, w) give the same
+            # bits: (1, 1, 1) first, then (1, 1, w) for w = 2..q
+            words = [np.array([1] * q), np.array([1] * q), np.arange(1, q + 1)]
+            flat = ts.log_deriv_potential().birkhoff_sums(g, words)
+            assert flat[0] == L1[0] and flat[1:].tobytes() == L1[q:2 * q - 1].tobytes()
 
 
 def test_table_potential_level_arrays_match_per_word_sums():
@@ -172,7 +184,8 @@ def test_table_potential_level_arrays_match_per_word_sums():
 
 
 def test_log_deriv_level_arrays_hold_one_array():
-    # for the log|T'| potential phi equals L, so one 8 MB array serves both
+    # for the log|T'| potential phi equals L, so one array of the C(102, 3)
+    # multiset values (1.37 MB, against 8 MB for all 1e6 words) serves both
     g = ts.gauss_system()
     tracemalloc.start()
     try:
@@ -180,8 +193,8 @@ def test_log_deriv_level_arrays_hold_one_array():
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert L.nbytes == 8_000_000
-    assert held < 12_000_000
+    assert L.nbytes == 8 * math.comb(102, 3) == 1_373_600
+    assert held < 1.5 * L.nbytes
     assert phi.tobytes() == L.tobytes()
 
 
@@ -202,23 +215,30 @@ def test_level_arrays_shared_across_potentials():
     assert L_new.tobytes() == L_plain.tobytes()
     assert phi_new.tobytes() == phi.tobytes()
     assert est.values[1] == thermo._log_partition(L_new, phi_new, 1.0) / 2
+    # one value per digit multiset: 40 + C(40, 2) of them; a level-2 table
+    # potential is not symmetric in the digits, so it keeps all 1600 words
+    assert len(L_plain) == 820 and L_plain.segments == ((1, 0, 40), (2, 40, 820))
+    table = ts.table_potential(2, {(i, j): 0.1 * i for i in range(1, 41) for j in range(1, 41)})
+    L_table, _ = thermo._LEVEL_CACHE.get(g, table, 40, 2, 1)
+    assert len(L_table) == 1600 and L_table.segments == ((1, 0, 1600),)
 
 
 def test_log_partition_streams_chunks():
-    # one pass over the 8e6 level-3 words holds one chunk of floats and its
-    # mask (plus a few Python objects), allocated once, and keeps the bits
-    # of the per-chunk _logsumexp(phi - t L) folded by logaddexp
+    # one pass over the 1,353,400 level-3 multiset values holds one chunk of
+    # floats and its mask (plus a few Python objects), allocated once, and
+    # keeps the bits of the per-chunk _logsumexp(phi - t L) folded by
+    # logaddexp within each segment, plus log(mult), folded over segments
     g = ts.gauss_system()
     L, phi = thermo._build_level_arrays(g, ts.harmonic_potential(), 200, 3, 1)
     chunk = thermo._CHUNK
+    assert L.segments == ((1, 0, 200), (3, 200, 40_000), (6, 40_000, 1_353_400))
     for p in (None, phi):
         for t in (0.8, 1.0, 1.2):
-            parts = [_logsumexp(-t * L[i:i + chunk] if p is None
-                                else p[i:i + chunk] - t * L[i:i + chunk])
-                     for i in range(0, L.size, chunk)]
-            expected = parts[0]
-            for part in parts[1:]:
-                expected = np.logaddexp(expected, part)
+            expected = None
+            for mult, start, stop in L.segments:
+                seg = _chunk_fold(L[start:stop], None if p is None else p[start:stop], t)
+                seg = seg + math.log(mult) if mult > 1 else seg
+                expected = seg if expected is None else np.logaddexp(expected, seg)
             tracemalloc.start()
             try:
                 value = thermo._log_partition(L, p, t)
@@ -230,24 +250,77 @@ def test_log_partition_streams_chunks():
 
 
 @pytest.mark.parametrize("system, q, n, digest", [
-    (ts.gauss_system(), 200, 3,
-     "8b15c81462b220101b6da4530580d1139010954d94f0b864c0b819e78d33890c"),
-    (ts.gauss_system(), 30, 4,  # two blocks
+    (ts.gauss_system(), 200, 3,  # one value per digit multiset
+     "8eb020c9fa81607e90e1897e9815ee76ad3a8013ec57db96609fd7e7f00ceb7f"),
+    (ts.gauss_system(), 30, 4,  # all words, two blocks
      "6601e960a650d268b59b0ec807574474571e70887bf47e25740fea8d9b36de56"),
     (ts.restricted_system(ts.gauss_system(), 20), 50, 3,
-     "a590c060aef057cb897b8b0092523e31e6e0d9aff5cab42cddd2c92869bb0d68"),
+     "e0d2873b910399dce1915ca17f5eb2455328bd7c23c9e8ce3c9803b9987293b7"),
     (ts.powerlog_system([0.3], c=0.5, a=2.0), 6, 3,  # linear: summed per digit
-     "edbfaf20dc9417bfe835e8670af05b689c76c104851512aba992fab51a4ec1c1"),
+     "531c805ad4fd50d2d5650b65e62ed9480d8c55827dcd8bb930400ac3c17aabf0"),
 ])
 def test_level_array_bits_pinned(system, q, n, digest):
-    # L written in place, block by block, keeps the bits of the copied blocks
+    # L written in place, block by block, keeps its bits
     L, _ = thermo._build_level_arrays(system, None, q, n, 1)
     assert hashlib.sha256(L.tobytes()).hexdigest() == digest
 
 
+def _multiplicities(L):
+    return np.repeat([m for m, _, _ in L.segments], [b - a for _, a, b in L.segments])
+
+
+@pytest.mark.parametrize("system, q", [
+    (ts.gauss_system(), 200),
+    (ts.restricted_system(ts.gauss_system(), 20), 50),
+])
+def test_multiset_level_holds_every_words_value(system, q):
+    # each value stands for the words that reorder its digits: repeated by
+    # its multiplicity, the level is the all-word L, byte for byte
+    L, _ = thermo._build_level_arrays(system, None, q, 3, 1)
+    mult = _multiplicities(L)
+    assert len(L) == math.comb(q + 2, 3)
+    assert int(mult.sum()) == q ** 3
+    words = ts.log_deriv_potential().birkhoff_sums(system, list(_decode_words(q, 3).T))
+    assert np.sort(words).tobytes() == np.sort(np.repeat(L, mult)).tobytes()
+
+
+def test_multiset_log_partition_matches_all_word_sums():
+    # seeded: the reduced log Z_n, with level-1 potentials too, against the
+    # log-sum-exp over every word
+    g = ts.gauss_system()
+    systems = [g, ts.restricted_system(g, 20), ts.restricted_system(g, 10**6),
+               ts.powerlog_system([0.3, 0.2], c=0.5, a=2.0)]
+    rng = np.random.default_rng(2021)
+    for _ in range(40):
+        system = systems[rng.integers(len(systems))]
+        q, n = int(rng.integers(1, 25)), int(rng.integers(2, 4))
+        t = float(rng.uniform(0.3, 2.0))
+        pot = [None, ts.harmonic_potential(), ts.indicator_potential(int(rng.integers(1, 4))),
+               ts.constant_potential(float(rng.normal())),
+               ts.table_potential(1, {(i,): float(rng.normal()) for i in range(1, q + 1)}),
+               ts.log_deriv_potential()][rng.integers(6)]
+        if ts.is_linear(system) and pot is not None and pot != ts.log_deriv_potential():
+            pot = None  # linear level-1 pressure skips the enumeration
+        L, phi = thermo._build_level_arrays(system, pot, q, n, 1)
+        assert int(_multiplicities(L).sum()) == q ** n
+        assert len(L) == math.comb(q + n - 1, n)
+        cols = list(_decode_words(q, n).T)
+        x = -t * ts.log_deriv_potential().birkhoff_sums(system, cols)
+        if pot is not None:
+            x += pot.birkhoff_sums(system, cols)
+        brute = _logsumexp(x)
+        logZ = thermo._log_partition(L, phi, t)
+        assert abs(logZ - brute) <= 8 * _EPS * max(1.0, abs(brute)), (system, pot, q, n, t)
+        if pot is not None:  # pressure() reads the same layout
+            est = ts.pressure(system, pot, t=t, q=q, n_max=n)
+            assert est.values[-1] == thermo._log_partition(
+                *thermo._LEVEL_CACHE.get(system, pot, q, n, 1), t) / n
+
+
 def test_level_array_build_holds_one_block_beyond_L():
-    # the half-trace scratch (one 524,200-word block) is all the level-3
-    # build holds beyond L; the copied blocks held twice that
+    # the (v, v, w) block of 40,000 values and the half-trace scratch of
+    # one middle-digit block (at most 99 x 100 values) are all the level-3
+    # build holds beyond L
     g = ts.gauss_system()
     tracemalloc.start()
     try:
@@ -357,14 +430,15 @@ def test_pressure_root_criterion_2_bits_and_level_passes(monkeypatch):
     assert [x.hex() for x in res.interval] == ["0x1.ba88a01dd1180p-1",
                                                "0x1.3333333333333p+0"]
     assert res.n_used == 3
-    level3 = [t for t, size in seen if size == 200 ** 3]
+    # each level-3 pass runs over the C(202, 3) multiset values
+    level3 = [t for t, size in seen if size == math.comb(202, 3) == 1_353_400]
     assert len(level3) == len(set(level3)) == 7
     seen.clear()
     res = ts.pressure_root(g, q=200, n_max=4)
     assert res.value.hex() == "0x1.feb062408d8e1p-1"
     assert [x.hex() for x in res.interval] == ["0x1.ba88a01dd052dp-1",
                                                "0x1.0000000000000p+1"]
-    level3 = [t for t, size in seen if size == 200 ** 3]
+    level3 = [t for t, size in seen if size == 1_353_400]
     assert len(level3) == len(set(level3)) == 9
 
 
@@ -506,7 +580,7 @@ def test_pressure_root_budget_caps_enumeration_depth():
 def test_pressure_harmonic_enumeration_values_pinned():
     # level-1 potential sums index no q-sized table, and the values stay
     est = ts.pressure(ts.gauss_system(), ts.harmonic_potential(), t=1.0, q=100, n_max=3)
-    assert est.values == (0.559848229880013, 0.6527154983137293, 0.6197001784130428)
+    assert est.values == (0.559848229880013, 0.6527154983137292, 0.6197001784130428)
 
 
 _EPS = np.finfo(float).eps
