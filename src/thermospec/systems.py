@@ -273,20 +273,6 @@ class BranchSystem:
     offset: int = 0
     flat: FlatParams | None = None
 
-    def __hash__(self) -> int:
-        # the dataclass hash of the fields, computed once: every cache keyed
-        # on a system (lru_cache, the level arrays) looks it up per call
-        try:
-            return self.__dict__["_hash"]
-        except KeyError:
-            h = hash((self.head, self.tail, self.xi, self.offset, self.flat))
-            object.__setattr__(self, "_hash", h)
-            return h
-
-    def __getstate__(self):
-        # a pickle carries no hash: hash(None) differs between processes
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
-
     def digit(self, i: int) -> int:
         """Physical branch label for logical index i."""
         return i + self.offset

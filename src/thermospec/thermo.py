@@ -91,15 +91,14 @@ class _ArrayCache:
     """Per-level arrays, up to ``slots`` of each kind, oldest out first.
 
     L, the log|T'| sums, does not depend on the potential and is keyed by
-    (system, q, n, layout); phi is keyed by (system, potential, q, n), which
-    fixes its layout.  Up to n = 3 a level with no potential or a level-1
-    one holds one value per multiset of digits (``_multiset_level``): the
-    trace that gives log|(T^n)'| is then symmetric in the digits, and a
-    level-1 potential's sum is too.  So ``pressure`` with a level-1
-    potential and the enumeration root share one L.  Each L is a
-    ``_LevelArray``: it carries its segments of equal multiplicity and its
-    per-chunk minima, found once when it is built, which let
-    ``_log_partition`` skip the maximum search.
+    (system, q, n, layout); phi is keyed by (system, potential, q, n).  At
+    n = 3 a level with no potential or the log|T'| one holds one value per
+    multiset of digits (``_multiset_level``): the continuant trace that
+    gives log|(T^3)'| is symmetric in the digits.  Other levels hold every
+    word, so phi is always per word.  Each L is a ``_LevelArray``: it
+    carries its segments of equal multiplicity and its per-chunk minima,
+    found once when it is built, which let ``_log_partition`` skip the
+    maximum search.
     """
 
     def __init__(self, slots: int = 4):
@@ -179,9 +178,12 @@ def _with_minima(L, segments=None):
 
 
 def _multiset_level(potential, n) -> bool:
-    """Whether level n holds one value per digit multiset: for n = 2, 3
-    with no potential or a level-1 one (n = 1 is the same either way)."""
-    return n in (2, 3) and (potential is None or potential.level == 1)
+    """Whether level n holds one value per digit multiset: n = 3 with no
+    potential or the log|T'| one, whose phi is L.  A level-1 potential's
+    sum is symmetric in the digits too, but it would then be rounded once
+    for up to six orderings, each rounded on its own in the all-word
+    layout, so such levels keep every word."""
+    return n == 3 and (potential is None or potential == _LOG_DERIV)
 
 
 def _level_plan(q, n, multiset):
@@ -197,12 +199,11 @@ def _level_plan(q, n, multiset):
     at least one and as many as fit in ``_CHUNK`` words, as columns (P, 1)
     against the q last digits as (1, q).
 
-    One value per digit multiset (n = 2, 3): segments of multiplicity
-    n!/prod k_i!, the number of words that reorder the multiset, and
-    C(q+n-1, n) values in all.  The words (v, w) at n = 2 and (v, v, w) at
-    n = 3 are built in rows v, as prefixes above, and split by mask: w = v
-    is the multiset {v^n}, multiplicity 1; w > v at n = 2 is {v, w},
-    multiplicity 2; w != v at n = 3 is {v, v, w}, multiplicity 3.  The
+    One value per digit multiset (n = 3): segments of multiplicity
+    3!/prod k_i!, the number of words that reorder the multiset, and
+    C(q+2, 3) values in all.  The words (v, v, w) are built in rows v, as
+    prefixes above, and split by mask: w = v is the multiset {v, v, v},
+    multiplicity 1, and w != v is {v, v, w}, multiplicity 3.  The
     multisets of three distinct digits, multiplicity 6, are the words
     (a, m, b) with a < m < b: one block per middle digit m, rows a against
     columns b, written in place.  The continuant steps run on the rows.
@@ -220,24 +221,19 @@ def _level_plan(q, n, multiset):
         blocks = [functools.partial(words, f) for f in range(0, prefixes, rows)]
         return ((1, 0, q ** n),), blocks
 
-    pairs = q * (q - 1) // (2 if n == 2 else 1)
-
     def by_row(r0):
         v = digits[r0:r0 + rows, None]
-        after = r0 * (q - 1) - (r0 * (r0 - 1) // 2 if n == 2 else 0)
-        return [v] * (n - 1) + [last], [(v == last, r0), (last > v if n == 2 else last != v, q + after)]
+        return [v, v, last], [(v == last, r0), (last != v, q + r0 * (q - 1))]
 
     def by_middle(m, start):
         return [digits[:m - 1, None], np.array([[m]]), digits[None, m:]], [(None, start)]
 
     blocks = [functools.partial(by_row, r0) for r0 in range(0, q, rows)]
-    segments = [(1, 0, q), (n, q, q + pairs)]
-    if n == 3:
-        start = q + pairs
-        for m in range(2, q):
-            blocks.append(functools.partial(by_middle, m, start))
-            start += (m - 1) * (q - m)
-        segments.append((6, q + pairs, start))
+    start = distinct = q * q
+    for m in range(2, q):
+        blocks.append(functools.partial(by_middle, m, start))
+        start += (m - 1) * (q - m)
+    segments = ((1, 0, q), (3, q, distinct), (6, distinct, start))
     return tuple(seg for seg in segments if seg[2] > seg[1]), blocks
 
 
@@ -248,7 +244,7 @@ def _build_level_arrays(system, potential, q, n, workers, L=None):
 
     A whole-block L is written in place.  A new L gets its segments and
     per-chunk minima (``_with_minima``); a given L is reused and only phi is
-    built; for the log|T'| potential phi is L itself.
+    built (always per word); for the log|T'| potential phi is L itself.
     """
     segments, blocks = _level_plan(q, n, _multiset_level(potential, n))
     total = segments[-1][2]
@@ -258,21 +254,20 @@ def _build_level_arrays(system, potential, q, n, workers, L=None):
     needs_phi = potential is not None and potential != _LOG_DERIV
     phi = np.empty(total) if needs_phi else None
 
-    def place(arr, values, places):
-        for mask, start in places:
-            part = values.ravel() if mask is None else values[mask]
-            arr[start:start + part.size] = part
-
     def fill(block):
         cols, places = block()
-        if needs_L and places[0][0] is None:
-            shape = np.broadcast_shapes(*(np.shape(c) for c in cols))
-            start = places[0][1]
-            _LOG_DERIV.birkhoff_sums(system, cols, out=L[start:start + math.prod(shape)].reshape(shape))
-        elif needs_L:
-            place(L, _LOG_DERIV.birkhoff_sums(system, cols), places)
+        shape = np.broadcast_shapes(*(np.shape(c) for c in cols))
+        mask, start = places[0]
+        words = slice(start, start + math.prod(shape))
+        if needs_L and mask is None:
+            _LOG_DERIV.birkhoff_sums(system, cols, out=L[words].reshape(shape))
+        elif needs_L:  # a multiset row block, split by mask
+            values = _LOG_DERIV.birkhoff_sums(system, cols)
+            for mask, start in places:
+                part = values[mask]
+                L[start:start + part.size] = part
         if needs_phi:
-            place(phi, potential.birkhoff_sums(system, cols), places)
+            phi[words] = potential.birkhoff_sums(system, cols).ravel()
 
     if workers > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

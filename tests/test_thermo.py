@@ -215,24 +215,29 @@ def test_level_arrays_shared_across_potentials():
     assert L_new.tobytes() == L_plain.tobytes()
     assert phi_new.tobytes() == phi.tobytes()
     assert est.values[1] == thermo._log_partition(L_new, phi_new, 1.0) / 2
-    # one value per digit multiset: 40 + C(40, 2) of them; a level-2 table
-    # potential is not symmetric in the digits, so it keeps all 1600 words
-    assert len(L_plain) == 820 and L_plain.segments == ((1, 0, 40), (2, 40, 820))
-    table = ts.table_potential(2, {(i, j): 0.1 * i for i in range(1, 41) for j in range(1, 41)})
-    L_table, _ = thermo._LEVEL_CACHE.get(g, table, 40, 2, 1)
-    assert len(L_table) == 1600 and L_table.segments == ((1, 0, 1600),)
+    assert L_plain.segments == ((1, 0, 1600),)
+    # at n = 3 a plain or log|T'| level holds one value per digit multiset,
+    # C(42, 3) of them; a harmonic one keeps all 64,000 words, phi with them
+    L3, _ = thermo._LEVEL_CACHE.get(g, None, 40, 3, 1)
+    assert thermo._LEVEL_CACHE.get(g, logd, 40, 3, 1) == (L3, L3)
+    assert len(L3) == math.comb(42, 3) and [m for m, _, _ in L3.segments] == [1, 3, 6]
+    L3_harm, phi3 = thermo._LEVEL_CACHE.get(g, harm, 40, 3, 1)
+    assert len(L3_harm) == len(phi3) == 64_000 and L3_harm.segments == ((1, 0, 64_000),)
 
 
 def test_log_partition_streams_chunks():
-    # one pass over the 1,353,400 level-3 multiset values holds one chunk of
-    # floats and its mask (plus a few Python objects), allocated once, and
-    # keeps the bits of the per-chunk _logsumexp(phi - t L) folded by
-    # logaddexp within each segment, plus log(mult), folded over segments
+    # one pass over the 8e6 level-3 words, or over the 1,353,400 multiset
+    # values, holds one chunk of floats and its mask (plus a few Python
+    # objects), allocated once, and keeps the bits of the per-chunk
+    # _logsumexp(phi - t L) folded by logaddexp within each segment, plus
+    # log(mult), folded over segments
     g = ts.gauss_system()
-    L, phi = thermo._build_level_arrays(g, ts.harmonic_potential(), 200, 3, 1)
+    L_words, phi = thermo._build_level_arrays(g, ts.harmonic_potential(), 200, 3, 1)
+    L_sets, _ = thermo._build_level_arrays(g, None, 200, 3, 1)
     chunk = thermo._CHUNK
-    assert L.segments == ((1, 0, 200), (3, 200, 40_000), (6, 40_000, 1_353_400))
-    for p in (None, phi):
+    assert L_words.segments == ((1, 0, 8_000_000),)
+    assert L_sets.segments == ((1, 0, 200), (3, 200, 40_000), (6, 40_000, 1_353_400))
+    for L, p in ((L_words, None), (L_words, phi), (L_sets, None)):
         for t in (0.8, 1.0, 1.2):
             expected = None
             for mult, start, stop in L.segments:
@@ -285,15 +290,17 @@ def test_multiset_level_holds_every_words_value(system, q):
 
 
 def test_multiset_log_partition_matches_all_word_sums():
-    # seeded: the reduced log Z_n, with level-1 potentials too, against the
-    # log-sum-exp over every word
+    # seeded: log Z_3 in the layout each potential gets (one value per digit
+    # multiset with no potential or log|T'|, every word with a level-1 one)
+    # against the log-sum-exp over every word
     g = ts.gauss_system()
     systems = [g, ts.restricted_system(g, 20), ts.restricted_system(g, 10**6),
                ts.powerlog_system([0.3, 0.2], c=0.5, a=2.0)]
     rng = np.random.default_rng(2021)
+    multisets = 0
     for _ in range(40):
         system = systems[rng.integers(len(systems))]
-        q, n = int(rng.integers(1, 25)), int(rng.integers(2, 4))
+        q, n = int(rng.integers(1, 25)), 3
         t = float(rng.uniform(0.3, 2.0))
         pot = [None, ts.harmonic_potential(), ts.indicator_potential(int(rng.integers(1, 4))),
                ts.constant_potential(float(rng.normal())),
@@ -303,7 +310,11 @@ def test_multiset_log_partition_matches_all_word_sums():
             pot = None  # linear level-1 pressure skips the enumeration
         L, phi = thermo._build_level_arrays(system, pot, q, n, 1)
         assert int(_multiplicities(L).sum()) == q ** n
-        assert len(L) == math.comb(q + n - 1, n)
+        if pot is None or pot == ts.log_deriv_potential():
+            multisets += 1
+            assert len(L) == math.comb(q + n - 1, n)
+        else:
+            assert len(L) == len(phi) == q ** n
         cols = list(_decode_words(q, n).T)
         x = -t * ts.log_deriv_potential().birkhoff_sums(system, cols)
         if pot is not None:
@@ -315,6 +326,7 @@ def test_multiset_log_partition_matches_all_word_sums():
             est = ts.pressure(system, pot, t=t, q=q, n_max=n)
             assert est.values[-1] == thermo._log_partition(
                 *thermo._LEVEL_CACHE.get(system, pot, q, n, 1), t) / n
+    assert multisets >= 10
 
 
 def test_level_array_build_holds_one_block_beyond_L():
@@ -580,7 +592,7 @@ def test_pressure_root_budget_caps_enumeration_depth():
 def test_pressure_harmonic_enumeration_values_pinned():
     # level-1 potential sums index no q-sized table, and the values stay
     est = ts.pressure(ts.gauss_system(), ts.harmonic_potential(), t=1.0, q=100, n_max=3)
-    assert est.values == (0.559848229880013, 0.6527154983137292, 0.6197001784130428)
+    assert est.values == (0.559848229880013, 0.6527154983137293, 0.6197001784130428)
 
 
 _EPS = np.finfo(float).eps
