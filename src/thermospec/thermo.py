@@ -75,7 +75,7 @@ def default_budget() -> int:
     if raw:
         try:
             value = int(float(raw))
-        except ValueError:
+        except (ValueError, OverflowError):
             raise ModelError(f"THERMOSPEC_BUDGET must be numeric, got {raw!r}")
         if value < 1:
             raise ModelError("THERMOSPEC_BUDGET must be >= 1")
@@ -480,48 +480,37 @@ def _zeta_tail(s: float, first: float) -> float:
 def _level1_head(system: BranchSystem, potential: Potential):
     """t-independent head of the tilted series: the one cache of its data.
 
-    Returns (H, vals, logd, uvals, edges, glogd, digits): the head length,
-    the potential values and log diam(I_i) in digit order, the term values
-    and the group boundaries, and log diam(I_i) and the physical digits in
-    grouped order.  The term values are the distinct head values, then on
-    a system with a tail the midpoint of the potential's tail bounds.  Only
-    the continued-fraction family reads the digits, so they are None on
-    linear systems.  With more than 512 distinct values the head stays
-    ungrouped in digit order: the term values are the per-digit values,
-    ``vals`` is a view of them, and edges is None.
+    Returns (H, vals, logd, term_vals, digits), one entry per digit in
+    digit order: the head length, the potential values (a view of the term
+    values) and log diam(I_i), the term values, which on a system with a
+    tail end with the midpoint of the potential's tail bounds, and the
+    physical digits, which only the continued-fraction family reads (None
+    on linear systems).
 
-    A finite system's head is all of it.  On a linear system whose
-    potential is one constant past the explicit head (equal
-    ``tail_bounds``) the head is that explicit head, at least one digit,
-    and ``diam_series`` carries every later digit; otherwise the first
-    ``_PLC_HEAD`` digits are explicit.
+    A finite system's head is all of it.  Otherwise the head is the
+    shortest max(1, len(head)) 2^j digits past which the potential is one
+    constant (equal ``tail_bounds``), and the tail sum carries every later
+    digit; a potential that is not constant past ``_PLC_HEAD`` digits keeps
+    that many explicit.
     """
     H = system.branch_count()
     if H is None:
         H = max(1, len(system.head))
-        if not (is_linear(system) and len(set(potential.tail_bounds(system, H))) == 1):
-            H = _PLC_HEAD
-    logd = np.log(diameters(system, H))
-    vals = level1_values(system, potential, H)
-    digits = None if is_linear(system) else np.arange(1, H + 1, dtype=float) + system.offset
+        while H < _PLC_HEAD and len(set(potential.tail_bounds(system, H))) > 1:
+            H = min(2 * H, _PLC_HEAD)
     p_mid = []
     if system.tail is not None:
         p_lo, p_hi = potential.tail_bounds(system, H)
         p_mid = [0.5 * (p_lo + p_hi)]
-    uvals, inv = np.unique(vals, return_inverse=True)
-    if len(uvals) > 512:
-        uvals = np.append(vals, p_mid)
-        return H, uvals[:H], logd, uvals, None, logd, digits
-    order = np.argsort(inv, kind="stable")
-    edges = np.searchsorted(inv[order], np.arange(len(uvals) + 1))
-    return (H, vals, logd, np.append(uvals, p_mid), edges, logd[order],
-            None if digits is None else digits[order])
+    term_vals = np.append(level1_values(system, potential, H), p_mid)
+    digits = None if is_linear(system) else np.arange(1, H + 1, dtype=float) + system.offset
+    return H, term_vals[:H], np.log(diameters(system, H)), term_vals, digits
 
 
 @functools.lru_cache(maxsize=16)
 def _series_groups(system: BranchSystem, potential: Potential, t: float):
-    """Terms of the tilted series at tilt q = 0: grouped log-weights of
-    e^{q phi} x w_i, then the tail as one more term.
+    """Terms of the tilted series at tilt q = 0: the log-weights of
+    e^{q phi} x w_i, one per head digit, then the tail as one more term.
 
     The system chooses the weights w_i: diam(I_i)^t with the ``diam_series``
     tail on linear systems; on the continued-fraction family the
@@ -530,19 +519,18 @@ def _series_groups(system: BranchSystem, potential: Potential, t: float):
     Returns (H, vals, logS, logS_lo, tail): the head length; the term
     values of ``_level1_head`` and their point log-weights, the tail's
     being the log of its point sum; the lower log-weights of the head
-    groups alone, or None where they are the point ones (linear systems);
-    and for a system with a tail (p_lo, p_hi, logT_lo, logT_hi), the
-    potential's tail bounds and the logs of the lower and upper tail sums,
-    else None.  Every q-step of ``_f_alpha`` reads them as they are.
+    alone, or None where they are the point ones (linear systems); and for
+    a system with a tail (p_lo, p_hi, logT_lo, logT_hi), the potential's
+    tail bounds and the logs of the lower and upper tail sums, else None.
+    Every q-step of ``_f_alpha`` reads them as they are.
 
     The form is chosen here, once per t.  Series of at most 7 terms (6
-    groups and the tail) are lists of Python floats, which ``_f_alpha``
+    digits and the tail) are lists of Python floats, which ``_f_alpha``
     tilts and log-sums without numpy's per-call dispatch: numpy's sum adds
     in sequence below 8 terms, as the list loop of ``_logsumexp`` does, and
-    from 8 on keeps 8 partial sums, so longer series and ungrouped heads
-    stay arrays.
+    from 8 on keeps 8 partial sums, so longer series stay arrays.
     """
-    H, _, _, uvals, edges, glogd, digits = _level1_head(system, potential)
+    H, _, logd, term_vals, digits = _level1_head(system, potential)
     tail, tail_term = None, []
     if system.tail is not None:
         p_lo, p_hi = potential.tail_bounds(system, H)
@@ -554,23 +542,15 @@ def _series_groups(system: BranchSystem, potential: Potential, t: float):
             logT_lo = _log(_zeta_tail(2.0 * t, first + 1))
             logT = logT_hi = _log(_zeta_tail(2.0 * t, first))
         tail, tail_term = (p_lo, p_hi, logT_lo, logT_hi), [logT]
-    short = len(uvals) <= 7
-
-    def log_weights(scale, logw, after=()):
-        # log sum over each group of scale * logw, then the entries of after
-        w = scale * logw
-        if edges is None:
-            return np.append(w, after) if after else w
-        out = [_logsumexp(w[edges[g]:edges[g + 1]]) for g in range(len(edges) - 1)]
-        out += after
-        return out if short else np.array(out)
-
     if digits is None:
-        logS, logS_lo = log_weights(t, glogd, tail_term), None
+        logS, logS_lo = np.append(t * logd, tail_term), None
     else:
-        logS_lo = log_weights(-2.0 * t, np.log(digits + 1.0))
-        logS = log_weights(-2.0 * t, np.log(digits), tail_term)
-    return H, uvals.tolist() if short else uvals, logS, logS_lo, tail
+        logS_lo = -2.0 * t * np.log(digits + 1.0)
+        logS = np.append(-2.0 * t * np.log(digits), tail_term)
+    if len(term_vals) > 7:
+        return H, term_vals, logS, logS_lo, tail
+    return (H, term_vals.tolist(), logS.tolist(),
+            None if logS_lo is None else logS_lo.tolist(), tail)
 
 
 def _tilt(q, vals, logw):
@@ -687,8 +667,8 @@ def _pressure_scan_finite(system, t) -> bool:
 
 def s_infinity(system: BranchSystem, tol: float = 1e-3) -> SInfinityResult:
     """Critical exponent s_inf = inf{s >= 0 : sum diam(I_i)^s < inf}."""
-    if tol <= 0:
-        raise ModelError("tolerance must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ModelError(f"tolerance must be finite and positive, got {tol}")
     if system.tail is None:
         cert = {"finite_system": True, "series_at_0": float(len(system.head))}
         return SInfinityResult(value=0.0, method="series-exponent", s_lo=0.0,
@@ -861,6 +841,8 @@ def pressure_root(system: BranchSystem, bracket=None, tol: float = 1e-10, *,
     is the level-1 proxy.  A bracket's default lower end is s_inf (a hair
     above it when the series diverges there), or 0 for finite systems.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ModelError(f"tolerance must be finite and >= 0, got {tol}")
     if budget is None:
         budget = default_budget()
 

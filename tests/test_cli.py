@@ -225,7 +225,7 @@ def test_unknown_command_exits_2(capsys):
 
 
 def test_bad_budget_environment_exit_2(capsys, monkeypatch):
-    for raw in ("abc", "0"):
+    for raw in ("abc", "0", "inf", "-inf", "1e400"):
         monkeypatch.setenv("THERMOSPEC_BUDGET", raw)
         for argv in (["pressure", "--model", "doubling"], ["root", "--model", "gauss"]):
             rc = cli.main(argv)

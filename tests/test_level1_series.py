@@ -23,7 +23,9 @@ def _no_zero(system, potential, delta, alpha, expected):
 
 # flat_certificate on the continued-fraction family (the level-1 sandwich
 # above delta = 1/2), recorded bit for bit: (qhat, value_lo, value_hi) as
-# float hex with None for no witness
+# float hex with None for no witness.  The chi1 and truncate8 entries were
+# recorded with one head term per digit and, on the infinite systems, the
+# Hurwitz tail from the second digit on
 GAUSS_CERTIFICATES = [
     ('gauss', 'harmonic', 0.6, 0.0, (None, '0x1.b07273a1374b0p-3', '0x1.b6ec3c0fd849cp-3')),
     ('gauss', 'harmonic', 0.6, 0.3, (None, '0x1.7f4004928221cp+0', '0x1.b7a384fc84e5ep+0')),
@@ -31,11 +33,11 @@ GAUSS_CERTIFICATES = [
     ('gauss', 'harmonic', 0.75, 0.0, ('-0x1.5e00000000000p+9', '-0x1.5a3312db9321ap+1', '-0x1.59fa7189a911dp+1')),
     ('gauss', 'harmonic', 0.75, 0.3, (None, '0x1.0b5dbdb67ef6fp-1', '0x1.a0ee72d8b0a35p-1')),
     ('gauss', 'harmonic', 0.75, 1.0, ('0x1.fc00000000000p+6', '-0x1.0a2b23f3bab80p+0', '0x0.0p+0')),
-    _no_zero('gauss', 'chi1', 0.6, 0.0, (None, '0x1.6cb45a877e44ep+0', '0x1.8633976965e7cp+0')),
-    ('gauss', 'chi1', 0.6, 0.3, (None, '0x1.68af6c95a6a2dp+0', '0x1.ad85b787cc5c2p+0')),
+    _no_zero('gauss', 'chi1', 0.6, 0.0, (None, '0x1.6cb45a877e44dp+0', '0x1.8633976965e7cp+0')),
+    ('gauss', 'chi1', 0.6, 0.3, (None, '0x1.68af6c95a6a2cp+0', '0x1.ad85b787cc5c2p+0')),
     ('gauss', 'chi1', 0.6, 1.0, ('0x1.f800000000000p+5', '-0x1.a9de9fec5df00p-1', '0x0.0p+0')),
-    _no_zero('gauss', 'chi1', 0.75, 0.0, (None, '0x1.d766b003e707ap-3', '0x1.e92c6850085d7p-2')),
-    ('gauss', 'chi1', 0.75, 0.3, (None, '0x1.096f830797accp-1', '0x1.e3f925fe73614p-1')),
+    _no_zero('gauss', 'chi1', 0.75, 0.0, (None, '0x1.d766b003e706dp-3', '0x1.e92c6850085d6p-2')),
+    ('gauss', 'chi1', 0.75, 0.3, (None, '0x1.096f830797ac9p-1', '0x1.e3f925fe73613p-1')),
     ('gauss', 'chi1', 0.75, 1.0, ('0x1.f800000000000p+5', '-0x1.0a2b23f3bab80p+0', '0x0.0p+0')),
     ('restricted3', 'harmonic', 0.6, 0.0, (None, '0x1.b0727b2ee4cd8p-3', '0x1.b6ec3a8cf9088p-3')),
     ('restricted3', 'harmonic', 0.6, 0.3, ('0x1.1d03a5b066173p+4', '-0x1.8881e9de93940p-1', '-0x1.d36df9b6233d0p-2')),
@@ -43,23 +45,23 @@ GAUSS_CERTIFICATES = [
     ('restricted3', 'harmonic', 0.75, 0.0, ('-0x1.5e00000000000p+9', '-0x1.5a3312bf59362p+1', '-0x1.59fa7197cc81dp+1')),
     ('restricted3', 'harmonic', 0.75, 0.3, ('0x1.ecd080c9a6374p+3', '-0x1.3b96dd2b2f53ep+0', '-0x1.b09fc5fc6114cp-1')),
     ('restricted3', 'harmonic', 0.75, 1.0, ('0x1.0fbd7c973251ap-2', '-0x1.5ce2d2f01a14bp-3', '0x1.ba3fbfc000000p-28')),
-    _no_zero('restricted3', 'chi1', 0.6, 0.0, (None, '0x1.4ee1d3ea7a9bbp+0', '0x1.5bab3f10848f4p+0')),
+    _no_zero('restricted3', 'chi1', 0.6, 0.0, (None, '0x1.4ee1d3ea7a9bap+0', '0x1.5bab3f10848f4p+0')),
     ('restricted3', 'chi1', 0.6, 0.3, (None, '0x1.094909d1685c2p+0', '0x1.2a805c0c16de9p+0')),
-    ('restricted3', 'chi1', 0.6, 1.0, ('0x1.ab63477f6e978p+0', '-0x1.eed9d494b4d40p-4', '-0x1.0000000000000p-52')),
-    _no_zero('restricted3', 'chi1', 0.75, 0.0, (None, '-0x1.eeefb3baf0581p-5', '0x1.0737b4acca7c6p-4')),
-    ('restricted3', 'chi1', 0.75, 0.3, (None, '-0x1.7728a7bf90710p-5', '0x1.4ab1f65f4e64ep-3')),
-    ('restricted3', 'chi1', 0.75, 1.0, ('0x1.1caf50dc598adp-2', '-0x1.6a3aa3078651bp-3', '0x1.0000000000000p-53')),
+    ('restricted3', 'chi1', 0.6, 1.0, ('0x1.ab63477f6e977p+0', '-0x1.eed9d494b4d40p-4', '0x0.0p+0')),
+    _no_zero('restricted3', 'chi1', 0.75, 0.0, (None, '-0x1.eeefb3baf0553p-5', '0x1.0737b4acca7d0p-4')),
+    ('restricted3', 'chi1', 0.75, 0.3, (None, '-0x1.7728a7bf906ecp-5', '0x1.4ab1f65f4e652p-3')),
+    ('restricted3', 'chi1', 0.75, 1.0, ('0x1.1caf50dc598afp-2', '-0x1.6a3aa30786513p-3', '0x1.8000000000000p-53')),
     ('truncate8', 'harmonic', 0.6, 0.0, ('-0x1.a5b7071862fdfp+0', '-0x1.7fbe13800f63cp-2', '0x0.0p+0')),
-    ('truncate8', 'harmonic', 0.6, 0.3, (None, '0x1.a1e0d1e345280p-4', '0x1.8fcb0161f7580p-2')),
+    ('truncate8', 'harmonic', 0.6, 0.3, (None, '0x1.a1e0d1e345290p-4', '0x1.8fcb0161f7580p-2')),
     ('truncate8', 'harmonic', 0.6, 1.0, ('0x1.fc00000000000p+6', '-0x1.a9de9fec5df00p-1', '0x0.0p+0')),
     ('truncate8', 'harmonic', 0.75, 0.0, ('-0x1.0f6a8ca264c06p+0', '-0x1.2645d2f50ce44p-1', '-0x1.0000000000000p-52')),
-    ('truncate8', 'harmonic', 0.75, 0.3, ('-0x1.12137f7cc2e7dp+2', '-0x1.85a6689ff55d4p-2', '-0x1.5fbd3f6cf67c0p-6')),
+    ('truncate8', 'harmonic', 0.75, 0.3, ('-0x1.12137f7cc2e7ep+2', '-0x1.85a6689ff55d8p-2', '-0x1.5fbd3f6cf6800p-6')),
     ('truncate8', 'harmonic', 0.75, 1.0, ('0x1.fc00000000000p+6', '-0x1.0a2b23f3bab80p+0', '0x0.0p+0')),
-    _no_zero('truncate8', 'chi1', 0.6, 0.0, (None, '-0x1.fe27d6ced7380p-6', '0x1.26582ed705416p-2')),
-    ('truncate8', 'chi1', 0.6, 0.3, (None, '0x1.75f0ac370fe9ep-2', '0x1.9fc878474be43p-1')),
+    _no_zero('truncate8', 'chi1', 0.6, 0.0, (None, '-0x1.fe27d6ced7380p-6', '0x1.26582ed70541ap-2')),
+    ('truncate8', 'chi1', 0.6, 0.3, (None, '0x1.75f0ac370fe9ep-2', '0x1.9fc878474be46p-1')),
     ('truncate8', 'chi1', 0.6, 1.0, ('0x1.f800000000000p+5', '-0x1.a9de9fec5df00p-1', '0x0.0p+0')),
-    ('truncate8', 'chi1', 0.75, 0.0, ('-0x1.4e72bd50c79efp+1', '-0x1.cf486493b906ap-2', '0x0.0p+0')),
-    ('truncate8', 'chi1', 0.75, 0.3, (None, '-0x1.43df20cb2c9c0p-7', '0x1.1d785ca31b3aep-1')),
+    ('truncate8', 'chi1', 0.75, 0.0, ('-0x1.4e72bd50c79f2p+1', '-0x1.cf486493b906cp-2', '0x0.0p+0')),
+    ('truncate8', 'chi1', 0.75, 0.3, (None, '-0x1.43df20cb2c9e0p-7', '0x1.1d785ca31b3aep-1')),
     ('truncate8', 'chi1', 0.75, 1.0, ('0x1.f800000000000p+5', '-0x1.0a2b23f3bab80p+0', '0x0.0p+0')),
 ]
 # pressure_locally_constant_bracket as float hex: (lo, hi); each contains
@@ -123,38 +125,22 @@ def test_locally_constant_brackets_bit_for_bit(system, potential, t, coeff, expe
 
 
 def _array_f_alpha(system, potential, t, q, memo):
-    """``thermo._f_alpha`` as its all-array form computed it: the head
-    regrouped here, the tail appended per call and folded by np.logaddexp.
-    ``memo`` keeps the per-t groups, as the cache did."""
+    """``thermo._f_alpha`` as its all-array form computed it: one term per
+    head digit, the tail appended per call and folded by np.logaddexp.
+    ``memo`` keeps the per-t terms, as the cache did."""
     key = (system, potential, t)
     if key not in memo:
-        H, vals, logd = thermo._level1_head(system, potential)[:3]
-        digits = None if ts.is_linear(system) else np.arange(1, H + 1, dtype=float) + system.offset
-        uvals, inv = np.unique(vals, return_inverse=True)
-        edges, glogd = None, logd
-        if len(uvals) > 512:
-            uvals = vals
+        H, uvals, logd = thermo._level1_head(system, potential)[:3]
+        if ts.is_linear(system):
+            logS_lo = logS = t * logd
         else:
-            order = np.argsort(inv, kind="stable")
-            edges = np.searchsorted(inv[order], np.arange(len(uvals) + 1))
-            glogd = logd[order]
-            digits = None if digits is None else digits[order]
-
-        def grouped(w):
-            if edges is None:
-                return w
-            return np.array([_logsumexp(w[edges[g]:edges[g + 1]])
-                             for g in range(len(uvals))])
-
-        if digits is None:
-            logS_lo = logS = grouped(t * glogd)
-        else:
-            logS_lo = grouped(-2.0 * t * np.log(digits + 1.0))
-            logS = grouped(-2.0 * t * np.log(digits))
+            digits = np.arange(1, H + 1, dtype=float) + system.offset
+            logS_lo = -2.0 * t * np.log(digits + 1.0)
+            logS = -2.0 * t * np.log(digits)
         tail = None
         if system.tail is not None:
             p_lo, p_hi = potential.tail_bounds(system, H)
-            if digits is None:
+            if ts.is_linear(system):
                 logT_lo, logT_hi = map(thermo._log, ts.diam_series(system, t, start=H + 1))
                 logT = 0.5 * (logT_lo + logT_hi)
             else:
@@ -194,7 +180,7 @@ def _linear(rng, n):
 
 def test_f_alpha_matches_the_array_evaluator_seeded():
     # both forms of the series, short float lists (up to 7 terms) and
-    # arrays (8 terms, and the ungrouped 1e5-digit harmonic heads), across
+    # arrays (8 terms and more, as the 1e5-digit harmonic heads), across
     # finite, linear-tail and continued-fraction systems; t below 1/2
     # reaches the divergent tails
     rng = np.random.default_rng(20)
@@ -246,3 +232,26 @@ def test_short_logsumexp_and_logaddexp_match_numpy():
     with np.errstate(invalid="ignore"):
         for a, b in pairs:
             assert _logaddexp(a, b).hex() == float(np.logaddexp(a, b)).hex(), (a, b)
+
+
+def test_constant_tails_hold_no_long_head_arrays():
+    # a potential that is constant past digit k keeps the shortest
+    # max(1, len(head)) 2^j >= k digits explicit on both families, and the
+    # certified tail sum carries the rest; harmonic is constant on no tail
+    # and keeps the 1e5-digit head
+    g = ts.gauss_system()
+    systems = [g, ts.restricted_system(g, 10), ts.flat_example_system(),
+               ts.powerlog_system([], c=0.5, a=2.0)]
+    potentials = [(ts.indicator_potential(1), 1), (ts.indicator_potential(2), 2),
+                  (ts.constant_potential(0.7), 1)]
+    for cache in (thermo._level1_head, thermo._series_groups):
+        cache.cache_clear()
+    for system in systems:
+        for potential, H in potentials:
+            thermo._f_alpha(system, potential, 0.75, 0.3)
+            head = thermo._level1_head(system, potential)
+            groups = thermo._series_groups(system, potential, 0.75)
+            assert head[0] == H, (system, potential)
+            sizes = [np.size(x) for x in head + groups if isinstance(x, (list, np.ndarray))]
+            assert max(sizes) <= 1000, (system, potential, sizes)
+        assert thermo._level1_head(system, ts.harmonic_potential())[0] == thermo._PLC_HEAD

@@ -257,9 +257,10 @@ def test_flat_window_edges_are_flat_floor(flat, chi1):
 
 
 def test_series_groups_hold_bounded_memory_on_ungrouped_head():
-    # the harmonic head of the flat model has 1e5 distinct values, so it
-    # stays ungrouped and every t caches a 1e5-float logS (0.8 MB); the
-    # cache keeps 16 of them however many t a run visits
+    # harmonic is not constant on any tail of the flat model, so its head
+    # keeps 1e5 digits with 1e5 distinct values and every t caches a
+    # 1e5-float logS (0.8 MB); the cache keeps 16 of them however many t a
+    # run visits
     flat, harm = ts.flat_example_system(), ts.harmonic_potential()
     thermo._series_groups.cache_clear()
     spectrum._f_alpha(flat, harm, 0.99, 0.0)  # head arrays built before the trace

@@ -2,7 +2,11 @@
 
 import ast
 import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -11,6 +15,8 @@ import numpy as np
 import pytest
 
 import thermospec as ts
+from hypothesis import given, settings, strategies as st
+
 from thermospec import thermo
 from thermospec.systems import _decode_words, _logsumexp
 
@@ -497,6 +503,126 @@ def test_s_infinity_finite_system():
     res = ts.s_infinity(ts.doubling_system())
     assert res.value == 0.0
     assert res.agree
+
+
+_BAD_TOLERANCES = """
+import contextlib, io, json, math
+import thermospec as ts
+from thermospec import cli
+calls = {
+    "root gauss -1": lambda: ts.pressure_root(ts.gauss_system(), tol=-1.0),
+    "root gauss nan": lambda: ts.pressure_root(ts.gauss_system(), tol=math.nan),
+    "root gauss inf": lambda: ts.pressure_root(ts.gauss_system(), tol=math.inf),
+    "root (1/2, 1/4) -1": lambda: ts.pressure_root(ts.linear_system([0.5, 0.25]), tol=-1.0),
+    "root flat -1": lambda: ts.pressure_root(ts.flat_example_system(), tol=-1.0),
+    "sinf gauss nan": lambda: ts.s_infinity(ts.gauss_system(), tol=math.nan),
+    "sinf gauss 0": lambda: ts.s_infinity(ts.gauss_system(), tol=0.0),
+    "sinf gauss inf": lambda: ts.s_infinity(ts.gauss_system(), tol=math.inf),
+    "sinf gauss -1": lambda: ts.s_infinity(ts.gauss_system(), tol=-1.0),
+}
+out = {}
+for name, call in calls.items():
+    try:
+        call()
+        out[name] = "returned"
+    except ts.ModelError:
+        out[name] = "ModelError"
+with contextlib.redirect_stdout(io.StringIO()):
+    out["cli root --tol -1"] = cli.main(["root", "--model", "gauss", "--tol", "-1"])
+print(json.dumps(out))
+"""
+
+
+def test_tolerance_not_finite_and_nonnegative_raises():
+    # a negative or NaN tol never reaches the root solver's stop width, so
+    # the calls run in a child process with a timeout: a regression fails
+    # here instead of hanging the run
+    src = str(Path(thermo.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", _BAD_TOLERANCES], capture_output=True,
+                          text=True, timeout=60, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out.pop("cli root --tol -1") == 3
+    assert out == dict.fromkeys(out, "ModelError") and len(out) == 9
+
+
+def test_zero_tolerance_root_still_solves():
+    res = ts.pressure_root(ts.gauss_system(), tol=0.0)
+    assert res.interval[0] <= res.value <= res.interval[1]
+    assert abs(res.value - ts.pressure_root(ts.gauss_system()).value) < 1e-10
+    res = ts.pressure_root(ts.linear_system([0.5, 0.25]), tol=0.0)
+    assert res.value == pytest.approx(MORAN_HALF_QUARTER, abs=1e-15)
+
+
+def _seeded_linear(draw):
+    """A seeded finite linear system of two to six branches."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    d = rng.uniform(0.2, 1.0, draw(st.integers(2, 6)))
+    return ts.linear_system((0.9 * d / d.sum()).tolist())
+
+
+@st.composite
+def _enumerated_systems(draw):
+    """The Gauss map, truncated by the pressure call's q, or a seeded
+    finite linear system."""
+    return ts.gauss_system() if draw(st.booleans()) else _seeded_linear(draw)
+
+
+_LEVEL1 = st.sampled_from([None, ts.indicator_potential(1), ts.indicator_potential(2),
+                           ts.harmonic_potential()])
+
+
+def _within_ulps(a, b):
+    # a <= b up to 4 ulps of summation order, on the scale of the values
+    return a <= b + 4.0 * math.ulp(max(abs(a), abs(b), 1.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(system=_enumerated_systems(), potential=_LEVEL1, t=st.floats(0.1, 2.0),
+       q=st.integers(1, 5), dq=st.integers(1, 2), n_max=st.integers(1, 3))
+def test_pressure_values_do_not_decrease_in_q(system, potential, t, q, dq, n_max):
+    # every word on q digits is a word on q + dq digits, and every term is
+    # positive, so each level's value can only grow
+    small = ts.pressure(system, potential, t=t, q=q, n_max=n_max).values
+    large = ts.pressure(system, potential, t=t, q=q + dq, n_max=n_max).values
+    assert all(_within_ulps(a, b) for a, b in zip(small, large)), (small, large)
+
+
+@settings(max_examples=40, deadline=None)
+@given(system=_enumerated_systems(), potential=_LEVEL1, t=st.floats(0.1, 2.0),
+       dt=st.floats(1e-9, 1.0), q=st.integers(1, 6), n_max=st.integers(1, 3))
+def test_pressure_values_do_not_increase_in_t(system, potential, t, dt, q, n_max):
+    # log|(T^n)'| > 0 at every periodic point (diam < 1 on linear
+    # branches), so each term e^(S_n phi - t log|(T^n)'|) falls as t grows
+    low = ts.pressure(system, potential, t=t, q=q, n_max=n_max).values
+    high = ts.pressure(system, potential, t=t + dt, q=q, n_max=n_max).values
+    assert all(_within_ulps(b, a) for a, b in zip(low, high)), (low, high)
+
+
+@st.composite
+def _series_systems(draw):
+    """The two built-in linear tail models, or a seeded finite linear system."""
+    kind = draw(st.sampled_from(["flat", "invsq", "finite"]))
+    if kind == "flat":
+        return ts.flat_example_system()
+    if kind == "invsq":
+        return ts.powerlog_system([], c=0.5, a=2.0)
+    return _seeded_linear(draw)
+
+
+@settings(max_examples=40, deadline=None)
+@given(system=_series_systems(),
+       potential=st.one_of(st.integers(1, 4).map(ts.indicator_potential),
+                           st.just(ts.harmonic_potential()),
+                           st.floats(0.0, 2.0).map(ts.constant_potential)),
+       t=st.floats(0.55, 1.5), coeff=st.floats(-5.0, 5.0), dc=st.floats(1e-3, 5.0))
+def test_locally_constant_bracket_ends_do_not_decrease_in_coeff(system, potential, t,
+                                                                coeff, dc):
+    # with phi >= 0 every term e^(coeff phi(i)) diam(I_i)^t grows with coeff
+    lo, hi = ts.pressure_locally_constant_bracket(system, potential, t, coeff)
+    lo2, hi2 = ts.pressure_locally_constant_bracket(system, potential, t, coeff + dc)
+    assert _within_ulps(lo, lo2) and _within_ulps(hi, hi2), (lo, hi, lo2, hi2)
 
 
 def test_pressure_root_doubling():
