@@ -138,6 +138,11 @@ def _require_level1(potential: Potential) -> None:
             "higher-level averages go through measures.maximize_ratio")
 
 
+def _require_level(alpha) -> None:
+    if math.isnan(alpha):
+        raise ModelError("the level alpha is NaN")
+
+
 def _value_range(system, potential):
     """(inf, sup, inf attained, sup attained) of a level-1 potential.
 
@@ -162,17 +167,43 @@ def _value_range(system, potential):
 # Legendre solution
 
 
-def _solve_qhat(system, potential, t, alpha):
-    """Tilt q with alpha(t, q) = alpha, by ``thermo._root`` from [-1, 1].
+def _log_odds(a, lo, hi):
+    """log((a - lo)/(hi - a)), -inf for a <= lo and inf for a >= hi."""
+    u, v = a - lo, hi - a
+    if u > 0 and v > 0:
+        return math.log(u / v)
+    return -math.inf if u <= 0 else math.inf
 
-    alpha(t, .) is increasing; the bracket widens up to |q| = 700 and
-    stays at that end when the level is out of reach.  Returns q and the
-    (f_lo, f, f_hi, alpha) tuple of ``_f_alpha`` there, which is the
-    solver's own evaluation.
+
+def _solve_qhat(system, potential, t, alpha, bounds, start=0.0, h=1.0):
+    """Tilt q with alpha(t, q) = alpha, by ``thermo._root`` from
+    [start - h, start + h].
+
+    alpha(t, .) increases between the potential's infimum and supremum,
+    ``bounds`` = (lo, hi), and its q-derivative is the tilted variance
+    var, which ``_f_alpha`` gives from the same weights.  The solver takes
+    Newton steps on the log-odds L(q) = log((alpha - lo)/(hi - alpha)),
+    which has the sign of alpha(t, q) - alpha and the derivative
+    var (hi - lo)/((alpha - lo)(hi - alpha)).  For a potential with two
+    values, such as an indicator, alpha is a logistic curve in q and L is
+    q plus a constant, so one step lands on the root.  The bracket widens
+    up to |q| = 700 and stays at that end when the level is out of reach.
+    Returns q and the (f_lo, f, f_hi, alpha) tuple of ``_f_alpha`` there,
+    which is the solver's own evaluation.
     """
-    f_alpha = functools.cache(lambda q: _f_alpha(system, potential, t, q))
-    q = _root(lambda q: f_alpha(q)[3] - alpha, -1.0, 1.0, (-700.0, 700.0))[0]
-    return q, f_alpha(q)
+    lo, hi = bounds
+    target = _log_odds(alpha, lo, hi)
+    seen = {}
+
+    def level(q):
+        seen[q] = out = _f_alpha(system, potential, t, q, var=True)
+        a, var = out[3], out[4]
+        spread = (a - lo) * (hi - a)
+        return (_log_odds(a, lo, hi) - target,
+                var * (hi - lo) / spread if spread > 0 else 0.0)
+
+    q = _root(level, start - h, start + h, (-700.0, 700.0), slope=True)[0]
+    return q, seen[q][:4]
 
 
 def _decreasing_log_mass_root(logsum, floor: float, s_inf: float) -> float:
@@ -237,9 +268,14 @@ def legendre_solve(system: BranchSystem, potential: Potential, alpha: float, *,
     floor is <= 0, g has no root above the floor: the regime is flat and
     the dimension is s_inf.  Range endpoints reduce to the matching digit
     subsystem when attained and to the floor otherwise; alphas outside the
-    closed range are empty.
+    closed range, infinite ones included, are empty.  A NaN alpha, and a
+    ``t_max`` that is not finite and above the floor, raise ``ModelError``.
     """
     _require_level1(potential)
+    _require_level(alpha)
+    floor = _t_floor(system)
+    if not (math.isfinite(t_max) and t_max > floor):
+        raise ModelError(f"t_max must be finite and above the floor {floor}, got {t_max}")
     s_inf = s_inf_exact(system)
     lo, hi, lo_att, hi_att = _value_range(system, potential)
     if alpha < lo - 1e-12 or alpha > hi + 1e-12:
@@ -262,10 +298,19 @@ def legendre_solve(system: BranchSystem, potential: Potential, alpha: float, *,
         raise UnsupportedPotentialError(
             "interior spectrum rows require an all-linear system")
 
-    floor = _t_floor(system)
     # one q-solve per distinct t: the root solver evaluates minus_g again at
-    # the floor, and the solution below is a point it has evaluated
-    solve = functools.cache(lambda t: _solve_qhat(system, potential, t, alpha))
+    # the floor, and the solution below is a point it has evaluated.  Each
+    # solve starts from the tilt of the one before, in a bracket of half
+    # width twice the last change of tilt, clipped to [1e-9, 1]
+    q_last, h = 0.0, 1.0
+
+    @functools.cache
+    def solve(t):
+        nonlocal q_last, h
+        q, vals = _solve_qhat(system, potential, t, alpha, (lo, hi), q_last, h)
+        h, q_last = min(1.0, max(2.0 * abs(q - q_last), 1e-9)), q
+        return q, vals
+
     q, (f_lo, _, _, _) = solve(floor)
     if f_lo - q * alpha <= 0.0:
         return SpectrumPoint(alpha=alpha, dim=s_inf, t=s_inf, q=None,
@@ -383,9 +428,10 @@ def flat_certificate(system: BranchSystem, potential: Potential, alpha: float,
     family, where the increasing branch tends to log sum_{m>=2} w_m > 0.
     On the continued-fraction family at delta <= 1/2 the series diverges
     for every tilt, so no witness can exist and the reported minimum is
-    +inf.
+    +inf.  A NaN alpha raises ``ModelError``.
     """
     _require_level1(potential)
+    _require_level(alpha)
     if delta is None:
         delta = s_inf_exact(system)
 
@@ -412,7 +458,7 @@ def flat_certificate(system: BranchSystem, potential: Potential, alpha: float,
         qhat, found = branch_zero(1.0)
         note = f"lower endpoint: {found} of the increasing branch"
     else:
-        qhat, _ = _solve_qhat(system, potential, delta, alpha)
+        qhat, _ = _solve_qhat(system, potential, delta, alpha, (v_lo, v_hi))
         note = ""
 
     val_lo, _, val_hi = F(qhat)

@@ -15,7 +15,6 @@ import functools
 import json
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -142,10 +141,8 @@ class PowerLogTail(Tail):
         return base ** s
 
     def converges(self, s: float) -> bool:
-        # rounding is monotone: only products that round to 1 can mislead
-        p, r = (x * s if x * s != 1.0 else Fraction(x) * Fraction(s)
-                for x in (self.a, self.d))
-        return p > 1 or (p == 1 and r > 1)
+        above = _sign_above_one(self.a, s)
+        return above > 0 or (above == 0 and _sign_above_one(self.d, s) > 0)
 
     @property
     def s_inf(self) -> float:
@@ -160,9 +157,10 @@ class PowerLogTail(Tail):
         # int_M^inf f = f(M) L xb (x/xb)^p sum_k c_k: factoring f(M) out keeps
         # the rounding of p = a s out of x^(-p).  p - 1 is rounded once,
         # because near p = 1 the integral grows like 1/(p - 1)
-        lam = float(Fraction(self.a) * Fraction(s) - 1)
+        num, den = _exact_product(self.a, s)
+        lam = (num - den) / den
         scale = L * xb * math.exp(-p * math.log1p(self.b / x))
-        integral = scale * _powerlog_integral(lam, Fraction(self.d) * Fraction(s), self.b, L, xb)
+        integral = scale * _powerlog_integral(lam, _exact_product(self.d, s), self.b, L, xb)
         taylor, allowance = _powerlog_taylor(p, r, x, xb, L), 12.0 + s * (4.0 + self.d)
         if f0 >= _NORMAL:
             return f0, taylor, integral, allowance
@@ -522,7 +520,28 @@ def _lgamma1p_over(x: float) -> float:
     return out
 
 
-def _expint_scaled(r: Fraction, z: float) -> float:
+def _exact_product(x: float, y: float) -> tuple[int, int]:
+    """x y exactly, as integers (numerator, denominator > 0).
+
+    Python's int / int is correctly rounded, so n / d and (n - k d) / d
+    round the exact values once, as ``float(Fraction)`` does.
+    """
+    xn, xd = x.as_integer_ratio()
+    yn, yd = y.as_integer_ratio()
+    return xn * yn, xd * yd
+
+
+def _sign_above_one(x: float, y: float) -> int:
+    """Sign of x y - 1, exact: rounding is monotone, so only a product
+    that rounds to 1 needs the integers."""
+    p = x * y
+    if p == 1.0:
+        num, den = _exact_product(x, y)
+        return (num > den) - (num < den)
+    return (p > 1.0) - (p < 1.0)
+
+
+def _expint_scaled(r: tuple[int, int], z: float) -> float:
     """e^z E_r(z), E_r(z) = int_1^inf e^(-zt) t^(-r) dt the generalised
     exponential integral, for r >= 0 and z >= 0, to a few ulps.
 
@@ -535,23 +554,25 @@ def _expint_scaled(r: Fraction, z: float) -> float:
     with the Gamma term in closed form, (-z)^m/m! (e^E - 1)/delta with
     E = -delta log z + log Gamma(1+delta) - sum_{j <= m} log(1 - delta/j),
     through expm1 while |E| < 1, so r next to an integer loses nothing.
-    r comes exact, and delta is rounded once from it: E_r(z) grows like
-    z^(r-1) as z -> 0.  From z = 1/2 on it evaluates the continued
-    fraction e^z E_r(z) = 1/(z + r/(1 + 1/(z + (r+1)/(1 + 2/(z + ...)))))
-    (Abramowitz & Stegun 5.1.22) from the bottom up, at a depth that
-    converges to rounding for r <= 40; all its terms are positive.  The
-    scaling leaves e^-z, whose argument is rounded, to the caller.
+    r comes exact, as integers (numerator, denominator), and delta is
+    rounded once from it: E_r(z) grows like z^(r-1) as z -> 0.  From
+    z = 1/2 on it evaluates the continued fraction e^z E_r(z) =
+    1/(z + r/(1 + 1/(z + (r+1)/(1 + 2/(z + ...))))) (Abramowitz & Stegun
+    5.1.22) from the bottom up, at a depth that converges to rounding for
+    r <= 40; all its terms are positive.  The scaling leaves e^-z, whose
+    argument is rounded, to the caller.
     """
+    num, den = r
     if z == 0.0:
-        return 1.0 / float(r - 1) if r > 1 else math.inf
-    rf = float(r)
+        return 1.0 / ((num - den) / den) if num > den else math.inf
+    rf = num / den
     if z >= 0.5:
         t = z
         for k in range(int(3.0 + 60.0 / math.sqrt(z) + 60.0 / z), -1, -1):
             t = z + (rf + k) / (1.0 + (k + 1) / t)
         return 1.0 / t
     m = max(0, round(rf - 1.0))
-    delta = float(1 + m - r)
+    delta = ((1 + m) * den - num) / den
     c_over = _lgamma1p_over(delta)
     for j in range(1, m + 1):
         c_over -= math.log1p(-delta / j) / delta if delta else -1.0 / j
@@ -572,7 +593,8 @@ def _expint_scaled(r: Fraction, z: float) -> float:
         term *= -z / k
 
 
-def _powerlog_integral(lam: float, r: Fraction, b: float, L: float, xb: float) -> float:
+def _powerlog_integral(lam: float, r: tuple[int, int], b: float, L: float,
+                       xb: float) -> float:
     """sum_k binom(p+k-1, k) (b/xb)^k e^(z_k) E_r(z_k), z_k = (lam + k) L,
     for lam = p - 1 >= 0, xb = M + b and L = log xb.
 

@@ -560,7 +560,7 @@ def _tilt(q, vals, logw):
     return q * vals[:len(logw)] + logw
 
 
-def _f_alpha(system, potential, t, q):
+def _f_alpha(system, potential, t, q, var=False):
     """(f_lo, f, f_hi, alpha) of the tilted series at (t, q).
 
     f_lo <= f_hi is the certified bracket, and f the point value: it folds
@@ -568,7 +568,9 @@ def _f_alpha(system, potential, t, q):
     q-derivative of the reported f and stationarity residuals measure
     solver closure alone.  On linear systems with a tail the bracket also
     covers the rounding of the head sum.  A divergent tail gives
-    (inf, inf, inf, nan).
+    (inf, inf, inf, nan).  With ``var`` a fifth entry follows, the
+    variance of phi under the tilted weights: d alpha/dq, from the same
+    weights as alpha (nan on a divergent tail).
 
     One body serves both forms of ``_series_groups``.  On the short lists
     (at most 7 terms, where numpy's sum still adds in sequence) the terms,
@@ -579,12 +581,12 @@ def _f_alpha(system, potential, t, q):
     """
     H, vals, logS, logS_lo, tail = _series_groups(system, potential, t)
     if tail is not None and math.isinf(tail[3]):
-        return math.inf, math.inf, math.inf, math.nan
+        return (math.inf, math.inf, math.inf, math.nan, math.nan)[:5 if var else 4]
     terms = _tilt(q, vals, logS)
     head = _logsumexp(terms if tail is None else terms[:-1])
     head_lo = head if logS_lo is None else _logsumexp(_tilt(q, vals, logS_lo))
     if tail is None:
-        return head_lo, head, head, float(np.exp(np.subtract(terms, head)) @ vals)
+        return _with_mean(head_lo, head, head, terms, vals, var)
     p_lo, p_hi, logT_lo, logT_hi = tail
     head_hi = head
     if logS_lo is None:
@@ -597,8 +599,26 @@ def _f_alpha(system, potential, t, q):
     lo_val, hi_val = (p_lo, p_hi) if q >= 0 else (p_hi, p_lo)
     f_lo = _logaddexp(head_lo, q * lo_val + logT_lo)
     f_hi = _logaddexp(head_hi, q * hi_val + logT_hi)
-    f = _logsumexp(terms)
-    return f_lo, f, f_hi, float(np.exp(np.subtract(terms, f)) @ vals)
+    return _with_mean(f_lo, _logsumexp(terms), f_hi, terms, vals, var)
+
+
+def _with_mean(f_lo, f, f_hi, terms, vals, var):
+    """(f_lo, f, f_hi, alpha), and with ``var`` the variance of the values
+    too, under the weights w = e^(terms - f): alpha and var are the first
+    two q-derivatives of f."""
+    w = np.subtract(terms, f)
+    np.exp(w, out=w)
+    alpha = float(w @ vals)
+    if not var:
+        return f_lo, f, f_hi, alpha
+    if not isinstance(vals, list):
+        dev = np.subtract(vals, alpha)
+        np.multiply(dev, dev, out=dev)
+        return f_lo, f, f_hi, alpha, float(w @ dev)
+    total = 0.0  # the short list form, without numpy's per-call dispatch
+    for x, v in zip(w.tolist(), vals):
+        total += x * (v - alpha) * (v - alpha)
+    return f_lo, f, f_hi, alpha, total
 
 
 def pressure_locally_constant_bracket(system: BranchSystem,
@@ -728,7 +748,7 @@ class RootResult:
     bracket: tuple
 
 
-def _root(fn, lo, hi, limits=None, tol=1e-15):
+def _root(fn, lo, hi, limits=None, tol=1e-15, slope=False):
     """Zero of the increasing function fn, searched from the bracket [lo, hi].
 
     While fn(lo) > 0 (or fn(hi) < 0) that end moves outwards by the
@@ -739,34 +759,50 @@ def _root(fn, lo, hi, limits=None, tol=1e-15):
     1997) then closes the bracket and returns (x, a, b) with
     fn(a) <= 0 <= fn(b) and b - a <= tol + 4 eps |x|, where x is the end
     with the smaller |fn|; an exact zero x comes back as (x, x, x).
+
+    With ``slope`` fn returns (value, derivative), and the Newton point
+    from the end with the smaller |fn| replaces the interpolation step
+    whenever it falls inside the bracket at least width/8 from both ends,
+    width = tol + 4 eps |x|.  Chandrupatla's own steps keep width/2 from
+    the ends; the shorter Newton clearance lets the returned end come
+    nearer the root.
     """
+    evaluate = fn if slope else lambda x: (fn(x), 0.0)
     lo_limit, hi_limit = (lo, hi) if limits is None else limits
-    f_lo = fn(lo)
+    f_lo, d_lo = evaluate(lo)
     while f_lo > 0 and lo > lo_limit:
         lo = max(lo - (hi - lo), lo_limit)
-        f_lo = fn(lo)
+        f_lo, d_lo = evaluate(lo)
     if not f_lo < 0:
         return lo, lo, lo
-    f_hi = fn(hi)
+    f_hi, d_hi = evaluate(hi)
     while f_hi < 0 and hi < hi_limit:
         hi = min(hi + (hi - lo), hi_limit)
-        f_hi = fn(hi)
+        f_hi, d_hi = evaluate(hi)
     if not f_hi > 0:
         return hi, hi, hi
     # x1 is the newest point, x2 the bracket's other end and x3 the point
     # the last step dropped; a NaN value counts as positive, as in bisection
-    x1, f1, x2, f2 = lo, f_lo, hi, f_hi
+    x1, f1, d1, x2, f2, d2 = lo, f_lo, d_lo, hi, f_hi, d_hi
     t = 0.5
     while True:
+        xm, fm, dm = (x1, f1, d1) if abs(f1) < abs(f2) else (x2, f2, d2)
+        if dm > 0:
+            # a Newton point keeps width/8 from both ends, so the bracket
+            # still shrinks by that much per step
+            t_min = (tol + 4.0 * _EPS * abs(xm)) / (8.0 * abs(x2 - x1))
+            t_newton = (xm - fm / dm - x1) / (x2 - x1)
+            if t_min <= t_newton <= 1.0 - t_min:
+                t = t_newton
         x = x1 + t * (x2 - x1)
-        fx = fn(x)
+        fx, dx = evaluate(x)
         if fx == 0:
             return x, x, x
         if (fx < 0) == (f1 < 0):
             x3, f3 = x1, f1
         else:
-            x3, f3, x2, f2 = x2, f2, x1, f1
-        x1, f1 = x, fx
+            x3, f3, x2, f2, d2 = x2, f2, x1, f1, d1
+        x1, f1, d1 = x, fx, dx
         a, b = (x1, x2) if f1 < 0 else (x2, x1)
         xm = x1 if abs(f1) < abs(f2) else x2
         width = tol + 4.0 * _EPS * abs(xm)

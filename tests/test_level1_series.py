@@ -25,7 +25,9 @@ def _no_zero(system, potential, delta, alpha, expected):
 # above delta = 1/2), recorded bit for bit: (qhat, value_lo, value_hi) as
 # float hex with None for no witness.  The chi1 and truncate8 entries were
 # recorded with one head term per digit and, on the infinite systems, the
-# Hurwitz tail from the second digit on
+# Hurwitz tail from the second digit on; the interior levels (alpha = 0.3)
+# at the tilt of the Newton tilt solve, which lands elsewhere in the few
+# ulps where alpha(q) - alpha is flat to rounding
 GAUSS_CERTIFICATES = [
     ('gauss', 'harmonic', 0.6, 0.0, (None, '0x1.b07273a1374b0p-3', '0x1.b6ec3c0fd849cp-3')),
     ('gauss', 'harmonic', 0.6, 0.3, (None, '0x1.7f4004928221cp+0', '0x1.b7a384fc84e5ep+0')),
@@ -37,13 +39,13 @@ GAUSS_CERTIFICATES = [
     ('gauss', 'chi1', 0.6, 0.3, (None, '0x1.68af6c95a6a2cp+0', '0x1.ad85b787cc5c2p+0')),
     ('gauss', 'chi1', 0.6, 1.0, ('0x1.f800000000000p+5', '-0x1.a9de9fec5df00p-1', '0x0.0p+0')),
     _no_zero('gauss', 'chi1', 0.75, 0.0, (None, '0x1.d766b003e706dp-3', '0x1.e92c6850085d6p-2')),
-    ('gauss', 'chi1', 0.75, 0.3, (None, '0x1.096f830797ac9p-1', '0x1.e3f925fe73613p-1')),
+    ('gauss', 'chi1', 0.75, 0.3, (None, '0x1.096f830797ac9p-1', '0x1.e3f925fe73614p-1')),
     ('gauss', 'chi1', 0.75, 1.0, ('0x1.f800000000000p+5', '-0x1.0a2b23f3bab80p+0', '0x0.0p+0')),
     ('restricted3', 'harmonic', 0.6, 0.0, (None, '0x1.b0727b2ee4cd8p-3', '0x1.b6ec3a8cf9088p-3')),
-    ('restricted3', 'harmonic', 0.6, 0.3, ('0x1.1d03a5b066173p+4', '-0x1.8881e9de93940p-1', '-0x1.d36df9b6233d0p-2')),
+    ('restricted3', 'harmonic', 0.6, 0.3, ('0x1.1d03a5b06616ep+4', '-0x1.8881e9de93940p-1', '-0x1.d36df9b6233d0p-2')),
     ('restricted3', 'harmonic', 0.6, 1.0, ('0x1.89b6ad0ca69a3p+0', '-0x1.533546598cd30p-4', '0x1.bb6c9f3a00000p-21')),
     ('restricted3', 'harmonic', 0.75, 0.0, ('-0x1.5e00000000000p+9', '-0x1.5a3312bf59362p+1', '-0x1.59fa7197cc81dp+1')),
-    ('restricted3', 'harmonic', 0.75, 0.3, ('0x1.ecd080c9a6374p+3', '-0x1.3b96dd2b2f53ep+0', '-0x1.b09fc5fc6114cp-1')),
+    ('restricted3', 'harmonic', 0.75, 0.3, ('0x1.ecd080c9a6373p+3', '-0x1.3b96dd2b2f540p+0', '-0x1.b09fc5fc61154p-1')),
     ('restricted3', 'harmonic', 0.75, 1.0, ('0x1.0fbd7c973251ap-2', '-0x1.5ce2d2f01a14bp-3', '0x1.ba3fbfc000000p-28')),
     _no_zero('restricted3', 'chi1', 0.6, 0.0, (None, '0x1.4ee1d3ea7a9bap+0', '0x1.5bab3f10848f4p+0')),
     ('restricted3', 'chi1', 0.6, 0.3, (None, '0x1.094909d1685c2p+0', '0x1.2a805c0c16de9p+0')),
@@ -55,13 +57,13 @@ GAUSS_CERTIFICATES = [
     ('truncate8', 'harmonic', 0.6, 0.3, (None, '0x1.a1e0d1e345290p-4', '0x1.8fcb0161f7580p-2')),
     ('truncate8', 'harmonic', 0.6, 1.0, ('0x1.fc00000000000p+6', '-0x1.a9de9fec5df00p-1', '0x0.0p+0')),
     ('truncate8', 'harmonic', 0.75, 0.0, ('-0x1.0f6a8ca264c06p+0', '-0x1.2645d2f50ce44p-1', '-0x1.0000000000000p-52')),
-    ('truncate8', 'harmonic', 0.75, 0.3, ('-0x1.12137f7cc2e7ep+2', '-0x1.85a6689ff55d8p-2', '-0x1.5fbd3f6cf6800p-6')),
+    ('truncate8', 'harmonic', 0.75, 0.3, ('-0x1.12137f7cc2e7dp+2', '-0x1.85a6689ff55d4p-2', '-0x1.5fbd3f6cf67c0p-6')),
     ('truncate8', 'harmonic', 0.75, 1.0, ('0x1.fc00000000000p+6', '-0x1.0a2b23f3bab80p+0', '0x0.0p+0')),
     _no_zero('truncate8', 'chi1', 0.6, 0.0, (None, '-0x1.fe27d6ced7380p-6', '0x1.26582ed70541ap-2')),
-    ('truncate8', 'chi1', 0.6, 0.3, (None, '0x1.75f0ac370fe9ep-2', '0x1.9fc878474be46p-1')),
+    ('truncate8', 'chi1', 0.6, 0.3, (None, '0x1.75f0ac370fe9ap-2', '0x1.9fc878474be44p-1')),
     ('truncate8', 'chi1', 0.6, 1.0, ('0x1.f800000000000p+5', '-0x1.a9de9fec5df00p-1', '0x0.0p+0')),
     ('truncate8', 'chi1', 0.75, 0.0, ('-0x1.4e72bd50c79f2p+1', '-0x1.cf486493b906cp-2', '0x0.0p+0')),
-    ('truncate8', 'chi1', 0.75, 0.3, (None, '-0x1.43df20cb2c9e0p-7', '0x1.1d785ca31b3aep-1')),
+    ('truncate8', 'chi1', 0.75, 0.3, (None, '-0x1.43df20cb2c980p-7', '0x1.1d785ca31b3aep-1')),
     ('truncate8', 'chi1', 0.75, 1.0, ('0x1.f800000000000p+5', '-0x1.0a2b23f3bab80p+0', '0x0.0p+0')),
 ]
 # pressure_locally_constant_bracket as float hex: (lo, hi); each contains

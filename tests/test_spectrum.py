@@ -109,9 +109,10 @@ def test_legendre_endpoints_attained(chi1):
 
 
 def test_legendre_outside_range_empty(chi1):
-    pt = ts.legendre_solve(ts.doubling_system(), chi1, 1.2)
-    assert pt.regime == "empty"
-    assert pt.dim is None
+    for alpha in (1.2, math.inf, -math.inf):
+        pt = ts.legendre_solve(ts.doubling_system(), chi1, alpha)
+        assert pt.regime == "empty"
+        assert pt.dim is None
 
 
 def test_legendre_dim_floor_invariant(chi1, flat):
@@ -293,7 +294,7 @@ def test_flat_chi1_row_holds_no_long_series_arrays():
 
 
 @pytest.mark.parametrize("model, alpha, max_t, max_calls", [
-    ("flat", 0.3, 12, 300), ("flat", 0.5, 12, 300), ("doubling", 0.3, 8, 300)])
+    ("flat", 0.3, 12, 50), ("flat", 0.5, 12, 50), ("doubling", 0.3, 8, 24)])
 def test_legendre_row_evaluation_count(monkeypatch, chi1, model, alpha, max_t, max_calls):
     # counts tilted-series work per row rather than timing it: one fresh
     # series build per distinct t, one _f_alpha call per root-solver step
@@ -302,9 +303,9 @@ def test_legendre_row_evaluation_count(monkeypatch, chi1, model, alpha, max_t, m
     seen = []
     real = spectrum._f_alpha
 
-    def counting(system, potential, t, qhat):
+    def counting(system, potential, t, qhat, var=False):
         seen.append(t)
-        return real(system, potential, t, qhat)
+        return real(system, potential, t, qhat, var)
 
     monkeypatch.setattr(spectrum, "_f_alpha", counting)
     pt = ts.legendre_solve(system, chi1, alpha)
@@ -314,19 +315,91 @@ def test_legendre_row_evaluation_count(monkeypatch, chi1, model, alpha, max_t, m
 
 
 def test_solve_qhat_evaluates_each_tilt_once(monkeypatch, chi1):
-    # the returned tuple is the root solver's own evaluation at q
+    # the returned tuple is the root solver's own evaluation at q; alpha is
+    # logistic in q for an indicator, so the Newton step on the log-odds
+    # lands next to the root from the first bracket end
     tilts = []
     real = spectrum._f_alpha
 
-    def counting(system, potential, t, qhat):
+    def counting(system, potential, t, qhat, var=False):
         tilts.append(qhat)
-        return real(system, potential, t, qhat)
+        return real(system, potential, t, qhat, var)
 
     monkeypatch.setattr(spectrum, "_f_alpha", counting)
-    q, vals = spectrum._solve_qhat(ts.doubling_system(), chi1, 0.9, 0.3)
-    assert len(tilts) == len(set(tilts)) == 9
+    q, vals = spectrum._solve_qhat(ts.doubling_system(), chi1, 0.9, 0.3, (0.0, 1.0))
+    assert len(tilts) == len(set(tilts)) == 5
     assert vals == real(ts.doubling_system(), chi1, 0.9, q)
     assert vals[3] == pytest.approx(0.3, abs=1e-15)
+
+
+_SLOPE_SYSTEMS = {
+    "flat": ts.flat_example_system,
+    "invsq": lambda: ts.powerlog_system([], c=0.5, a=2.0),
+    "doubling": ts.doubling_system,
+    "half-quarter": lambda: ts.linear_system([0.5, 0.25]),
+}
+
+
+# chi3 is the zero potential on the two-branch systems: no level to solve
+@pytest.mark.parametrize("name, potential", [
+    (name, f"chi{k}") for name in _SLOPE_SYSTEMS for k in (1, 2, 3)
+    if k < 3 or name in ("flat", "invsq")] + [("flat", "harmonic")])
+def test_slope_driven_root_keeps_the_bracket_contract(name, potential):
+    # the tilt solve of _solve_qhat, alpha - level with slope var and the
+    # log-odds with theirs, at seeded (t, level) pairs: each returned
+    # bracket straddles the zero, is as narrow as without slopes, and sits
+    # within that width of the derivative-free root, plus the tilt that a
+    # few ulps of alpha span: alpha(q) - level is flat to rounding there
+    # (at q = 10 on flat chi1, var = 6e-6 and that span is 8e3 widths)
+    system = _SLOPE_SYSTEMS[name]()
+    phi = (ts.harmonic_potential() if potential == "harmonic"
+           else ts.indicator_potential(int(potential[3:])))
+    lo, hi = spectrum._value_range(system, phi)[:2]
+    rng = np.random.default_rng(2027)
+    floor = thermo._t_floor(system)
+    draws = 4 if potential == "harmonic" else 25
+    for t, q0 in zip(rng.uniform(floor + 1e-3, 1.5, draws), rng.uniform(-12.0, 12.0, draws)):
+        t, q0 = float(t), float(q0)
+        alpha = spectrum._f_alpha(system, phi, t, q0)[3]
+        target = spectrum._log_odds(alpha, lo, hi)
+
+        def plain(q):
+            out = spectrum._f_alpha(system, phi, t, q, var=True)
+            return out[3] - alpha, out[4]
+
+        def log_odds(q):
+            a, var = spectrum._f_alpha(system, phi, t, q, var=True)[3:]
+            spread = (a - lo) * (hi - a)
+            return (spectrum._log_odds(a, lo, hi) - target,
+                    var * (hi - lo) / spread if spread > 0 else 0.0)
+
+        for fn in (plain, log_odds):
+            x, a, b = thermo._root(fn, -1.0, 1.0, (-700.0, 700.0), slope=True)
+            width = 1e-15 + 4.0 * np.finfo(float).eps * abs(x)
+            assert fn(a)[0] <= 0.0 <= fn(b)[0], (t, q0, fn.__name__)
+            assert b - a <= width, (t, q0, fn.__name__)
+            x0 = thermo._root(lambda q: fn(q)[0], -1.0, 1.0, (-700.0, 700.0))[0]
+            span = 4.0 * np.finfo(float).eps * (1.0 + abs(x)) * max(abs(lo), abs(hi)) / plain(x)[1]
+            assert abs(x - x0) <= width + span, (t, q0, fn.__name__)
+
+
+@pytest.mark.parametrize("call", [
+    lambda flat, chi1: ts.legendre_solve(flat, chi1, math.nan),
+    lambda flat, chi1: ts.legendre_solve(ts.doubling_system(), chi1, math.nan),
+    lambda flat, chi1: ts.flat_certificate(flat, chi1, math.nan),
+    lambda flat, chi1: ts.legendre_solve(flat, chi1, 0.5, t_max=math.nan),
+    lambda flat, chi1: ts.legendre_solve(flat, chi1, 0.5, t_max=math.inf),
+    lambda flat, chi1: ts.legendre_solve(flat, chi1, 0.5, t_max=0.4),
+    lambda flat, chi1: ts.legendre_solve(flat, chi1, 0.5, t_max=0.5),
+    lambda flat, chi1: ts.legendre_solve(ts.doubling_system(), chi1, 0.3, t_max=0.0),
+], ids=["nan-flat", "nan-doubling", "nan-certificate", "t_max-nan", "t_max-inf",
+        "t_max-below-floor", "t_max-at-floor", "t_max-at-doubling-floor"])
+def test_nan_level_and_bad_t_max_raise(flat, chi1, call):
+    # a NaN level was solved as an interior row (flat: dim 0.5 with NaN
+    # residuals; doubling: dim 0), and t_max = nan or 0.4 < s_inf gave a
+    # "legendre" row at t = nan or 0.4
+    with pytest.raises(ts.ModelError):
+        call(flat, chi1)
 
 
 def test_flat_interior_rises_above_floor(flat, chi1):

@@ -320,6 +320,113 @@ def test_tails_share_one_bracket():
         assert "bracket" not in vars(cls), cls
 
 
+# The power-log bracket as it formed its exact products before: Fractions
+# where the code now takes integer ratios.  Only the rational steps differ;
+# the rest repeats the float arithmetic of PowerLogTail._em_terms,
+# _powerlog_integral and _expint_scaled line for line.
+
+
+def _fraction_expint_scaled(r, z):
+    if z == 0.0:
+        return 1.0 / float(r - 1) if r > 1 else math.inf
+    rf = float(r)
+    if z >= 0.5:
+        t = z
+        for k in range(int(3.0 + 60.0 / math.sqrt(z) + 60.0 / z), -1, -1):
+            t = z + (rf + k) / (1.0 + (k + 1) / t)
+        return 1.0 / t
+    m = max(0, round(rf - 1.0))
+    delta = float(1 + m - r)
+    c_over = systems._lgamma1p_over(delta)
+    for j in range(1, m + 1):
+        c_over -= math.log1p(-delta / j) / delta if delta else -1.0 / j
+    e = delta * (c_over - math.log(z))
+    if abs(e) < 1.0:
+        g = (c_over - math.log(z)) * (math.expm1(e) / e if e else 1.0)
+    else:
+        g = (z ** -delta * math.exp(delta * c_over) - 1.0) / delta
+    out = (-z) ** m / math.factorial(m) * g
+    term, k = 1.0, 0
+    while True:
+        if k != m:
+            part = term / (1.0 - rf + k)
+            out -= part
+            if k > m and abs(part) <= systems._ROUND * abs(out):
+                return out * math.exp(z)
+        k += 1
+        term *= -z / k
+
+
+def _fraction_powerlog_integral(lam, r, b, L, xb):
+    total, coef, k = 0.0, 1.0, 0
+    while True:
+        term = coef * _fraction_expint_scaled(r, (lam + k) * L)
+        total += term
+        if term <= systems._ROUND * total:
+            return total
+        k += 1
+        coef *= b * (lam + k) / (k * xb)
+
+
+class _FractionPowerLogTail(ts.PowerLogTail):
+    def converges(self, s):
+        p, r = (x * s if x * s != 1.0 else Fraction(x) * Fraction(s)
+                for x in (self.a, self.d))
+        return p > 1 or (p == 1 and r > 1)
+
+    def _em_terms(self, s, M):
+        p, r = self.a * s, self.d * s
+        x, xb = float(M), M + self.b
+        L = math.log(xb)
+        f0 = self.diameter(M) ** s
+        lam = float(Fraction(self.a) * Fraction(s) - 1)
+        scale = L * xb * math.exp(-p * math.log1p(self.b / x))
+        integral = scale * _fraction_powerlog_integral(
+            lam, Fraction(self.d) * Fraction(s), self.b, L, xb)
+        taylor = systems._powerlog_taylor(p, r, x, xb, L)
+        allowance = 12.0 + s * (4.0 + self.d)
+        if f0 >= systems._NORMAL:
+            return f0, taylor, integral, allowance
+        logs = (s * math.log(self.c), -lam * math.log(x), -r * math.log(L))
+        return (math.exp(math.fsum(logs)), [t / x for t in taylor], integral / x,
+                allowance + 4.0 + 2.0 * sum(abs(v) for v in logs))
+
+
+def _near(x, ulps):
+    """x and its floats up to ``ulps`` steps either side."""
+    out = [x]
+    for direction in (-math.inf, math.inf):
+        y = x
+        for _ in range(ulps):
+            y = math.nextafter(y, direction)
+            out.append(y)
+    return out
+
+
+@pytest.mark.parametrize("name, system", [
+    ("flat", ts.flat_example_system()),
+    ("invsq", ts.powerlog_system([], c=0.5, a=2.0)),
+    # a = d = 1.5: a s and d s round to 1 near s = 2/3 without being 1
+    ("three-halves", ts.powerlog_system([], c=0.3, a=1.5, d=1.5))])
+def test_powerlog_bracket_keeps_the_bits_of_the_fraction_form(name, system):
+    # Python's int / int is correctly rounded, like float(Fraction), so the
+    # integer-ratio products give the Fraction form's bracket bit for bit
+    tail = system.tail
+    reference = systems.BranchSystem(
+        head=system.head, tail=_FractionPowerLogTail(tail.c, tail.a, tail.b, tail.d),
+        xi=system.xi)
+    rng = np.random.default_rng(24)
+    s_inf = 1.0 / tail.a
+    grid = [float(s) for s in rng.uniform(s_inf, 3.0, 2000)]
+    grid += _near(s_inf, 40) + _near(1.0 / 1.5, 40) + [0.25, 0.5, 1.0]
+    if name == "three-halves":
+        assert any(1.5 * s == 1.0 and Fraction(1.5) * Fraction(s) != 1 for s in grid)
+    for s in grid:
+        for start in (1, 2):
+            assert ts.diam_series(system, s, start=start) == \
+                ts.diam_series(reference, s, start=start), (s, start)
+
+
 def test_powerlog_converges_decides_on_the_exact_product():
     # 1.5 * fl(1/1.5) rounds to 1 but is 1 - 2^-54 exactly: p < 1 diverges
     # whatever the log factor
