@@ -239,6 +239,9 @@ def _cmd_root(args):
 def _cmd_spectrum(args):
     system = _load_model_arg(args.model)
     potential = _load_potential_arg(args.potential)
+    for flag, value in (("--alpha-min", args.alpha_min), ("--alpha-max", args.alpha_max)):
+        if not math.isfinite(value):
+            raise _ConfigError(f"{flag} must be finite, got {value!r}")
     if args.alpha_max < args.alpha_min:
         raise _ConfigError("--alpha-max must be >= --alpha-min")
     if args.points < 1:

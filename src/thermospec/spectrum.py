@@ -367,9 +367,11 @@ def flat_bounds(system: BranchSystem, potential: Potential | None = None) -> Fla
     P(q) - q P'(q) on its range (increasing below q_minus < 0, decreasing
     above q_plus > 0, as its derivative is -q P''(q)).  alpha is stationary
     there, so the float zero loses nothing to first order, and
-    log(K e^q + C)/q is evaluated at it once in 30-digit arithmetic and
-    rounded once: the edge is the correctly rounded extremum unless that
-    lies within about 1e-30 of a rounding boundary.
+    log(K e^q + C)/q is evaluated at it once in the standard library's
+    30-digit ``decimal`` arithmetic (exact conversion from float, correctly
+    rounded exp and ln) and rounded once to float: the edge is the
+    correctly rounded extremum unless that lies within about 1e-30 of a
+    rounding boundary.
     """
     if potential not in (None, indicator_potential(1)):
         raise UnsupportedPotentialError(
@@ -393,11 +395,12 @@ def flat_bounds(system: BranchSystem, potential: Potential | None = None) -> Fla
         Ke = K * math.exp(q)
         return math.log(Ke + C) - q * Ke / (Ke + C)
 
-    import mpmath  # the 30-digit edges and the verification suite load it, nothing else
+    from decimal import Decimal, localcontext  # only the 30-digit edges use it
 
     def alpha_at(q):
-        with mpmath.workdps(30):
-            return float(mpmath.log(K * mpmath.exp(q) + C) / q)
+        with localcontext() as ctx:
+            ctx.prec = 30
+            return float((Decimal(K) * Decimal(q).exp() + Decimal(C)).ln() / Decimal(q))
 
     q_lower = _root(tangency, q_minus - 1.0, q_minus, (-700.0, q_minus))[0]
     q_upper = _root(lambda q: -tangency(q), q_plus, q_plus + 1.0, (q_plus, 700.0))[0]
@@ -428,12 +431,17 @@ def flat_certificate(system: BranchSystem, potential: Potential, alpha: float,
     family, where the increasing branch tends to log sum_{m>=2} w_m > 0.
     On the continued-fraction family at delta <= 1/2 the series diverges
     for every tilt, so no witness can exist and the reported minimum is
-    +inf.  A NaN alpha raises ``ModelError``.
+    +inf.  An alpha that is not finite, or a given delta that is not
+    finite, raises ``ModelError``: no tilt can certify an infinite level,
+    and the series at a NaN or infinite exponent says nothing.
     """
     _require_level1(potential)
-    _require_level(alpha)
+    if not math.isfinite(alpha):
+        raise ModelError(f"the level alpha must be finite, got {alpha}")
     if delta is None:
         delta = s_inf_exact(system)
+    elif not math.isfinite(delta):
+        raise ModelError(f"the exponent delta must be finite, got {delta}")
 
     def F(q):
         f_lo, f, f_hi, _ = _f_alpha(system, potential, delta, q)

@@ -207,6 +207,19 @@ def test_non_finite_potential_exit_2(capsys):
     assert "must be finite" in captured.err
 
 
+@pytest.mark.parametrize("flag", ["--alpha-min", "--alpha-max"])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_non_finite_alpha_bounds_exit_2(capsys, flag, value):
+    # an infinite bound gave NaN and Infinity rows and a NaN bound an all-NaN
+    # grid, each with exit 0
+    bounds = {"--alpha-min": "0", "--alpha-max": "1", flag: value}
+    argv = ["spectrum", "--model", "flat_example", "--potential", "chi1", "--points", "3"]
+    rc = cli.main(argv + [f"{name}={text}" for name, text in bounds.items()])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (2, "")
+    assert f"{flag} must be finite" in captured.err
+
+
 def test_bad_flag_combinations_exit_2(capsys):
     assert cli.main(["sample", "--model", "gauss", "--n", "4"]) == 2
     assert cli.main(["sample", "--model", "gauss", "--recipe", "0.5",

@@ -37,6 +37,10 @@ ts.legendre_solve(flat, ts.indicator_potential(1), 0.5)
 record("flat legendre row")
 ts.flat_bounds(flat)
 record("flat_bounds")
+ts.spectrum_curve(flat, ts.indicator_potential(1), [])
+record("flat spectrum_curve")
+ts.flat_certificate(flat, ts.indicator_potential(1), 0.3)
+record("flat_certificate")
 ts.maximize_ratio(ts.doubling_system(), ((ts.indicator_potential(1), 0.3, 1e-6),), n=2)
 record("maximize_ratio")
 rep = ts.feasible(g, (0.6,), eps=1e-6, q=50, potentials=(ts.harmonic_potential(),))
@@ -49,17 +53,41 @@ print(json.dumps(seen))
 def test_package_runs_without_loading_scipy():
     # importing scipy takes longer than importing the package itself, and
     # the package never imports it: only the tests use it, as a reference.
-    # mpmath loads only for the 30-digit flat-window edges (and the
-    # verification suite), not for the series
+    # mpmath serves only the verification suite: the 30-digit flat-window
+    # edges use the standard library's decimal
     proc = subprocess.run([sys.executable, "-c", _PROBE], capture_output=True,
                           text=True, env=_child_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.strip().splitlines()[-1])
     assert list(seen) == ["import", "restricted root", "flat legendre row",
-                          "flat_bounds", "maximize_ratio", "feasible"]
+                          "flat_bounds", "flat spectrum_curve", "flat_certificate",
+                          "maximize_ratio", "feasible"]
     assert all(step["scipy"] == [] for step in seen.values())
-    assert [name for name, step in seen.items() if step["mpmath"]] == [
-        "flat_bounds", "maximize_ratio", "feasible"]
+    assert [name for name, step in seen.items() if step["mpmath"]] == []
+
+
+# the flat commands of the command line, run in one child
+_FLAT_CLI = r"""
+import contextlib, io, json, sys
+from thermospec.cli import main
+
+codes = []
+for argv in (["flat-bounds", "--model", "flat_example"],
+             ["spectrum", "--model", "flat_example", "--potential", "chi1", "--points", "5"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+print(json.dumps({"codes": codes,
+                  "loaded": sorted(m for m in sys.modules
+                                   if m.split(".")[0] in ("scipy", "mpmath"))}))
+"""
+
+
+def test_flat_commands_load_neither_scipy_nor_mpmath():
+    proc = subprocess.run([sys.executable, "-c", _FLAT_CLI], capture_output=True,
+                          text=True, env=_child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert seen == {"codes": [0, 0], "loaded": []}
 
 
 _LAZY_ORACLE = r"""
@@ -145,7 +173,8 @@ def test_feasibility_verdicts_need_no_scipy():
         assert seen[" ".join(case["argv"])] == [case["exit"], case["stdout"]], case["argv"]
 
 
-def test_no_module_imports_scipy():
+def _imports_of(package):
+    """(file name, line) of every import of ``package`` under src/thermospec."""
     hits = []
     for path in sorted((SRC / "thermospec").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -155,6 +184,17 @@ def test_no_module_imports_scipy():
                 names = [node.module or ""]
             else:
                 continue
-            hits += [f"{path.name}:{node.lineno}" for name in names
-                     if name == "scipy" or name.startswith("scipy.")]
-    assert hits == []
+            hits += [(path.name, node.lineno) for name in names
+                     if name == package or name.startswith(package + ".")]
+    return hits
+
+
+def test_no_module_imports_scipy():
+    assert _imports_of("scipy") == []
+
+
+def test_only_the_oracle_imports_mpmath():
+    # the verification suite is the one user of mpmath; every computation
+    # runs on numpy and the standard library
+    hits = _imports_of("mpmath")
+    assert hits and {name for name, _ in hits} == {"oracle.py"}, hits

@@ -172,11 +172,17 @@ def test_flat_bounds_edges_correctly_rounded(flat):
     fb = ts.flat_bounds(flat)
     assert _bits(fb.alpha_lower) == _bits(ALPHA_LOWER)
     assert _bits(fb.alpha_upper) == _bits(ALPHA_UPPER)
+    # the edges depend on (K, C) alone; s_inf = 0.3 packs the blocks into
+    # the unit interval at the corners K = 0.01 or 0.99 with C = 0.999 or
+    # K + C = 1.001 and at every draw between them (at s_inf = 0.5 the
+    # corner (0.99, 0.999) overpacks)
     rng = np.random.default_rng(21)
-    for _ in range(40):
-        K = rng.uniform(0.05, 0.95)
-        C = rng.uniform(1.01 - K, 0.99)
-        fb = ts.flat_bounds(ts.flat_example_system(K, C))
+    cases = [(K, C) for K in (0.01, 0.99) for C in (0.999, 1.001 - K)]
+    for _ in range(400):
+        K = rng.uniform(0.01, 0.99)
+        cases.append((K, rng.uniform(1.001 - K, 0.999)))
+    for K, C in cases:
+        fb = ts.flat_bounds(ts.flat_example_system(K, C, 0.3))
         assert fb.alpha_lower == _flat_edge_reference(K, C, fb.q_minus - 1.0), (K, C)
         assert fb.alpha_upper == _flat_edge_reference(K, C, fb.q_plus + 1.0), (K, C)
 
@@ -400,6 +406,16 @@ def test_nan_level_and_bad_t_max_raise(flat, chi1, call):
     # "legendre" row at t = nan or 0.4
     with pytest.raises(ts.ModelError):
         call(flat, chi1)
+
+
+@pytest.mark.parametrize("alpha, delta", [
+    (math.inf, None), (-math.inf, None), (0.3, math.nan), (0.3, math.inf), (0.3, -math.inf),
+], ids=["alpha-inf", "alpha-minus-inf", "delta-nan", "delta-inf", "delta-minus-inf"])
+def test_flat_certificate_rejects_non_finite_inputs(flat, chi1, alpha, delta):
+    # alpha = +-inf gave NaN values with the note "zero of the ... branch",
+    # and delta = nan an infinite value "diverges at delta for every tilt"
+    with pytest.raises(ts.ModelError, match="must be finite"):
+        ts.flat_certificate(flat, chi1, alpha, delta)
 
 
 def test_flat_interior_rises_above_floor(flat, chi1):
