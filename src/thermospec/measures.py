@@ -319,6 +319,9 @@ def maximize_ratio(system: BranchSystem, constraints=(), q: int | None = None,
         A = np.vstack([_moment_rows(system, pot, arr) for pot in pots])
         gam = np.array([float(c[1]) for c in constraints])
         eps = np.array([float(c[2]) for c in constraints])
+        if not all(map(math.isfinite, gam.tolist() + eps.tolist())):
+            raise ModelError(f"constraint gamma and eps must be finite, got "
+                             f"gamma {gam.tolist()}, eps {eps.tolist()}")
         if np.any(eps < 0):
             raise ModelError("constraint tolerances must be >= 0")
         lo, hi = gam - eps, gam + eps
@@ -414,8 +417,10 @@ def feasible(system: BranchSystem, gamma, eps: float = 0.0,
     when the projection can neither meet nor refute the boxes.
     """
     gam = np.atleast_1d(np.asarray(gamma, dtype=float))
-    if eps < 0:
-        raise ModelError("eps must be >= 0")
+    if not np.all(np.isfinite(gam)):
+        raise ModelError(f"gamma must be finite, got {gam.tolist()}")
+    if not eps >= 0:
+        raise ModelError(f"eps must be >= 0, got {eps}")
     if potentials is None:
         potentials = tuple(indicator_potential(i + 1) for i in range(len(gam)))
     if len(potentials) != len(gam):

@@ -249,6 +249,8 @@ def _schedule_symbols(system: BranchSystem, recipe, n: int):
     p = np.asarray(list(recipe), dtype=float)
     if p.ndim != 1 or len(p) == 0 or np.any(p < 0):
         raise ModelError("recipe must be a nonempty vector of nonnegative frequencies")
+    if not np.all(np.isfinite(p)):
+        raise ModelError(f"recipe frequencies must be finite, got {p.tolist()}")
     if p.sum() > 1.0 + 1e-12:
         raise ModelError("recipe frequencies must sum to at most 1")
     k = len(p)

@@ -908,14 +908,23 @@ def periodic_points(system: BranchSystem, word: Sequence[int]) -> list[float]:
 # potentials
 
 
+def _zeroed(cols, out):
+    """``out``, or a new array of the columns' broadcast shape, set to 0."""
+    if out is None:
+        return np.zeros(np.broadcast_shapes(*(np.shape(c) for c in cols)))
+    out.fill(0.0)
+    return out
+
+
 class Potential:
     """Observable evaluated along symbol sequences.
 
     Its subclasses are frozen values with one method set, the indices being
     logical: ``values(system, idx)`` on branches (level 1), ``value(system,
     window)`` on one window of ``level`` symbols, ``birkhoff_sums(system,
-    cols)`` along the periodic orbits of the words whose j-th symbols are
-    ``cols[j]``, arrays that broadcast together, ``tail_bounds(system,
+    cols, out=None)`` along the periodic orbits of the words whose j-th
+    symbols are ``cols[j]``, arrays that broadcast together (written into
+    ``out`` when it is given, of their shape), ``tail_bounds(system,
     after)`` over the branches past ``after``, ``var(system, n)`` over
     n-cylinders, and ``dump()``.  ``level`` is the dependence length: the
     value on a point depends only on its first ``level`` symbols.
@@ -933,8 +942,8 @@ class Potential:
     def bounded(self) -> bool:
         return self.lower is not None and self.upper is not None
 
-    def birkhoff_sums(self, system: BranchSystem, cols) -> np.ndarray:
-        total = np.zeros(np.broadcast_shapes(*(np.shape(c) for c in cols)))
+    def birkhoff_sums(self, system: BranchSystem, cols, out=None) -> np.ndarray:
+        total = _zeroed(cols, out)
         for c in cols:
             total += self.values(system, c)
         return total
@@ -1033,7 +1042,7 @@ class TablePotential(Potential):
                 return v
         raise ModelError("table potential lacks values for some windows")
 
-    def birkhoff_sums(self, system, cols):
+    def birkhoff_sums(self, system, cols, out=None):
         """Sum over cyclic windows, each found one symbol at a time by its rank
         among the keys' distinct prefixes: memory grows with the table only."""
         keys, vals = (np.array(x) for x in zip(*self.table))
@@ -1043,7 +1052,7 @@ class TablePotential(Potential):
             code = rank * len(syms) + np.searchsorted(syms, keys[:, k])
             prefixes, rank = np.unique(code, return_inverse=True)
             steps.append((syms, prefixes))
-        n, total = len(cols), np.zeros(np.broadcast_shapes(*(np.shape(c) for c in cols)))
+        n, total = len(cols), _zeroed(cols, out)
         for j in range(n):
             rank, found = 0, True
             for k, (syms, prefixes) in enumerate(steps):
@@ -1103,11 +1112,7 @@ class LogDerivPotential(Potential):
         integers (below 2^53) every ordering gives the same bits.
         """
         if is_linear(system):
-            sums = super().birkhoff_sums(system, cols)
-            if out is None:
-                return sums
-            out[...] = sums
-            return out
+            return super().birkhoff_sums(system, cols, out)
         *head, last = [c + float(system.offset) for c in cols]
         a, b, c, d, e = 1.0, 0.0, 0.0, 1.0, 0
         for m in head:

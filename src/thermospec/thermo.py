@@ -16,8 +16,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,50 +85,6 @@ def default_budget() -> int:
 # enumeration engine
 
 
-class _ArrayCache:
-    """Per-level arrays, up to ``slots`` of each kind, oldest out first.
-
-    L, the log|T'| sums, does not depend on the potential and is keyed by
-    (system, q, n, layout); phi is keyed by (system, potential, q, n).  At
-    n = 3 a level with no potential or the log|T'| one holds one value per
-    multiset of digits (``_multiset_level``): the continuant trace that
-    gives log|(T^3)'| is symmetric in the digits.  Other levels hold every
-    word, so phi is always per word.  Each L is a ``_LevelArray``: it
-    carries its segments of equal multiplicity and its per-chunk minima,
-    found once when it is built, which let ``_log_partition`` skip the
-    maximum search.
-    """
-
-    def __init__(self, slots: int = 4):
-        self.slots = slots
-        self.L: dict = {}
-        self.phi: dict = {}
-        self.lock = threading.Lock()
-
-    def get(self, system, potential, q, n, workers):
-        needs_phi = potential is not None and potential != _LOG_DERIV
-        l_key = (system, q, n, _multiset_level(potential, n))
-        phi_key = (system, potential, q, n)
-        with self.lock:
-            L = self.L.get(l_key)
-            phi = self.phi.get(phi_key)
-        if L is None or (needs_phi and phi is None):
-            L, phi = _build_level_arrays(system, potential, q, n, workers, L)
-            with self.lock:
-                self._put(self.L, l_key, L)
-                if needs_phi:
-                    self._put(self.phi, phi_key, phi)
-        return L, L if potential == _LOG_DERIV else phi
-
-    def _put(self, store, key, array):
-        store[key] = array
-        while len(store) > self.slots:
-            del store[next(iter(store))]
-
-
-_LEVEL_CACHE = _ArrayCache()
-
-
 class _LevelArray(np.ndarray):
     """A level's L with ``segments`` and ``minima``.
 
@@ -177,22 +131,13 @@ def _with_minima(L, segments=None):
     return L
 
 
-def _multiset_level(potential, n) -> bool:
-    """Whether level n holds one value per digit multiset: n = 3 with no
-    potential or the log|T'| one, whose phi is L.  A level-1 potential's
-    sum is symmetric in the digits too, but it would then be rounded once
-    for up to six orderings, each rounded on its own in the all-word
-    layout, so such levels keep every word."""
-    return n == 3 and (potential is None or potential == _LOG_DERIV)
-
-
 def _level_plan(q, n, multiset):
     """(segments, blocks) of a level over the digits 1..q.
 
     Each block is a function that returns (cols, places): digit columns
     that broadcast to the block's shape, and (mask, start) pairs that put
     the block's values selected by mask (None: all), in row-major order,
-    at L[start:].  Blocks depend only on (q, n, multiset), so the level is
+    at [start:] of the level's array.  Blocks depend only on (q, n, multiset), so the level is
     the same for any worker count.
 
     All words: one segment of single words, built as whole (n-1)-prefixes,
@@ -237,50 +182,63 @@ def _level_plan(q, n, multiset):
     return tuple(seg for seg in segments if seg[2] > seg[1]), blocks
 
 
-def _build_level_arrays(system, potential, q, n, workers, L=None):
-    """(L, phi): summed log-derivatives and potential sums, in the layout
-    of ``_level_plan`` (one value per digit multiset where
-    ``_multiset_level`` allows it, else per word).
-
-    A whole-block L is written in place.  A new L gets its segments and
-    per-chunk minima (``_with_minima``); a given L is reused and only phi is
-    built (always per word); for the log|T'| potential phi is L itself.
+@functools.lru_cache(maxsize=8)
+def _level_sums(system, potential, q, n, multiset, workers):
+    """Birkhoff sums of ``potential`` over the words of level n, in the
+    layout of ``_level_plan``, each block written in place.  For the
+    log|T'| potential this is L, a ``_LevelArray`` with its segments and
+    per-chunk minima; for any other potential it is phi, per word.
+    ``workers`` threads fill the blocks; the bits do not depend on them.
     """
-    segments, blocks = _level_plan(q, n, _multiset_level(potential, n))
-    total = segments[-1][2]
-    needs_L = L is None
-    if needs_L:
-        L = np.empty(total)
-    needs_phi = potential is not None and potential != _LOG_DERIV
-    phi = np.empty(total) if needs_phi else None
+    segments, blocks = _level_plan(q, n, multiset)
+    sums = np.empty(segments[-1][2])
 
     def fill(block):
         cols, places = block()
-        shape = np.broadcast_shapes(*(np.shape(c) for c in cols))
         mask, start = places[0]
-        words = slice(start, start + math.prod(shape))
-        if needs_L and mask is None:
-            _LOG_DERIV.birkhoff_sums(system, cols, out=L[words].reshape(shape))
-        elif needs_L:  # a multiset row block, split by mask
-            values = _LOG_DERIV.birkhoff_sums(system, cols)
+        if mask is None:
+            shape = np.broadcast_shapes(*(np.shape(c) for c in cols))
+            out = sums[start:start + math.prod(shape)].reshape(shape)
+            potential.birkhoff_sums(system, cols, out=out)
+        else:  # a multiset row block, split by mask
+            values = potential.birkhoff_sums(system, cols)
             for mask, start in places:
                 part = values[mask]
-                L[start:start + part.size] = part
-        if needs_phi:
-            phi[words] = potential.birkhoff_sums(system, cols).ravel()
+                sums[start:start + part.size] = part
 
     if workers > 1 and len(blocks) > 1:
+        from concurrent.futures import ThreadPoolExecutor  # pulls in logging
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(fill, blocks))
     else:
         for block in blocks:
             fill(block)
+    return _with_minima(sums, segments) if potential == _LOG_DERIV else sums
 
-    if needs_L:
-        L = _with_minima(L, segments)
-    if potential == _LOG_DERIV:
-        phi = L
-    return L, phi
+
+def _level_arrays(system, potential, q, n, workers):
+    """(L, phi) of level n: phi is None with no potential and L itself for
+    the log|T'| one.  Those two hold one value per digit multiset at n = 3:
+    the continuant trace that gives log|(T^3)'| is symmetric in the digits.
+    A level-1 potential's sum is symmetric too, but it would then be
+    rounded once for up to six orderings, each rounded on its own in the
+    all-word layout, so with any other potential both keep every word."""
+    if potential is None or potential == _LOG_DERIV:
+        L = _level_sums(system, _LOG_DERIV, q, n, n == 3, workers)
+        return L, None if potential is None else L
+    return (_level_sums(system, _LOG_DERIV, q, n, False, workers),
+            _level_sums(system, potential, q, n, False, workers))
+
+
+def _levels_within(q, n_max, budget):
+    """The deepest level n <= n_max whose words q + q^2 + ... + q^n fit the
+    budget."""
+    spent = 0
+    for n in range(1, n_max + 1):
+        spent += q ** n
+        if spent > budget:
+            return n - 1
+    return n_max
 
 
 def _log_partition(L, phi, t):
@@ -383,6 +341,8 @@ def pressure(system: BranchSystem, potential: Potential | None = None, *,
     systems factorize (Z_n = Z_1^n exactly) and skip the enumeration.  Raises
     a budget error carrying the completed levels when q^n exceeds the cap.
     """
+    if not math.isfinite(t):
+        raise ModelError(f"t must be finite, got {t}")
     nb = system.branch_count()
     if q is None:
         q = nb
@@ -415,17 +375,15 @@ def pressure(system: BranchSystem, potential: Potential | None = None, *,
             values.append(v1)
             levels.append(n)
     else:
-        spent = 0
-        for n in range(1, n_max + 1):
-            spent += q ** n
-            if spent > budget:
-                partial = _finish_estimate(system, potential, t, q, values, levels, diverged)
-                raise BudgetExceededError(
-                    f"enumeration of q={q}, n={n} exceeds budget {budget}",
-                    partial=partial)
-            L, phi = _LEVEL_CACHE.get(system, potential, q, n, workers)
-            values.append(_log_partition(L, phi, t) / n)
+        fits = _levels_within(q, n_max, budget)
+        for n in range(1, fits + 1):
+            values.append(_log_partition(*_level_arrays(system, potential, q, n, workers), t) / n)
             levels.append(n)
+        if fits < n_max:
+            partial = _finish_estimate(system, potential, t, q, values, levels, diverged)
+            raise BudgetExceededError(
+                f"enumeration of q={q}, n={fits + 1} exceeds budget {budget}",
+                partial=partial)
 
     return _finish_estimate(system, potential, t, q, values, levels, diverged)
 
@@ -949,13 +907,8 @@ def _root_analytic(system, bracket, tol, q, n_max, budget, workers):
         full = _zeta_tail(2.0 * t_mid, N)
         captured = full - _zeta_tail(2.0 * t_mid, N + q)
         if math.isfinite(full) and captured / full >= 0.99:
-            spent = 0
-            for n in range(1, n_max + 1):
-                spent += q ** n
-                if spent > budget:
-                    break
-                n_eff = n
-    levels = [_LEVEL_CACHE.get(system, None, q, n, workers) for n in range(1, n_eff + 1)]
+            n_eff = _levels_within(q, n_max, budget)
+    levels = [_level_arrays(system, None, q, n, workers) for n in range(1, n_eff + 1)]
 
     @functools.cache
     def log_partition(t, n):  # log Z_n(t), one pass per (t, level)

@@ -178,16 +178,18 @@ def test_outputs_are_deterministic(capsys):
     assert first == second
 
 
-def test_worker_count_does_not_change_results(capsys, monkeypatch):
-    # level 4 at q = 30 is two blocks, so the thread pool runs; a fresh level
-    # cache per worker count keeps the 4-worker call from reading the arrays
-    # of the 1-worker call
+def test_worker_count_does_not_change_results(capsys):
+    # level 4 at q = 30 is two blocks, so the thread pool runs; the worker
+    # count is part of the level cache's key, so the 4-worker call builds its
+    # own arrays instead of reading those of the 1-worker call
     base = ["pressure", "--model", "gauss", "--t", "1.0", "--q", "30", "--n", "4"]
+    thermo._level_sums.cache_clear()
     results = []
     for workers in ("1", "4"):
-        monkeypatch.setattr(thermo, "_LEVEL_CACHE", thermo._ArrayCache())
+        misses = thermo._level_sums.cache_info().misses
         _, out = run_cli(capsys, base + ["--workers", workers])
         results.append(json.loads(out)["result"])
+    assert thermo._level_sums.cache_info().misses == misses + 4
     assert results[0] == results[1]
 
 
@@ -205,6 +207,24 @@ def test_non_finite_potential_exit_2(capsys):
     assert rc == 2
     assert captured.out == ""
     assert "must be finite" in captured.err
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["pressure", "--model", "doubling", "--t", "nan"], "t must be finite, got nan"),
+    (["pressure", "--model", "doubling", "--t", "inf"], "t must be finite, got inf"),
+    (["sample", "--model", "gauss", "--recipe", "nan", "--n", "3"],
+     "recipe frequencies must be finite, got [nan]"),
+    (["feasible", "--model", "gauss", "--gamma", "nan"], "gamma must be finite, got [nan]"),
+    (["feasible", "--model", "gauss", "--gamma", "0.5", "--eps", "nan"], "eps must be >= 0, got nan"),
+    (["freq-dim", "--model", "gauss", "--freqs", "0.4", "--mode", "partial", "--eps", "nan"],
+     "constraint gamma and eps must be finite, got gamma [0.4], eps [nan]"),
+])
+def test_non_finite_numeric_inputs_exit_3(capsys, argv, error):
+    # each exited 0 with NaN or infinite values, a sample, or ended in
+    # "constraint projection diverged"
+    rc, out = run_cli(capsys, argv)
+    assert rc == 3
+    assert json.loads(out)["result"] == {"error": error}
 
 
 @pytest.mark.parametrize("flag", ["--alpha-min", "--alpha-max"])

@@ -66,6 +66,30 @@ def test_package_runs_without_loading_scipy():
     assert [name for name, step in seen.items() if step["mpmath"]] == []
 
 
+_NO_POOL = r"""
+import json, sys
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("concurrent", "logging"))
+
+import thermospec as ts
+seen = {"import": loaded()}
+ts.pressure_root(ts.gauss_system(), bracket=(0.8, 1.2), q=200, n_max=4)
+seen["1-worker root"] = loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_one_worker_loads_no_thread_pool():
+    # concurrent.futures, which imports logging, serves only the thread pool
+    # of a level build with more than one worker
+    proc = subprocess.run([sys.executable, "-c", _NO_POOL], capture_output=True,
+                          text=True, env=_child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert seen == {"import": [], "1-worker root": []}
+
+
 # the flat commands of the command line, run in one child
 _FLAT_CLI = r"""
 import contextlib, io, json, sys

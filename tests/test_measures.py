@@ -435,6 +435,20 @@ def test_mixture_picks_best_weight():
     assert res.base_index == 0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_targets_and_tolerances_raise(bad):
+    # each ran on into "constraint projection diverged"
+    d, g = ts.doubling_system(), ts.gauss_system()
+    chi1 = ts.indicator_potential(1)
+    with pytest.raises(ts.ModelError, match=f"gamma must be finite, got \\[0.2, {bad}\\]"):
+        ts.feasible(g, [0.2, bad], q=5)
+    with pytest.raises(ts.ModelError, match="eps must be >= 0, got nan"):
+        ts.feasible(g, [0.2], eps=math.nan, q=5)
+    for gamma, eps in ((bad, 1e-3), (0.3, bad)):
+        with pytest.raises(ts.ModelError, match="constraint gamma and eps must be finite"):
+            ts.maximize_ratio(d, ((chi1, gamma, eps),))
+
+
 def test_mixture_rejects_bad_weights():
     a = ts.golden_dirac_stats()
     with pytest.raises(ts.ModelError):

@@ -155,6 +155,13 @@ def test_sample_orbit_argument_errors():
         ts.sample_orbit(sys2, word=[1, 2], n=3)  # word shorter than n
 
 
+@pytest.mark.parametrize("recipe", [[math.nan], [0.5, math.inf]])
+def test_sample_orbit_rejects_non_finite_recipes(recipe):
+    # a NaN entry ran on and sampled digit 1 at every step
+    with pytest.raises(ts.ModelError, match="recipe frequencies must be finite"):
+        ts.sample_orbit(ts.gauss_system(), recipe=recipe, n=3)
+
+
 def test_sample_orbit_empty():
     s = ts.sample_orbit(ts.doubling_system(), word=[], n=0,
                         potentials=(ts.indicator_potential(1),))

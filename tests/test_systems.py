@@ -652,7 +652,7 @@ def test_log_deriv_sums_past_the_square_overflow():
     for N in (10**160, 10**200, 10**300):
         sub = ts.restricted_system(g, N)
         flat = [(w, pot.birkhoff_sums(sub, [np.array([m]) for m in w])[0]) for w in words]
-        L, _ = thermo._build_level_arrays(sub, None, 3, 2, 1)
+        L, _ = thermo._level_arrays(sub, None, 3, 2, 1)
         blocks = zip((tuple(map(int, w)) for w in systems._decode_words(3, 2)), L)
         for w, value in flat + list(blocks):
             exact = cf_orbit_log_deriv(tuple(m + N - 1 for m in w))

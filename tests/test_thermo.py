@@ -56,23 +56,44 @@ def test_pressure_gauss_levels_and_bracket():
     assert est.extrapolated == pytest.approx(min(max(est.extrapolated, lo), hi))
 
 
-def test_truncations_are_equal_values_and_share_level_arrays(monkeypatch):
+def test_truncations_are_equal_values_and_share_level_arrays():
     g = ts.gauss_system()
     assert ts.truncate(g, 13) == ts.truncate(g, 13)
     assert hash(ts.truncate(g, 13)) == hash(ts.truncate(g, 13))
-    builds = []
-    real = thermo._build_level_arrays
-
-    def counting(*args):
-        builds.append(args[2:4])
-        return real(*args)
-
-    monkeypatch.setattr(thermo, "_build_level_arrays", counting)
     first = ts.pressure(ts.truncate(g, 13), t=1.0, n_max=3)
-    built = len(builds)
+    misses = thermo._level_sums.cache_info().misses
     # a separately built truncation hits the arrays cached for the first one
     assert ts.pressure(ts.truncate(g, 13), t=1.0, n_max=3) == first
-    assert len(builds) == built
+    assert thermo._level_sums.cache_info().misses == misses
+
+
+def test_pressure_reads_the_arrays_of_the_criterion_2_root():
+    # the root's levels at q = 200 are the pressure's, with no potential or
+    # the log|T'| one: level 3 holds one value per digit multiset for both
+    g = ts.gauss_system()
+    ts.pressure_root(g, bracket=(0.8, 1.2), q=200, n_max=4)
+    misses = thermo._level_sums.cache_info().misses
+    ts.pressure(g, t=1.0, q=200, n_max=3)
+    ts.pressure(g, ts.log_deriv_potential(), t=1.0, q=200, n_max=3)
+    assert thermo._level_sums.cache_info().misses == misses
+
+
+def test_worker_count_builds_its_own_level_arrays():
+    # the worker count is part of the cache key, so a 4-worker call after a
+    # 1-worker one builds its levels with the thread pool
+    g = ts.gauss_system()
+    thermo._level_sums.cache_clear()
+    ref = ts.pressure(g, t=1.0, q=25, n_max=3, workers=1)
+    assert ts.pressure(g, t=1.0, q=25, n_max=3, workers=4) == ref
+    assert thermo._level_sums.cache_info().misses == 6
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_pressure_rejects_non_finite_t(t):
+    # NaN gave NaN values and +inf a pressure of -inf
+    for system in (ts.doubling_system(), ts.gauss_system()):
+        with pytest.raises(ts.ModelError, match=f"t must be finite, got {t}"):
+            ts.pressure(system, t=t, q=4)
 
 
 def test_pressure_bracket_narrows_with_level():
@@ -122,15 +143,16 @@ def test_default_budget_env(monkeypatch):
     assert ts.default_budget() == 100_000_000
 
 
-def test_pressure_workers_bit_identical(monkeypatch):
+def test_pressure_workers_bit_identical():
     # level 4 at q = 30 is two blocks and level 3 one block per middle
-    # digit, so the thread pool runs; a fresh level cache per worker count
-    # keeps each call from reading the arrays of the one before
+    # digit, so the thread pool runs; the worker count is part of the level
+    # cache's key, so each call builds its four levels
     g = ts.gauss_system()
+    thermo._level_sums.cache_clear()
     ests = []
     for w in (1, 2, 4, 8):
-        monkeypatch.setattr(thermo, "_LEVEL_CACHE", thermo._ArrayCache())
         ests.append(ts.pressure(g, t=1.0, q=30, n_max=4, workers=w))
+        assert thermo._level_sums.cache_info().misses == 4 * len(ests)
     for est in ests[1:]:
         assert est.values == ests[0].values
         assert est.bracket == ests[0].bracket
@@ -150,13 +172,14 @@ def test_level_arrays_invariant_to_worker_count(monkeypatch):
         shapes.append(np.broadcast_shapes(*(np.shape(c) for c in cols)))
         return real(self, system, cols, **kwargs)
 
+    thermo._level_sums.cache_clear()
     for q, n in ((30, 4), (200, 3)):
         monkeypatch.setattr(ts.LogDerivPotential, "birkhoff_sums", recording)
         shapes.clear()
-        L1, _ = thermo._build_level_arrays(g, None, q, n, 1)
+        L1, _ = thermo._level_arrays(g, None, q, n, 1)
         built = list(shapes)
         for workers in (2, 8):
-            L2, _ = thermo._build_level_arrays(g, None, q, n, workers)
+            L2, _ = thermo._level_arrays(g, None, q, n, workers)
             assert L1.tobytes() == L2.tobytes()
             assert L1.segments == L2.segments
         monkeypatch.undo()
@@ -184,7 +207,7 @@ def test_table_potential_level_arrays_match_per_word_sums():
         table = {w: 0.1 * sum(w) + 0.01 * w[0] for w in map(tuple, _decode_words(4, level))}
         pot = ts.table_potential(level, table)
         for n in (level, 4):
-            _, phi = thermo._build_level_arrays(g, pot, 4, n, 1)
+            _, phi = thermo._level_arrays(g, pot, 4, n, 1)
             expected = [ts.birkhoff_sum(g, pot, w) for w in _decode_words(4, n)]
             assert phi.tolist() == expected
 
@@ -193,9 +216,10 @@ def test_log_deriv_level_arrays_hold_one_array():
     # for the log|T'| potential phi equals L, so one array of the C(102, 3)
     # multiset values (1.37 MB, against 8 MB for all 1e6 words) serves both
     g = ts.gauss_system()
+    thermo._level_sums.cache_clear()
     tracemalloc.start()
     try:
-        L, phi = thermo._build_level_arrays(g, ts.log_deriv_potential(), 100, 3, 1)
+        L, phi = thermo._level_arrays(g, ts.log_deriv_potential(), 100, 3, 1)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -210,24 +234,23 @@ def test_level_arrays_shared_across_potentials():
     g = ts.gauss_system()
     harm, logd = ts.harmonic_potential(), ts.log_deriv_potential()
     ts.pressure(g, t=1.0, q=40, n_max=2)
-    L_plain, _ = thermo._LEVEL_CACHE.get(g, None, 40, 2, 1)
+    L_plain, _ = thermo._level_arrays(g, None, 40, 2, 1)
     est = ts.pressure(g, harm, t=1.0, q=40, n_max=2)
-    L_harm, phi = thermo._LEVEL_CACHE.get(g, harm, 40, 2, 1)
+    L_harm, phi = thermo._level_arrays(g, harm, 40, 2, 1)
     assert L_harm is L_plain
-    L_logd, phi_logd = thermo._LEVEL_CACHE.get(g, logd, 40, 2, 1)
+    L_logd, phi_logd = thermo._level_arrays(g, logd, 40, 2, 1)
     assert L_logd is L_plain and phi_logd is L_plain
-    # phi built beside a reused L is the phi of a fresh build
-    L_new, phi_new = thermo._build_level_arrays(g, harm, 40, 2, 1)
-    assert L_new.tobytes() == L_plain.tobytes()
-    assert phi_new.tobytes() == phi.tobytes()
-    assert est.values[1] == thermo._log_partition(L_new, phi_new, 1.0) / 2
+    # phi is the harmonic sum of each word's digit reciprocals
+    words = _decode_words(40, 2)
+    assert phi.tobytes() == (1.0 / words[:, 0] + 1.0 / words[:, 1]).tobytes()
+    assert est.values[1] == thermo._log_partition(L_plain, phi, 1.0) / 2
     assert L_plain.segments == ((1, 0, 1600),)
     # at n = 3 a plain or log|T'| level holds one value per digit multiset,
     # C(42, 3) of them; a harmonic one keeps all 64,000 words, phi with them
-    L3, _ = thermo._LEVEL_CACHE.get(g, None, 40, 3, 1)
-    assert thermo._LEVEL_CACHE.get(g, logd, 40, 3, 1) == (L3, L3)
+    L3, _ = thermo._level_arrays(g, None, 40, 3, 1)
+    assert thermo._level_arrays(g, logd, 40, 3, 1) == (L3, L3)
     assert len(L3) == math.comb(42, 3) and [m for m, _, _ in L3.segments] == [1, 3, 6]
-    L3_harm, phi3 = thermo._LEVEL_CACHE.get(g, harm, 40, 3, 1)
+    L3_harm, phi3 = thermo._level_arrays(g, harm, 40, 3, 1)
     assert len(L3_harm) == len(phi3) == 64_000 and L3_harm.segments == ((1, 0, 64_000),)
 
 
@@ -238,8 +261,8 @@ def test_log_partition_streams_chunks():
     # _logsumexp(phi - t L) folded by logaddexp within each segment, plus
     # log(mult), folded over segments
     g = ts.gauss_system()
-    L_words, phi = thermo._build_level_arrays(g, ts.harmonic_potential(), 200, 3, 1)
-    L_sets, _ = thermo._build_level_arrays(g, None, 200, 3, 1)
+    L_words, phi = thermo._level_arrays(g, ts.harmonic_potential(), 200, 3, 1)
+    L_sets, _ = thermo._level_arrays(g, None, 200, 3, 1)
     chunk = thermo._CHUNK
     assert L_words.segments == ((1, 0, 8_000_000),)
     assert L_sets.segments == ((1, 0, 200), (3, 200, 40_000), (6, 40_000, 1_353_400))
@@ -258,6 +281,7 @@ def test_log_partition_streams_chunks():
                 tracemalloc.stop()
             assert np.float64(value).tobytes() == np.float64(expected).tobytes()
             assert peak < 9 * chunk + 65_536
+    thermo._level_sums.cache_clear()  # the all-word L and phi hold 128 MB
 
 
 @pytest.mark.parametrize("system, q, n, digest", [
@@ -272,7 +296,7 @@ def test_log_partition_streams_chunks():
 ])
 def test_level_array_bits_pinned(system, q, n, digest):
     # L written in place, block by block, keeps its bits
-    L, _ = thermo._build_level_arrays(system, None, q, n, 1)
+    L, _ = thermo._level_arrays(system, None, q, n, 1)
     assert hashlib.sha256(L.tobytes()).hexdigest() == digest
 
 
@@ -287,7 +311,7 @@ def _multiplicities(L):
 def test_multiset_level_holds_every_words_value(system, q):
     # each value stands for the words that reorder its digits: repeated by
     # its multiplicity, the level is the all-word L, byte for byte
-    L, _ = thermo._build_level_arrays(system, None, q, 3, 1)
+    L, _ = thermo._level_arrays(system, None, q, 3, 1)
     mult = _multiplicities(L)
     assert len(L) == math.comb(q + 2, 3)
     assert int(mult.sum()) == q ** 3
@@ -314,7 +338,7 @@ def test_multiset_log_partition_matches_all_word_sums():
                ts.log_deriv_potential()][rng.integers(6)]
         if ts.is_linear(system) and pot is not None and pot != ts.log_deriv_potential():
             pot = None  # linear level-1 pressure skips the enumeration
-        L, phi = thermo._build_level_arrays(system, pot, q, n, 1)
+        L, phi = thermo._level_arrays(system, pot, q, n, 1)
         assert int(_multiplicities(L).sum()) == q ** n
         if pot is None or pot == ts.log_deriv_potential():
             multisets += 1
@@ -331,7 +355,7 @@ def test_multiset_log_partition_matches_all_word_sums():
         if pot is not None:  # pressure() reads the same layout
             est = ts.pressure(system, pot, t=t, q=q, n_max=n)
             assert est.values[-1] == thermo._log_partition(
-                *thermo._LEVEL_CACHE.get(system, pot, q, n, 1), t) / n
+                *thermo._level_arrays(system, pot, q, n, 1), t) / n
     assert multisets >= 10
 
 
@@ -340,9 +364,10 @@ def test_level_array_build_holds_one_block_beyond_L():
     # one middle-digit block (at most 99 x 100 values) are all the level-3
     # build holds beyond L
     g = ts.gauss_system()
+    thermo._level_sums.cache_clear()
     tracemalloc.start()
     try:
-        L, _ = thermo._build_level_arrays(g, None, 200, 3, 1)
+        L, _ = thermo._level_arrays(g, None, 200, 3, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -421,7 +446,7 @@ def test_level_partitions_within_their_a_priori_range():
     for N, q in ((1, 30), (10, 20), (10**6, 10)):
         system = g if N == 1 else ts.restricted_system(g, N)
         for n in (1, 2, 3):
-            L, phi = thermo._LEVEL_CACHE.get(system, None, q, n, 1)
+            L, phi = thermo._level_arrays(system, None, q, n, 1)
             for t in (0.55, 1.0, 3.0):
                 S_hi = thermo._zeta_tail(2 * t, N) - thermo._zeta_tail(2 * t, N + q)
                 S_lo = thermo._zeta_tail(2 * t, N + 1) - thermo._zeta_tail(2 * t, N + q + 1)
