@@ -150,8 +150,9 @@ def _level_plan(q, n, multiset):
     prefixes above, and split by mask: w = v is the multiset {v, v, v},
     multiplicity 1, and w != v is {v, v, w}, multiplicity 3.  The
     multisets of three distinct digits, multiplicity 6, are the words
-    (a, m, b) with a < m < b: one block per middle digit m, rows a against
-    columns b, written in place.  The continuant steps run on the rows.
+    (a, m, b) with a < m < b: a block puts the rows (a, m) of the middle
+    digits m0 <= m < m1 against the columns b > m0, masked to b > m, in at
+    most an eighth of a ``_CHUNK`` (or one m).  Continuant steps run on rows.
     """
     rows = max(1, _CHUNK // q)
     digits = np.arange(1, q + 1)
@@ -170,14 +171,21 @@ def _level_plan(q, n, multiset):
         v = digits[r0:r0 + rows, None]
         return [v, v, last], [(v == last, r0), (last != v, q + r0 * (q - 1))]
 
-    def by_middle(m, start):
-        return [digits[:m - 1, None], np.array([[m]]), digits[None, m:]], [(None, start)]
+    def by_middle(m0, m1, start):
+        a = np.concatenate([digits[:m - 1] for m in range(m0, m1)])[:, None]
+        m = np.repeat(digits[m0 - 1:m1 - 1], digits[m0 - 2:m1 - 2])[:, None]
+        return [a, m, digits[None, m0:]], [(digits[None, m0:] > m, start)]
 
     blocks = [functools.partial(by_row, r0) for r0 in range(0, q, rows)]
     start = distinct = q * q
-    for m in range(2, q):
-        blocks.append(functools.partial(by_middle, m, start))
-        start += (m - 1) * (q - m)
+    m0 = 2
+    while m0 < q:
+        m1, height = m0 + 1, m0 - 1
+        while m1 < q and (height + m1 - 1) * (q - m0) <= _CHUNK // 8:
+            height, m1 = height + m1 - 1, m1 + 1
+        blocks.append(functools.partial(by_middle, m0, m1, start))
+        start += sum((m - 1) * (q - m) for m in range(m0, m1))
+        m0 = m1
     segments = ((1, 0, q), (3, q, distinct), (6, distinct, start))
     return tuple(seg for seg in segments if seg[2] > seg[1]), blocks
 
@@ -352,6 +360,8 @@ def pressure(system: BranchSystem, potential: Potential | None = None, *,
         q = min(q, nb)
     if q < 1 or n_max < 1:
         raise ModelError("q and n_max must be >= 1")
+    if workers < 1:
+        raise ModelError(f"workers must be >= 1, got {workers}")
     level = 1 if potential is None else potential.level
     if level > n_max:
         raise UnsupportedPotentialError(
@@ -804,17 +814,25 @@ def _certified_root(lower, point, upper, lo, hi, tol, end_tol, limits=None):
     ``lower`` <= P <= ``upper`` bound the true pressure, so its root lies
     between their roots: each certified end is the outer end of the final
     ``_root`` bracket of its bound (at ``end_tol``), and the point root
-    (at ``tol``) is clamped into them.  Returns (value, interval).  A
-    bound that is the point function at the point tolerance repeats the
-    point solve, so the interval is that solve's own bracket.
+    (at ``tol``) is clamped into them.  Returns (value, interval).
+
+    The bounds are solved first, from [lo, hi]: on the sandwich paths they
+    are closed-form Hurwitz sums, cheap beside the point, and their
+    interval is often far narrower.  The costly point solve then starts
+    from that interval within [lo, hi] (from [lo, hi] where it is empty or
+    of zero width) and widens out to ``limits``, default [lo, hi], only
+    if it must.  A bound that is the point function at the point
+    tolerance repeats the point solve, so the interval is its bracket.
     """
-    value, a, b = _root(lambda t: -point(t), lo, hi, limits, tol)
+    root_lo = _root(lambda t: -lower(t), lo, hi, limits, end_tol)[1]
+    root_hi = _root(lambda t: -upper(t), lo, hi, limits, end_tol)[2]
+    a, b = max(root_lo, lo), min(root_hi, hi)
+    start = (a, b) if a < b else (lo, hi)
+    value, a, b = _root(lambda t: -point(t), *start, limits or (lo, hi), tol)
     if a == b and point(a) != 0:
         raise BracketError(
             f"pressure does not straddle 0 on [{lo}, {hi}]: "
             f"P({lo})={point(lo):.3g}, P({hi})={point(hi):.3g}")
-    root_lo = _root(lambda t: -lower(t), lo, hi, limits, end_tol)[1]
-    root_hi = _root(lambda t: -upper(t), lo, hi, limits, end_tol)[2]
     return min(max(value, root_lo), root_hi), (root_lo, root_hi)
 
 
@@ -826,7 +844,10 @@ def pressure_root(system: BranchSystem, bracket=None, tol: float = 1e-10, *,
     Every path hands a (lower, point, upper) triple of pressure functions
     to ``_certified_root``, which solves each with ``_root``: the value is
     the point root, and each end of the certified interval is the outer
-    end of its bound's final bracket.  Finite all-linear systems solve the
+    end of its bound's final bracket.  The bounds go first and the point
+    solve starts inside their interval, so a digits >= N root costs its
+    Hurwitz bounds plus 3-6 point brackets of ``diam_series``, not about
+    11 over the whole search bracket.  Finite all-linear systems solve the
     Moran equation, which is its own bound.  Infinite all-linear systems
     take the logs of the ``diam_series`` bracket.  Analytic tail systems
     combine a level-1 derivative-range sandwich (upper weights m^-2t, lower
@@ -837,6 +858,8 @@ def pressure_root(system: BranchSystem, bracket=None, tol: float = 1e-10, *,
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise ModelError(f"tolerance must be finite and >= 0, got {tol}")
+    if workers < 1:
+        raise ModelError(f"workers must be >= 1, got {workers}")
     if budget is None:
         budget = default_budget()
 
@@ -916,10 +939,10 @@ def _root_analytic(system, bracket, tol, q, n_max, budget, workers):
 
     def certified(t, upper):
         # sandwich: sup derivative weights m^-2t above, inf weights below
+        if not levels:
+            return _log(_zeta_tail(2.0 * t, N if upper else N + 1))
         S_full, S_lo = _zeta_tail(2.0 * t, N), _zeta_tail(2.0 * t, N + 1)
         terms = [_log(S_full if upper else S_lo)]
-        if not levels:
-            return terms[0]
         # the words' digits are N..N+q-1 and m^2 <= |T'| <= (m+1)^2 on
         # digit m, so S_lo_q^n <= Z_n <= S_q^n for t > 0
         S_q = S_full - _zeta_tail(2.0 * t, N + q)

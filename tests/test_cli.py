@@ -193,6 +193,16 @@ def test_worker_count_does_not_change_results(capsys):
     assert results[0] == results[1]
 
 
+def test_worker_counts_below_one_exit_3(capsys):
+    # a count below 1 is refused with exit 3 and a message naming it
+    for argv, workers in ((["pressure", "--model", "gauss", "--t", "1", "--q", "30",
+                            "--n", "3"], "-3"),
+                          (["root", "--model", "gauss"], "0")):
+        rc, out = run_cli(capsys, argv + ["--workers", workers])
+        assert rc == 3
+        assert json.loads(out)["result"]["error"] == f"workers must be >= 1, got {workers}"
+
+
 def test_missing_model_exit_2(capsys):
     rc = cli.main(["pressure", "--model", "no-such-model"])
     err = capsys.readouterr().err

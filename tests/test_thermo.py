@@ -96,6 +96,18 @@ def test_pressure_rejects_non_finite_t(t):
             ts.pressure(system, t=t, q=4)
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_worker_counts_below_one_raise(workers):
+    # a count below 1 is refused before any level array is built
+    g = ts.gauss_system()
+    misses = thermo._level_sums.cache_info().misses
+    with pytest.raises(ts.ModelError, match=f"workers must be >= 1, got {workers}"):
+        ts.pressure(g, t=1.0, q=30, n_max=3, workers=workers)
+    with pytest.raises(ts.ModelError, match=f"workers must be >= 1, got {workers}"):
+        ts.pressure_root(g, q=30, workers=workers)
+    assert thermo._level_sums.cache_info().misses == misses
+
+
 def test_pressure_bracket_narrows_with_level():
     g = ts.gauss_system()
     w = []
@@ -144,9 +156,9 @@ def test_default_budget_env(monkeypatch):
 
 
 def test_pressure_workers_bit_identical():
-    # level 4 at q = 30 is two blocks and level 3 one block per middle
-    # digit, so the thread pool runs; the worker count is part of the level
-    # cache's key, so each call builds its four levels
+    # levels 3 and 4 at q = 30 are two blocks each, so the thread pool
+    # runs; the worker count is part of the level cache's key, so each call
+    # builds its four levels
     g = ts.gauss_system()
     thermo._level_sums.cache_clear()
     ests = []
@@ -161,9 +173,10 @@ def test_pressure_workers_bit_identical():
 def test_level_arrays_invariant_to_worker_count(monkeypatch):
     # all words at (30, 4): whole 3-prefixes times all 30 last digits per
     # block, 810,000 words in two blocks.  One value per multiset at
-    # (200, 3): the words (v, v, w) in one block of 200 rows, then one block
-    # (m - 1, 200 - m) of words (a, m, b), a < m < b, per middle digit m.
-    # So the thread pool really runs, and workers 1, 2 and 8 agree
+    # (200, 3): the words (v, v, w) in one block of 200 rows, then 23 blocks
+    # of words (a, m, b), a < m < b, each the rows (a, m) of the middle
+    # digits m0..m1-1 against the last digits b > m0.  So the thread pool
+    # really runs, and workers 1, 2 and 8 agree
     g = ts.gauss_system()
     shapes = []
     real = ts.LogDerivPotential.birkhoff_sums
@@ -190,8 +203,16 @@ def test_level_arrays_invariant_to_worker_count(monkeypatch):
             flat = ts.log_deriv_potential().birkhoff_sums(g, list(_decode_words(q, n, 0, 5000).T))
             assert flat.tobytes() == L1[:5000].tobytes()
         else:
-            assert built == [(q, q)] + [(m - 1, q - m) for m in range(2, q)]
-            assert sum(math.prod(s) for s in built) == q * q + math.comb(q, 3)
+            assert built[0] == (q, q) and len(built) == 24
+            # block k holds the middle digits starts[k]..starts[k+1]-1, as
+            # many as keep it within an eighth of a chunk
+            starts = [q - cols for _, cols in built[1:]] + [q]
+            assert starts[0] == 2
+            assert [h for h, _ in built[1:]] == [sum(range(m0 - 1, m1 - 1))
+                                                 for m0, m1 in zip(starts, starts[1:])]
+            for (h, cols), m1 in zip(built[1:], starts[1:]):
+                assert h * cols <= thermo._CHUNK // 8
+                assert m1 == q or (h + m1 - 1) * cols > thermo._CHUNK // 8
             # the first rows as flat per-word columns (1, 1, w) give the same
             # bits: (1, 1, 1) first, then (1, 1, w) for w = 2..q
             words = [np.array([1] * q), np.array([1] * q), np.arange(1, q + 1)]
@@ -361,7 +382,7 @@ def test_multiset_log_partition_matches_all_word_sums():
 
 def test_level_array_build_holds_one_block_beyond_L():
     # the (v, v, w) block of 40,000 values and the half-trace scratch of
-    # one middle-digit block (at most 99 x 100 values) are all the level-3
+    # one block of middle digits (at most 65,536 values) are all the level-3
     # build holds beyond L
     g = ts.gauss_system()
     thermo._level_sums.cache_clear()
@@ -458,7 +479,9 @@ def test_level_partitions_within_their_a_priori_range():
 def test_pressure_root_criterion_2_bits_and_level_passes(monkeypatch):
     # a level pass runs only where a bound or the point value can use it:
     # near the lower end the level-1 Hurwitz term already wins max(lows),
-    # so its solve makes no level-3 pass (11 such passes before, 7 now)
+    # so its solve makes no level-3 pass.  The bounds are solved before the
+    # point, so the upper bound's lazy check computes level 3 at t = 1.0
+    # itself: 8 passes for the bracketed call, 9 for the default bracket
     seen = []
     real = thermo._log_partition
 
@@ -469,16 +492,16 @@ def test_pressure_root_criterion_2_bits_and_level_passes(monkeypatch):
     monkeypatch.setattr(thermo, "_log_partition", counting)
     g = ts.gauss_system()
     res = ts.pressure_root(g, bracket=(0.8, 1.2), q=200, n_max=4)
-    assert res.value.hex() == "0x1.feb062408fa75p-1"
+    assert res.value.hex() == "0x1.feb062408f6fcp-1"
     assert [x.hex() for x in res.interval] == ["0x1.ba88a01dd1180p-1",
                                                "0x1.3333333333333p+0"]
     assert res.n_used == 3
     # each level-3 pass runs over the C(202, 3) multiset values
     level3 = [t for t, size in seen if size == math.comb(202, 3) == 1_353_400]
-    assert len(level3) == len(set(level3)) == 7
+    assert len(level3) == len(set(level3)) == 8
     seen.clear()
     res = ts.pressure_root(g, q=200, n_max=4)
-    assert res.value.hex() == "0x1.feb062408d8e1p-1"
+    assert res.value.hex() == "0x1.feb0624084891p-1"
     assert [x.hex() for x in res.interval] == ["0x1.ba88a01dd052dp-1",
                                                "0x1.0000000000000p+1"]
     level3 = [t for t, size in seen if size == 1_353_400]
@@ -697,22 +720,36 @@ def test_pressure_root_restricted_family():
         assert res.value == pytest.approx(frozen, abs=1e-12)
 
 
-def _counting(monkeypatch, name):
-    calls = [0]
-    inner = getattr(thermo, name)
+# certified intervals of the digits >= N roots on the benchmark's seed-0 ladder
+_LADDER_INTERVALS = {
+    2: ("0x1.9531aa90d3876p-1", "0x1.ba88a01dd16c8p-1"),
+    5: ("0x1.7531fde7332fbp-1", "0x1.7ba272987f063p-1"),
+    10: ("0x1.651cf473c2fa2p-1", "0x1.673cd70961db6p-1"),
+    20: ("0x1.5947758850329p-1", "0x1.5a0b9a559dc73p-1"),
+    100: ("0x1.471f1a4ce0175p-1", "0x1.4735503a402ebp-1"),
+    1000: ("0x1.383162f4e1e0dp-1", "0x1.3832a43a2fcb2p-1"),
+    10 ** 4: ("0x1.2f12283cd93a0p-1", "0x1.2f123d4bd7731p-1"),
+    10 ** 6: ("0x1.243b1a95d8bd6p-1", "0x1.243b1ab2f4e14p-1"),
+    10 ** 12: ("0x1.16854cdc3137bp-1", "0x1.16854cdc3251fp-1"),
+    10 ** 45: ("0x1.086ebab10b922p-1", "0x1.086ebab10cabcp-1"),
+}
 
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return inner(*args, **kwargs)
 
-    monkeypatch.setattr(thermo, name, counted)
-    return calls
-
-
-def test_pressure_root_restricted_work_count(monkeypatch):
-    calls = _counting(monkeypatch, "diam_series")
-    ts.pressure_root(ts.restricted_system(ts.gauss_system(), 10))
-    assert calls[0] <= 20
+def test_pressure_root_restricted_work_count():
+    # the Hurwitz bounds are solved first and the point solve starts inside
+    # their interval, so the ladder takes at most 50 diam_series brackets,
+    # and at most 4 where the interval is narrower than the tolerance; the
+    # intervals keep their bits
+    g = ts.gauss_system()
+    cache = ts.systems._diam_series_cached
+    cache.cache_clear()
+    for N, pinned in _LADDER_INTERVALS.items():
+        misses = cache.cache_info().misses
+        res = ts.pressure_root(ts.restricted_system(g, N))
+        assert [x.hex() for x in res.interval] == list(pinned)
+        if N >= 10 ** 12:
+            assert cache.cache_info().misses - misses <= 4
+    assert cache.cache_info().misses <= 50
 
 
 def test_pressure_root_enumeration_work_count(monkeypatch):
