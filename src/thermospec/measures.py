@@ -179,8 +179,8 @@ class _ProjectionFailed(UndeterminedError):
         self.thetas = thetas
 
 
-def _project_box(p, A, lo, hi):
-    """KL projection of p onto {x >= 0, sum x = 1, lo <= A x <= hi}.
+def _project_box(p, A, lo, hi, theta=None):
+    """KL projection of p onto {x >= 0, sum x = 1, lo <= A x <= hi}, and its dual.
 
     The minimizer is the tilt x ~ p * exp(theta^T A) at the minimum of the
     convex dual  log sum p exp(theta^T A) - theta.c + w.|theta|,  where c
@@ -190,25 +190,30 @@ def _project_box(p, A, lo, hi):
     stopped at theta_i = 0 and backtracked until the dual decreases, so
     dependent rows and rows that must leave their edge need no special
     case.  Deterministic; ``lo == hi`` gives the equality projection.
-    Its last weights are returned when their moments lie in the boxes up
-    to 1e-9, also where the solve stops short (dependent rows can hold the
-    gradient above its tolerance); else it raises ``_ProjectionFailed`` with
-    every theta it saw: where the boxes cannot be met the dual is unbounded
+    The solve starts from ``theta`` (default 0): the dual is convex and the
+    steps are capped and backtracked, so every start reaches the same
+    projection, and a converged theta on the same p passes the gradient
+    test before its first step.  Its last weights x are returned, as the
+    pair (x, theta of x), when their moments lie in the boxes up to 1e-9,
+    also where the solve stops short (dependent rows can hold the gradient
+    above its tolerance); else it raises ``_ProjectionFailed`` with every
+    theta it saw: where the boxes cannot be met the dual is unbounded
     below, theta/|theta|_1 tends to a separating direction, and a capped
     step that repeats to a relative 1e-12 and separates the boxes ends the
     solve (the step may drift in its last bits while theta runs off).
     """
     if A is None:
-        return p
+        return p, None
     logp = np.log(p)
     c, w = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    theta = last = np.zeros(A.shape[0])
+    last = np.zeros(A.shape[0])
+    theta = last if theta is None else theta
     thetas = [theta]
     message = "constraint projection did not converge"
     for _ in range(100):
         logits = logp + theta @ A
         logx = logits - _logsumexp(logits)
-        x = np.exp(logx)
+        x, dual = np.exp(logx), theta
         m = A @ x
         g = m - c
         # the side of each row's kink that the dual descends into
@@ -219,7 +224,7 @@ def _project_box(p, A, lo, hi):
             break
         centered = A[active] - m[active, None]
         H = (centered * x) @ centered.T
-        H[np.diag_indices_from(H)] += 1e-14
+        H.flat[::H.shape[0] + 1] += 1e-14
         step = np.zeros_like(theta)
         try:
             step[active] = np.linalg.solve(H, grad[active])
@@ -253,7 +258,7 @@ def _project_box(p, A, lo, hi):
         theta, last = new, delta
         thetas.append(theta)
     if np.all(m >= lo - 1e-9) and np.all(m <= hi + 1e-9):
-        return x
+        return x, dual
     raise _ProjectionFailed(message, thetas)
 
 
@@ -263,7 +268,8 @@ def _ratio_of(p, logd):
 
 
 def _feasible_projection(p, A, lo, hi):
-    """``_project_box(p, A, lo, hi)``, or the proof that the boxes cannot be met.
+    """``_project_box(p, A, lo, hi)``'s (x, theta) pair, or the proof that
+    the boxes cannot be met.
 
     Where the projection fails, each dual iterate theta gives a direction
     d = theta/|theta|_1 and the distance d.c - w.|d| - max_w (A^T d)_w by
@@ -298,16 +304,20 @@ def maximize_ratio(system: BranchSystem, constraints=(), q: int | None = None,
     weights softmax(R log diam) onto the boxes, and R is raised to its
     ratio until it stops rising.  The ratio is quasi-concave, so this is
     the global maximum; the result is deterministic and uses no seeds.
-    The first projection doubles as the feasibility check (see
-    ``_feasible_projection``): boxes that its dual proves unattainable raise
-    InfeasibleConstraintsError, carrying the separating direction, and ones
-    it can neither meet nor refute UndeterminedError.  Returns a
-    (CylinderMeasure, MeasureStats) pair.
+    The first projection starts its dual at 0 and doubles as the
+    feasibility check (see ``_feasible_projection``): boxes that its dual
+    proves unattainable raise InfeasibleConstraintsError, carrying the
+    separating direction, and ones it can neither meet nor refute
+    UndeterminedError.  The boxes never change, so each later step starts
+    its projection from the previous step's dual.  ModelError for q < 1
+    or n < 1.  Returns a (CylinderMeasure, MeasureStats) pair.
     """
     if q is None:
         q = system.branch_count()
         if q is None:
             raise ModelError("a truncation level q is required for infinite systems")
+    if q < 1 or n < 1:
+        raise ModelError(f"truncation q and level n must be >= 1, got q={q}, n={n}")
     if q ** n > _OPT_BUDGET:
         raise BudgetExceededError(f"q^n = {q ** n} exceeds optimizer budget {_OPT_BUDGET}")
     arr = _decode_words(q, n)
@@ -326,10 +336,10 @@ def maximize_ratio(system: BranchSystem, constraints=(), q: int | None = None,
             raise ModelError("constraint tolerances must be >= 0")
         lo, hi = gam - eps, gam + eps
 
-    R, best_p = 0.0, None
+    R, best_p, theta = 0.0, None, None
     for i in range(200):
         p = np.exp(R * logd - _logsumexp(R * logd))
-        p = _project_box(p, A, lo, hi) if i else _feasible_projection(p, A, lo, hi)
+        p, theta = _project_box(p, A, lo, hi, theta) if i else _feasible_projection(p, A, lo, hi)
         r = _ratio_of(p, logd)
         if best_p is not None and r <= R + 1e-15 * max(1.0, R):
             break
@@ -447,13 +457,13 @@ def feasible(system: BranchSystem, gamma, eps: float = 0.0,
     # when it fails or misses them, the projection onto the boxes decides
     uniform = np.full(arr.shape[0], 1.0 / arr.shape[0])
     try:
-        proj = _project_box(uniform, A, gam, gam)
+        proj, _ = _project_box(uniform, A, gam, gam)
     except UndeterminedError:
         proj = None
     if proj is not None and (rep := report(proj)).max_violation <= eps + 1e-9:
         return rep
     try:
-        return report(_feasible_projection(uniform, A, gam - eps, gam + eps))
+        return report(_feasible_projection(uniform, A, gam - eps, gam + eps)[0])
     except InfeasibleConstraintsError as exc:
         return FeasibilityReport(tuple(gam), eps, q, n, "infeasible-at-truncation",
                                  exc.distance + eps, None, ())

@@ -237,6 +237,15 @@ def test_non_finite_numeric_inputs_exit_3(capsys, argv, error):
     assert json.loads(out)["result"] == {"error": error}
 
 
+def test_empty_truncation_level_exit_3(capsys):
+    # --n 0 ended in an IndexError traceback
+    rc, out = run_cli(capsys, ["freq-dim", "--model", "gauss", "--freqs", "0.3",
+                               "--mode", "partial", "--n", "0"])
+    assert rc == 3
+    assert json.loads(out)["result"] == {
+        "error": "truncation q and level n must be >= 1, got q=16, n=0"}
+
+
 @pytest.mark.parametrize("flag", ["--alpha-min", "--alpha-max"])
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
 def test_non_finite_alpha_bounds_exit_2(capsys, flag, value):

@@ -6,6 +6,7 @@ import math
 import tracemalloc
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,6 +165,69 @@ def test_maximize_ratio_monotone_in_truncation():
     assert t2.ratio >= t1.ratio - 1e-12
 
 
+def test_maximize_ratio_doubling_levels_keep_their_bits():
+    # criterion 3's 21 levels: both Dinkelbach steps project the uniform
+    # weights, the second from the first one's dual, which passes the
+    # gradient test at once; h, lambda, the ratio and the weights keep the
+    # bits recorded before the second step was warm-started
+    golden = json.loads((Path(__file__).parent / "golden" / "doubling_ratio_hexes.json").read_text())
+    sys2, chi1 = ts.doubling_system(), ts.indicator_potential(1)
+    assert [row["alpha"] for row in golden] == np.linspace(0.05, 0.95, 21).tolist()
+    for row in golden:
+        mu, st = ts.maximize_ratio(sys2, constraints=((chi1, row["alpha"], 1e-4),))
+        assert mu.words == ((1,), (2,))
+        got = {"h": st.h.hex(), "lyapunov": st.lyapunov.hex(), "ratio": st.ratio.hex(),
+               "weights": [w.hex() for w in mu.weights]}
+        assert got == {k: row[k] for k in got}, row["alpha"]
+
+
+def test_projection_restarted_from_its_dual_returns_the_same_weights():
+    # every witness of the seeded box sweep, projected again from its own
+    # returned theta: no Newton step is taken, so x and theta keep their bits
+    witnesses = 0
+    for A, lo, hi in _box_problems(200, seed=0):
+        p = np.full(A.shape[1], 1.0 / A.shape[1])
+        try:
+            x, theta = measures._project_box(p, A, lo, hi)
+        except measures._ProjectionFailed:
+            continue
+        witnesses += 1
+        again, dual = measures._project_box(p, A, lo, hi, theta)
+        assert again.tobytes() == x.tobytes() and dual.tobytes() == theta.tobytes()
+    assert witnesses >= 80
+
+
+def test_warm_started_gauss_maximizations_match_the_cold_ones():
+    # values of the cold-started solves: the warm start moves them by
+    # rounding only, and the moments stay in their boxes (the recomputed
+    # moments round differently from the projection's)
+    g = ts.gauss_system()
+    cons = ((ts.harmonic_potential(), 0.5, 1e-3),)
+    _, st = ts.maximize_ratio(ts.truncate(g, 8), cons, q=8, n=2)
+    assert abs(st.ratio - 0.8640266980055091) <= 1e-14
+    assert 0.5 - 1e-3 - 1e-12 <= st.moments[0] <= 0.5 + 1e-3 + 1e-12
+    r = ts.digit_frequency_dimension(g, [0.3, 0.2], mode="partial")
+    assert abs(r.dimension - 0.9208984135738049) <= 1e-14
+    cons = tuple((ts.indicator_potential(i + 1), f, 1e-6) for i, f in enumerate((0.3, 0.2)))
+    _, st = ts.maximize_ratio(g, cons, q=16)
+    assert st.ratio == r.alpha3
+    for (_, gam, eps), m in zip(cons, st.moments):
+        assert gam - eps - 1e-12 <= m <= gam + eps + 1e-12
+
+
+@pytest.mark.parametrize("model, q, n", [
+    ("doubling", 2, 0), ("doubling", 2, -1), ("gauss", 0, 1), ("gauss", -3, 2),
+])
+def test_maximize_ratio_rejects_empty_truncations(model, q, n):
+    # n = 0 and n = -1 raised numpy's ValueError; q = 0 warned of a 0/0 and
+    # then raised InvalidMeasureError about an empty word list
+    system = ts.doubling_system() if model == "doubling" else ts.gauss_system()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ts.ModelError, match="truncation q and level n must be >= 1"):
+            ts.maximize_ratio(system, q=q, n=n)
+
+
 def test_maximize_ratio_infeasible_constraints():
     sys2 = ts.doubling_system()
     chi1 = ts.indicator_potential(1)
@@ -272,7 +336,7 @@ def test_projection_failure_is_not_an_empty_set(monkeypatch):
     # dual direction to certify anything: it is undetermined, never "empty"
     real = measures._project_box
     monkeypatch.setattr(measures, "_project_box",
-                        lambda p, A, lo, hi: real(np.full_like(p, np.nan), A, lo, hi))
+                        lambda p, A, lo, hi, theta=None: real(np.full_like(p, np.nan), A, lo, hi, theta))
     with pytest.raises(ts.UndeterminedError):
         ts.digit_frequency_dimension(ts.doubling_system(), [0.25, 0.745],
                                      mode="partial", eps=0.01)
@@ -323,7 +387,7 @@ def test_infeasible_verdicts_carry_a_checked_certificate(monkeypatch):
     assert rep.witness is None and rep.moments == ()
 
     # a projection that fails without dual iterates decides nothing
-    def failing(p, A, lo, hi):
+    def failing(p, A, lo, hi, theta=None):
         raise ts.UndeterminedError("constraint projection did not converge")
 
     monkeypatch.setattr(measures, "_project_box", failing)
@@ -387,7 +451,7 @@ def test_box_verdicts_agree_with_an_lp_reference():
     verdicts = {"witness": 0, "infeasible": 0, "undetermined": 0}
     for (A, lo, hi), v in zip(problems, _lp_violations(problems)):
         try:
-            x = measures._feasible_projection(np.full(A.shape[1], 1.0 / A.shape[1]), A, lo, hi)
+            x, _ = measures._feasible_projection(np.full(A.shape[1], 1.0 / A.shape[1]), A, lo, hi)
         except ts.InfeasibleConstraintsError as exc:
             verdicts["infeasible"] += 1
             assert v > 1e-9 and exc.distance <= v + 1e-12, (v, exc.distance)
