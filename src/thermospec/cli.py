@@ -361,7 +361,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sinf", help="critical exponent of the diameter series")
     common(sp)
-    sp.add_argument("--tol", type=float, default=1e-3)
+    sp.add_argument("--tol", type=float, default=1e-3,
+                    help="distance of the probe past s_inf on the side the "
+                         "series does not decide at s_inf itself")
 
     sp = sub.add_parser("root", help="root of t -> P(-t log|T'|)")
     common(sp)

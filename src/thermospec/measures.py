@@ -424,7 +424,8 @@ def feasible(system: BranchSystem, gamma, eps: float = 0.0,
     dropped.  ``max_violation`` is the witness's max |moment - gamma|, or on
     an infeasible verdict the certified distance plus eps, a lower bound on
     it over all weights (``moments`` is then empty).  UndeterminedError
-    when the projection can neither meet nor refute the boxes.
+    when the projection can neither meet nor refute the boxes; ModelError
+    for q < 1 or n < 1.
     """
     gam = np.atleast_1d(np.asarray(gamma, dtype=float))
     if not np.all(np.isfinite(gam)):
@@ -437,6 +438,8 @@ def feasible(system: BranchSystem, gamma, eps: float = 0.0,
         raise ModelError("gamma and potential list lengths differ")
     if q is None:
         q = system.branch_count() or 64
+    if q < 1 or n < 1:
+        raise ModelError(f"truncation q and level n must be >= 1, got q={q}, n={n}")
     check_word(system, (q,))
     if q ** n > _OPT_BUDGET:
         raise BudgetExceededError(f"q^n = {q ** n} exceeds optimizer budget {_OPT_BUDGET}")

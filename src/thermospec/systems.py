@@ -171,29 +171,33 @@ class PowerLogTail(Tail):
                 allowance + 4.0 + 2.0 * sum(abs(v) for v in logs))
 
     def terms_to_exceed_log10(self, s: float, bound: float) -> float:
+        """log10 of a count K + 1 of terms from m = 1 whose partial sum
+        exceeds ``bound``: f(x) = c^s x^-p log(x + b)^-r decreases, so the
+        sum is at least int_1^(K+1) f.  For p < 1, with the log factor
+        frozen at its least value on [1, Y], u = log(K + 1) solves (1-p) u
+        = log(1 + (1-p) B log(Y + b)^r), B = bound/c^s; iterating from
+        u = 0 with Y = e^(u (1 + 1e-9)) stops once K + 1 <= Y.  For p = 1,
+        x + b <= (1 + b) x inverts the integral in closed form."""
         if self.converges(s):
             return math.inf
-        p, r = self.a * s, self.d * s
-        cs = self.c ** s
-        if p < 1.0:
-            # ignore the log factor's help; bound each term below by
-            # cs * m^{-p} (log(m+b))^{-r} >= cs * m^{-p-eps} for large m; use the
-            # crude certified bound with the log factor frozen at K.
-            # Solve cs * K^{1-p} / ((1-p) (log K)^r) >= bound iteratively in log10.
-            x = 10.0
-            for _ in range(200):
-                lx = x * math.log(10.0)
-                need = (math.log10(bound * (1.0 - p)) - math.log10(cs)
-                        + r * math.log10(lx)) / (1.0 - p)
-                if abs(need - x) < 1e-9:
-                    return need
-                x = max(need, 1.0)
-            return x
-        # p == 1, r < 1: partial sums grow like cs (log K)^{1-r} / (1-r), so
-        # log K = (bound (1-r) / cs)^{1/(1-r)} and the report is log10 K.
-        if r < 1.0:
-            return (bound * (1.0 - r) / cs) ** (1.0 / (1.0 - r)) / math.log(10.0)
-        return math.inf  # r == 1: log log growth; report as out of reach
+        r, need = self.d * s, bound / self.c ** s
+        if _sign_above_one(self.a, s) == 0:
+            beta = math.log1p(self.b)
+            if r < 1.0:
+                top = math.log(beta ** (1.0 - r) + (1.0 - r) * need) / (1.0 - r)
+            else:
+                top = math.log(beta) + need
+            return math.inf if top > 709.0 else (math.exp(top) - beta) / math.log(10.0)
+        num, den = _exact_product(self.a, s)
+        gap = (den - num) / den  # 1 - p, rounded once
+        log_need, log_y = math.log(gap) + math.log(need), 0.0
+        for _ in range(1000):
+            t = log_need + r * math.log(log_y + math.log1p(self.b * math.exp(-log_y)))
+            u = (max(t, 0.0) + math.log1p(math.exp(-abs(t)))) / gap
+            if u <= log_y:
+                return u / math.log(10.0)
+            log_y = u * (1.0 + 1e-9)
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -241,8 +245,11 @@ class GaussTail(Tail):
 
     def terms_to_exceed_log10(self, s: float, bound: float) -> float:
         p = 2.0 * s
-        if p >= 1.0:
+        if p > 1.0:
             return math.inf
+        if p == 1.0:
+            # sum_{m<=K} (m(m+1))^{-1/2} >= sum 1/(m+1) >= log((K+2)/2)
+            return (bound + math.log(2.0)) / math.log(10.0)
         # sum_{m<=K} (m(m+1))^{-s} >= ((K+1)^{1-p} - 2^{1-p}) / ((1-p) 2^s)
         target = bound * (1.0 - p) * 2.0 ** s + 2.0 ** (1.0 - p)
         return math.log10(target) / (1.0 - p)

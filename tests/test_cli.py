@@ -45,7 +45,9 @@ def test_sinf_gauss(capsys):
     assert rc == 0
     doc = json.loads(out)
     assert doc["result"]["value"] == 0.5
-    assert doc["result"]["agree"] is True
+    cert = doc["result"]["certificate"]
+    assert math.isfinite(cert["series_upper_bound_at_s_hi"])
+    assert math.isfinite(cert["log10_terms_to_exceed_probe_at_s_lo"])
 
 
 def test_root_doubling(capsys):
@@ -246,6 +248,26 @@ def test_empty_truncation_level_exit_3(capsys):
         "error": "truncation q and level n must be >= 1, got q=16, n=0"}
 
 
+@pytest.mark.parametrize("argv", [
+    ["root", "--model", "gauss", "--q", "0"],
+    ["root", "--model", "gauss", "--q", "-3", "--n", "2"],
+    ["root", "--model", "gauss", "--q", "10", "--n", "0"],
+])
+def test_root_empty_truncation_exit_3(capsys, argv):
+    # each exited 0 with a level-1 sandwich result and "q": null
+    rc, out = run_cli(capsys, argv)
+    assert rc == 3
+    assert json.loads(out)["result"] == {"error": "q and n_max must be >= 1"}
+
+
+def test_feasible_negative_level_exit_3(capsys):
+    # --n -1 ended in numpy's "negative dimensions" traceback
+    rc, out = run_cli(capsys, ["feasible", "--model", "gauss", "--gamma", "0.3", "--n", "-1"])
+    assert rc == 3
+    assert json.loads(out)["result"] == {
+        "error": "truncation q and level n must be >= 1, got q=64, n=-1"}
+
+
 @pytest.mark.parametrize("flag", ["--alpha-min", "--alpha-max"])
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
 def test_non_finite_alpha_bounds_exit_2(capsys, flag, value):
@@ -319,3 +341,30 @@ def test_console_script_entry_point():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["result"]["value"] == 0.5
+
+
+_TINY_TOL = r"""
+import contextlib, io, json, time
+from thermospec.cli import main
+seen = []
+for tol in ("1e-16", "1e-20"):
+    out, start = io.StringIO(), time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        code = main(["sinf", "--model", "gauss", "--tol", tol])
+    seen.append([code, time.perf_counter() - start, json.loads(out.getvalue())["result"]])
+print(json.dumps(seen))
+"""
+
+
+def test_sinf_tolerance_below_the_float_spacing_exits_at_once():
+    # a bisection to a width below the float spacing at 1/2 never ended;
+    # the probe now moves one float past s_inf
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", _TINY_TOL], capture_output=True,
+                          text=True, timeout=60, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    for code, elapsed, result in json.loads(proc.stdout):
+        assert code == 0 and elapsed < 1.0
+        assert result["s_lo"] == 0.5 and result["s_hi"] == math.nextafter(0.5, 1.0)
+        assert math.isfinite(result["certificate"]["series_upper_bound_at_s_hi"])

@@ -222,3 +222,27 @@ def test_only_the_oracle_imports_mpmath():
     # runs on numpy and the standard library
     hits = _imports_of("mpmath")
     assert hits and {name for name, _ in hits} == {"oracle.py"}, hits
+
+
+def _tolerance_loops(source):
+    """Lines of the while loops whose condition compares a difference of two
+    names, as a bisection's `while hi - lo > tol` does."""
+    def difference(node):
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+                and isinstance(node.left, ast.Name) and isinstance(node.right, ast.Name))
+
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.While)
+            and any(isinstance(cmp, ast.Compare) and any(map(difference, [cmp.left, *cmp.comparators]))
+                    for cmp in ast.walk(node.test))]
+
+
+def test_no_tolerance_loop_outside_the_oracle():
+    # thermo._root is the one iterative solver: a loop that runs until two
+    # ends meet within a tolerance cannot end once the tolerance is below
+    # the float spacing.  The oracle's reference bisection shows the guard
+    # sees one
+    hits = {path.name: _tolerance_loops(path.read_text(encoding="utf-8"))
+            for path in sorted((SRC / "thermospec").glob("*.py"))}
+    assert hits.pop("oracle.py")
+    assert {name: lines for name, lines in hits.items() if lines} == {}

@@ -228,6 +228,16 @@ def test_maximize_ratio_rejects_empty_truncations(model, q, n):
             ts.maximize_ratio(system, q=q, n=n)
 
 
+@pytest.mark.parametrize("model, q, n", [
+    ("doubling", 2, 0), ("gauss", None, -1), ("gauss", 0, 1), ("gauss", -3, 2),
+])
+def test_feasible_rejects_empty_truncations(model, q, n):
+    # n = -1 raised numpy's "negative dimensions" ValueError
+    system = ts.doubling_system() if model == "doubling" else ts.gauss_system()
+    with pytest.raises(ts.ModelError, match="truncation q and level n must be >= 1"):
+        ts.feasible(system, [0.3], q=q, n=n)
+
+
 def test_maximize_ratio_infeasible_constraints():
     sys2 = ts.doubling_system()
     chi1 = ts.indicator_potential(1)

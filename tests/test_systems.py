@@ -441,6 +441,57 @@ def test_powerlog_converges_decides_on_the_exact_product():
     assert ts.PowerLogTail(c=0.5, a=2.0, d=4.5).converges(0.5)
 
 
+def _partial_sum(tail, s, count):
+    """sum_{m <= count} of the tail's summands, 1e6 terms at a time."""
+    total = 0.0
+    for first in range(1, count + 1, 10**6):
+        m = np.arange(first, min(first + 10**6, count + 1), dtype=float)
+        total += float(np.sum(tail.terms(tail.base(m), s)))
+    return total
+
+
+def test_terms_to_exceed_log10_counts_pass_the_bound():
+    # a reported count is a divergence certificate: the partial sum over
+    # ceil(10^x) terms exceeds the bound.  Seeded divergent cases of both
+    # families, at p = a s = 1 and below it, whose counts are at most 1e7.
+    # The first two counts were once 23 and 10 terms, whose sums are 3.14
+    # and 2.12, and the Gauss count at p = 1 was infinite
+    rng = np.random.default_rng(29)
+    invsq = ts.PowerLogTail(c=0.5, a=2.0)
+    cases = [(invsq, 0.45, 10.0), (invsq, 0.49, 5.0), (GaussTail(), 0.5, 1.0)]
+    for _ in range(40):
+        a = float(rng.choice([1.0, 2.0, 4.0, rng.uniform(1.0, 3.0)]))
+        tail = ts.PowerLogTail(c=float(rng.uniform(0.05, 1.0)), a=a,
+                               b=float(rng.uniform(1.0, 5.0)),
+                               d=float(rng.choice([0.0, rng.uniform(0.0, 3.0)])))
+        s = float(rng.choice([1.0 / a, (1.0 - 10.0 ** rng.uniform(-3.0, -0.3)) / a]))
+        cases.append((tail, s, float(rng.uniform(1.0, 20.0))))
+    for _ in range(20):
+        s = float(rng.choice([0.5, 0.5 - 10.0 ** rng.uniform(-3.0, -0.5)]))
+        cases.append((GaussTail(), s, float(rng.uniform(1.0, 20.0))))
+    checked = {"powerlog": 0, "gauss": 0}
+    for tail, s, bound in cases:
+        x = tail.terms_to_exceed_log10(s, bound)
+        if not x <= 7.0:
+            continue
+        assert _partial_sum(tail, s, math.ceil(10.0 ** x)) > bound, (tail, s, bound, x)
+        checked["gauss" if isinstance(tail, GaussTail) else "powerlog"] += 1
+    assert checked["powerlog"] >= 15 and checked["gauss"] >= 10, checked
+
+
+def test_terms_to_exceed_log10_at_and_below_the_exponent():
+    # at p = 2 s = 1 the Gauss count comes from sum 1/(m+1) >= log((K+2)/2);
+    # one float below s_inf the inverse-square count is the harmonic one,
+    # not 1 (10 terms), and above s_inf no count exists
+    assert GaussTail().terms_to_exceed_log10(0.5, 1e6) == pytest.approx(434294.78, abs=0.01)
+    below = math.nextafter(0.5, -math.inf)
+    invsq = ts.PowerLogTail(c=0.5, a=2.0)
+    assert invsq.terms_to_exceed_log10(below, 1e6) == pytest.approx(
+        1e6 * math.sqrt(2.0) / math.log(10.0), rel=1e-9)
+    for tail in (GaussTail(), invsq):
+        assert tail.terms_to_exceed_log10(math.nextafter(0.5, math.inf), 1e6) == math.inf
+
+
 def test_flat_example_geometry():
     flat = ts.flat_example_system()
     assert flat.flat is not None

@@ -18,6 +18,7 @@ import thermospec as ts
 from hypothesis import given, settings, strategies as st
 
 from thermospec import thermo
+from thermospec.oracle import powerlog_series
 from thermospec.systems import _decode_words, _logsumexp
 
 LOG2 = math.log(2.0)
@@ -534,7 +535,8 @@ def test_s_infinity_gauss():
     res = ts.s_infinity(ts.gauss_system())
     assert res.value == 0.5
     assert res.s_lo <= 0.5 <= res.s_hi
-    assert res.agree
+    assert math.isfinite(res.certificate["series_upper_bound_at_s_hi"])
+    assert math.isfinite(res.certificate["log10_terms_to_exceed_probe_at_s_lo"])
     assert res.method == "series-exponent"
     assert res.certificate["converges_at_value"] is False
 
@@ -550,7 +552,64 @@ def test_s_infinity_divergence_certificate_scale():
 def test_s_infinity_finite_system():
     res = ts.s_infinity(ts.doubling_system())
     assert res.value == 0.0
-    assert res.agree
+    assert res.certificate == {"finite_system": True, "series_at_0": 2.0}
+
+
+def _seeded_powerlog_systems():
+    # one tail whose series converges at s_inf (d s_inf > 1) and one whose
+    # series diverges there (d s_inf <= 1/2)
+    rng = np.random.default_rng(290)
+    systems = []
+    for ratio in (rng.uniform(1.2, 3.0), rng.uniform(0.0, 0.5)):
+        a = float(rng.uniform(1.5, 3.0))
+        systems.append(ts.powerlog_system([], c=float(rng.uniform(0.05, 0.3)), a=a,
+                                          b=float(rng.uniform(2.0, 5.0)), d=float(a * ratio)))
+    return systems
+
+
+_SINF_SYSTEMS = [("gauss", ts.gauss_system()), ("invsq", ts.powerlog_system([], c=0.5, a=2.0)),
+                 ("flat_example", ts.flat_example_system())] + [
+    (f"powerlog{i}", system) for i, system in enumerate(_seeded_powerlog_systems())]
+
+
+@pytest.mark.parametrize("tol", [1e-3, 0.3, 1e-20])
+@pytest.mark.parametrize("name, system", _SINF_SYSTEMS, ids=[c[0] for c in _SINF_SYSTEMS])
+def test_s_infinity_carries_evidence_on_both_sides(name, system, tol):
+    # s_inf itself is one end of the probe bracket, on the side where the
+    # series decides there; the other end is tol away, or one float away
+    # when tol is below the spacing.  Both certificate numbers are finite,
+    # and the convergent bound at s_hi holds a 40-digit reference sum
+    res = ts.s_infinity(system, tol=tol)
+    assert res.value == ts.s_inf_exact(system)
+    assert res.s_lo < res.s_hi <= res.s_lo + tol + math.ulp(res.value)
+    assert (res.s_lo == res.value) != (res.s_hi == res.value)
+    cert = res.certificate
+    assert (res.s_hi == res.value) is cert["converges_at_value"]
+    upper = cert["series_upper_bound_at_s_hi"]
+    assert math.isfinite(upper)
+    assert math.isfinite(cert["log10_terms_to_exceed_probe_at_s_lo"])
+    with mpmath.workdps(40):
+        s_hi = mpmath.mpf(res.s_hi)
+        if name == "gauss":
+            # (m+1)^-2s < (m (m+1))^-s < m^-2s puts the sum in [zeta - 1,
+            # zeta]; the bound may pass zeta by its rounding allowance, which
+            # one float above 1/2 (zeta = 2^52 + 0.58) reaches 5.4
+            zeta = mpmath.zeta(2 * s_hi)
+            assert zeta - 1 <= upper <= zeta + 1e-14 * upper
+        else:
+            head = mpmath.fsum(mpmath.mpf(b.diameter) ** s_hi for b in system.head)
+            want = head + powerlog_series(system.tail, res.s_hi, len(system.head) + 1)
+            assert ts.diam_series(system, res.s_hi)[0] <= want <= upper
+
+
+@pytest.mark.parametrize("model, q, n_max", [
+    ("gauss", 0, 3), ("gauss", -3, 2), ("gauss", 10, 0), ("doubling", None, 0),
+])
+def test_pressure_root_rejects_empty_truncations(model, q, n_max):
+    # as in pressure; the Gauss cases returned a level-1 sandwich root
+    system = ts.gauss_system() if model == "gauss" else ts.doubling_system()
+    with pytest.raises(ts.ModelError, match="q and n_max must be >= 1"):
+        ts.pressure_root(system, q=q, n_max=n_max)
 
 
 _BAD_TOLERANCES = """
