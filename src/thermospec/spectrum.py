@@ -24,6 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (
+    BracketError,
     InfeasibleModelError,
     ModelError,
     UnsupportedPotentialError,
@@ -41,6 +42,7 @@ from .systems import (
     s_inf_exact,
 )
 from .thermo import (
+    _EPS,
     _f_alpha,
     _level1_head,
     _root,
@@ -257,6 +259,17 @@ def _subsystem_dimension(system, potential, alpha):
     return _decreasing_log_mass_root(logsum, floor, s_inf)
 
 
+@functools.lru_cache(maxsize=16)
+def _repeller_root(system: BranchSystem):
+    """``pressure_root`` of the system at its defaults, once per system.
+
+    Its value t* is the dimension of the repeller, the curve's maximum; the
+    upper end t+ of its certified interval bounds every Legendre row, since
+    g(t) = min_q [f(t, q) - q alpha] <= f(t, 0) = P(t) < 0 above t*.
+    """
+    return pressure_root(system)
+
+
 def legendre_solve(system: BranchSystem, potential: Potential, alpha: float, *,
                    t_max: float = 1.0) -> SpectrumPoint:
     """Dimension of the level set where the average of phi equals alpha.
@@ -266,10 +279,15 @@ def legendre_solve(system: BranchSystem, potential: Potential, alpha: float, *,
     the root of the decreasing g(t) = f(t, q(t)) - q(t) alpha, and the
     dimension is max(s_inf, t).  When the certified lower end of g at the
     floor is <= 0, g has no root above the floor: the regime is flat and
-    the dimension is s_inf.  Range endpoints reduce to the matching digit
-    subsystem when attained and to the floor otherwise; alphas outside the
-    closed range, infinite ones included, are empty.  A NaN alpha, and a
-    ``t_max`` that is not finite and above the floor, raise ``ModelError``.
+    the dimension is s_inf.  Otherwise the outer solve starts from
+    [floor, min(t_max, t+)], t+ the upper end of the certified pressure
+    root, as no level set is larger than the repeller; ``t_max`` is the
+    limit it may widen to, and a row whose g is still positive there,
+    beyond rounding, raises ``BracketError``.  Range endpoints reduce to
+    the matching digit subsystem when attained and to the floor otherwise;
+    alphas outside the closed range, infinite ones included, are empty.  A
+    NaN alpha, and a ``t_max`` that is not finite and above the floor,
+    raise ``ModelError``.
     """
     _require_level1(potential)
     _require_level(alpha)
@@ -320,9 +338,15 @@ def legendre_solve(system: BranchSystem, potential: Potential, alpha: float, *,
         q, (_, f, _, _) = solve(t)
         return q * alpha - f
 
-    t_sol = _root(minus_g, floor, t_max)[0]
+    top = min(t_max, _repeller_root(system).interval[1])
+    t_sol, t_lo, t_hi = _root(minus_g, floor, top, (floor, t_max))
     q_sol, (_, f, _, a) = solve(t_sol)
-    residuals = (abs(f - q_sol * alpha), abs(a - alpha))
+    g = f - q_sol * alpha
+    # the widening stopped at t_max: a root there holds g to rounding
+    if t_lo == t_hi == t_max and g > 4.0 * _EPS * max(1.0, abs(f), abs(q_sol * alpha)):
+        raise BracketError(f"g = {g:.3g} > 0 at t_max = {t_max}: the level set's "
+                           "dimension lies above t_max")
+    residuals = (abs(g), abs(a - alpha))
     return SpectrumPoint(alpha=alpha, dim=max(s_inf, t_sol), t=t_sol,
                          q=q_sol, residuals=residuals, regime="legendre",
                          s_inf=s_inf)
@@ -518,7 +542,7 @@ def spectrum_curve(system: BranchSystem, potential: Potential,
     transitions: dict = {}
     if is_linear(system):
         try:
-            root = pressure_root(system)
+            root = _repeller_root(system)
             a_tilde = _f_alpha(system, potential, root.value, 0.0)[3]
             transitions["t_star"] = root.value
             transitions["alpha_tilde"] = a_tilde

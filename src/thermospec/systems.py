@@ -79,9 +79,9 @@ class Tail:
     series sum diam^s in two parts, ``base(m)``, which does not depend on
     s, and ``terms(base, s)`` = diam^s from it, both on float arrays;
     ``converges(s)`` and ``s_inf`` for that series, ``_em_terms(s, M)``
-    for the shared ``bracket``, and ``terms_to_exceed_log10(s, bound)``,
-    log10 of a term count whose partial sum provably exceeds ``bound``
-    where the series diverges.
+    for the shared ``bracket``, and ``terms_to_exceed_log10(s, bound,
+    first)``, log10 of a count of terms from the label ``first`` whose
+    partial sum provably exceeds ``bound`` where the series diverges.
     """
 
     def bracket(self, s: float, first: int) -> tuple[float, float]:
@@ -170,30 +170,33 @@ class PowerLogTail(Tail):
         return (math.exp(math.fsum(logs)), [t / x for t in taylor], integral / x,
                 allowance + 4.0 + 2.0 * sum(abs(v) for v in logs))
 
-    def terms_to_exceed_log10(self, s: float, bound: float) -> float:
-        """log10 of a count K + 1 of terms from m = 1 whose partial sum
-        exceeds ``bound``: f(x) = c^s x^-p log(x + b)^-r decreases, so the
-        sum is at least int_1^(K+1) f.  For p < 1, with the log factor
-        frozen at its least value on [1, Y], u = log(K + 1) solves (1-p) u
-        = log(1 + (1-p) B log(Y + b)^r), B = bound/c^s; iterating from
-        u = 0 with Y = e^(u (1 + 1e-9)) stops once K + 1 <= Y.  For p = 1,
-        x + b <= (1 + b) x inverts the integral in closed form."""
+    def terms_to_exceed_log10(self, s: float, bound: float, first: int = 1) -> float:
+        """log10 of K + 1, at least the count of terms m = first..K, where
+        that partial sum exceeds ``bound``: f(x) = c^s x^-p log(x + b)^-r
+        decreases, so the sum is at least int_N^(K+1) f, N = ``first``.  For
+        p < 1, with the log factor frozen at its least value on [N, Y],
+        u = log(K + 1) solves (1-p) u = log(N^(1-p) + (1-p) B log(Y + b)^r),
+        B = bound/c^s; iterating from u = 0 with Y = e^(u (1 + 1e-9)) stops
+        once K + 1 <= Y.  For p = 1, x + b <= (1 + b) x inverts the
+        integral in closed form."""
         if self.converges(s):
             return math.inf
         r, need = self.d * s, bound / self.c ** s
+        log_first = math.log(first)
         if _sign_above_one(self.a, s) == 0:
             beta = math.log1p(self.b)
             if r < 1.0:
-                top = math.log(beta ** (1.0 - r) + (1.0 - r) * need) / (1.0 - r)
+                start = (log_first + beta) ** (1.0 - r)
+                top = math.log(start + (1.0 - r) * need) / (1.0 - r)
             else:
-                top = math.log(beta) + need
+                top = math.log(log_first + beta) + need
             return math.inf if top > 709.0 else (math.exp(top) - beta) / math.log(10.0)
         num, den = _exact_product(self.a, s)
         gap = (den - num) / den  # 1 - p, rounded once
-        log_need, log_y = math.log(gap) + math.log(need), 0.0
+        log_need, log_y, log_start = math.log(gap) + math.log(need), 0.0, gap * log_first
         for _ in range(1000):
             t = log_need + r * math.log(log_y + math.log1p(self.b * math.exp(-log_y)))
-            u = (max(t, 0.0) + math.log1p(math.exp(-abs(t)))) / gap
+            u = (max(t, log_start) + math.log1p(math.exp(-abs(t - log_start)))) / gap
             if u <= log_y:
                 return u / math.log(10.0)
             log_y = u * (1.0 + 1e-9)
@@ -243,15 +246,15 @@ class GaussTail(Tail):
             coef *= z * (s + k) / (k + 1)
         return x ** (-s), taylor, Y * g * (1.0 - z) ** s * total, 12.0 + 4.0 * s
 
-    def terms_to_exceed_log10(self, s: float, bound: float) -> float:
-        p = 2.0 * s
+    def terms_to_exceed_log10(self, s: float, bound: float, first: int = 1) -> float:
+        p, N = 2.0 * s, float(first)
         if p > 1.0:
             return math.inf
         if p == 1.0:
-            # sum_{m<=K} (m(m+1))^{-1/2} >= sum 1/(m+1) >= log((K+2)/2)
-            return (bound + math.log(2.0)) / math.log(10.0)
-        # sum_{m<=K} (m(m+1))^{-s} >= ((K+1)^{1-p} - 2^{1-p}) / ((1-p) 2^s)
-        target = bound * (1.0 - p) * 2.0 ** s + 2.0 ** (1.0 - p)
+            # sum_{m=N..K} (m(m+1))^{-1/2} >= sum 1/(m+1) >= log((K+2)/(N+1))
+            return (bound + math.log(N + 1.0)) / math.log(10.0)
+        # sum_{m=N..K} (m(m+1))^{-s} >= ((K+1)^{1-p} - (N+1)^{1-p}) / ((1-p) 2^s)
+        target = bound * (1.0 - p) * 2.0 ** s + (N + 1.0) ** (1.0 - p)
         return math.log10(target) / (1.0 - p)
 
 

@@ -662,7 +662,8 @@ def s_infinity(system: BranchSystem, tol: float = 1e-3) -> SInfinityResult:
     cert = {
         "series_upper_bound_at_s_hi": diam_series(system, s_hi)[1],
         "probe_bound": 1e6,
-        "log10_terms_to_exceed_probe_at_s_lo": system.tail.terms_to_exceed_log10(s_lo, 1e6),
+        "log10_terms_to_exceed_probe_at_s_lo": system.tail.terms_to_exceed_log10(
+            s_lo, 1e6, len(system.head) + 1 + system.offset),
         "converges_at_value": converges,
     }
     return SInfinityResult(value=value, method="series-exponent", s_lo=s_lo,
@@ -831,7 +832,9 @@ def pressure_root(system: BranchSystem, bracket=None, tol: float = 1e-10, *,
     truncation q captures >= 99% of the level-1 mass; without it the point
     is the level-1 proxy.  A bracket's default lower end is s_inf (a hair
     above it when the series diverges there), or 0 for finite systems.
-    ModelError for a given q < 1 and for n_max < 1, as in ``pressure``.
+    ModelError for a given q < 1 and for n_max < 1, as in ``pressure``.  A
+    ``budget`` of None reads ``default_budget()`` only where enumeration
+    runs, so the other paths never depend on THERMOSPEC_BUDGET.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise ModelError(f"tolerance must be finite and >= 0, got {tol}")
@@ -839,8 +842,6 @@ def pressure_root(system: BranchSystem, bracket=None, tol: float = 1e-10, *,
         raise ModelError("q and n_max must be >= 1")
     if workers < 1:
         raise ModelError(f"workers must be >= 1, got {workers}")
-    if budget is None:
-        budget = default_budget()
 
     if is_linear(system):
         if system.tail is None:
@@ -909,7 +910,7 @@ def _root_analytic(system, bracket, tol, q, n_max, budget, workers):
         full = _zeta_tail(2.0 * t_mid, N)
         captured = full - _zeta_tail(2.0 * t_mid, N + q)
         if math.isfinite(full) and captured / full >= 0.99:
-            n_eff = _levels_within(q, n_max, budget)
+            n_eff = _levels_within(q, n_max, default_budget() if budget is None else budget)
     levels = [_level_arrays(system, None, q, n, workers) for n in range(1, n_eff + 1)]
 
     @functools.cache

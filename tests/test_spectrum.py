@@ -1,7 +1,9 @@
 """Legendre solver, flat-window bounds and spectrum curves."""
 
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -477,3 +479,89 @@ def test_spectrum_curve_survives_bad_point(chi1):
     assert regimes[0] == "endpoint" and regimes[-1] == "endpoint"
     assert regimes[1] == "error"
     assert curve.points[1].dim is None
+
+
+_BRACKET_SYSTEMS = [
+    ("doubling", ts.doubling_system()),
+    ("half-quarter", ts.linear_system([0.5, 0.25])),
+    ("flat", ts.flat_example_system()),
+    ("invsq", ts.powerlog_system([], c=0.5, a=2.0)),
+]
+
+
+def _seeded_linear_systems(count, seed):
+    # Dirichlet diameters scaled by U(0.3, 1), 2-8 branches
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        k = int(rng.integers(2, 9))
+        d = rng.dirichlet(np.ones(k)) * rng.uniform(0.3, 1.0)
+        out.append((f"seeded{k}", ts.linear_system(d.tolist())))
+    return out
+
+
+def test_legendre_rows_lie_in_the_pressure_root_bracket(chi1):
+    # no level set is larger than the repeller: every row at 9 levels lies
+    # in [floor, t+], t+ the upper end of the certified pressure root, on
+    # four named systems and 20 seeded finite linear ones
+    legendre = 0
+    for name, system in _BRACKET_SYSTEMS + _seeded_linear_systems(20, 3030):
+        floor = thermo._t_floor(system)
+        t_plus = ts.pressure_root(system).interval[1]
+        for alpha in np.linspace(0.1, 0.9, 9):
+            pt = ts.legendre_solve(system, chi1, float(alpha))
+            if pt.regime not in ("legendre", "flat-floor"):
+                continue
+            legendre += pt.regime == "legendre"
+            assert floor <= pt.t <= t_plus, (name, alpha, pt.t, t_plus)
+    assert legendre >= 150
+
+
+def test_legendre_doubling_rows_keep_their_bits(chi1):
+    # criterion 3's 21 rows: t+ = 1 = t_max on the doubling map, so the
+    # outer solve starts from the same bracket as before t+ bounded it; dim,
+    # t, q and both residuals keep the bits recorded before that change
+    golden = json.loads((Path(__file__).parent / "golden" / "doubling_legendre_hexes.json").read_text())
+    assert [row["alpha"] for row in golden] == np.linspace(0.05, 0.95, 21).tolist()
+    for row in golden:
+        pt = ts.legendre_solve(ts.doubling_system(), chi1, row["alpha"])
+        got = {"dim": pt.dim.hex(), "t": pt.t.hex(), "q": pt.q.hex(),
+               "resid1": pt.residuals[0].hex(), "resid2": pt.residuals[1].hex()}
+        assert got == {k: row[k] for k in got}, row["alpha"]
+
+
+def test_flat_rows_make_fewer_tail_brackets(flat, chi1):
+    # the outer solve starts at [1/2, t+] with t+ = 0.5256, not [1/2, 1]:
+    # the floor, t+ and their midpoint are shared by every row, so a row
+    # builds at most 6 new tilted series (it built 6-7, 6.9 on average,
+    # from [1/2, 1])
+    fb = ts.flat_bounds(flat)
+    levels = np.linspace(fb.alpha_lower, fb.alpha_upper, 51)[1:-1]
+    ts.legendre_solve(flat, chi1, 0.5)
+    misses = []
+    for alpha in levels:
+        before = thermo._series_groups.cache_info().misses
+        assert ts.legendre_solve(flat, chi1, float(alpha)).regime == "legendre"
+        misses.append(thermo._series_groups.cache_info().misses - before)
+    assert max(misses) <= 6 and sum(misses) <= 5.5 * len(misses), misses
+
+
+@pytest.mark.parametrize("model, alpha, t_max, dim", [
+    ("flat", 0.5, 0.51, 0.52513), ("doubling", 0.3, 0.5, 0.8813)])
+def test_row_above_t_max_raises(chi1, model, alpha, t_max, dim):
+    # the outer solve cannot widen past t_max: the row came back as a
+    # "legendre" row at t = t_max with residual 7.6e-2 (flat) or 0.26
+    # (doubling); above t_max the row solves as before
+    system = ts.flat_example_system() if model == "flat" else ts.doubling_system()
+    with pytest.raises(ts.BracketError, match=rf"> 0 at t_max = {t_max}"):
+        ts.legendre_solve(system, chi1, alpha, t_max=t_max)
+    pt = ts.legendre_solve(system, chi1, alpha, t_max=dim + 0.01)
+    assert pt.regime == "legendre" and pt.dim == pytest.approx(dim, abs=1e-4)
+    assert max(pt.residuals) <= 1e-14
+
+
+def test_t_max_above_the_root_is_only_the_widening_limit(flat, chi1):
+    # the solve starts from [floor, min(t_max, t+)], so on flat_example any
+    # t_max above t+ = 0.5256 gives the same row to the bit
+    rows = [ts.legendre_solve(flat, chi1, 0.5, t_max=t_max) for t_max in (0.53, 1.0, 3.0)]
+    assert rows[0] == rows[1] == rows[2]

@@ -441,11 +441,12 @@ def test_powerlog_converges_decides_on_the_exact_product():
     assert ts.PowerLogTail(c=0.5, a=2.0, d=4.5).converges(0.5)
 
 
-def _partial_sum(tail, s, count):
-    """sum_{m <= count} of the tail's summands, 1e6 terms at a time."""
-    total = 0.0
-    for first in range(1, count + 1, 10**6):
-        m = np.arange(first, min(first + 10**6, count + 1), dtype=float)
+def _partial_sum(tail, s, count, first=1):
+    """sum_{m = first..first + count - 1} of the tail's summands, 1e6 terms
+    at a time."""
+    total, stop = 0.0, first + count
+    for lo in range(first, stop, 10**6):
+        m = np.arange(lo, min(lo + 10**6, stop), dtype=float)
         total += float(np.sum(tail.terms(tail.base(m), s)))
     return total
 
@@ -477,6 +478,53 @@ def test_terms_to_exceed_log10_counts_pass_the_bound():
         assert _partial_sum(tail, s, math.ceil(10.0 ** x)) > bound, (tail, s, bound, x)
         checked["gauss" if isinstance(tail, GaussTail) else "powerlog"] += 1
     assert checked["powerlog"] >= 15 and checked["gauss"] >= 10, checked
+
+
+def _closed_form_lower(tail, s, first, count):
+    """A lower bound on sum_{m = first..first + count - 1} of the summands
+    from a closed form, at 40 digits: (m (m+1))^-s >= (m + 1/2)^-2s on the
+    Gauss tail and c^s m^-p exactly on a power tail without log factor,
+    summed as differences of Hurwitz zeta (digamma at exponent 1)."""
+    with mp.workdps(40):
+        p = mp.mpf(2 * s if isinstance(tail, GaussTail) else tail.a * s)
+        shift, scale = (0.5, 1) if isinstance(tail, GaussTail) else (0, mp.mpf(tail.c) ** s)
+        a, b = mp.mpf(first) + shift, mp.mpf(first) + count + shift
+        if p == 1:
+            return scale * (mp.digamma(b) - mp.digamma(a))
+        return scale * (mp.zeta(p, a) - mp.zeta(p, b))
+
+
+def test_terms_to_exceed_log10_counts_from_the_first_label():
+    # the count is taken from the label first = N: the partial sum over
+    # ceil(10^x) terms from N exceeds the bound, on seeded N with both tail
+    # families, at p = 1 and below it.  Counts up to 1e7 are summed
+    # explicitly, larger ones (to 1e30) through a closed-form lower bound
+    rng = np.random.default_rng(30)
+    cases = [(GaussTail(), 0.5, 10**6, 1.0)]
+    for _ in range(30):
+        N = int(10 ** rng.uniform(0.0, 9.0))
+        bound = float(rng.uniform(0.5, 5.0))
+        if rng.random() < 0.5:
+            s = float(rng.choice([0.5, 0.5 - 10.0 ** rng.uniform(-3.0, -1.0)]))
+            cases.append((GaussTail(), s, N, bound))
+        else:
+            a = float(rng.choice([1.0, 2.0, rng.uniform(1.0, 3.0)]))
+            d = float(rng.choice([0.0, 0.0, rng.uniform(0.0, 1.0 / a)]))
+            tail = ts.PowerLogTail(c=float(rng.uniform(0.05, 1.0)), a=a,
+                                   b=float(rng.uniform(1.0, 5.0)), d=d)
+            s = float(rng.choice([1.0 / a, (1.0 - 10.0 ** rng.uniform(-3.0, -1.0)) / a]))
+            cases.append((tail, s, N, bound))
+    checked = {"explicit": 0, "closed": 0}
+    for tail, s, N, bound in cases:
+        x = tail.terms_to_exceed_log10(s, bound, N)
+        count = math.ceil(10.0 ** x)
+        if x <= 7.0:
+            assert _partial_sum(tail, s, count, N) > bound, (tail, s, N, bound, x)
+            checked["explicit"] += 1
+        elif x <= 30.0 and (isinstance(tail, GaussTail) or tail.d == 0.0):
+            assert _closed_form_lower(tail, s, N, count) > bound, (tail, s, N, bound, x)
+            checked["closed"] += 1
+    assert checked["explicit"] >= 8 and checked["closed"] >= 5, checked
 
 
 def test_terms_to_exceed_log10_at_and_below_the_exponent():

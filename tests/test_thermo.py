@@ -17,7 +17,7 @@ import pytest
 import thermospec as ts
 from hypothesis import given, settings, strategies as st
 
-from thermospec import thermo
+from thermospec import spectrum, thermo
 from thermospec.oracle import powerlog_series
 from thermospec.systems import _decode_words, _logsumexp
 
@@ -547,6 +547,41 @@ def test_s_infinity_divergence_certificate_scale():
     assert res.value == 0.5
     # just below s_inf the partial sums need astronomically many terms
     assert res.certificate["log10_terms_to_exceed_probe_at_s_lo"] > 1e4
+
+
+@pytest.mark.parametrize("model, N, want", [
+    ("gauss", 10**6, (1e6 + math.log(1e6 + 1.0)) / math.log(10.0)), ("flat", 5, None)])
+def test_s_infinity_counts_from_the_first_tail_label(model, N, want):
+    # a restricted system's divergence count starts at its own first label
+    # N: restricted to digits >= 10^6 the Gauss count (now 434300.48) was
+    # the full family's 434294.78, and flat_example restricted to digits
+    # >= 5 gave the full system's count
+    base = ts.gauss_system() if model == "gauss" else ts.flat_example_system()
+    system = ts.restricted_system(base, N)
+    res = ts.s_infinity(system)
+    count = res.certificate["log10_terms_to_exceed_probe_at_s_lo"]
+    assert count == system.tail.terms_to_exceed_log10(res.s_lo, 1e6, N)
+    assert count != base.tail.terms_to_exceed_log10(res.s_lo, 1e6)
+    if want is not None:
+        assert count == pytest.approx(want, rel=1e-15)
+
+
+def test_linear_roots_and_rows_ignore_the_budget_environment(monkeypatch):
+    # THERMOSPEC_BUDGET is read only where enumeration runs: a bad value
+    # made every pressure_root raise ModelError before it dispatched, and a
+    # Legendre row that reads the root with it
+    chi1 = ts.indicator_potential(1)
+    flat = ts.flat_example_system()
+    systems = [ts.doubling_system(), flat, ts.powerlog_system([], c=0.5, a=2.0)]
+    monkeypatch.delenv("THERMOSPEC_BUDGET", raising=False)
+    roots = [ts.pressure_root(s) for s in systems]
+    row = ts.legendre_solve(flat, chi1, 0.5)
+    monkeypatch.setenv("THERMOSPEC_BUDGET", "foo")
+    spectrum._repeller_root.cache_clear()
+    assert [ts.pressure_root(s) for s in systems] == roots
+    assert ts.legendre_solve(flat, chi1, 0.5) == row
+    with pytest.raises(ts.ModelError, match="THERMOSPEC_BUDGET"):
+        ts.pressure_root(ts.gauss_system(), bracket=(0.8, 1.2), q=200, n_max=4)
 
 
 def test_s_infinity_finite_system():
