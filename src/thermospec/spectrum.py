@@ -261,13 +261,20 @@ def _subsystem_dimension(system, potential, alpha):
 
 @functools.lru_cache(maxsize=16)
 def _repeller_root(system: BranchSystem):
-    """``pressure_root`` of the system at its defaults, once per system.
+    """``pressure_root`` of the system at its defaults, once per system, or
+    None where it raises ``BracketError``.
 
     Its value t* is the dimension of the repeller, the curve's maximum; the
     upper end t+ of its certified interval bounds every Legendre row, since
-    g(t) = min_q [f(t, q) - q alpha] <= f(t, 0) = P(t) < 0 above t*.
+    g(t) = min_q [f(t, q) - q alpha] <= f(t, 0) = P(t) < 0 above t*.  The
+    series root searches [floor, 1] and does not widen, so it raises on an
+    infinite system whose diameters sum to just above 1 (the packing check
+    allows 1e-9 of slack); such a system has no t+ below 1.
     """
-    return pressure_root(system)
+    try:
+        return pressure_root(system)
+    except BracketError:
+        return None
 
 
 def legendre_solve(system: BranchSystem, potential: Potential, alpha: float, *,
@@ -281,9 +288,10 @@ def legendre_solve(system: BranchSystem, potential: Potential, alpha: float, *,
     floor is <= 0, g has no root above the floor: the regime is flat and
     the dimension is s_inf.  Otherwise the outer solve starts from
     [floor, min(t_max, t+)], t+ the upper end of the certified pressure
-    root, as no level set is larger than the repeller; ``t_max`` is the
-    limit it may widen to, and a row whose g is still positive there,
-    beyond rounding, raises ``BracketError``.  Range endpoints reduce to
+    root, as no level set is larger than the repeller (from [floor, t_max]
+    where ``pressure_root`` finds no root); ``t_max`` is the limit it may
+    widen to, and a row whose g is still positive there, beyond rounding,
+    raises ``BracketError``.  Range endpoints reduce to
     the matching digit subsystem when attained and to the floor otherwise;
     alphas outside the closed range, infinite ones included, are empty.  A
     NaN alpha, and a ``t_max`` that is not finite and above the floor,
@@ -338,7 +346,11 @@ def legendre_solve(system: BranchSystem, potential: Potential, alpha: float, *,
         q, (_, f, _, _) = solve(t)
         return q * alpha - f
 
-    top = min(t_max, _repeller_root(system).interval[1])
+    # without a t+ above the floor (no root, or one that rounds onto it)
+    # the search starts from t_max, as the bracket would never open
+    root = _repeller_root(system)
+    t_plus = math.inf if root is None else root.interval[1]
+    top = min(t_max, t_plus) if t_plus > floor else t_max
     t_sol, t_lo, t_hi = _root(minus_g, floor, top, (floor, t_max))
     q_sol, (_, f, _, a) = solve(t_sol)
     g = f - q_sol * alpha
@@ -542,7 +554,8 @@ def spectrum_curve(system: BranchSystem, potential: Potential,
     transitions: dict = {}
     if is_linear(system):
         try:
-            root = _repeller_root(system)
+            # where the cached solve failed, solving again raises its error
+            root = _repeller_root(system) or pressure_root(system)
             a_tilde = _f_alpha(system, potential, root.value, 0.0)[3]
             transitions["t_star"] = root.value
             transitions["alpha_tilde"] = a_tilde

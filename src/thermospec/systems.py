@@ -170,7 +170,7 @@ class PowerLogTail(Tail):
         return (math.exp(math.fsum(logs)), [t / x for t in taylor], integral / x,
                 allowance + 4.0 + 2.0 * sum(abs(v) for v in logs))
 
-    def terms_to_exceed_log10(self, s: float, bound: float, first: int = 1) -> float:
+    def terms_to_exceed_log10(self, s: float, bound: float, first: int) -> float:
         """log10 of K + 1, at least the count of terms m = first..K, where
         that partial sum exceeds ``bound``: f(x) = c^s x^-p log(x + b)^-r
         decreases, so the sum is at least int_N^(K+1) f, N = ``first``.  For
@@ -246,7 +246,7 @@ class GaussTail(Tail):
             coef *= z * (s + k) / (k + 1)
         return x ** (-s), taylor, Y * g * (1.0 - z) ** s * total, 12.0 + 4.0 * s
 
-    def terms_to_exceed_log10(self, s: float, bound: float, first: int = 1) -> float:
+    def terms_to_exceed_log10(self, s: float, bound: float, first: int) -> float:
         p, N = 2.0 * s, float(first)
         if p > 1.0:
             return math.inf

@@ -565,3 +565,25 @@ def test_t_max_above_the_root_is_only_the_widening_limit(flat, chi1):
     # t_max above t+ = 0.5256 gives the same row to the bit
     rows = [ts.legendre_solve(flat, chi1, 0.5, t_max=t_max) for t_max in (0.53, 1.0, 3.0)]
     assert rows[0] == rows[1] == rows[2]
+
+
+def test_rows_of_a_system_without_a_pressure_root_below_1(chi1):
+    # head 1/2 and tail c n^-2 summing to 1/2 + 5e-10 at t = 1: the packing
+    # check's 1e-9 slack admits it, P(1) > 0, and the series root on
+    # [floor, 1] raises.  Rows then start from [floor, t_max], and those
+    # below t_max keep the bits they had before t+ bounded the search
+    c = (0.5 + 5e-10) / (math.pi ** 2 / 6 - 1)
+    system = ts.powerlog_system([0.5], c=c, a=2.0)
+    assert 1.0 < ts.diam_series(system, 1.0)[0] <= 1.0 + 1e-9
+    with pytest.raises(ts.BracketError):
+        ts.pressure_root(system)
+    for t_max in (1.0, 1.5):
+        assert ts.legendre_solve(system, chi1, 0.3, t_max=t_max).dim.hex() == "0x1.eeef834457ee6p-1"
+    assert ts.legendre_solve(system, chi1, 0.7).dim.hex() == "0x1.e3531a48e3079p-1"
+    # at alpha = 0.5 the level set's dimension, 1 + 2.6e-10, lies above 1
+    with pytest.raises(ts.BracketError, match="> 0 at t_max = 1.0"):
+        ts.legendre_solve(system, chi1, 0.5)
+    assert ts.legendre_solve(system, chi1, 0.5, t_max=1.5).dim == pytest.approx(1 + 2.6e-10, abs=1e-12)
+    curve = ts.spectrum_curve(system, chi1, [0.3, 0.7])
+    assert [p.regime for p in curve.points] == ["legendre", "legendre"]
+    assert "does not straddle 0" in curve.transitions["note"]

@@ -472,7 +472,7 @@ def test_terms_to_exceed_log10_counts_pass_the_bound():
         cases.append((GaussTail(), s, float(rng.uniform(1.0, 20.0))))
     checked = {"powerlog": 0, "gauss": 0}
     for tail, s, bound in cases:
-        x = tail.terms_to_exceed_log10(s, bound)
+        x = tail.terms_to_exceed_log10(s, bound, 1)
         if not x <= 7.0:
             continue
         assert _partial_sum(tail, s, math.ceil(10.0 ** x)) > bound, (tail, s, bound, x)
@@ -531,13 +531,13 @@ def test_terms_to_exceed_log10_at_and_below_the_exponent():
     # at p = 2 s = 1 the Gauss count comes from sum 1/(m+1) >= log((K+2)/2);
     # one float below s_inf the inverse-square count is the harmonic one,
     # not 1 (10 terms), and above s_inf no count exists
-    assert GaussTail().terms_to_exceed_log10(0.5, 1e6) == pytest.approx(434294.78, abs=0.01)
+    assert GaussTail().terms_to_exceed_log10(0.5, 1e6, 1) == pytest.approx(434294.78, abs=0.01)
     below = math.nextafter(0.5, -math.inf)
     invsq = ts.PowerLogTail(c=0.5, a=2.0)
-    assert invsq.terms_to_exceed_log10(below, 1e6) == pytest.approx(
+    assert invsq.terms_to_exceed_log10(below, 1e6, 1) == pytest.approx(
         1e6 * math.sqrt(2.0) / math.log(10.0), rel=1e-9)
     for tail in (GaussTail(), invsq):
-        assert tail.terms_to_exceed_log10(math.nextafter(0.5, math.inf), 1e6) == math.inf
+        assert tail.terms_to_exceed_log10(math.nextafter(0.5, math.inf), 1e6, 1) == math.inf
 
 
 def test_flat_example_geometry():
