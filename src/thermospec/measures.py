@@ -311,6 +311,15 @@ def maximize_ratio(system: BranchSystem, constraints=(), q: int | None = None,
     UndeterminedError.  The boxes never change, so each later step starts
     its projection from the previous step's dual.  ModelError for q < 1
     or n < 1.  Returns a (CylinderMeasure, MeasureStats) pair.
+
+    The moments of a word are its Birkhoff means over its cyclic windows,
+    along its periodic orbit, while h and lambda are those of the measure
+    that concatenates independent n-blocks.  With level-1 constraints no
+    window crosses a block boundary, so the ratio is that of a measure
+    meeting the boxes, a lower bound on the level set's dimension.  With a
+    level >= 2 constraint it is a periodic-orbit estimate, not a lower
+    bound: on the doubling map with the 11-block table at gamma = 0.1 it
+    is 0.94773 at n = 2, above the true b(0.1) = 0.93227.
     """
     if q is None:
         q = system.branch_count()

@@ -380,7 +380,7 @@ def is_linear(system: BranchSystem) -> bool:
 # series of diameters: head sums plus certified tail brackets
 
 
-def _logsumexp(a: np.ndarray | list, mask: np.ndarray | None = None) -> float:
+def _logsumexp(a: np.ndarray | list) -> float:
     """log sum exp(a) of a 1-D float array, bit-identical to scipy's.
 
     Performs ``scipy.special.logsumexp``'s arithmetic without its
@@ -388,8 +388,7 @@ def _logsumexp(a: np.ndarray | list, mask: np.ndarray | None = None) -> float:
     the maximum, drop the maximal entries from the sum, divide by their
     count m, and return log1p(s) + log(m) + max, finite with the maximum.
     An empty array gives -inf, and a NaN or infinite maximum scipy's direct
-    log(sum(exp(a))).  Given a bool ``mask`` of a's shape, the maxima are
-    marked in it and the exponentials overwrite ``a``: nothing is allocated.
+    log(sum(exp(a))).
 
     ``a`` may also be a short list of at most 7 Python floats, which skips
     numpy's dispatch on tiny arrays.  Below 8 terms numpy's ``sum`` adds
@@ -420,9 +419,9 @@ def _logsumexp(a: np.ndarray | list, mask: np.ndarray | None = None) -> float:
     if not math.isfinite(a_max):
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             return float(np.log(np.exp(a).sum()))
-    ismax = np.equal(a, a_max, out=mask)
+    ismax = a == a_max
     m = float(np.count_nonzero(ismax))
-    e = np.subtract(a, a_max, out=None if mask is None else a)
+    e = a - a_max
     np.exp(e, out=e)
     e[ismax] = 0.0
     return float(np.log1p(e.sum() / m) + np.log(m) + a_max)

@@ -61,10 +61,10 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 19
+_TILE = 1 << 15
 _LOG_DERIV = log_deriv_potential()
 _FALLBACK_BUDGET = 100_000_000
 _EPS = float(np.finfo(float).eps)
-_TINY = float(np.finfo(float).tiny)
 
 
 def default_budget() -> int:
@@ -89,20 +89,13 @@ class _LevelArray(np.ndarray):
     """A level's L with ``segments`` and ``minima``.
 
     ``segments`` are (mult, start, stop): each value in L[start:stop] stands
-    for ``mult`` words.  ``minima`` has, for the k-th ``_CHUNK`` of the
-    segments' chunks in pass order (``_chunks``), its least value and the
-    indices (within the chunk) of the values at most a relative 2^-40 above
-    it, or None for those indices when the minimum is not finite or more
-    than ``_NEAR_MAX`` values are that close (a constant L, as log|T'| on
-    the doubling map, would hold an index per word).  Slices, copies and
-    other views have both None, which reads as one segment of single
-    words."""
+    for ``mult`` words.  ``minima`` has, for each ``_CHUNK`` of the
+    segments' chunks in pass order (``_chunks``), the least value of each of
+    its ``_leaves``.  Slices, copies and other views have both None, which
+    reads as one segment of single words."""
 
     segments = None
     minima = None
-
-
-_NEAR_MAX = 64
 
 
 def _chunks(L):
@@ -114,51 +107,46 @@ def _chunks(L):
 
 def _with_minima(L, segments=None):
     """L as a ``_LevelArray`` carrying its segments (None: one segment of
-    single words) and its per-chunk minima."""
+    single words) and the minima of its chunks' leaves."""
     L = L.view(_LevelArray)
     L.segments = segments
-    minima = []
-    for _, pieces in _chunks(L):
-        for s in pieces:
-            part = L[s]
-            lo = float(part.min())
-            near = None
-            if math.isfinite(lo):
-                near = np.flatnonzero(part <= lo + abs(lo) * 2.0 ** -40)
-                near = near if len(near) <= _NEAR_MAX else None
-            minima.append((lo, near))
-    L.minima = tuple(minima)
+    L.minima = tuple(tuple(float(L[s][i:j].min()) for i, j in _leaves(0, s.stop - s.start))
+                     for _, pieces in _chunks(L) for s in pieces)
     return L
 
 
-def _level_plan(q, n, multiset):
+def _level_plan(q, n, multiset, size):
     """(segments, blocks) of a level over the digits 1..q.
 
     Each block is a function that returns (cols, places): digit columns
-    that broadcast to the block's shape, and (mask, start) pairs that put
-    the block's values selected by mask (None: all), in row-major order,
-    at [start:] of the level's array.  Blocks depend only on (q, n, multiset), so the level is
-    the same for any worker count.
+    that broadcast to the block's shape, and (index, start) pairs that put
+    the block's values ``[index]`` (index None: all), in row-major order,
+    at [start:] of the level's array.  Every value is the potential's at
+    its word whatever block forms it, so the level is the same for any
+    block ``size``.  A block's scratch fits ``size`` values: the potential
+    makes one temporary of the block's shape (see
+    ``LogDerivPotential.birkhoff_sums``), so a block written in place takes
+    ``size`` values, and one formed in an array of its own, then placed,
+    half as many (at least one row either way).
 
-    All words: one segment of single words, built as whole (n-1)-prefixes,
-    at least one and as many as fit in ``_CHUNK`` words, as columns (P, 1)
-    against the q last digits as (1, q).
+    All words: one segment of single words, written in place as whole
+    (n-1)-prefixes, as columns (P, 1) against the q last digits as (1, q).
 
     One value per digit multiset (n = 3): segments of multiplicity
     3!/prod k_i!, the number of words that reorder the multiset, and
-    C(q+2, 3) values in all.  The words (v, v, w) are built in rows v, as
+    C(q+2, 3) values in all.  The words (v, v, w) are formed in rows v, as
     prefixes above, and split by mask: w = v is the multiset {v, v, v},
     multiplicity 1, and w != v is {v, v, w}, multiplicity 3.  The
     multisets of three distinct digits, multiplicity 6, are the words
-    (a, m, b) with a < m < b: a block puts the rows (a, m) of the middle
-    digits m0 <= m < m1 against the columns b > m0, masked to b > m, in at
-    most an eighth of a ``_CHUNK`` (or one m).  Continuant steps run on rows.
+    (a, m, b) with a < m < b, each middle digit's (m-1) x (q-m) rectangle
+    of them in turn.  A block forms the next rows (a, m) that fit against
+    the columns b > m0, its first row's m, and each middle digit's run of
+    rows r gives the slice [r, m - m0:].  Continuant steps run on rows.
     """
-    rows = max(1, _CHUNK // q)
     digits = np.arange(1, q + 1)
     last = digits[None, :]
     if not multiset:
-        prefixes = q ** (n - 1)
+        prefixes, rows = q ** (n - 1), max(1, size // q)
 
         def words(first):
             p = _decode_words(q, n - 1, first, min(first + rows, prefixes))
@@ -167,25 +155,34 @@ def _level_plan(q, n, multiset):
         blocks = [functools.partial(words, f) for f in range(0, prefixes, rows)]
         return ((1, 0, q ** n),), blocks
 
+    size //= 2  # formed in an array of its own
+    rows = max(1, size // q)
+
     def by_row(r0):
         v = digits[r0:r0 + rows, None]
         return [v, v, last], [(v == last, r0), (last != v, q + r0 * (q - 1))]
 
-    def by_middle(m0, m1, start):
-        a = np.concatenate([digits[:m - 1] for m in range(m0, m1)])[:, None]
-        m = np.repeat(digits[m0 - 1:m1 - 1], digits[m0 - 2:m1 - 2])[:, None]
-        return [a, m, digits[None, m0:]], [(digits[None, m0:] > m, start)]
+    def by_middle(runs, start):
+        m0, places, r = runs[0][0], [], 0
+        for m, a0, a1 in runs:
+            places.append(((slice(r, r + a1 - a0), slice(m - m0, None)), start))
+            start, r = start + (a1 - a0) * (q - m), r + a1 - a0
+        a = np.concatenate([digits[a0 - 1:a1 - 1] for _, a0, a1 in runs])[:, None]
+        m = np.repeat([m for m, _, _ in runs], [a1 - a0 for _, a0, a1 in runs])[:, None]
+        return [a, m, digits[None, m0:]], places
 
     blocks = [functools.partial(by_row, r0) for r0 in range(0, q, rows)]
     start = distinct = q * q
-    m0 = 2
-    while m0 < q:
-        m1, height = m0 + 1, m0 - 1
-        while m1 < q and (height + m1 - 1) * (q - m0) <= _CHUNK // 8:
-            height, m1 = height + m1 - 1, m1 + 1
-        blocks.append(functools.partial(by_middle, m0, m1, start))
-        start += sum((m - 1) * (q - m) for m in range(m0, m1))
-        m0 = m1
+    m, a = 2, 1  # the next row (a, m)
+    while m < q:
+        runs, room, first = [], max(1, size // (q - m)), start
+        while m < q and room:
+            k = min(room, m - a)
+            runs.append((m, a, a + k))
+            start, room, a = start + k * (q - m), room - k, a + k
+            if a == m:
+                m, a = m + 1, 1
+        blocks.append(functools.partial(by_middle, runs, first))
     segments = ((1, 0, q), (3, q, distinct), (6, distinct, start))
     return tuple(seg for seg in segments if seg[2] > seg[1]), blocks
 
@@ -193,26 +190,30 @@ def _level_plan(q, n, multiset):
 @functools.lru_cache(maxsize=8)
 def _level_sums(system, potential, q, n, multiset, workers):
     """Birkhoff sums of ``potential`` over the words of level n, in the
-    layout of ``_level_plan``, each block written in place.  For the
-    log|T'| potential this is L, a ``_LevelArray`` with its segments and
-    per-chunk minima; for any other potential it is phi, per word.
-    ``workers`` threads fill the blocks; the bits do not depend on them.
+    layout of ``_level_plan``, block by block.  For the log|T'| potential
+    this is L, a ``_LevelArray`` with its segments and minima; for
+    any other potential it is phi, per word.  ``workers`` threads fill the
+    blocks; the bits do not depend on them.  One worker's blocks fit a
+    ``_TILE``, so the build holds about a tile beyond the level.  Threads
+    pass the interpreter lock at each numpy call, and on a tile's calls
+    that handover outweighs the work, so with more workers a block fits a
+    ``_CHUNK``.
     """
-    segments, blocks = _level_plan(q, n, multiset)
+    segments, blocks = _level_plan(q, n, multiset, _TILE if workers == 1 else _CHUNK)
     sums = np.empty(segments[-1][2])
 
     def fill(block):
         cols, places = block()
-        mask, start = places[0]
-        if mask is None:
+        index, start = places[0]
+        if index is None:
             shape = np.broadcast_shapes(*(np.shape(c) for c in cols))
             out = sums[start:start + math.prod(shape)].reshape(shape)
             potential.birkhoff_sums(system, cols, out=out)
-        else:  # a multiset row block, split by mask
+        else:  # a multiset block, picked by mask or by row runs
             values = potential.birkhoff_sums(system, cols)
-            for mask, start in places:
-                part = values[mask]
-                sums[start:start + part.size] = part
+            for index, start in places:
+                part = values[index]
+                sums[start:start + part.size].reshape(part.shape)[...] = part
 
     if workers > 1 and len(blocks) > 1:
         from concurrent.futures import ThreadPoolExecutor  # pulls in logging
@@ -254,47 +255,91 @@ def _log_partition(L, phi, t):
 
     Each segment of L (``_LevelArray``) stands for mult words per value, so
     its log-sum-exp, plus log(mult), is its words' share; the segments are
-    folded in order with ``_logaddexp``.  Within a segment the exponents are
-    formed one ``_CHUNK`` at a time in one scratch buffer, which
-    ``_logsumexp`` exponentiates in place beside one mask, both made once
-    per pass, and each chunk's log-sum-exp is folded into the segment's in
-    index order.  Exponents are elementwise, and the chunks and the folding
-    order are fixed, so the buffers change no bit.
+    folded in order with ``_logaddexp``.  Within a segment each ``_CHUNK``'s
+    log-sum-exp is ``_tiled_logsumexp``'s, bit for bit ``_logsumexp``'s,
+    and the chunks are folded in index order.  The pass holds one tile of
+    floats and one of bools, made once, whatever the level's size.
 
-    The one special case: with phi None, t > 0 and L a ``_LevelArray``,
-    rounding is monotone, so a chunk's largest exponent is exactly
-    fl(-t min L) and its maxima lie among the stored near-minimal indices.
-    The chunk then skips ``_logsumexp``'s maximum search and mask and does
-    the rest of its arithmetic, bit for bit; the multiplicity enters only
-    after the exponent, so the shortcut holds in every segment.  A chunk
-    falls back to ``_logsumexp`` when its minimum is not finite, its
-    near-minimal indices were not stored, or fl(-t min L) is not a normal
-    float.
+    With phi None, t > 0 and L a ``_LevelArray``, rounding is monotone, so
+    a tile's largest exponent is exactly fl(-t min), its stored minimum
+    times -t: the tiles are spared their maximum search.
     """
-    chunks = _chunks(L)
     minima = iter(L.minima) if phi is None and t > 0 and isinstance(L, _LevelArray) else None
-    size = max(s.stop - s.start for _, pieces in chunks for s in pieces)
-    buf, mask = np.empty(size), np.empty(size, bool)
+    tile, ties = np.empty(_TILE), np.empty(_TILE, bool)
     out = None
-    for mult, pieces in chunks:
+    for mult, pieces in _chunks(L):
         for k, s in enumerate(pieces):
-            a = np.multiply(L[s], -t, out=buf[:s.stop - s.start])
-            lo, near = next(minima) if minima else (math.nan, None)
-            a_max = lo * -t
-            if near is not None and _TINY <= abs(a_max) < math.inf:
-                top = near[a[near] == a_max]
-                a -= a_max
-                np.exp(a, out=a)
-                a[top] = 0.0
-                m = float(len(top))
-                part = float(np.log1p(a.sum() / m) + np.log(m) + a_max)
-            else:
-                part = _logsumexp(a if phi is None else np.add(phi[s], a, out=a), mask[:len(a)])
+            tops = [lo * -t for lo in next(minima)] if minima else None
+            part = _tiled_logsumexp(L[s], None if phi is None else phi[s], t, tops, tile, ties)
             seg = part if k == 0 else _logaddexp(seg, part)
         if mult != 1:
             seg += math.log(mult)
         out = seg if out is None else _logaddexp(out, seg)
     return out
+
+
+def _half(n):
+    """Where numpy's pairwise sum splits n > 128 contiguous float64 values:
+    n // 2, rounded down to a multiple of 8 (its unrolling)."""
+    n2 = n // 2
+    return n2 - n2 % 8
+
+
+def _leaves(start, stop):
+    """The pieces [i, j), in order, of numpy's pairwise split of [start,
+    stop) down to pieces no longer than ``_TILE``."""
+    if stop - start <= _TILE:
+        return [(start, stop)]
+    mid = start + _half(stop - start)
+    return _leaves(start, mid) + _leaves(mid, stop)
+
+
+def _fold(sums, n):
+    """numpy's ``sum()`` of n values from ``sums``, an iterator over the
+    ``sum()`` of each of its ``_leaves``: the leaves' sums added as numpy's
+    pairwise split adds them, so the bits are the same."""
+    if n <= _TILE:
+        return next(sums)
+    n2 = _half(n)
+    return _fold(sums, n2) + _fold(sums, n - n2)
+
+
+def _tiled_logsumexp(x, p, t, tops, tile, ties):
+    """``_logsumexp(p - t x)`` (p None: -t x) of 1-D arrays, bit for bit,
+    formed one of x's ``_leaves`` at a time in ``tile`` and ``ties``.
+
+    ``tops`` holds each leaf's largest exponent (None: found here).  Every
+    step but the sum is elementwise, or exact in any order: the maximum
+    a_max, and the ties, the exponents equal to it, which are those whose
+    difference from it is 0 and lie only in leaves whose top is a_max.  The
+    sum of the shifted exponentials, the ties zeroed, is ``_fold``'s.
+    """
+    def exponents(i, j):
+        a = np.multiply(x[i:j], -t, out=tile[:j - i])
+        return a if p is None else np.add(p[i:j], a, out=a)
+
+    n = len(x)
+    leaves = _leaves(0, n)
+    if tops is None:
+        tops = [exponents(i, j).max() for i, j in leaves]
+    a_max = float(np.max(tops))
+    if not math.isfinite(a_max):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            sums = (float(np.exp(exponents(i, j), out=tile[:j - i]).sum()) for i, j in leaves)
+            return float(np.log(_fold(sums, n)))
+    m, sums = 0, []
+    for (i, j), top in zip(leaves, tops):
+        a = exponents(i, j)
+        a -= a_max
+        if top == a_max:
+            tie = np.equal(a, 0.0, out=ties[:j - i])
+            m += int(np.count_nonzero(tie))
+            np.exp(a, out=a)
+            a[tie] = 0.0
+        else:
+            np.exp(a, out=a)
+        sums.append(float(a.sum()))
+    return float(np.log1p(_fold(iter(sums), n) / m) + np.log(float(m)) + a_max)
 
 
 # ---------------------------------------------------------------------------

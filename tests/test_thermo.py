@@ -171,13 +171,19 @@ def test_pressure_workers_bit_identical():
         assert est.bracket == ests[0].bracket
 
 
+def _plan_shapes(q, n, size):
+    _, blocks = thermo._level_plan(q, n, n == 3, size)
+    return [np.broadcast_shapes(*(np.shape(c) for c in block()[0])) for block in blocks]
+
+
 def test_level_arrays_invariant_to_worker_count(monkeypatch):
-    # all words at (30, 4): whole 3-prefixes times all 30 last digits per
-    # block, 810,000 words in two blocks.  One value per multiset at
-    # (200, 3): the words (v, v, w) in one block of 200 rows, then 23 blocks
-    # of words (a, m, b), a < m < b, each the rows (a, m) of the middle
-    # digits m0..m1-1 against the last digits b > m0.  So the thread pool
-    # really runs, and workers 1, 2 and 8 agree
+    # all words at (30, 4): whole 3-prefixes times all 30 last digits,
+    # 810,000 words, a tile of them per block with one worker (25 blocks)
+    # and a chunk with more (two).  One value per multiset at (200, 3): the
+    # words (v, v, w) in blocks of rows, then blocks of words (a, m, b),
+    # a < m < b, each the next rows (a, m) that fit in half a block against
+    # the last digits b > m0, its first row's m.  So the thread pool really
+    # runs, and workers 1, 2 and 8 agree
     g = ts.gauss_system()
     shapes = []
     real = ts.LogDerivPotential.birkhoff_sums
@@ -187,6 +193,7 @@ def test_level_arrays_invariant_to_worker_count(monkeypatch):
         return real(self, system, cols, **kwargs)
 
     thermo._level_sums.cache_clear()
+    tile, chunk = thermo._TILE, thermo._CHUNK
     for q, n in ((30, 4), (200, 3)):
         monkeypatch.setattr(ts.LogDerivPotential, "birkhoff_sums", recording)
         shapes.clear()
@@ -197,23 +204,30 @@ def test_level_arrays_invariant_to_worker_count(monkeypatch):
             assert L1.tobytes() == L2.tobytes()
             assert L1.segments == L2.segments
         monkeypatch.undo()
-        assert sorted(shapes) == sorted(built * 3)
+        threaded = _plan_shapes(q, n, chunk)
+        assert built == _plan_shapes(q, n, tile)
+        assert sorted(shapes[len(built):]) == sorted(threaded * 2)
         if n == 4:
-            assert built == [(thermo._CHUNK // q, q), (27_000 - thermo._CHUNK // q, q)]
+            rows = tile // q
+            assert built == [(rows, q)] * 24 + [(27_000 - 24 * rows, q)]
+            assert threaded == [(chunk // q, q), (27_000 - chunk // q, q)]
             # the same words as flat per-word columns give the same bits
             flat = ts.log_deriv_potential().birkhoff_sums(g, list(_decode_words(q, n, 0, 5000).T))
             assert flat.tobytes() == L1[:5000].tobytes()
         else:
-            assert built[0] == (q, q) and len(built) == 24
-            # block k holds the middle digits starts[k]..starts[k+1]-1, as
-            # many as keep it within an eighth of a chunk
-            starts = [q - cols for _, cols in built[1:]] + [q]
-            assert starts[0] == 2
-            assert [h for h, _ in built[1:]] == [sum(range(m0 - 1, m1 - 1))
-                                                 for m0, m1 in zip(starts, starts[1:])]
-            for (h, cols), m1 in zip(built[1:], starts[1:]):
-                assert h * cols <= thermo._CHUNK // 8
-                assert m1 == q or (h + m1 - 1) * cols > thermo._CHUNK // 8
+            assert built[:3] == [(81, q), (81, q), (38, q)] and len(built) == 86
+            assert threaded[0] == (q, q) and len(threaded) == 8
+            # the rows (a, m) in order: m - 1 of them for each m, so row r
+            # has C(m - 1, 2) <= r < C(m, 2).  Every block but the last is
+            # full, and its first row's m is q - cols
+            for size, plan in ((tile, built[3:]), (chunk, threaded[1:])):
+                r = 0
+                for k, (h, cols) in enumerate(plan, 1):
+                    m0 = q - cols
+                    assert math.comb(m0 - 1, 2) <= r < math.comb(m0, 2)
+                    assert h * cols <= size // 2 and (h == size // 2 // cols or k == len(plan))
+                    r += h
+                assert r == math.comb(q - 1, 2)
             # the first rows as flat per-word columns (1, 1, w) give the same
             # bits: (1, 1, 1) first, then (1, 1, w) for w = 2..q
             words = [np.array([1] * q), np.array([1] * q), np.arange(1, q + 1)]
@@ -278,14 +292,13 @@ def test_level_arrays_shared_across_potentials():
 
 def test_log_partition_streams_chunks():
     # one pass over the 8e6 level-3 words, or over the 1,353,400 multiset
-    # values, holds one chunk of floats and its mask (plus a few Python
+    # values, holds one tile of floats and one of bools (plus a few Python
     # objects), allocated once, and keeps the bits of the per-chunk
     # _logsumexp(phi - t L) folded by logaddexp within each segment, plus
     # log(mult), folded over segments
     g = ts.gauss_system()
     L_words, phi = thermo._level_arrays(g, ts.harmonic_potential(), 200, 3, 1)
     L_sets, _ = thermo._level_arrays(g, None, 200, 3, 1)
-    chunk = thermo._CHUNK
     assert L_words.segments == ((1, 0, 8_000_000),)
     assert L_sets.segments == ((1, 0, 200), (3, 200, 40_000), (6, 40_000, 1_353_400))
     for L, p in ((L_words, None), (L_words, phi), (L_sets, None)):
@@ -302,7 +315,7 @@ def test_log_partition_streams_chunks():
             finally:
                 tracemalloc.stop()
             assert np.float64(value).tobytes() == np.float64(expected).tobytes()
-            assert peak < 9 * chunk + 65_536
+            assert peak < 9 * thermo._TILE + 65_536
     thermo._level_sums.cache_clear()  # the all-word L and phi hold 128 MB
 
 
@@ -382,9 +395,9 @@ def test_multiset_log_partition_matches_all_word_sums():
 
 
 def test_level_array_build_holds_one_block_beyond_L():
-    # the (v, v, w) block of 40,000 values and the half-trace scratch of
-    # one block of middle digits (at most 65,536 values) are all the level-3
-    # build holds beyond L
+    # a block formed beside the level takes half a tile of values, the
+    # potential's half-trace temporary of its shape the other half: with
+    # the block's rows, that is all the level-3 build holds beyond L
     g = ts.gauss_system()
     thermo._level_sums.cache_clear()
     tracemalloc.start()
@@ -393,7 +406,7 @@ def test_level_array_build_holds_one_block_beyond_L():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - L.nbytes < 6_000_000
+    assert peak - L.nbytes < 1_000_000
 
 
 def _chunk_fold(L, phi, t):
@@ -411,20 +424,50 @@ def _same_bits(a, b):
     return np.float64(a).tobytes() == np.float64(b).tobytes()
 
 
+def test_tile_fold_is_numpy_sum_bit_for_bit():
+    # a pass sums each chunk one leaf at a time and adds the leaves' sums
+    # as numpy's pairwise sum of the whole chunk would: split at n // 2,
+    # rounded down to a multiple of 8.  A numpy that sums another way fails
+    # here first.  A plain left-to-right fold of the tiles' sums does not
+    # keep the bits
+    tile = thermo._TILE
+    rng = np.random.default_rng(33)
+    plain_differs = 0
+    for n in (1 << 19, 304_824, 100_003, tile - 5):
+        leaves = thermo._leaves(0, n)
+        assert [i for i, _ in leaves[1:]] == [j for _, j in leaves[:-1]]
+        assert leaves[0][0] == 0 and leaves[-1][1] == n
+        assert all(0 < j - i <= tile for i, j in leaves)
+        for _ in range(4):
+            x = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 9, n)
+            sums = [float(x[i:j].sum()) for i, j in leaves]
+            assert _same_bits(thermo._fold(iter(sums), n), x.sum()), n
+            plain = 0.0
+            for i in range(0, n, tile):
+                plain += float(x[i:i + tile].sum())
+            plain_differs += not _same_bits(plain, x.sum())
+    assert plain_differs > 0
+
+
 def test_log_partition_minima_path_bit_identical():
     # three chunks (the last partial), each with repeated minima and values
     # one and two ulps above them, whose exponents round to the maximum at
-    # small t: the stored near-minimal indices find every tie
+    # small t: each leaf's stored minimum gives its largest exponent, and
+    # the ties are found in every leaf whose largest exponent is the chunk's
     chunk = thermo._CHUNK
     rng = np.random.default_rng(5)
     L = rng.uniform(2.0, 40.0, 2 * chunk + 1000)
-    for start, lo in ((0, 1.955), (chunk, 1.729), (2 * chunk, 0.99)):
+    lows = ((0, 1.955), (chunk, 1.729), (2 * chunk, 0.99))
+    for start, lo in lows:
         at = start + rng.choice(min(chunk, L.size - start), 12, replace=False)
         L[at[:4]] = lo
         L[at[4:8]] = np.nextafter(lo, np.inf)
         L[at[8:]] = np.nextafter(np.nextafter(lo, np.inf), np.inf)
     Lm = thermo._with_minima(L.copy())
-    assert all(near is not None and len(near) == 12 for _, near in Lm.minima)
+    for minima, (start, lo) in zip(Lm.minima, lows):
+        leaves = thermo._leaves(0, min(chunk, L.size - start))
+        assert minima == tuple(float(L[start + i:start + j].min()) for i, j in leaves)
+        assert min(minima) == lo and (minima.count(lo) >= 2 or len(leaves) == 1)
     ties = []
     for t in (1e-3, 0.5, 1.0, 7.0):
         assert _same_bits(thermo._log_partition(Lm, None, t), _chunk_fold(L, None, t))
@@ -436,7 +479,9 @@ def test_log_partition_minima_path_bit_identical():
 
 
 def test_log_partition_minima_fallbacks_bit_identical():
-    # every case the minima cannot serve takes the per-chunk _logsumexp
+    # the maximum found tile by tile (phi given, t <= 0), and the stored
+    # minima where fl(-t min L) is not a normal float, is 0 or is not
+    # finite, or where many values tie, keep the per-chunk _logsumexp bits
     chunk = thermo._CHUNK
     rng = np.random.default_rng(6)
     base = rng.uniform(2.0, 40.0, chunk + 500)
@@ -452,13 +497,13 @@ def test_log_partition_minima_fallbacks_bit_identical():
         L[chunk + 7] = bad
         cases.append((L, None, 1.0))
     crowded = base.copy()
-    crowded[:thermo._NEAR_MAX + 1] = 1.5  # too many near-minimal indices
+    crowded[:65] = 1.5  # many ties in one leaf
     cases.append((crowded, None, 1.0))
     for L, p, t in cases:
         with np.errstate(over="ignore", invalid="ignore"):
             value = thermo._log_partition(thermo._with_minima(L.copy()), p, t)
             assert _same_bits(value, _chunk_fold(L, p, t)), (p is None, t)
-    assert thermo._with_minima(crowded.copy()).minima[0][1] is None
+    assert thermo._with_minima(crowded.copy()).minima[0][0] == 1.5
 
 
 def test_level_partitions_within_their_a_priori_range():
@@ -507,6 +552,24 @@ def test_pressure_root_criterion_2_bits_and_level_passes(monkeypatch):
                                                "0x1.0000000000000p+1"]
     level3 = [t for t, size in seen if size == 1_353_400]
     assert len(level3) == len(set(level3)) == 9
+
+
+def test_pressure_root_criterion_2_holds_little_beyond_its_level():
+    # with cold level arrays, criterion 2 holds little beyond its level-3
+    # L of C(202, 3) values: levels 1 and 2 (320 kB), then one block of the
+    # level-3 build or the passes' tile
+    g = ts.gauss_system()
+    thermo._level_sums.cache_clear()
+    tracemalloc.start()
+    try:
+        res = ts.pressure_root(g, bracket=(0.8, 1.2), q=200, n_max=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.value.hex() == "0x1.feb062408f6fcp-1"
+    L, _ = thermo._level_arrays(g, None, 200, 3, 1)
+    assert L.nbytes == 10_827_200
+    assert peak - L.nbytes < 1_000_000
 
 
 def test_locally_constant_bracket_flat_series():
