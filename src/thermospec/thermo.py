@@ -60,7 +60,7 @@ __all__ = [
     "default_budget",
 ]
 
-_CHUNK = 1 << 19
+_CHUNK = 1 << 19  # a threaded build's block; one worker's and a pass's are a tile
 _TILE = 1 << 15
 _LOG_DERIV = log_deriv_potential()
 _FALLBACK_BUDGET = 100_000_000
@@ -89,29 +89,27 @@ class _LevelArray(np.ndarray):
     """A level's L with ``segments`` and ``minima``.
 
     ``segments`` are (mult, start, stop): each value in L[start:stop] stands
-    for ``mult`` words.  ``minima`` has, for each ``_CHUNK`` of the
-    segments' chunks in pass order (``_chunks``), the least value of each of
-    its ``_leaves``.  Slices, copies and other views have both None, which
-    reads as one segment of single words."""
+    for ``mult`` words.  ``minima`` holds the least value of each of the
+    segments' tiles, in pass order (``_tiles``).  Slices, copies and other
+    views have both None, which reads as one segment of single words."""
 
     segments = None
     minima = None
 
 
-def _chunks(L):
-    """(mult, [slices]) per segment of L: its ``_CHUNK``-long pieces."""
+def _tiles(L):
+    """(mult, [slices]) per segment of L: its ``_TILE``-long pieces."""
     segments = getattr(L, "segments", None) or ((1, 0, len(L)),)
-    return [(mult, [slice(i, min(i + _CHUNK, stop)) for i in range(start, stop, _CHUNK)])
+    return [(mult, [slice(i, min(i + _TILE, stop)) for i in range(start, stop, _TILE)])
             for mult, start, stop in segments]
 
 
 def _with_minima(L, segments=None):
     """L as a ``_LevelArray`` carrying its segments (None: one segment of
-    single words) and the minima of its chunks' leaves."""
+    single words) and the minima of its tiles."""
     L = L.view(_LevelArray)
     L.segments = segments
-    L.minima = tuple(tuple(float(L[s][i:j].min()) for i, j in _leaves(0, s.stop - s.start))
-                     for _, pieces in _chunks(L) for s in pieces)
+    L.minima = tuple(float(L[s].min()) for _, tiles in _tiles(L) for s in tiles)
     return L
 
 
@@ -191,8 +189,8 @@ def _level_plan(q, n, multiset, size):
 def _level_sums(system, potential, q, n, multiset, workers):
     """Birkhoff sums of ``potential`` over the words of level n, in the
     layout of ``_level_plan``, block by block.  For the log|T'| potential
-    this is L, a ``_LevelArray`` with its segments and minima; for
-    any other potential it is phi, per word.  ``workers`` threads fill the
+    this is L, a ``_LevelArray`` with its segments and the minima of its
+    tiles; for any other potential it is phi, per word.  ``workers`` threads fill the
     blocks; the bits do not depend on them.  One worker's blocks fit a
     ``_TILE``, so the build holds about a tile beyond the level.  Threads
     pass the interpreter lock at each numpy call, and on a tile's calls
@@ -255,10 +253,13 @@ def _log_partition(L, phi, t):
 
     Each segment of L (``_LevelArray``) stands for mult words per value, so
     its log-sum-exp, plus log(mult), is its words' share; the segments are
-    folded in order with ``_logaddexp``.  Within a segment each ``_CHUNK``'s
-    log-sum-exp is ``_tiled_logsumexp``'s, bit for bit ``_logsumexp``'s,
-    and the chunks are folded in index order.  The pass holds one tile of
-    floats and one of bools, made once, whatever the level's size.
+    folded in order with ``_logaddexp``.  A segment's log-sum-exp is
+    ``_logsumexp``'s arithmetic streamed one ``_TILE`` at a time: one
+    maximum a_max, the ties (exponents equal to it) zeroed and counted, and
+    each tile's shifted exponentials summed by numpy, the tiles' sums then
+    added exactly rounded (``math.fsum``).  So a segment of one tile has
+    ``_logsumexp``'s bits.  The pass holds one tile of floats and one of
+    bools, made once, whatever the level's size.
 
     With phi None, t > 0 and L a ``_LevelArray``, rounding is monotone, so
     a tile's largest exponent is exactly fl(-t min), its stored minimum
@@ -266,80 +267,42 @@ def _log_partition(L, phi, t):
     """
     minima = iter(L.minima) if phi is None and t > 0 and isinstance(L, _LevelArray) else None
     tile, ties = np.empty(_TILE), np.empty(_TILE, bool)
+
+    def exponents(s):
+        a = np.multiply(L[s], -t, out=tile[:s.stop - s.start])
+        return a if phi is None else np.add(phi[s], a, out=a)
+
     out = None
-    for mult, pieces in _chunks(L):
-        for k, s in enumerate(pieces):
-            tops = [lo * -t for lo in next(minima)] if minima else None
-            part = _tiled_logsumexp(L[s], None if phi is None else phi[s], t, tops, tile, ties)
-            seg = part if k == 0 else _logaddexp(seg, part)
+    for mult, tiles in _tiles(L):
+        if minima:  # tiles first, so zip takes no minimum past the segment's
+            tops = [lo * -t for _, lo in zip(tiles, minima)]
+        else:
+            tops = [exponents(s).max() for s in tiles]
+        a_max = float(np.max(tops))
+        if not math.isfinite(a_max):
+            # a sum of 0, inf or NaN whatever the order, so a plain one:
+            # fsum raises on a finite overflow even beside an inf
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                total = sum(float(np.exp(a, out=a).sum()) for a in map(exponents, tiles))
+                seg = float(np.log(total))
+        else:
+            m, sums = 0, []
+            for s, top in zip(tiles, tops):
+                a = exponents(s)
+                a -= a_max
+                if top == a_max:
+                    tie = np.equal(a, 0.0, out=ties[:len(a)])
+                    m += int(np.count_nonzero(tie))
+                    np.exp(a, out=a)
+                    a[tie] = 0.0
+                else:
+                    np.exp(a, out=a)
+                sums.append(float(a.sum()))
+            seg = float(np.log1p(math.fsum(sums) / m) + np.log(float(m)) + a_max)
         if mult != 1:
             seg += math.log(mult)
         out = seg if out is None else _logaddexp(out, seg)
     return out
-
-
-def _half(n):
-    """Where numpy's pairwise sum splits n > 128 contiguous float64 values:
-    n // 2, rounded down to a multiple of 8 (its unrolling)."""
-    n2 = n // 2
-    return n2 - n2 % 8
-
-
-def _leaves(start, stop):
-    """The pieces [i, j), in order, of numpy's pairwise split of [start,
-    stop) down to pieces no longer than ``_TILE``."""
-    if stop - start <= _TILE:
-        return [(start, stop)]
-    mid = start + _half(stop - start)
-    return _leaves(start, mid) + _leaves(mid, stop)
-
-
-def _fold(sums, n):
-    """numpy's ``sum()`` of n values from ``sums``, an iterator over the
-    ``sum()`` of each of its ``_leaves``: the leaves' sums added as numpy's
-    pairwise split adds them, so the bits are the same."""
-    if n <= _TILE:
-        return next(sums)
-    n2 = _half(n)
-    return _fold(sums, n2) + _fold(sums, n - n2)
-
-
-def _tiled_logsumexp(x, p, t, tops, tile, ties):
-    """``_logsumexp(p - t x)`` (p None: -t x) of 1-D arrays, bit for bit,
-    formed one of x's ``_leaves`` at a time in ``tile`` and ``ties``.
-
-    ``tops`` holds each leaf's largest exponent (None: found here).  Every
-    step but the sum is elementwise, or exact in any order: the maximum
-    a_max, and the ties, the exponents equal to it, which are those whose
-    difference from it is 0 and lie only in leaves whose top is a_max.  The
-    sum of the shifted exponentials, the ties zeroed, is ``_fold``'s.
-    """
-    def exponents(i, j):
-        a = np.multiply(x[i:j], -t, out=tile[:j - i])
-        return a if p is None else np.add(p[i:j], a, out=a)
-
-    n = len(x)
-    leaves = _leaves(0, n)
-    if tops is None:
-        tops = [exponents(i, j).max() for i, j in leaves]
-    a_max = float(np.max(tops))
-    if not math.isfinite(a_max):
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            sums = (float(np.exp(exponents(i, j), out=tile[:j - i]).sum()) for i, j in leaves)
-            return float(np.log(_fold(sums, n)))
-    m, sums = 0, []
-    for (i, j), top in zip(leaves, tops):
-        a = exponents(i, j)
-        a -= a_max
-        if top == a_max:
-            tie = np.equal(a, 0.0, out=ties[:j - i])
-            m += int(np.count_nonzero(tie))
-            np.exp(a, out=a)
-            a[tie] = 0.0
-        else:
-            np.exp(a, out=a)
-        sums.append(float(a.sum()))
-    return float(np.log1p(_fold(iter(sums), n) / m) + np.log(float(m)) + a_max)
 
 
 # ---------------------------------------------------------------------------

@@ -290,12 +290,11 @@ def test_level_arrays_shared_across_potentials():
     assert len(L3_harm) == len(phi3) == 64_000 and L3_harm.segments == ((1, 0, 64_000),)
 
 
-def test_log_partition_streams_chunks():
+def test_log_partition_streams_tiles():
     # one pass over the 8e6 level-3 words, or over the 1,353,400 multiset
     # values, holds one tile of floats and one of bools (plus a few Python
-    # objects), allocated once, and keeps the bits of the per-chunk
-    # _logsumexp(phi - t L) folded by logaddexp within each segment, plus
-    # log(mult), folded over segments
+    # objects), allocated once, and keeps the bits of each segment's
+    # streamed log-sum-exp, plus log(mult), folded over segments
     g = ts.gauss_system()
     L_words, phi = thermo._level_arrays(g, ts.harmonic_potential(), 200, 3, 1)
     L_sets, _ = thermo._level_arrays(g, None, 200, 3, 1)
@@ -303,18 +302,14 @@ def test_log_partition_streams_chunks():
     assert L_sets.segments == ((1, 0, 200), (3, 200, 40_000), (6, 40_000, 1_353_400))
     for L, p in ((L_words, None), (L_words, phi), (L_sets, None)):
         for t in (0.8, 1.0, 1.2):
-            expected = None
-            for mult, start, stop in L.segments:
-                seg = _chunk_fold(L[start:stop], None if p is None else p[start:stop], t)
-                seg = seg + math.log(mult) if mult > 1 else seg
-                expected = seg if expected is None else np.logaddexp(expected, seg)
+            expected = _pass_reference(L, p, t, L.segments)
             tracemalloc.start()
             try:
                 value = thermo._log_partition(L, p, t)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert np.float64(value).tobytes() == np.float64(expected).tobytes()
+            assert _same_bits(value, expected)
             assert peak < 9 * thermo._TILE + 65_536
     thermo._level_sums.cache_clear()  # the all-word L and phi hold 128 MB
 
@@ -409,14 +404,30 @@ def test_level_array_build_holds_one_block_beyond_L():
     assert peak - L.nbytes < 1_000_000
 
 
-def _chunk_fold(L, phi, t):
-    chunk = thermo._CHUNK
-    parts = [_logsumexp(-t * L[i:i + chunk] if phi is None
-                        else phi[i:i + chunk] - t * L[i:i + chunk])
-             for i in range(0, L.size, chunk)]
-    out = parts[0]
-    for part in parts[1:]:
-        out = np.logaddexp(out, part)
+def _segment_reference(L, phi, t):
+    # a pass's log-sum-exp of one segment, unstreamed: _logsumexp's
+    # arithmetic over the whole segment but for the sum of the shifted
+    # exponentials, math.fsum of its tiles' numpy sums
+    a = -t * L if phi is None else phi - t * L
+    a_max = a.max()
+    if not math.isfinite(a_max):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            return float(np.log(np.exp(a).sum()))
+    ismax = a == a_max
+    m = float(np.count_nonzero(ismax))
+    e = np.exp(a - a_max)
+    e[ismax] = 0.0
+    s = math.fsum(e[i:i + thermo._TILE].sum() for i in range(0, e.size, thermo._TILE))
+    return float(np.log1p(s / m) + np.log(m) + a_max)
+
+
+def _pass_reference(L, phi, t, segments):
+    # the segments' log-sum-exps, plus log(mult), folded in order
+    out = None
+    for mult, start, stop in segments:
+        seg = _segment_reference(L[start:stop], None if phi is None else phi[start:stop], t)
+        seg = seg + math.log(mult) if mult > 1 else seg
+        out = seg if out is None else np.logaddexp(out, seg)
     return float(out)
 
 
@@ -424,68 +435,45 @@ def _same_bits(a, b):
     return np.float64(a).tobytes() == np.float64(b).tobytes()
 
 
-def test_tile_fold_is_numpy_sum_bit_for_bit():
-    # a pass sums each chunk one leaf at a time and adds the leaves' sums
-    # as numpy's pairwise sum of the whole chunk would: split at n // 2,
-    # rounded down to a multiple of 8.  A numpy that sums another way fails
-    # here first.  A plain left-to-right fold of the tiles' sums does not
-    # keep the bits
-    tile = thermo._TILE
-    rng = np.random.default_rng(33)
-    plain_differs = 0
-    for n in (1 << 19, 304_824, 100_003, tile - 5):
-        leaves = thermo._leaves(0, n)
-        assert [i for i, _ in leaves[1:]] == [j for _, j in leaves[:-1]]
-        assert leaves[0][0] == 0 and leaves[-1][1] == n
-        assert all(0 < j - i <= tile for i, j in leaves)
-        for _ in range(4):
-            x = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 9, n)
-            sums = [float(x[i:j].sum()) for i, j in leaves]
-            assert _same_bits(thermo._fold(iter(sums), n), x.sum()), n
-            plain = 0.0
-            for i in range(0, n, tile):
-                plain += float(x[i:i + tile].sum())
-            plain_differs += not _same_bits(plain, x.sum())
-    assert plain_differs > 0
-
-
 def test_log_partition_minima_path_bit_identical():
-    # three chunks (the last partial), each with repeated minima and values
-    # one and two ulps above them, whose exponents round to the maximum at
-    # small t: each leaf's stored minimum gives its largest exponent, and
-    # the ties are found in every leaf whose largest exponent is the chunk's
-    chunk = thermo._CHUNK
+    # three segments whose ends are not on tile bounds, each with repeated
+    # minima and values one and two ulps above them, whose exponents round
+    # to the maximum at small t: each tile's stored minimum gives its
+    # largest exponent, the flat minima are read segment by segment, and
+    # the ties are found in every tile whose largest exponent is the
+    # segment's
+    tile = thermo._TILE
     rng = np.random.default_rng(5)
-    L = rng.uniform(2.0, 40.0, 2 * chunk + 1000)
-    lows = ((0, 1.955), (chunk, 1.729), (2 * chunk, 0.99))
-    for start, lo in lows:
-        at = start + rng.choice(min(chunk, L.size - start), 12, replace=False)
+    L = rng.uniform(2.0, 40.0, 32 * tile + 1000)
+    segments = ((1, 0, 16 * tile - 300), (3, 16 * tile - 300, 32 * tile + 77),
+                (6, 32 * tile + 77, L.size))
+    for (_, start, stop), lo in zip(segments, (1.955, 1.729, 0.99)):
+        at = start + rng.choice(stop - start, 12, replace=False)
         L[at[:4]] = lo
         L[at[4:8]] = np.nextafter(lo, np.inf)
         L[at[8:]] = np.nextafter(np.nextafter(lo, np.inf), np.inf)
-    Lm = thermo._with_minima(L.copy())
-    for minima, (start, lo) in zip(Lm.minima, lows):
-        leaves = thermo._leaves(0, min(chunk, L.size - start))
-        assert minima == tuple(float(L[start + i:start + j].min()) for i, j in leaves)
-        assert min(minima) == lo and (minima.count(lo) >= 2 or len(leaves) == 1)
+    Lm = thermo._with_minima(L.copy(), segments)
+    assert Lm.minima == tuple(float(L[i:min(i + tile, stop)].min())
+                              for _, start, stop in segments for i in range(start, stop, tile))
+    for lo in (1.955, 1.729):  # the planted minimum in at least two tiles
+        assert Lm.minima.count(lo) >= 2
     ties = []
     for t in (1e-3, 0.5, 1.0, 7.0):
-        assert _same_bits(thermo._log_partition(Lm, None, t), _chunk_fold(L, None, t))
+        assert _same_bits(thermo._log_partition(Lm, None, t), _pass_reference(L, None, t, segments))
         ties.append([int(np.count_nonzero(a == a.max()))
-                     for a in (-t * L[i:i + chunk] for i in range(0, L.size, chunk))])
-    # values above a minimum round onto the maximum: chunk 0 at t = 1e-3,
-    # chunk 1 at t = 7
+                     for a in (-t * L[start:stop] for _, start, stop in segments)])
+    # values above a minimum round onto the maximum: segment 0 at
+    # t = 1e-3, segment 1 at t = 7
     assert ties[0][0] > 4 and ties[3][1] > 4
 
 
-def test_log_partition_minima_fallbacks_bit_identical():
-    # the maximum found tile by tile (phi given, t <= 0), and the stored
-    # minima where fl(-t min L) is not a normal float, is 0 or is not
-    # finite, or where many values tie, keep the per-chunk _logsumexp bits
-    chunk = thermo._CHUNK
+def _fallback_cases(size):
+    # (L, phi, t) over ``size`` values: the maximum found tile by tile
+    # (phi given, t <= 0), and the stored minima where fl(-t min L) is not
+    # a normal float, is 0 or is not finite, or where many values tie
     rng = np.random.default_rng(6)
-    base = rng.uniform(2.0, 40.0, chunk + 500)
-    phi = rng.uniform(-1.0, 1.0, base.size)
+    base = rng.uniform(2.0, 40.0, size)
+    phi = rng.uniform(-1.0, 1.0, size)
     cases = [(base, phi, 0.8),  # phi given
              (base, None, 0.0), (base, None, -0.5),  # t <= 0
              (base, None, 1e-320), (base, None, 1e308)]  # t min L not normal
@@ -494,16 +482,86 @@ def test_log_partition_minima_fallbacks_bit_identical():
     cases.append((zero, None, 1.0))
     for bad in (-np.inf, np.nan):  # minimum not finite
         L = base.copy()
-        L[chunk + 7] = bad
+        L[size - 7] = bad
         cases.append((L, None, 1.0))
     crowded = base.copy()
-    crowded[:65] = 1.5  # many ties in one leaf
+    crowded[:65] = 1.5  # many ties in one tile
     cases.append((crowded, None, 1.0))
+    return cases
+
+
+def test_log_partition_minima_fallbacks_bit_identical():
+    # over 17 tiles, the fallbacks keep the bits of the unstreamed
+    # segment; so does a +inf exponent beside tiles whose finite sums add
+    # past the largest float (about a quarter of it each), where fsum raises
+    size = 16 * thermo._TILE + 500
+    cases = _fallback_cases(size)
+    huge = 0.8 * cases[0][0] + 698.0
+    huge[5] = np.inf
+    cases.append((cases[0][0], huge, 0.8))
     for L, p, t in cases:
         with np.errstate(over="ignore", invalid="ignore"):
             value = thermo._log_partition(thermo._with_minima(L.copy()), p, t)
-            assert _same_bits(value, _chunk_fold(L, p, t)), (p is None, t)
-    assert thermo._with_minima(crowded.copy()).minima[0][0] == 1.5
+            assert _same_bits(value, _segment_reference(L, p, t)), (p is None, t)
+    assert value == math.inf  # the last case
+    assert thermo._with_minima(cases[-2][0].copy()).minima[0] == 1.5
+
+
+def test_log_partition_of_one_tile_is_logsumexp_bit_for_bit():
+    # a level of one segment of at most a tile is one _logsumexp, bit for
+    # bit, on every path: the minima shortcut, phi given, t <= 0, and the
+    # fallbacks of a non-finite or crowded minimum.  So every golden at a
+    # small q keeps its bits
+    g = ts.gauss_system()
+    harm = ts.harmonic_potential()
+    cases = []
+    for q in (100, 181):  # 10,000 and 32,761 words
+        L, phi = thermo._level_arrays(g, harm, q, 2, 1)
+        assert isinstance(L, thermo._LevelArray) and L.segments == ((1, 0, q * q),)
+        cases += [(L, None, t) for t in (0.6, 1.0, 1.6)] + [(L, phi, 1.0), (L, None, -0.5)]
+    for size in (100, 10_000, thermo._TILE):
+        cases += [(thermo._with_minima(L.copy()), p, t)
+                  for L, p, t in _fallback_cases(size)]
+    for L, p, t in cases:
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = _logsumexp(-t * L if p is None else p - t * L)
+            assert _same_bits(thermo._log_partition(L, p, t), expected), (len(L), p is None, t)
+
+
+def _exact_log_partition(L, t):
+    # log Z_n of a level from the max-shifted float exponentials e in
+    # (0, 1], exactly: each segment's e split into columns of 30-bit
+    # digits, whose sums are exact in floats (whole numbers below 2^53),
+    # taken mult times and added with the log and the shift at 256 bits.
+    # Only the digits past 2^-120 are summed inexactly, below 1e-29 of Z
+    a_max = max(float((-t * L[start:stop]).max()) for _, start, stop in L.segments)
+    columns = []
+    for mult, start, stop in L.segments:
+        e = np.exp(-t * L[start:stop] - a_max)
+        for k in range(1, 5):
+            e *= 2.0 ** 30
+            digits = np.floor(e)
+            e -= digits
+            columns += [float(digits.sum()) * 2.0 ** (-30 * k)] * mult
+        columns += [float(e.sum()) * 2.0 ** -120] * mult
+    with mpmath.workprec(256):
+        return float(mpmath.log(mpmath.fsum(columns)) + a_max)
+
+
+def test_log_partition_accuracy_on_segments_past_a_tile():
+    # every level here has a segment longer than a tile.  A pass is within
+    # 1e-15 max(1, |log Z|) of the exactly summed log Z: the relative
+    # error of log Z, or of Z itself where |log Z| < 1 (near the root)
+    g = ts.gauss_system()
+    worst = 0.0
+    for q, n in ((200, 2), (200, 3), (60, 3), (40, 4)):
+        L, _ = thermo._level_arrays(g, None, q, n, 1)
+        assert max(stop - start for _, start, stop in L.segments) > thermo._TILE
+        for t in np.linspace(0.6, 1.6, 11).tolist():
+            exact = _exact_log_partition(L, t)
+            error = abs(thermo._log_partition(L, None, t) - exact) / max(1.0, abs(exact))
+            worst = max(worst, error)
+    assert worst <= 1e-15, worst
 
 
 def test_level_partitions_within_their_a_priori_range():
