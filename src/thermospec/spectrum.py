@@ -46,6 +46,7 @@ from .thermo import (
     _f_alpha,
     _level1_head,
     _root,
+    _series_groups,
     _t_floor,
     pressure_root,
 )
@@ -277,25 +278,112 @@ def _repeller_root(system: BranchSystem):
         return None
 
 
+@functools.lru_cache(maxsize=16)
+def _two_values(system: BranchSystem, potential: Potential):
+    """(u, v, iu, iv) for a level-1 potential that takes exactly two values
+    u < v on the terms of the tilted series, else None.
+
+    The values are the head values of ``_level1_head`` and, on a system
+    with a tail, its ``tail_bounds``, which must be one value; iu and iv
+    index the terms of each value in ``_series_groups``, the tail term
+    last: lists on the short list form of the series, arrays on the long
+    one.  Every indicator qualifies, and so does harmonic on a two-branch
+    system.
+    """
+    H, _, _, term_vals, _ = _level1_head(system, potential)
+    if system.tail is not None:
+        p_lo, p_hi = potential.tail_bounds(system, H)
+        if p_lo != p_hi:
+            return None
+    u, v = float(term_vals.min()), float(term_vals.max())
+    is_u, is_v = term_vals == u, term_vals == v
+    if u == v or np.count_nonzero(is_u) + np.count_nonzero(is_v) < len(term_vals):
+        return None
+    iu, iv = np.flatnonzero(is_u), np.flatnonzero(is_v)
+    if len(term_vals) <= 7:
+        iu, iv = iu.tolist(), iv.tolist()
+    return u, v, iu, iv
+
+
+def _nested_row(system, potential, alpha, bounds):
+    """t -> (q, g, (f_lo, f, f_hi, alpha)) by a tilt solve at each t.
+
+    ``_solve_qhat`` finds the tilt q with f_q(t, q) = alpha, and g is
+    f(t, q) - q alpha from the solver's own evaluation.  Each solve starts
+    from the tilt of the one before, in a bracket of half width twice the
+    last change of tilt, clipped to [1e-9, 1].
+    """
+    q_last, h = 0.0, 1.0
+
+    def row(t):
+        nonlocal q_last, h
+        q, vals = _solve_qhat(system, potential, t, alpha, bounds, q_last, h)
+        h, q_last = min(1.0, max(2.0 * abs(q - q_last), 1e-9)), q
+        return q, vals[1] - q * alpha, vals
+
+    return row
+
+
+def _closed_row(system, potential, alpha, pair):
+    """t -> (q, g, None) in closed form for a potential with two values.
+
+    With S_u and S_v the sums of the series' weights over the terms of
+    each value u < v at t, f(t, q) = log(e^{qu} S_u + e^{qv} S_v), and the
+    level alpha is the tilted mean where the v terms carry the share
+    p = (alpha - u)/(v - u) of the weight.  So the tilt is
+    q = (log(p/(1 - p)) + log S_u - log S_v)/(v - u), and
+    g(t) = f - q alpha = p log S_v + (1 - p) log S_u + H(p), H the binary
+    entropy: two log-sums per t and no series evaluation.  g is formed
+    from the smaller share s of p and 1 - p, as
+    log S_major + s (log S_minor - log S_major) - s log s - (1 - s) log1p(-s):
+    s = alpha - u or v - alpha is exact for an indicator, and the share
+    that rounds, 1 - s, only scales a logarithm of magnitude below log 2.
+    """
+    u, v, iu, iv = pair
+    p = (alpha - u) / (v - u)
+    minor_v = p <= 0.5
+    s = p if minor_v else (v - alpha) / (v - u)
+    s_log_s, rest_log_rest = s * math.log(s), (1.0 - s) * math.log1p(-s)
+    odds = _log_odds(alpha, u, v)
+
+    def row(t):
+        logS = _series_groups(system, potential, t)[2]
+        if isinstance(logS, list):
+            log_u = _logsumexp([logS[i] for i in iu])
+            log_v = _logsumexp([logS[i] for i in iv])
+        else:
+            log_u, log_v = _logsumexp(logS[iu]), _logsumexp(logS[iv])
+        q = (odds + (log_u - log_v)) / (v - u)
+        major, minor = (log_u, log_v) if minor_v else (log_v, log_u)
+        return q, major + s * (minor - major) - s_log_s - rest_log_rest, None
+
+    return row
+
+
 def legendre_solve(system: BranchSystem, potential: Potential, alpha: float, *,
                    t_max: float = 1.0) -> SpectrumPoint:
     """Dimension of the level set where the average of phi equals alpha.
 
-    Interior alphas go through the nested stationarity solve: an inner
-    root solve finds the tilt q with f_q(t, q) = alpha, an outer one finds
-    the root of the decreasing g(t) = f(t, q(t)) - q(t) alpha, and the
-    dimension is max(s_inf, t).  When the certified lower end of g at the
-    floor is <= 0, g has no root above the floor: the regime is flat and
-    the dimension is s_inf.  Otherwise the outer solve starts from
-    [floor, min(t_max, t+)], t+ the upper end of the certified pressure
-    root, as no level set is larger than the repeller (from [floor, t_max]
-    where ``pressure_root`` finds no root); ``t_max`` is the limit it may
-    widen to, and a row whose g is still positive there, beyond rounding,
-    raises ``BracketError``.  Range endpoints reduce to
-    the matching digit subsystem when attained and to the floor otherwise;
-    alphas outside the closed range, infinite ones included, are empty.  A
-    NaN alpha, and a ``t_max`` that is not finite and above the floor,
-    raise ``ModelError``.
+    An interior alpha is the root of the decreasing
+    g(t) = min_q [f(t, q) - q alpha] = f(t, q(t)) - q(t) alpha, q(t) the
+    tilt with f_q(t, q) = alpha, and the dimension is max(s_inf, t).  For a
+    potential that takes two values u < v on the series' terms (every
+    indicator; harmonic on a two-branch system) q(t) and g(t) are closed
+    forms in the log-sums of the two value groups, and g is the
+    conditional variational principle's tilt-free function; any other
+    potential gets q(t) from a nested root solve at each t.  When the
+    certified lower end of f - q alpha at the floor is <= 0, g has no root
+    above the floor: the regime is flat and the dimension is s_inf.
+    Otherwise the outer solve starts from [floor, min(t_max, t+)], t+ the
+    upper end of the certified pressure root, as no level set is larger
+    than the repeller (from [floor, t_max] where ``pressure_root`` finds no
+    root); ``t_max`` is the limit it may widen to, and a row whose g is
+    still positive there, beyond rounding, raises ``BracketError``.  The
+    residuals come from one series evaluation at the solution.  Range
+    endpoints reduce to the matching digit subsystem when attained and to
+    the floor otherwise; alphas outside the closed range, infinite ones
+    included, are empty.  A NaN alpha, and a ``t_max`` that is not finite
+    and above the floor, raise ``ModelError``.
     """
     _require_level1(potential)
     _require_level(alpha)
@@ -324,35 +412,28 @@ def legendre_solve(system: BranchSystem, potential: Potential, alpha: float, *,
         raise UnsupportedPotentialError(
             "interior spectrum rows require an all-linear system")
 
-    # one q-solve per distinct t: the root solver evaluates minus_g again at
-    # the floor, and the solution below is a point it has evaluated.  Each
-    # solve starts from the tilt of the one before, in a bracket of half
-    # width twice the last change of tilt, clipped to [1e-9, 1]
-    q_last, h = 0.0, 1.0
+    # one row per distinct t: the root solver evaluates g again at the
+    # floor, and the solution below is a point it has evaluated
+    pair = _two_values(system, potential)
+    row = functools.cache(_nested_row(system, potential, alpha, (lo, hi)) if pair is None
+                          else _closed_row(system, potential, alpha, pair))
 
-    @functools.cache
-    def solve(t):
-        nonlocal q_last, h
-        q, vals = _solve_qhat(system, potential, t, alpha, (lo, hi), q_last, h)
-        h, q_last = min(1.0, max(2.0 * abs(q - q_last), 1e-9)), q
-        return q, vals
+    def series_at(t):
+        q, _, vals = row(t)
+        return q, vals or _f_alpha(system, potential, t, q)
 
-    q, (f_lo, _, _, _) = solve(floor)
+    q, (f_lo, _, _, _) = series_at(floor)
     if f_lo - q * alpha <= 0.0:
         return SpectrumPoint(alpha=alpha, dim=s_inf, t=s_inf, q=None,
                              residuals=None, regime="flat-floor", s_inf=s_inf)
-
-    def minus_g(t):
-        q, (_, f, _, _) = solve(t)
-        return q * alpha - f
 
     # without a t+ above the floor (no root, or one that rounds onto it)
     # the search starts from t_max, as the bracket would never open
     root = _repeller_root(system)
     t_plus = math.inf if root is None else root.interval[1]
     top = min(t_max, t_plus) if t_plus > floor else t_max
-    t_sol, t_lo, t_hi = _root(minus_g, floor, top, (floor, t_max))
-    q_sol, (_, f, _, a) = solve(t_sol)
+    t_sol, t_lo, t_hi = _root(lambda t: -row(t)[1], floor, top, (floor, t_max))
+    q_sol, (_, f, _, a) = series_at(t_sol)
     g = f - q_sol * alpha
     # the widening stopped at t_max: a root there holds g to rounding
     if t_lo == t_hi == t_max and g > 4.0 * _EPS * max(1.0, abs(f), abs(q_sol * alpha)):
@@ -529,10 +610,11 @@ def spectrum_curve(system: BranchSystem, potential: Potential,
     Per-point failures become rows with regime "error" rather than
     aborting the curve.  For all-linear systems three annotated transition
     rows are inserted: the tilted mean alpha_tilde at the pressure root
-    (the curve maximum), and for the two-block family the flat window
-    edges, pinned to the flat-floor regime per the closed-interval flat
-    statement.  The same values are repeated in the ``transitions``
-    mapping.
+    (the curve maximum), and for the two-block family with the
+    first-branch indicator the flat window edges, pinned to the flat-floor
+    regime per the closed-interval flat statement; any other potential on
+    that family gets the reason in ``transitions["flat_note"]`` and no edge
+    rows.  The same values are repeated in the ``transitions`` mapping.
     """
     rows: list[SpectrumPoint] = []
     for alpha in (float(a) for a in alphas):
@@ -569,7 +651,7 @@ def spectrum_curve(system: BranchSystem, potential: Potential,
             transitions["note"] = f"transition data unavailable: {exc}"
         if system.flat is not None:
             try:
-                fb = flat_bounds(system)
+                fb = flat_bounds(system, potential)
                 transitions.update(alpha_lower=fb.alpha_lower,
                                    alpha_upper=fb.alpha_upper,
                                    q_minus=fb.q_minus, q_plus=fb.q_plus)

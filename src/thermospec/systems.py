@@ -1051,6 +1051,10 @@ class TablePotential(Potential):
                 return v
         raise ModelError("table potential lacks values for some windows")
 
+    def tail_bounds(self, system, after):
+        # a finite table lists no digit of an infinite tail
+        raise ModelError("table potential lacks values for some windows")
+
     def birkhoff_sums(self, system, cols, out=None):
         """Sum over cyclic windows, each found one symbol at a time by its rank
         among the keys' distinct prefixes: memory grows with the table only."""

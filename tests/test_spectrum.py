@@ -311,13 +311,23 @@ def test_flat_chi1_row_holds_no_long_series_arrays():
     assert peak < 1_000_000
 
 
-@pytest.mark.parametrize("model, alpha, max_t, max_calls", [
-    ("flat", 0.3, 12, 50), ("flat", 0.5, 12, 50), ("doubling", 0.3, 8, 24)])
-def test_legendre_row_evaluation_count(monkeypatch, chi1, model, alpha, max_t, max_calls):
-    # counts tilted-series work per row rather than timing it: one fresh
-    # series build per distinct t, one _f_alpha call per root-solver step
-    system = ts.flat_example_system() if model == "flat" else ts.doubling_system()
+@pytest.mark.parametrize("model, potential, alpha, max_t, max_calls, max_builds", [
+    ("flat", "chi1", 0.3, 2, 2, 6), ("flat", "chi1", 0.5, 2, 2, 6),
+    ("doubling", "chi1", 0.3, 2, 2, 6), ("three", "harmonic", 0.6, 12, 50, 12)])
+def test_legendre_row_evaluation_count(monkeypatch, model, potential, alpha,
+                                       max_t, max_calls, max_builds):
+    # counts tilted-series work per row rather than timing it, after a
+    # warm-up row at 0.4 has built the series every row shares.  A
+    # two-valued potential's row evaluates the series at the floor and at
+    # the solution only; a three-valued one makes one _f_alpha call per
+    # step of the tilt solve at each t
+    system = {"flat": ts.flat_example_system, "doubling": ts.doubling_system,
+              "three": lambda: ts.linear_system([0.5, 0.25, 0.125])}[model]()
+    phi = ts.indicator_potential(1) if potential == "chi1" else ts.harmonic_potential()
+    assert (spectrum._two_values(system, phi) is None) == (potential == "harmonic")
     thermo._series_groups.cache_clear()
+    ts.legendre_solve(system, phi, 0.4)
+    builds = thermo._series_groups.cache_info().misses
     seen = []
     real = spectrum._f_alpha
 
@@ -326,10 +336,11 @@ def test_legendre_row_evaluation_count(monkeypatch, chi1, model, alpha, max_t, m
         return real(system, potential, t, qhat, var)
 
     monkeypatch.setattr(spectrum, "_f_alpha", counting)
-    pt = ts.legendre_solve(system, chi1, alpha)
+    pt = ts.legendre_solve(system, phi, alpha)
     assert pt.regime == "legendre"
     assert len(set(seen)) <= max_t
     assert len(seen) <= max_calls
+    assert thermo._series_groups.cache_info().misses - builds <= max_builds
 
 
 def test_solve_qhat_evaluates_each_tilt_once(monkeypatch, chi1):
@@ -528,9 +539,8 @@ def test_legendre_rows_lie_in_the_pressure_root_bracket(chi1):
 
 
 def test_legendre_doubling_rows_keep_their_bits(chi1):
-    # criterion 3's 21 rows: t+ = 1 = t_max on the doubling map, so the
-    # outer solve starts from the same bracket as before t+ bounded it; dim,
-    # t, q and both residuals keep the bits recorded before that change
+    # criterion 3's 21 rows from the closed-form tilt of a two-valued
+    # potential: dim, t, q and both residuals keep the recorded bits
     golden = json.loads((Path(__file__).parent / "golden" / "doubling_legendre_hexes.json").read_text())
     assert [row["alpha"] for row in golden] == np.linspace(0.05, 0.95, 21).tolist()
     for row in golden:
@@ -597,3 +607,98 @@ def test_rows_of_a_system_without_a_pressure_root_below_1(chi1):
     curve = ts.spectrum_curve(system, chi1, [0.3, 0.7])
     assert [p.regime for p in curve.points] == ["legendre", "legendre"]
     assert "does not straddle 0" in curve.transitions["note"]
+
+
+def _reference_cases():
+    # every named system and 20 seeded finite linear ones; chi3 only where
+    # it is not the zero potential, harmonic where it has two values
+    for name, system in _BRACKET_SYSTEMS + _seeded_linear_systems(20, 3030):
+        infinite = system.tail is not None
+        potentials = [ts.indicator_potential(k) for k in (1, 2, 3) if k < 3 or infinite]
+        if system.branch_count() == 2:
+            potentials.append(ts.harmonic_potential())
+        for phi in potentials:
+            yield name, system, phi
+
+
+def test_closed_form_rows_match_the_nested_solve(monkeypatch):
+    # the nested tilt solve is the reference for the closed form: the same
+    # regime at 9 levels, and dims that differ by less than the outer
+    # solve's closing width 1e-15 + 4 eps t, as both come from one _root
+    # on g's that agree to rounding; on the named systems within 2 ulps
+    rows = []
+    for name, system, phi in _reference_cases():
+        assert spectrum._two_values(system, phi) is not None, (name, phi)
+        for alpha in np.linspace(0.1, 0.9, 9).tolist():
+            rows.append((name, system, phi, alpha, ts.legendre_solve(system, phi, alpha)))
+    monkeypatch.setattr(spectrum, "_two_values", lambda system, potential: None)
+    legendre = 0
+    for name, system, phi, alpha, closed in rows:
+        nested = ts.legendre_solve(system, phi, alpha)
+        key = (name, phi, alpha)
+        assert closed.regime == nested.regime, key
+        if closed.regime != "legendre":
+            assert closed.dim == nested.dim, key
+            continue
+        legendre += 1
+        gap = abs(closed.dim - nested.dim)
+        assert gap <= 1e-15 + 4.0 * np.finfo(float).eps * closed.dim, key
+        if not name.startswith("seeded"):
+            assert gap <= 2.0 * np.spacing(closed.dim), key
+    assert legendre >= 400
+
+
+def test_closed_form_rows_on_the_doubling_map_and_invsq(chi1):
+    # the doubling map's level sets have dimension H(alpha)/log 2 at the
+    # tilt log(alpha/(1 - alpha)), which is 0.0 at alpha = 1/2
+    sys2 = ts.doubling_system()
+    for alpha in np.linspace(0.05, 0.95, 21).tolist() + [0.25, 0.75]:
+        pt = ts.legendre_solve(sys2, chi1, alpha)
+        a = mpmath.mpf(alpha)
+        with mpmath.workdps(40):
+            exact = -(a * mpmath.log(a) + (1 - a) * mpmath.log(1 - a)) / mpmath.log(2)
+        assert abs(pt.dim - exact) <= 3.4e-16, alpha
+    assert ts.legendre_solve(sys2, chi1, 0.5).q == 0.0
+    pt = ts.legendre_solve(ts.powerlog_system([], c=0.5, a=2.0), chi1, 0.5)
+    assert abs(pt.dim - 0.9027917639363893) <= 2.0 * np.spacing(0.9027917639363893)
+
+
+def test_three_valued_rows_keep_their_bits():
+    # harmonic on three branches takes the nested tilt solve
+    system, harm = ts.linear_system([0.5, 0.25, 0.125]), ts.harmonic_potential()
+    assert spectrum._two_values(system, harm) is None
+    for alpha, dim in ((0.45, "0x1.0f191e23925d9p-1"), (0.6, "0x1.922c47901085bp-1"),
+                       (0.8, "0x1.b87f75c23cc2dp-1")):
+        assert ts.legendre_solve(system, harm, alpha).dim.hex() == dim, alpha
+
+
+@pytest.mark.parametrize("potential", ["chi2", "harmonic"])
+def test_spectrum_curve_flat_edges_only_for_chi1(flat, potential):
+    # chi1's window edges were rows of every potential's curve, as
+    # flat-floor rows of dim 1/2, though chi2 solves there as a legendre row
+    phi = ts.indicator_potential(2) if potential == "chi2" else ts.harmonic_potential()
+    curve = ts.spectrum_curve(flat, phi, [ALPHA_LOWER, 0.4])
+    tr = curve.transitions
+    assert "flat_note" in tr
+    assert not {"alpha_lower", "alpha_upper", "q_minus", "q_plus"} & set(tr)
+    assert not any("flat window edge" in p.note for p in curve.points)
+    row = next(p for p in curve.points if p.alpha == ALPHA_LOWER)
+    assert row == ts.legendre_solve(flat, phi, ALPHA_LOWER)
+    if potential == "chi2":
+        assert row.regime == "legendre" and row.dim > 0.52
+
+
+@pytest.mark.parametrize("values", [{(1,): 1.0}, {(1,): 1.0, (2,): 0.0}])
+def test_table_potential_has_no_tail_values(flat, values):
+    # a finite table lists no digit of an infinite tail; {1: 1} gave its
+    # tail the table's one value: an "endpoint" row of the whole repeller's
+    # dimension at 1, an "empty" row and a witness at 0.3
+    phi = ts.table_potential(1, values)
+    for call in (lambda: ts.legendre_solve(flat, phi, 1.0),
+                 lambda: ts.legendre_solve(flat, phi, 0.3),
+                 lambda: ts.flat_certificate(flat, phi, 0.3)):
+        with pytest.raises(ts.ModelError, match="lacks values"):
+            call()
+    # on a finite system the table lists every digit
+    two, table = ts.linear_system([0.5, 0.25]), ts.table_potential(1, {(1,): 1.0, (2,): 0.0})
+    assert ts.legendre_solve(two, table, 0.4).regime == "legendre"
