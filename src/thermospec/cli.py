@@ -7,7 +7,8 @@ significant digits so identical configurations produce byte-identical
 output.
 
 Exit codes: 0 success, 1 failing verification suite, 2 configuration or
-parse errors, 3 numeric failures (with partial results where available).
+parse errors, 3 numeric failures (with partial results where available),
+also a spectrum whose every row is an error row.
 """
 
 from __future__ import annotations
@@ -248,13 +249,15 @@ def _cmd_spectrum(args):
         raise _ConfigError("--points must be >= 1")
     grid = np.linspace(args.alpha_min, args.alpha_max, args.points)
     curve = spectrum_curve(system, potential, grid)
+    # every row an error row is a numeric failure, still printed in full
+    code = 3 if all(pt.regime == "error" for pt in curve.points) else 0
     if args.format == "csv":
-        return _curve_csv(curve), 0
+        return _curve_csv(curve), code
     # built by hand: each point's residual pair is split into the resid1 and
     # resid2 columns of the CSV form
     return _envelope(args, lambda: {
         "points": [_point_dict(pt) for pt in curve.points],
-        "transitions": curve.transitions})
+        "transitions": curve.transitions})[0], code
 
 
 def _cmd_flat_bounds(args):

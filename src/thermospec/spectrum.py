@@ -146,7 +146,8 @@ def _require_level(alpha) -> None:
         raise ModelError("the level alpha is NaN")
 
 
-def _value_range(system, potential):
+@functools.lru_cache(maxsize=16)
+def _value_range(system: BranchSystem, potential: Potential):
     """(inf, sup, inf attained, sup attained) of a level-1 potential.
 
     Attainment over the tail follows ``tail_inf_attained``: indicator and
@@ -290,7 +291,7 @@ def _two_values(system: BranchSystem, potential: Potential):
     one.  Every indicator qualifies, and so does harmonic on a two-branch
     system.
     """
-    H, _, _, term_vals, _ = _level1_head(system, potential)
+    H, _, _, term_vals = _level1_head(system, potential)[:4]
     if system.tail is not None:
         p_lo, p_hi = potential.tail_bounds(system, H)
         if p_lo != p_hi:
@@ -346,13 +347,14 @@ def _closed_row(system, potential, alpha, pair):
     s_log_s, rest_log_rest = s * math.log(s), (1.0 - s) * math.log1p(-s)
     odds = _log_odds(alpha, u, v)
 
+    def log_sum(logS, idx):
+        if len(idx) == 1:  # one term x, for which _logsumexp gives x + 0.0
+            return float(logS[idx[0]]) + 0.0
+        return _logsumexp([logS[i] for i in idx] if isinstance(logS, list) else logS[idx])
+
     def row(t):
         logS = _series_groups(system, potential, t)[2]
-        if isinstance(logS, list):
-            log_u = _logsumexp([logS[i] for i in iu])
-            log_v = _logsumexp([logS[i] for i in iv])
-        else:
-            log_u, log_v = _logsumexp(logS[iu]), _logsumexp(logS[iv])
+        log_u, log_v = log_sum(logS, iu), log_sum(logS, iv)
         q = (odds + (log_u - log_v)) / (v - u)
         major, minor = (log_u, log_v) if minor_v else (log_v, log_u)
         return q, major + s * (minor - major) - s_log_s - rest_log_rest, None

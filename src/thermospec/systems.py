@@ -11,6 +11,7 @@ diam(I_n) = 1/(n(n+1)); only this module tells the two families apart.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
@@ -103,7 +104,7 @@ class Tail:
         if not self.converges(s):
             return math.inf, math.inf
         M = first + _EM_HEAD
-        head = float(np.sum(self.terms(_tail_base(self, first, M), s)))
+        head = float(self.terms(_tail_base(self, first, M), s).sum())
         F, taylor, integral, allowance = self._em_terms(s, M)
         em2 = F * (integral + taylor[0] / 2.0 - taylor[1] / 12.0 + taylor[3] / 120.0)
         em3 = em2 - F * taylor[5] / 252.0
@@ -150,25 +151,25 @@ class PowerLogTail(Tail):
 
     def _em_terms(self, s: float, M: int) -> tuple:
         # f(x) = c^s x^(-p) log(x + b)^(-r), with p = a s and r = d s
+        x, xb, L, log1p_bx, dM, u, (an, ad), (dn, dd) = _powerlog_fixed(self, M)
         p, r = self.a * s, self.d * s
-        x, xb = float(M), M + self.b
-        L = math.log(xb)
-        f0 = self.diameter(M) ** s  # f(M), rounded as the head terms are
+        f0 = dM ** s  # f(M), rounded as the head terms are
         # int_M^inf f = f(M) L xb (x/xb)^p sum_k c_k: factoring f(M) out keeps
         # the rounding of p = a s out of x^(-p).  p - 1 is rounded once,
         # because near p = 1 the integral grows like 1/(p - 1)
-        num, den = _exact_product(self.a, s)
+        sn, sd = s.as_integer_ratio()
+        num, den = an * sn, ad * sd
         lam = (num - den) / den
-        scale = L * xb * math.exp(-p * math.log1p(self.b / x))
-        integral = scale * _powerlog_integral(lam, _exact_product(self.d, s), self.b, L, xb)
-        taylor, allowance = _powerlog_taylor(p, r, x, xb, L), 12.0 + s * (4.0 + self.d)
+        scale = L * xb * math.exp(-p * log1p_bx)
+        integral = scale * _powerlog_integral(lam, (dn * sn, dd * sd), self.b, L, xb)
+        taylor, allowance = _powerlog_taylor(p, r, x, xb, L, u), 12.0 + s * (4.0 + self.d)
         if f0 >= _NORMAL:
             return f0, taylor, integral, allowance
         # f(M) is subnormal while the sum need not be: scale by M f(M) =
         # c^s M^-lam log(M + b)^-r, from logs, and widen by their rounding
-        logs = (s * math.log(self.c), -lam * math.log(x), -r * math.log(L))
-        return (math.exp(math.fsum(logs)), [t / x for t in taylor], integral / x,
-                allowance + 4.0 + 2.0 * sum(abs(v) for v in logs))
+        l0, l1, l2 = s * math.log(self.c), -lam * math.log(x), -r * math.log(L)
+        return (math.exp(math.fsum((l0, l1, l2))), [t / x for t in taylor], integral / x,
+                allowance + 4.0 + 2.0 * (abs(l0) + abs(l1) + abs(l2)))
 
     def terms_to_exceed_log10(self, s: float, bound: float, first: int) -> float:
         """log10 of K + 1, at least the count of terms m = first..K, where
@@ -237,7 +238,7 @@ class GaussTail(Tail):
         x = float(M)
         g = (x + 1.0) ** (-s)
         A, B = _binomial_taylor(s, x), _binomial_taylor(s, x + 1.0)
-        taylor = [g * sum(A[k] * B[n - k] for k in range(n + 1)) for n in range(6)]
+        taylor = [g * c for c in _convolve(A, B)]
         Y = x + 0.5
         z = 1.0 / (4.0 * Y * Y)
         total, coef = 0.0, 1.0
@@ -280,6 +281,15 @@ class BranchSystem:
     xi: float = 2.0
     offset: int = 0
     flat: FlatParams | None = None
+
+    def __hash__(self) -> int:  # the fields' hash, kept: caches look it up per call
+        if "_hash" not in self.__dict__:
+            object.__setattr__(self, "_hash", hash(
+                (self.head, self.tail, self.xi, self.offset, self.flat)))
+        return self.__dict__["_hash"]
+
+    def __getstate__(self):  # a pickle carries no hash: hash(None) differs between processes
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
     def digit(self, i: int) -> int:
         """Physical branch label for logical index i."""
@@ -507,7 +517,7 @@ def hurwitz_zeta(x: float, q: float) -> float:
 
 
 _EULER = 0.57721566490153286061
-_ZETA_M1 = tuple(hurwitz_zeta(float(k), 2.0) for k in range(2, 64))  # zeta(k) - 1
+_ZETA_M1 = tuple((hurwitz_zeta(k, 2.0), k) for k in map(float, range(2, 64)))  # (zeta(k) - 1, k)
 
 
 def _lgamma1p_over(x: float) -> float:
@@ -519,9 +529,9 @@ def _lgamma1p_over(x: float) -> float:
     x is.
     """
     out = (-math.log1p(x) / x if x else -1.0) + 1.0 - _EULER
-    xk = -1.0
-    for k, z in enumerate(_ZETA_M1, start=2):
-        xk *= -x
+    xk, nx = -1.0, -x
+    for z, k in _ZETA_M1:
+        xk *= nx
         term = z * xk / k
         out += term
         if abs(term) <= _ROUND * abs(out):
@@ -576,9 +586,10 @@ def _expint_scaled(r: tuple[int, int], z: float) -> float:
         return 1.0 / ((num - den) / den) if num > den else math.inf
     rf = num / den
     if z >= 0.5:
-        t = z
-        for k in range(int(3.0 + 60.0 / math.sqrt(z) + 60.0 / z), -1, -1):
-            t = z + (rf + k) / (1.0 + (k + 1) / t)
+        t, k = z, float(int(3.0 + 60.0 / math.sqrt(z) + 60.0 / z))
+        while k >= 0.0:
+            t = z + (rf + k) / (1.0 + (k + 1.0) / t)
+            k -= 1.0
         return 1.0 / t
     m = max(0, round(rf - 1.0))
     delta = ((1 + m) * den - num) / den
@@ -591,15 +602,15 @@ def _expint_scaled(r: tuple[int, int], z: float) -> float:
     else:  # e^E far from 1: z^-delta straight from pow, not from exp(E)
         g = (z ** -delta * math.exp(delta * c_over) - 1.0) / delta
     out = (-z) ** m / math.factorial(m) * g
-    term, k = 1.0, 0
+    term, k, one_r, nz, mf = 1.0, 0.0, 1.0 - rf, -z, float(m)
     while True:
-        if k != m:
-            part = term / (1.0 - rf + k)
+        if k != mf:
+            part = term / (one_r + k)
             out -= part
-            if k > m and abs(part) <= _ROUND * abs(out):
+            if k > mf and abs(part) <= _ROUND * abs(out):
                 return out * math.exp(z)
-        k += 1
-        term *= -z / k
+        k += 1.0
+        term *= nz / k
 
 
 def _powerlog_integral(lam: float, r: tuple[int, int], b: float, L: float,
@@ -630,24 +641,51 @@ def _binomial_taylor(p: float, x: float) -> list:
     return A
 
 
-def _powerlog_taylor(p: float, r: float, x: float, xb: float, L: float) -> list:
+def _convolve(A: list, B: list) -> list:
+    """sum_{k <= n} A_k B_(n-k) for each n < len(A), added from 0.0 left to
+    right as builtin ``sum()`` did before Python 3.12 compensated it."""
+    out = [0.0] * len(A)
+    for k, a in enumerate(A):  # each out[n] takes its terms in the order of k
+        for n in range(k, len(A)):
+            out[n] += a * B[n - k]
+    return out
+
+
+def _log_taylor(xb: float, L: float) -> list:
+    """Taylor coefficients u_0..u_5 of log(1 + h/xb)/L in h (u_0 = 0)."""
+    u = [0.0, 1.0 / (xb * L)]
+    for n in range(2, 6):
+        u.append(-u[-1] * (n - 1) / (n * xb))
+    return u
+
+
+def _powerlog_taylor(p: float, r: float, x: float, xb: float, L: float,
+                     u: Sequence[float] | None = None) -> list:
     """Taylor coefficients c_0..c_5 of f(x + h)/f(x) in h, where
     f(x) = x^(-p) log(x + b)^(-r), xb = x + b and L = log xb.
 
     x^(-p) expands binomially; log(xb + h) = L (1 + u(h)) with
-    u = log(1 + h/xb)/L, and (1 + u)^(-r) follows J. C. P. Miller's power
-    recurrence w_n = sum_{k=1..n} ((1 - r) k - n) u_k w_(n-k) / n.
+    u = log(1 + h/xb)/L (``_log_taylor``, or ``u`` where the caller holds
+    it), and (1 + u)^(-r) follows J. C. P. Miller's power recurrence
+    w_n = sum_{k=1..n} ((1 - r) k - n) u_k w_(n-k) / n.
     """
-    u, W = [0.0, 1.0 / (xb * L)], [1.0]
+    u, W = u or _log_taylor(xb, L), [1.0]
     for n in range(1, 6):
-        if n > 1:
-            u.append(-u[-1] * (n - 1) / (n * xb))
         w = 0.0
         for k in range(1, n + 1):
             w += ((1.0 - r) * k - n) * u[k] * W[n - k]
         W.append(w / n)
-    A = _binomial_taylor(p, x)
-    return [sum(A[k] * W[n - k] for k in range(n + 1)) for n in range(6)]
+    return _convolve(_binomial_taylor(p, x), W)
+
+
+@functools.lru_cache(maxsize=8)
+def _powerlog_fixed(tail: PowerLogTail, M: int) -> tuple:
+    """The s-free inputs of ``PowerLogTail._em_terms`` at M: x = M, xb = M + b,
+    L = log xb, log1p(b/x), diam(I_M), u of ``_log_taylor``, a and d as ratios."""
+    x, xb = float(M), M + tail.b
+    L = math.log(xb)
+    return (x, xb, L, math.log1p(tail.b / x), tail.diameter(M), tuple(_log_taylor(xb, L)),
+            tail.a.as_integer_ratio(), tail.d.as_integer_ratio())
 
 
 def series_converges(system: BranchSystem, s: float) -> bool:
@@ -1127,25 +1165,33 @@ class LogDerivPotential(Potential):
         if is_linear(system):
             return super().birkhoff_sums(system, cols, out)
         *head, last = [c + float(system.offset) for c in cols]
-        a, b, c, d, e = 1.0, 0.0, 0.0, 1.0, 0
+        # *_hi bound the entries (all >= 0) by the same float steps on the
+        # columns' maxima, as rounding is monotone: arrays are searched past them
+        a, b, c, d, e = 1.0, 0.0, 0.0, 1.0, None  # e: None until a scaling
+        a_hi, b_hi, c_hi, d_hi = a, b, c, d
         for m in head:
+            m_hi = float(m.max())
             a, b, c, d = b, a + b * m, d, c + d * m
-            if np.max(d) >= 2.0 ** 128:  # below, the scaling is ldexp by 0
+            a_hi, b_hi, c_hi, d_hi = b_hi, a_hi + b_hi * m_hi, d_hi, c_hi + d_hi * m_hi
+            if d_hi >= 2.0 ** 128 and d.max() >= 2.0 ** 128:  # below, ldexp by 0
                 k = np.where(d < 2.0 ** 128, 0, np.frexp(d)[1])
                 a, b, c, d = (np.ldexp(x, -k) for x in (a, b, c, d))
-                e = e + k
+                a_hi, b_hi, c_hi, d_hi = (float(x.max()) for x in (a, b, c, d))
+                e = k if e is None else e + k
         y = 0.5 * d * last
         y += 0.5 * (b + c)
-        with np.errstate(over="ignore"):
+        big = d_hi * float(last.max()) + (b_hi + c_hi) > 2.0 ** 512  # y^2 may overflow
+        with np.errstate(over="ignore") if big else contextlib.nullcontext():
             mu = np.multiply(y, y, out=out)
-        mu -= np.ldexp((-1.0) ** len(cols), -2 * e)
+        sign = (-1.0) ** len(cols)
+        mu -= sign if e is None else np.ldexp(sign, -2 * e)
         np.sqrt(mu, out=mu)
         mu += y
-        if np.max(d) * np.max(last) + np.max(b + c) > 2.0 ** 512:  # y^2 may overflow
+        if big:
             np.multiply(y, 2.0, out=mu, where=np.isinf(mu))
         np.log(mu, out=mu)
         mu *= 2.0
-        if np.any(e):
+        if e is not None:  # some d was scaled, so some e > 0
             mu += 2 * e * _LN2_LO  # e log 2 in two parts, the larger one exact
             mu += 2 * e * _LN2_HI
         return mu
@@ -1216,7 +1262,10 @@ def birkhoff_sum(system: BranchSystem, potential: Potential, word: Sequence[int]
     n = len(w)
     if potential == log_deriv_potential() and not is_linear(system):
         zs = periodic_points(system, w)
-        return sum(branch(system, s).log_deriv(z) for s, z in zip(w, zs))
+        total = 0.0
+        for s, z in zip(w, zs):
+            total += branch(system, s).log_deriv(z)
+        return total
     m = potential.level
     if n < m:
         raise UnderdeterminedWordError(f"word of length {n} cannot carry a level-{m} potential")

@@ -283,7 +283,7 @@ def _log_partition(L, phi, t):
             # a sum of 0, inf or NaN whatever the order, so a plain one:
             # fsum raises on a finite overflow even beside an inf
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                total = sum(float(np.exp(a, out=a).sum()) for a in map(exponents, tiles))
+                total = float(np.sum([np.exp(a, out=a).sum() for a in map(exponents, tiles)]))
                 seg = float(np.log(total))
         else:
             m, sums = 0, []
@@ -456,12 +456,13 @@ def _zeta_tail(s: float, first: float) -> float:
 def _level1_head(system: BranchSystem, potential: Potential):
     """t-independent head of the tilted series: the one cache of its data.
 
-    Returns (H, vals, logd, term_vals, digits), one entry per digit in
+    Returns (H, vals, logd, term_vals, digits, short), one entry per digit in
     digit order: the head length, the potential values (a view of the term
     values) and log diam(I_i), the term values, which on a system with a
-    tail end with the midpoint of the potential's tail bounds, and the
-    physical digits, which only the continued-fraction family reads (None
-    on linear systems).
+    tail end with the midpoint of the potential's tail bounds, the physical
+    digits, which only the continued-fraction family reads (None on linear
+    systems), and (term_vals, logd) as lists for ``_series_groups``' short
+    form (None past 7 terms).
 
     A finite system's head is all of it.  Otherwise the head is the
     shortest max(1, len(head)) 2^j digits past which the potential is one
@@ -479,8 +480,10 @@ def _level1_head(system: BranchSystem, potential: Potential):
         p_lo, p_hi = potential.tail_bounds(system, H)
         p_mid = [0.5 * (p_lo + p_hi)]
     term_vals = np.append(level1_values(system, potential, H), p_mid)
+    logd = np.log(diameters(system, H))
     digits = None if is_linear(system) else np.arange(1, H + 1, dtype=float) + system.offset
-    return H, term_vals[:H], np.log(diameters(system, H)), term_vals, digits
+    short = (term_vals.tolist(), logd.tolist()) if len(term_vals) <= 7 else None
+    return H, term_vals[:H], logd, term_vals, digits, short
 
 
 @functools.lru_cache(maxsize=16)
@@ -506,7 +509,7 @@ def _series_groups(system: BranchSystem, potential: Potential, t: float):
     in sequence below 8 terms, as the list loop of ``_logsumexp`` does, and
     from 8 on keeps 8 partial sums, so longer series stay arrays.
     """
-    H, _, logd, term_vals, digits = _level1_head(system, potential)
+    H, _, logd, term_vals, digits, short = _level1_head(system, potential)
     tail, tail_term = None, []
     if system.tail is not None:
         p_lo, p_hi = potential.tail_bounds(system, H)
@@ -519,14 +522,15 @@ def _series_groups(system: BranchSystem, potential: Potential, t: float):
             logT = logT_hi = _log(_zeta_tail(2.0 * t, first))
         tail, tail_term = (p_lo, p_hi, logT_lo, logT_hi), [logT]
     if digits is None:
+        if short:  # t log diam, as numpy's product rounds it
+            return H, short[0], [float(t) * x for x in short[1]] + tail_term, None, tail
         logS, logS_lo = np.append(t * logd, tail_term), None
     else:
         logS_lo = -2.0 * t * np.log(digits + 1.0)
         logS = np.append(-2.0 * t * np.log(digits), tail_term)
-    if len(term_vals) > 7:
+    if short is None:
         return H, term_vals, logS, logS_lo, tail
-    return (H, term_vals.tolist(), logS.tolist(),
-            None if logS_lo is None else logS_lo.tolist(), tail)
+    return H, short[0], logS.tolist(), logS_lo.tolist(), tail
 
 
 def _tilt(q, vals, logw):

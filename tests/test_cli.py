@@ -95,6 +95,27 @@ def test_spectrum_json_format(capsys):
     assert doc["result"]["points"][0]["q"] is None
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_spectrum_of_error_rows_only_exits_3(capsys, fmt):
+    # a table potential lists no value on the flat model's tail, so every
+    # row is an error row: the rows still print, and the exit code says so
+    rc, out = run_cli(capsys, [
+        "spectrum", "--model", "flat_example", "--potential",
+        '{"kind": "table", "level": 1, "values": {"1": 1.0}}', "--points", "3",
+        "--format", fmt])
+    assert rc == 3
+    if fmt == "csv":
+        rows = out.strip().split("\n")[1:]
+        assert len(rows) == 3 and all(row.split(",")[4] == "error" for row in rows)
+    else:
+        points = json.loads(out)["result"]["points"]
+        assert [p["regime"] for p in points] == ["error"] * 3
+    # one row that is not an error keeps exit 0
+    assert cli.main(["spectrum", "--model", "flat_example", "--potential", "chi1",
+                     "--points", "3", "--format", fmt]) == 0
+    capsys.readouterr()
+
+
 def test_flat_bounds_command(capsys):
     rc, out = run_cli(capsys, ["flat-bounds", "--model", "flat_example"])
     assert rc == 0

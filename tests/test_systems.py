@@ -1,8 +1,10 @@
 """Branch system constructors, diameter series, words and potentials."""
 
 import ast
+import hashlib
 import json
 import math
+import pickle
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from pathlib import Path
@@ -427,6 +429,128 @@ def test_powerlog_bracket_keeps_the_bits_of_the_fraction_form(name, system):
                 ts.diam_series(reference, s, start=start), (s, start)
 
 
+# _expint_scaled with int counters, the reference for its float counters:
+# Python converts these small ints to floats exactly, so both must give the
+# same bits
+
+
+def _int_counter_expint_scaled(r, z):
+    num, den = r
+    if z == 0.0:
+        return 1.0 / ((num - den) / den) if num > den else math.inf
+    rf = num / den
+    if z >= 0.5:
+        t = z
+        for k in range(int(3.0 + 60.0 / math.sqrt(z) + 60.0 / z), -1, -1):
+            t = z + (rf + k) / (1.0 + (k + 1) / t)
+        return 1.0 / t
+    m = max(0, round(rf - 1.0))
+    delta = ((1 + m) * den - num) / den
+    c_over = systems._lgamma1p_over(delta)
+    for j in range(1, m + 1):
+        c_over -= math.log1p(-delta / j) / delta if delta else -1.0 / j
+    e = delta * (c_over - math.log(z))
+    if abs(e) < 1.0:
+        g = (c_over - math.log(z)) * (math.expm1(e) / e if e else 1.0)
+    else:
+        g = (z ** -delta * math.exp(delta * c_over) - 1.0) / delta
+    out = (-z) ** m / math.factorial(m) * g
+    term, k = 1.0, 0
+    while True:
+        if k != m:
+            part = term / (1.0 - rf + k)
+            out -= part
+            if k > m and abs(part) <= systems._ROUND * abs(out):
+                return out * math.exp(z)
+        k += 1
+        term *= -z / k
+
+
+def test_expint_scaled_keeps_the_bits_of_int_counters():
+    rng = np.random.default_rng(37)
+    rs = [float(r) for r in rng.uniform(0.0, 40.0, 60)]
+    rs += [float(n) for n in range(0, 12)]
+    # within 1e-12 of an integer: the series merges the pole term with Gamma
+    rs += [n + float(dv) for n in range(0, 12) for dv in rng.uniform(-1e-12, 1e-12, 3)]
+    ratios = [r.as_integer_ratio() for r in rs if r >= 0.0]
+    # exact products d s, as the power-log bracket passes them
+    ratios += [systems._exact_product(4.0, float(s)) for s in rng.uniform(0.5, 3.0, 20)]
+    zs = [0.0, *_near(0.5, 8), *rng.uniform(1e-6, 0.5, 25).tolist(),
+          *np.exp(rng.uniform(math.log(1e-9), math.log(0.5), 10)).tolist(),
+          *rng.uniform(0.5, 60.0, 25).tolist()]
+    branches = {"series": 0, "fraction": 0}
+    for r in ratios:
+        for z in zs:
+            got, want = systems._expint_scaled(r, z), _int_counter_expint_scaled(r, z)
+            assert got.hex() == want.hex(), (r, z)
+            branches["series" if 0.0 < z < 0.5 else "fraction"] += 1
+    assert min(branches.values()) > 1000
+    assert any(abs(n / d - round(n / d)) < 1e-12 and n % d for n, d in ratios)
+
+
+def test_taylor_coefficients_keep_their_bits():
+    # the Euler-Maclaurin Taylor coefficients of both tail families, pinned
+    # as Python 3.11's builtin sum() added them: from 3.12 on sum() is
+    # compensated, and the helpers add in loops so the bits stay the same
+    rng = np.random.default_rng(2000)
+    x, xb = 1002.0, 1003.0
+    L = math.log(xb)
+    grid = [float(s) for s in rng.uniform(0.5, 3.0, 2000)]
+
+    def digest(rows):
+        return hashlib.sha256(";".join(",".join(c.hex() for c in row)
+                                       for row in rows).encode()).hexdigest()
+
+    assert digest(systems._powerlog_taylor(2.0 * s, 4.0 * s, x, xb, L) for s in grid) == \
+        "461a036aef74a7334ede80c466de7b348cf1da9b39cba06000a709e621631c89"
+    assert digest(GaussTail()._em_terms(s, 1037)[1] for s in grid) == \
+        "441566b247bed22bea0caf6215f6d7514e8dfa9e309a1b6e1c4b325801afd910"
+
+
+def _bracket_digest(system, grid):
+    """sha256 of the float hex of diam_series over the grid, starts 1 and 3."""
+    text = ";".join(f"{lo.hex()},{hi.hex()}" for s in grid for start in (1, 3)
+                    for lo, hi in [ts.diam_series(system, s, start=start)])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_powerlog_brackets_keep_their_bits_restricted_and_subnormal():
+    # the brackets of a restricted power-log system (labels offset by 4),
+    # also at exponents where f(M) = diam(I_M)^s is subnormal, so _em_terms
+    # rescales by M f(M) from logs; the digests pin their bits
+    base = ts.powerlog_system([0.3, 0.2], c=0.05, a=2.0, b=1.0, d=1.5)
+    restricted = ts.restricted_system(base, 5)
+    assert restricted.offset == 4
+    rng = np.random.default_rng(137)
+    grid = [float(s) for s in rng.uniform(0.5, 3.0, 150)]
+    assert _bracket_digest(restricted, grid) == RESTRICTED_DIGEST
+    big = [float(s) for s in rng.uniform(40.0, 95.0, 60)]
+    M = 1 + restricted.offset + len(restricted.head) + systems._EM_HEAD
+    # and where f(M) is subnormal but the scale M f(M) is normal
+    log_d = math.log(restricted.tail.diameter(M))
+    band = np.linspace(math.log(systems._NORMAL) / log_d,
+                       math.log(systems._NORMAL / M) / log_d, 22)[1:-1].tolist()
+    assert all(restricted.tail._em_terms(s, M)[0] >= systems._NORMAL for s in band)
+    big += band
+    assert all(restricted.tail.diameter(M) ** s < systems._NORMAL for s in big)
+    assert all(ts.diam_series(restricted, s)[0] > 0.0 for s in big)  # sums still normal
+    assert _bracket_digest(restricted, big) == SUBNORMAL_DIGEST
+    # there the remainder is far below the head's rounding, so its own
+    # terms are pinned as well: (F, c_0..c_5, integral, allowance) at M
+    terms = ";".join(",".join(v.hex() for v in (F, *taylor, integral, allowance))
+                     for F, taylor, integral, allowance in
+                     (restricted.tail._em_terms(s, M) for s in big))
+    assert hashlib.sha256(terms.encode()).hexdigest() == SUBNORMAL_TERMS_DIGEST
+    flat = ts.flat_example_system()
+    assert _bracket_digest(flat, big) == FLAT_SUBNORMAL_DIGEST
+
+
+RESTRICTED_DIGEST = "97a49f9e36a23d59120e4c8ee7e912d3e95d0177446581e967a1d84339b63e64"
+SUBNORMAL_DIGEST = "efc3d2dd4f1f4e24687e8b0ca54e8921dd2c58e0106c0fee5b20fe7d474cc4c9"
+FLAT_SUBNORMAL_DIGEST = "8235ae07eeda9ad080338ca53fb13fbb44b49381941d655c82eb99784790f815"
+SUBNORMAL_TERMS_DIGEST = "a7f6b60a18dbadbb9e27da178b10a9ae9a4cc66811b469c1a0535cb5ad9f70f8"
+
+
 def test_powerlog_converges_decides_on_the_exact_product():
     # 1.5 * fl(1/1.5) rounds to 1 but is 1 - 2^-54 exactly: p < 1 diverges
     # whatever the log factor
@@ -759,6 +883,32 @@ def test_log_deriv_sums_past_the_square_overflow():
     est = ts.pressure(ts.restricted_system(g, 10**160), t=0.6, q=3, n_max=2)
     lo, hi = est.bracket
     assert -442.0 < lo <= hi < -440.0
+
+
+def test_branch_system_hashes_its_fields_once():
+    # equal systems hash equal (as the dataclass hash of the fields), and
+    # the hash is kept, so cache lookups stop re-hashing the head
+    g = ts.gauss_system()
+    assert hash(ts.truncate(g, 13)) == hash(ts.truncate(g, 13))
+    flat = ts.flat_example_system()
+    assert hash(flat) == hash((flat.head, flat.tail, flat.xi, flat.offset, flat.flat))
+    calls = []
+
+    class CountingTail:
+        def __hash__(self):
+            calls.append(1)
+            return 7
+
+    system = ts.BranchSystem(head=g.head, tail=CountingTail())
+    assert hash(system) == hash(system) == hash((g.head, system.tail, 2.0, 0, None))
+    assert len(calls) == 2  # once for the system, once for the check
+    assert system == ts.BranchSystem(head=g.head, tail=system.tail)
+    # a pickle leaves the hash to the process that loads it
+    hashed = ts.truncate(g, 3)
+    hash(hashed)
+    again = pickle.loads(pickle.dumps(hashed))
+    assert "_hash" in hashed.__dict__ and "_hash" not in again.__dict__
+    assert again == hashed and hash(again) == hash(hashed)
 
 
 def test_birkhoff_sum_counts_matches():
