@@ -249,7 +249,6 @@ def _cmd_spectrum(args):
         raise _ConfigError("--points must be >= 1")
     grid = np.linspace(args.alpha_min, args.alpha_max, args.points)
     curve = spectrum_curve(system, potential, grid)
-    # every row an error row is a numeric failure, still printed in full
     code = 3 if all(pt.regime == "error" for pt in curve.points) else 0
     if args.format == "csv":
         return _curve_csv(curve), code

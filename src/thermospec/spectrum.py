@@ -146,8 +146,7 @@ def _require_level(alpha) -> None:
         raise ModelError("the level alpha is NaN")
 
 
-@functools.lru_cache(maxsize=16)
-def _value_range(system: BranchSystem, potential: Potential):
+def _value_range(system, potential):
     """(inf, sup, inf attained, sup attained) of a level-1 potential.
 
     Attainment over the tail follows ``tail_inf_attained``: indicator and

@@ -151,7 +151,7 @@ class PowerLogTail(Tail):
 
     def _em_terms(self, s: float, M: int) -> tuple:
         # f(x) = c^s x^(-p) log(x + b)^(-r), with p = a s and r = d s
-        x, xb, L, log1p_bx, dM, u, (an, ad), (dn, dd) = _powerlog_fixed(self, M)
+        x, xb, L, log1p_bx, dM, (an, ad), (dn, dd) = _powerlog_fixed(self, M)
         p, r = self.a * s, self.d * s
         f0 = dM ** s  # f(M), rounded as the head terms are
         # int_M^inf f = f(M) L xb (x/xb)^p sum_k c_k: factoring f(M) out keeps
@@ -162,7 +162,7 @@ class PowerLogTail(Tail):
         lam = (num - den) / den
         scale = L * xb * math.exp(-p * log1p_bx)
         integral = scale * _powerlog_integral(lam, (dn * sn, dd * sd), self.b, L, xb)
-        taylor, allowance = _powerlog_taylor(p, r, x, xb, L, u), 12.0 + s * (4.0 + self.d)
+        taylor, allowance = _powerlog_taylor(p, r, x, xb, L), 12.0 + s * (4.0 + self.d)
         if f0 >= _NORMAL:
             return f0, taylor, integral, allowance
         # f(M) is subnormal while the sum need not be: scale by M f(M) =
@@ -281,15 +281,6 @@ class BranchSystem:
     xi: float = 2.0
     offset: int = 0
     flat: FlatParams | None = None
-
-    def __hash__(self) -> int:  # the fields' hash, kept: caches look it up per call
-        if "_hash" not in self.__dict__:
-            object.__setattr__(self, "_hash", hash(
-                (self.head, self.tail, self.xi, self.offset, self.flat)))
-        return self.__dict__["_hash"]
-
-    def __getstate__(self):  # a pickle carries no hash: hash(None) differs between processes
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
     def digit(self, i: int) -> int:
         """Physical branch label for logical index i."""
@@ -642,8 +633,7 @@ def _binomial_taylor(p: float, x: float) -> list:
 
 
 def _convolve(A: list, B: list) -> list:
-    """sum_{k <= n} A_k B_(n-k) for each n < len(A), added from 0.0 left to
-    right as builtin ``sum()`` did before Python 3.12 compensated it."""
+    """sum_{k <= n} A_k B_(n-k), n < len(A), added left to right from 0.0, uncompensated."""
     out = [0.0] * len(A)
     for k, a in enumerate(A):  # each out[n] takes its terms in the order of k
         for n in range(k, len(A)):
@@ -651,26 +641,18 @@ def _convolve(A: list, B: list) -> list:
     return out
 
 
-def _log_taylor(xb: float, L: float) -> list:
-    """Taylor coefficients u_0..u_5 of log(1 + h/xb)/L in h (u_0 = 0)."""
-    u = [0.0, 1.0 / (xb * L)]
-    for n in range(2, 6):
-        u.append(-u[-1] * (n - 1) / (n * xb))
-    return u
-
-
-def _powerlog_taylor(p: float, r: float, x: float, xb: float, L: float,
-                     u: Sequence[float] | None = None) -> list:
+def _powerlog_taylor(p: float, r: float, x: float, xb: float, L: float) -> list:
     """Taylor coefficients c_0..c_5 of f(x + h)/f(x) in h, where
     f(x) = x^(-p) log(x + b)^(-r), xb = x + b and L = log xb.
 
     x^(-p) expands binomially; log(xb + h) = L (1 + u(h)) with
-    u = log(1 + h/xb)/L (``_log_taylor``, or ``u`` where the caller holds
-    it), and (1 + u)^(-r) follows J. C. P. Miller's power recurrence
-    w_n = sum_{k=1..n} ((1 - r) k - n) u_k w_(n-k) / n.
+    u = log(1 + h/xb)/L, and (1 + u)^(-r) follows J. C. P. Miller's power
+    recurrence w_n = sum_{k=1..n} ((1 - r) k - n) u_k w_(n-k) / n.
     """
-    u, W = u or _log_taylor(xb, L), [1.0]
+    u, W = [0.0, 1.0 / (xb * L)], [1.0]
     for n in range(1, 6):
+        if n > 1:
+            u.append(-u[-1] * (n - 1) / (n * xb))
         w = 0.0
         for k in range(1, n + 1):
             w += ((1.0 - r) * k - n) * u[k] * W[n - k]
@@ -680,11 +662,10 @@ def _powerlog_taylor(p: float, r: float, x: float, xb: float, L: float,
 
 @functools.lru_cache(maxsize=8)
 def _powerlog_fixed(tail: PowerLogTail, M: int) -> tuple:
-    """The s-free inputs of ``PowerLogTail._em_terms`` at M: x = M, xb = M + b,
-    L = log xb, log1p(b/x), diam(I_M), u of ``_log_taylor``, a and d as ratios."""
+    """The s-free inputs of ``PowerLogTail._em_terms`` at M, as it unpacks them."""
     x, xb = float(M), M + tail.b
     L = math.log(xb)
-    return (x, xb, L, math.log1p(tail.b / x), tail.diameter(M), tuple(_log_taylor(xb, L)),
+    return (x, xb, L, math.log1p(tail.b / x), tail.diameter(M),
             tail.a.as_integer_ratio(), tail.d.as_integer_ratio())
 
 
@@ -1165,22 +1146,16 @@ class LogDerivPotential(Potential):
         if is_linear(system):
             return super().birkhoff_sums(system, cols, out)
         *head, last = [c + float(system.offset) for c in cols]
-        # *_hi bound the entries (all >= 0) by the same float steps on the
-        # columns' maxima, as rounding is monotone: arrays are searched past them
         a, b, c, d, e = 1.0, 0.0, 0.0, 1.0, None  # e: None until a scaling
-        a_hi, b_hi, c_hi, d_hi = a, b, c, d
         for m in head:
-            m_hi = float(m.max())
             a, b, c, d = b, a + b * m, d, c + d * m
-            a_hi, b_hi, c_hi, d_hi = b_hi, a_hi + b_hi * m_hi, d_hi, c_hi + d_hi * m_hi
-            if d_hi >= 2.0 ** 128 and d.max() >= 2.0 ** 128:  # below, ldexp by 0
+            if d.max() >= 2.0 ** 128:  # below, the scaling is ldexp by 0
                 k = np.where(d < 2.0 ** 128, 0, np.frexp(d)[1])
                 a, b, c, d = (np.ldexp(x, -k) for x in (a, b, c, d))
-                a_hi, b_hi, c_hi, d_hi = (float(x.max()) for x in (a, b, c, d))
                 e = k if e is None else e + k
         y = 0.5 * d * last
         y += 0.5 * (b + c)
-        big = d_hi * float(last.max()) + (b_hi + c_hi) > 2.0 ** 512  # y^2 may overflow
+        big = np.max(d) * last.max() + np.max(b + c) > 2.0 ** 512  # y^2 may overflow
         with np.errstate(over="ignore") if big else contextlib.nullcontext():
             mu = np.multiply(y, y, out=out)
         sign = (-1.0) ** len(cols)

@@ -456,13 +456,12 @@ def _zeta_tail(s: float, first: float) -> float:
 def _level1_head(system: BranchSystem, potential: Potential):
     """t-independent head of the tilted series: the one cache of its data.
 
-    Returns (H, vals, logd, term_vals, digits, short), one entry per digit in
-    digit order: the head length, the potential values (a view of the term
-    values) and log diam(I_i), the term values, which on a system with a
-    tail end with the midpoint of the potential's tail bounds, the physical
-    digits, which only the continued-fraction family reads (None on linear
-    systems), and (term_vals, logd) as lists for ``_series_groups``' short
-    form (None past 7 terms).
+    Returns (H, vals, logd, term_vals, digits, short), one entry per digit
+    in digit order: the head length, the potential values (a view of the
+    term values) and log diam(I_i), the term values, which on a system with
+    a tail end with the midpoint of the potential's tail bounds, the
+    physical digits (None on linear systems), and (term_vals, logd) as
+    lists for ``_series_groups``' short form, or None past 7 terms.
 
     A finite system's head is all of it.  Otherwise the head is the
     shortest max(1, len(head)) 2^j digits past which the potential is one

@@ -4,7 +4,6 @@ import ast
 import hashlib
 import json
 import math
-import pickle
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from pathlib import Path
@@ -883,32 +882,6 @@ def test_log_deriv_sums_past_the_square_overflow():
     est = ts.pressure(ts.restricted_system(g, 10**160), t=0.6, q=3, n_max=2)
     lo, hi = est.bracket
     assert -442.0 < lo <= hi < -440.0
-
-
-def test_branch_system_hashes_its_fields_once():
-    # equal systems hash equal (as the dataclass hash of the fields), and
-    # the hash is kept, so cache lookups stop re-hashing the head
-    g = ts.gauss_system()
-    assert hash(ts.truncate(g, 13)) == hash(ts.truncate(g, 13))
-    flat = ts.flat_example_system()
-    assert hash(flat) == hash((flat.head, flat.tail, flat.xi, flat.offset, flat.flat))
-    calls = []
-
-    class CountingTail:
-        def __hash__(self):
-            calls.append(1)
-            return 7
-
-    system = ts.BranchSystem(head=g.head, tail=CountingTail())
-    assert hash(system) == hash(system) == hash((g.head, system.tail, 2.0, 0, None))
-    assert len(calls) == 2  # once for the system, once for the check
-    assert system == ts.BranchSystem(head=g.head, tail=system.tail)
-    # a pickle leaves the hash to the process that loads it
-    hashed = ts.truncate(g, 3)
-    hash(hashed)
-    again = pickle.loads(pickle.dumps(hashed))
-    assert "_hash" in hashed.__dict__ and "_hash" not in again.__dict__
-    assert again == hashed and hash(again) == hash(hashed)
 
 
 def test_birkhoff_sum_counts_matches():
