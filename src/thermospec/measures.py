@@ -73,7 +73,7 @@ class CylinderMeasure:
             if len(w) != self.level:
                 raise InvalidMeasureError(f"word {w} does not have length {self.level}")
         arr = np.asarray(self.weights, dtype=float)
-        if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
+        if not np.isfinite(arr).all() or (arr <= 0).any():
             raise InvalidMeasureError("weights must be finite and strictly positive")
         if abs(float(arr.sum()) - 1.0) > 1e-12:
             raise InvalidMeasureError(f"weights sum to {arr.sum():.17g}, not 1")
@@ -146,11 +146,11 @@ def stats(system: BranchSystem, measure: CylinderMeasure,
     for w in measure.words:
         check_word(system, w)
     p = np.asarray(measure.weights, dtype=float)
-    if np.any(p <= 0) or abs(p.sum() - 1.0) > 1e-12:
+    if (p <= 0).any() or abs(p.sum() - 1.0) > 1e-12:
         raise InvalidMeasureError("weights must be positive and sum to 1")
     arr = _word_array(measure)
     n = measure.level
-    h = float(-(p * np.log(p)).sum() / n)
+    h = float((0.0 - (p * np.log(p)).sum()) / n)  # +0.0 for a point mass
     lam = float(-(p * _log_cylinder_diams(system, arr)).sum() / n)
     moments = tuple(float(p @ _moment_rows(system, pot, arr)) for pot in potentials)
     return MeasureStats(h=h, lyapunov=lam, ratio=h / lam, moments=moments)
@@ -201,70 +201,84 @@ def _project_box(p, A, lo, hi, theta=None):
     below, theta/|theta|_1 tends to a separating direction, and a capped
     step that repeats to a relative 1e-12 and separates the boxes ends the
     solve (the step may drift in its last bits while theta runs off).
+
+    Row quantities (side, grad, step, trial theta, stop tests) are Python
+    floats: sign tests and exact elementwise operations round as numpy's
+    do.  What BLAS or LAPACK computes stays in numpy, whose bits it sets:
+    W-length products, row dot products (OpenBLAS may fuse multiply-adds),
+    the solve (its 1x1 case may multiply by a reciprocal).  Logits of under
+    8 words go to ``_logsumexp`` as lists; listing short arrays inside
+    ``_logsumexp`` would recurse forever on a non-finite maximum.
     """
     if A is None:
         return p, None
     logp = np.log(p)
     c, w = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    cl, wl, tol = c.tolist(), w.tolist(), (w + 1e-13).tolist()
+    pack = np.ndarray.tolist if A.shape[1] < 8 else np.asarray  # short: the list path
     last = np.zeros(A.shape[0])
     theta = last if theta is None else theta
-    thetas = [theta]
+    th, thetas = theta.tolist(), [theta]  # th: theta as floats
     message = "constraint projection did not converge"
-    for _ in range(100):
-        logits = logp + theta @ A
-        logx = logits - _logsumexp(logits)
-        x, dual = np.exp(logx), theta
-        m = A @ x
-        g = m - c
-        # the side of each row's kink that the dual descends into
-        side = np.where(theta != 0, np.sign(theta), -np.sign(g) * (np.abs(g) > w + 1e-13))
-        active = (side != 0) | (w == 0)
-        grad = np.where(active, g + w * side, 0.0)
-        if np.max(np.abs(grad)) <= 1e-13:
-            break
-        centered = A[active] - m[active, None]
-        H = (centered * x) @ centered.T
-        H.flat[::H.shape[0] + 1] += 1e-14
-        step = np.zeros_like(theta)
-        try:
-            step[active] = np.linalg.solve(H, grad[active])
-        except np.linalg.LinAlgError:
-            message = "degenerate constraint system"
-            break
-        if not np.all(np.isfinite(step)):
-            message = "constraint projection diverged"
-            break
-        cap = 50.0 / np.max(np.abs(step))
-        step *= min(1.0, cap)
-        # Armijo backtracking on the change of the dual, rounded far below
-        # the decrease (log1p of the mean of expm1, or a log-sum-exp where
-        # log1p would cancel); a row whose theta would change sign stops at 0
-        t = 1.0
-        while True:
-            new = theta - t * step
-            new[(w > 0) & (new * side < 0)] = 0.0
-            delta = new - theta
-            with np.errstate(over="ignore", invalid="ignore"):
-                mean = x @ np.expm1(delta @ A)
-            lse = np.log1p(mean) if mean > -0.5 else _logsumexp(logx + delta @ A)
-            change = lse - delta @ c + w @ (np.abs(new) - np.abs(theta))
-            if change <= 1e-4 * grad @ delta or t < 1e-12:
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(100):
+            logits = logp + theta @ A
+            logx = logits - _logsumexp(pack(logits))
+            x, dual = np.exp(logx), theta
+            m = A @ x
+            g = [mi - ci for mi, ci in zip(m.tolist(), cl)]
+            # the side of each row's kink that the dual descends into, NaN for a NaN g
+            side = [math.copysign(1.0, t) if t else -math.copysign(1.0, gi) if abs(gi) > tl
+                    else 0.0 * gi for t, gi, tl in zip(th, g, tol)]
+            grad = [gi + wi * s if s != 0 or wi == 0 else 0.0 for gi, wi, s in zip(g, wl, side)]
+            if all(abs(gr) <= 1e-13 for gr in grad):
                 break
-            t *= 0.5
-        if (cap < 1.0 and np.max(np.abs(delta - last)) <= 1e-12 * np.max(np.abs(delta))
-                and delta @ c - w @ np.abs(delta) > np.max(delta @ A)):
-            thetas.append(delta)  # the dual runs off along this step
-            break
-        theta, last = new, delta
-        thetas.append(theta)
-    if np.all(m >= lo - 1e-9) and np.all(m <= hi + 1e-9):
+            rows = [i for i, (s, wi) in enumerate(zip(side, wl)) if s != 0 or wi == 0]
+            centered = (A - m[:, None]).take(rows, axis=0)
+            H = (centered * x) @ centered.T
+            H.ravel()[::len(rows) + 1] += 1e-14  # H is C-contiguous: ravel is a view
+            step = [0.0] * len(th)
+            try:
+                for i, v in zip(rows, np.linalg.solve(H, [grad[i] for i in rows]).tolist()):
+                    step[i] = v
+            except np.linalg.LinAlgError:
+                message = "degenerate constraint system"
+                break
+            if not all(map(math.isfinite, step)):
+                message = "constraint projection diverged"
+                break
+            top = max(map(abs, step))
+            cap = 50.0 / top if top else math.inf
+            step = [v * min(1.0, cap) for v in step]
+            slope = np.array([1e-4 * gr for gr in grad])
+            # Armijo backtracking on the change of the dual, rounded far below
+            # the decrease (log1p of the mean of expm1, or a log-sum-exp where
+            # log1p would cancel); a row whose theta would change sign stops at 0
+            t = 1.0
+            while True:
+                new = [0.0 if (v := o - t * u) * s < 0 and wi > 0 else v
+                       for o, u, s, wi in zip(th, step, side, wl)]
+                delta = np.array([v - o for v, o in zip(new, th)])
+                mean = x @ np.expm1(dA := delta @ A)
+                lse = np.log1p(mean) if mean > -0.5 else _logsumexp(pack(logx + dA))
+                change = lse - delta @ c + w @ np.array([abs(v) - abs(o) for v, o in zip(new, th)])
+                if change <= slope @ delta or t < 1e-12:
+                    break
+                t *= 0.5
+            if (cap < 1.0 and np.max(np.abs(delta - last)) <= 1e-12 * np.max(np.abs(delta))
+                    and delta @ c - w @ np.abs(delta) > np.max(dA)):
+                thetas.append(delta)  # the dual runs off along this step
+                break
+            theta, th, last = np.array(new), new, delta
+            thetas.append(theta)
+    if (m >= lo - 1e-9).all() and (m <= hi + 1e-9).all():
         return x, dual
     raise _ProjectionFailed(message, thetas)
 
 
 def _ratio_of(p, logd):
-    """h/lambda of the weights p, with 0 log 0 = 0."""
-    return -(p * np.log(p, out=np.zeros_like(p), where=p > 0)).sum() / -(p @ logd)
+    """h/lambda of the weights p, with 0 log 0 = 0 and h = +0.0 at a point mass."""
+    return (0.0 - (p * np.log(p, out=np.zeros(p.shape), where=p > 0)).sum()) / -(p @ logd)
 
 
 def _feasible_projection(p, A, lo, hi):
@@ -341,13 +355,14 @@ def maximize_ratio(system: BranchSystem, constraints=(), q: int | None = None,
         if not all(map(math.isfinite, gam.tolist() + eps.tolist())):
             raise ModelError(f"constraint gamma and eps must be finite, got "
                              f"gamma {gam.tolist()}, eps {eps.tolist()}")
-        if np.any(eps < 0):
+        if (eps < 0).any():
             raise ModelError("constraint tolerances must be >= 0")
         lo, hi = gam - eps, gam + eps
 
     R, best_p, theta = 0.0, None, None
+    pack = np.ndarray.tolist if len(logd) < 8 else np.asarray  # short: the list path
     for i in range(200):
-        p = np.exp(R * logd - _logsumexp(R * logd))
+        p = np.exp(R * logd - _logsumexp(pack(R * logd)))
         p, theta = _project_box(p, A, lo, hi, theta) if i else _feasible_projection(p, A, lo, hi)
         r = _ratio_of(p, logd)
         if best_p is not None and r <= R + 1e-15 * max(1.0, R):
@@ -355,10 +370,9 @@ def maximize_ratio(system: BranchSystem, constraints=(), q: int | None = None,
         R, best_p = r, p
 
     keep = best_p > 1e-300
-    words = tuple(tuple(int(s) for s in w) for w in arr[keep])
     weights = best_p[keep]
-    weights = weights / weights.sum()
-    measure = CylinderMeasure(level=n, words=words, weights=tuple(weights))
+    measure = CylinderMeasure(level=n, words=tuple(map(tuple, arr[keep].tolist())),
+                              weights=tuple((weights / weights.sum()).tolist()))
     return measure, stats(system, measure, potentials=pots)
 
 
@@ -399,7 +413,7 @@ def digit_frequency_dimension(system: BranchSystem, p, mode: str = "full", *,
         support = freqs > 0
         pw = freqs[support] / total
         logd = np.log(diameters(system, len(freqs)))[support]
-        ratio = float(-(pw * np.log(pw)).sum()) / float(-(pw @ logd))
+        ratio = float(0.0 - (pw * np.log(pw)).sum()) / float(-(pw @ logd))  # h = +0.0 at a Dirac
     else:
         if q is None:
             q = max(16, 2 * len(freqs))
@@ -459,10 +473,10 @@ def feasible(system: BranchSystem, gamma, eps: float = 0.0,
     def report(x):
         keep = x > 1e-15
         weights = x[keep] / x[keep].sum()
-        moments = tuple(float(m) for m in (A[:, keep] @ weights))
-        measure = CylinderMeasure(level=n, words=tuple(tuple(int(s) for s in w) for w in arr[keep]),
-                                  weights=tuple(weights))
-        return FeasibilityReport(tuple(gam), eps, q, n, "feasible-with-witness",
+        moments = tuple((A[:, keep] @ weights).tolist())
+        measure = CylinderMeasure(level=n, words=tuple(map(tuple, arr[keep].tolist())),
+                                  weights=tuple(weights.tolist()))
+        return FeasibilityReport(tuple(gam.tolist()), eps, q, n, "feasible-with-witness",
                                  float(np.max(np.abs(np.asarray(moments) - gam))), measure, moments)
 
     # the maximum-entropy projection that meets the moments is the witness;
@@ -477,7 +491,7 @@ def feasible(system: BranchSystem, gamma, eps: float = 0.0,
     try:
         return report(_feasible_projection(uniform, A, gam - eps, gam + eps)[0])
     except InfeasibleConstraintsError as exc:
-        return FeasibilityReport(tuple(gam), eps, q, n, "infeasible-at-truncation",
+        return FeasibilityReport(tuple(gam.tolist()), eps, q, n, "infeasible-at-truncation",
                                  exc.distance + eps, None, ())
 
 

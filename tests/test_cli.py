@@ -136,6 +136,14 @@ def test_freq_dim_floor(capsys):
     assert doc["result"]["regime"] == "s_inf-floor"
 
 
+@pytest.mark.parametrize("freqs", ["0,1", "1,0"])
+def test_freq_dim_point_mass_prints_positive_zero(capsys, freqs):
+    rc, out = run_cli(capsys, ["freq-dim", "--model", "doubling", "--freqs", freqs])
+    assert rc == 0
+    result = json.loads(out, parse_int=float)["result"]  # keeps the sign of "-0"
+    assert result["alpha3"] == 0.0 and math.copysign(1.0, result["alpha3"]) == 1.0
+
+
 def test_feasible_with_gamma_file(capsys, tmp_path):
     gpath = tmp_path / "g.json"
     gpath.write_text(json.dumps({"gamma": [0.9],

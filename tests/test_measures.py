@@ -1,5 +1,6 @@
 """Cylinder measures, ratio maximization and moment feasibility."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -17,6 +18,13 @@ from thermospec import measures
 
 BE_QUARTER = 0.8112781244591328  # H(1/4) / log 2
 GOLDEN_LYAP = 0.9624236501192069  # 2 log((1 + sqrt 5)/2)
+PROJECTION_DIGEST = "6605fa01867bc16585b19995dd81b5504f6b94cb876f01f32c25692097104fe2"
+OP_DIGESTS = {
+    "ratio[golden]": "2d85049907c5e1f02b3b927f197e29108b188c37145afa8ca606265b09e6a1a1",
+    "ratio[g8,harmonic]": "35e162f44037f4f750478b4c8ee9aced654900b616a64004b868fe03dfad97ac",
+    "freq_dim[0.3,0.2]": "2ab963e943fe429bc5e1dda904a6b7dd09f28031f04e6f063e7342f57162da12",
+    "feasible[0.6]": "51c6708169d4b7686c7e6f8394616376449d66105f35ca59c0158ad7a7bca26b",
+}
 
 
 def _bernoulli2(p1):
@@ -280,6 +288,29 @@ def test_digit_frequency_dirac_vectors():
     assert res.regime == "s_inf-floor"
 
 
+def test_point_masses_have_positive_zero_entropy():
+    # -(p log p) summed over zero terms is -0.0; a point mass reports +0.0
+    sys2, chi1 = ts.doubling_system(), ts.indicator_potential(1)
+    _, st = ts.maximize_ratio(sys2, ((chi1, 1.0, 0.0),), q=1)
+    dirac = ts.stats(sys2, ts.CylinderMeasure(1, ((2,),), (1.0,)))
+    full = [ts.digit_frequency_dimension(sys2, f).alpha3 for f in ([1.0, 0.0], [0.0, 1.0])]
+    zeros = [st.h, st.ratio, dirac.h, dirac.ratio, *full,
+             measures._ratio_of(np.array([1.0, 0.0]), np.array([-1.0, -2.0]))]
+    assert [math.copysign(1.0, z) for z in zeros] == [1.0] * len(zeros), zeros
+    assert zeros == [0.0] * len(zeros)
+
+
+def test_results_hold_plain_floats():
+    # weights, gamma and moments are Python floats, as MeasureStats' are
+    g, harm = ts.gauss_system(), ts.harmonic_potential()
+    mu, st = ts.maximize_ratio(ts.truncate(g, 8), ((harm, 0.5, 1e-3),), q=8, n=2)
+    rep = ts.feasible(g, (0.6,), eps=1e-6, q=50, potentials=(harm,))
+    bad = ts.feasible(g, [1.5], q=30)
+    values = [*mu.weights, st.h, st.lyapunov, st.ratio, *st.moments, *rep.gamma,
+              *rep.witness.weights, *rep.moments, rep.max_violation, *bad.gamma]
+    assert {type(x) for x in values} == {float}
+
+
 def test_digit_frequency_partial_matches_full():
     sys2 = ts.doubling_system()
     full = ts.digit_frequency_dimension(sys2, [0.25, 0.75])
@@ -488,6 +519,63 @@ def test_projection_ends_once_its_separating_step_repeats():
         except measures._ProjectionFailed as failure:
             full += len(failure.thetas) > 100
     assert full <= 18
+
+
+def _short_box_problems(count, seed):
+    """Seeded boxes over 2-7 words (the logits' short-list path) with 1-3
+    uniform rows, about half of them equality rows, from random weights p;
+    about a third are pushed off the moments of random weights."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        k, n = int(rng.integers(1, 4)), int(rng.integers(2, 8))
+        A = rng.random((k, n))
+        gam = A @ rng.dirichlet(np.ones(n))
+        if rng.random() < 0.3:
+            gam += rng.choice([-1.0, 1.0], size=k) * rng.uniform(0, 0.5, size=k)
+        eps = np.where(rng.random(k) < 0.5, 0.0, 10 ** rng.uniform(-6, -1, size=k))
+        yield rng.dirichlet(np.ones(n)), A, gam - eps, gam + eps
+
+
+def _hexes(value):
+    """Floats as hex strings, inside tuples, lists and dataclasses."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (tuple, list)):
+        return [_hexes(v) for v in value]
+    if hasattr(value, "__dataclass_fields__"):
+        return {k: _hexes(getattr(value, k)) for k in value.__dataclass_fields__}
+    return value
+
+
+def test_projections_and_ratio_ops_keep_their_bits():
+    # sha256 digests recorded before the dual's row quantities moved to
+    # Python floats: (x, theta) of every witness, the message and every
+    # theta of every failure, and the hex outputs of the ratio_max ops
+    # other than the doubling levels (doubling_ratio_hexes.json has those)
+    digest = hashlib.sha256()
+    uniform = ((np.full(A.shape[1], 1.0 / A.shape[1]), A, lo, hi)
+               for A, lo, hi in _box_problems(200, seed=0))
+    for p, A, lo, hi in itertools.chain(uniform, _short_box_problems(300, seed=5)):
+        try:
+            x, theta = measures._project_box(p, A, lo, hi)
+            digest.update(x.tobytes() + theta.tobytes())
+        except measures._ProjectionFailed as failure:
+            digest.update(str(failure).encode())
+            for theta in failure.thetas:
+                digest.update(theta.tobytes())
+    assert digest.hexdigest() == PROJECTION_DIGEST
+
+    g, harm = ts.gauss_system(), ts.harmonic_potential()
+    ops = {
+        "ratio[golden]": lambda: ts.maximize_ratio(ts.linear_system([0.5, 0.25])),
+        "ratio[g8,harmonic]": lambda: ts.maximize_ratio(ts.truncate(g, 8), ((harm, 0.5, 1e-3),),
+                                                        q=8, n=2),
+        "freq_dim[0.3,0.2]": lambda: ts.digit_frequency_dimension(g, [0.3, 0.2], mode="partial"),
+        "feasible[0.6]": lambda: ts.feasible(g, (0.6,), eps=1e-6, q=50, potentials=(harm,)),
+    }
+    got = {name: hashlib.sha256(json.dumps(_hexes(op())).encode()).hexdigest()
+           for name, op in ops.items()}
+    assert got == OP_DIGESTS
 
 
 def test_mixture_affine_combination_exact():
