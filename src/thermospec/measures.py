@@ -455,6 +455,8 @@ def feasible(system: BranchSystem, gamma, eps: float = 0.0,
         raise ModelError(f"gamma must be finite, got {gam.tolist()}")
     if not eps >= 0:
         raise ModelError(f"eps must be >= 0, got {eps}")
+    if not math.isfinite(eps):
+        raise ModelError(f"eps must be finite, got {eps}")
     if potentials is None:
         potentials = tuple(indicator_potential(i + 1) for i in range(len(gam)))
     if len(potentials) != len(gam):

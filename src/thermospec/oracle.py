@@ -465,6 +465,21 @@ def _thermo_reports() -> list[OracleReport]:
     out.append(_report("Gauss level-3 periodic sum at t=1, q=4",
                        v3_oracle, v3_module, 1e-14))
 
+    # level 3 past the digit where its rows start: every word's term
+    # mu^-2 = 4 / (T + sqrt(T^2 + 4))^2 from its integer continuant trace
+    # T = abc + a + b + c, added exactly rounded
+    digits = np.arange(1, 101, dtype=np.int64)
+    bc, b_c = digits[:, None] * digits[None, :], digits[:, None] + digits[None, :]
+
+    def terms(a):  # the words (a, b, c)
+        T = (a * bc + a + b_c).astype(float)
+        return (4.0 / (T + np.sqrt(T * T + 4.0)) ** 2).ravel().tolist()
+
+    v3_oracle = math.log(math.fsum(x for a in digits.tolist() for x in terms(a))) / 3
+    v3_module = pressure(gauss, t=1.0, q=100, n_max=3).values[2]
+    out.append(_report("Gauss level-3 periodic sum at t=1, q=100, exactly added",
+                       v3_oracle, v3_module, 1e-15))
+
     # closed-form orbit sums past the float range of the continuants
     words = list(product((1, 2), repeat=8))
     sums = log_deriv_potential().birkhoff_sums(restricted_system(gauss, 10**45), np.array(words).T)

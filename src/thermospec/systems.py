@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import json
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -1258,6 +1257,7 @@ def _read_json_source(source) -> dict:
     """A parsed dict as is, JSON text starting with '{', or a JSON file path."""
     if isinstance(source, dict):
         return source
+    import json  # here alone, so that importing the package does not load it
     text = str(source)
     if text.lstrip().startswith("{"):
         return json.loads(text)

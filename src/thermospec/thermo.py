@@ -305,6 +305,26 @@ def _log_partition(L, phi, t):
     return out
 
 
+_ROWS_FROM = 64  # H: level 3 is summed in rows past this digit
+_ROWS_BELOW = 2 ** 100  # digits below it keep the traces' squares finite
+
+
+def _level_log_partition(system, potential, q, n, t, workers):
+    """log Z_n(t), the log of sum exp(phi - t L) over the words of level n
+    on the digits 1..q (phi None: 0).  Level 3 with no potential, t > 0
+    and q >= ``_ROWS_FROM`` on the continued-fraction family is summed in
+    rows (``level3.log_partition``); every other level, and that one where
+    its remainder bound fails, is a pass over the level's arrays.  The rows'
+    module is imported here, so that only enumeration compiles it."""
+    if (potential is None and n == 3 and t > 0 and _ROWS_FROM <= q < _ROWS_BELOW - system.offset
+            and not is_linear(system)):
+        from .level3 import log_partition
+        value = log_partition(system, q, t, workers)
+        if value is not None:
+            return value
+    return _log_partition(*_level_arrays(system, potential, q, n, workers), t)
+
+
 # ---------------------------------------------------------------------------
 # pressure
 
@@ -355,7 +375,13 @@ def pressure(system: BranchSystem, potential: Potential | None = None, *,
 
     Exact word enumeration level by level; level-1 potentials on all-linear
     systems factorize (Z_n = Z_1^n exactly) and skip the enumeration.  Raises
-    a budget error carrying the completed levels when q^n exceeds the cap.
+    a budget error carrying the completed levels when q^n exceeds the cap,
+    which counts every word of a level however it is summed.  Level 3 with
+    no potential, t > 0 and q >= 64 on the continued-fraction family is not
+    built: past digit 64 it is summed in Euler-Maclaurin rows whose
+    remainder, bounded by the first omitted term, must stay within 2^-56
+    of the level's sum, or the level's array is built after all
+    (``_level_log_partition``).
     """
     if not math.isfinite(t):
         raise ModelError(f"t must be finite, got {t}")
@@ -395,7 +421,7 @@ def pressure(system: BranchSystem, potential: Potential | None = None, *,
     else:
         fits = _levels_within(q, n_max, budget)
         for n in range(1, fits + 1):
-            values.append(_log_partition(*_level_arrays(system, potential, q, n, workers), t) / n)
+            values.append(_level_log_partition(system, potential, q, n, t, workers) / n)
             levels.append(n)
         if fits < n_max:
             partial = _finish_estimate(system, potential, t, q, values, levels, diverged)
@@ -898,15 +924,18 @@ def _root_analytic(system, bracket, tol, q, n_max, budget, workers):
     """Root on the continued-fraction family: Hurwitz sandwich plus levels.
 
     log Z_n(t) is computed at most once per (t, level) and only where it
-    can be used.  The point value needs every level (Aitken).  A certified
-    bound evaluates level n only when the level's a-priori range could
-    move it: for t > 0, S_lo_q^n <= Z_n <= S_q^n, with S_q the sum of
-    m^-2t over the words' digits m = N..N+q-1 and S_lo_q over N+1..N+q.
-    The level's lower term is then at most log S_q - V_n/n and its upper
-    term at least its completion from n log S_lo_q + V_n.  The level is
-    skipped only when that range misses the bound so far by more than
-    1e-12 max(1, |bound|), so the bound keeps every bit; at t <= 0 or when
-    a sum is not finite every level is evaluated.
+    can be used, by ``_level_log_partition``: a level is built at its first
+    use, and level 3 at q >= 64 is the array below digit 64 and the
+    Euler-Maclaurin rows past it, with their remainder bound checked
+    against the level's sum at each t.  The point value needs every level
+    (Aitken).  A certified bound evaluates level n only when the level's
+    a-priori range could move it: for t > 0, S_lo_q^n <= Z_n <= S_q^n,
+    with S_q the sum of m^-2t over the words' digits m = N..N+q-1 and
+    S_lo_q over N+1..N+q.  The level's lower term is then at most log S_q
+    - V_n/n and its upper term at least its completion from n log S_lo_q
+    + V_n.  The level is skipped only when that range misses the bound so
+    far by more than 1e-12 max(1, |bound|), so the bound keeps every bit;
+    at t <= 0 or when a sum is not finite every level is evaluated.
     """
     if not has_gauss_tail(system):
         raise ModelError("analytic root finding is implemented for the continued-fraction family")
@@ -922,15 +951,14 @@ def _root_analytic(system, bracket, tol, q, n_max, budget, workers):
         captured = full - _zeta_tail(2.0 * t_mid, N + q)
         if math.isfinite(full) and captured / full >= 0.99:
             n_eff = _levels_within(q, n_max, default_budget() if budget is None else budget)
-    levels = [_level_arrays(system, None, q, n, workers) for n in range(1, n_eff + 1)]
 
     @functools.cache
-    def log_partition(t, n):  # log Z_n(t), one pass per (t, level)
-        return _log_partition(*levels[n - 1], t)
+    def log_partition(t, n):  # log Z_n(t), once per (t, level)
+        return _level_log_partition(system, None, q, n, t, workers)
 
     def certified(t, upper):
         # sandwich: sup derivative weights m^-2t above, inf weights below
-        if not levels:
+        if not n_eff:
             return _log(_zeta_tail(2.0 * t, N if upper else N + 1))
         S_full, S_lo = _zeta_tail(2.0 * t, N), _zeta_tail(2.0 * t, N + 1)
         terms = [_log(S_full if upper else S_lo)]
@@ -939,7 +967,7 @@ def _root_analytic(system, bracket, tol, q, n_max, budget, workers):
         S_q = S_full - _zeta_tail(2.0 * t, N + q)
         S_lo_q = S_lo - _zeta_tail(2.0 * t, N + q + 1)
         lazy = t > 0 and all(map(math.isfinite, (S_full, S_q, S_lo_q)))
-        for n in range(1, len(levels) + 1):
+        for n in range(1, n_eff + 1):
             V = _variation_total(system, None, t, n)
             bound = min(terms) if upper else max(terms)
             slack = 1e-12 * max(1.0, abs(bound))
@@ -953,15 +981,15 @@ def _root_analytic(system, bracket, tol, q, n_max, budget, workers):
         return min(terms) if upper else max(terms)
 
     def point(t):
-        if not levels:
+        if not n_eff:
             return _log_series(system, t)[1]
-        est = _aitken([log_partition(t, n) / n for n in range(1, len(levels) + 1)])
+        est = _aitken([log_partition(t, n) / n for n in range(1, n_eff + 1)])
         return min(max(est, certified(t, False)), certified(t, True))
 
     value, interval = _certified_root(
         lambda t: certified(t, False), point, lambda t: certified(t, True),
         lo, hi, min(tol, 1e-10), 1e-12)
     return RootResult(value=value, interval=interval,
-                      method="enumeration" if levels else "level1-sandwich",
-                      residual=point(value), q=q if levels else None,
-                      n_used=n_eff if levels else None, bracket=(lo, hi))
+                      method="enumeration" if n_eff else "level1-sandwich",
+                      residual=point(value), q=q if n_eff else None,
+                      n_used=n_eff or None, bracket=(lo, hi))

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -266,6 +267,19 @@ def test_non_finite_numeric_inputs_exit_3(capsys, argv, error):
     rc, out = run_cli(capsys, argv)
     assert rc == 3
     assert json.loads(out)["result"] == {"error": error}
+
+
+def test_feasible_infinite_eps_exit_3_without_a_warning(capsys):
+    # eps = inf printed numpy's "invalid value encountered in add" and
+    # returned the uniform witness
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(["feasible", "--model", "gauss", "--gamma", "1.5", "--eps", "inf",
+                       "--q", "30"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert json.loads(captured.out)["result"] == {"error": "eps must be finite, got inf"}
+    assert captured.err == "" and caught == []
 
 
 def test_empty_truncation_level_exit_3(capsys):

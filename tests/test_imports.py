@@ -90,6 +90,33 @@ def test_one_worker_loads_no_thread_pool():
     assert seen == {"import": [], "1-worker root": []}
 
 
+_NO_JSON = r"""
+import sys
+
+def loaded():
+    return (sorted(m for m in sys.modules if m.split(".")[0] in ("json", "_json")),
+            "thermospec.level3" in sys.modules)
+
+import thermospec as ts
+seen = {"import": loaded()}
+ts.pressure_root(ts.gauss_system(), bracket=(0.8, 1.2), q=200, n_max=4)
+seen["criterion-2 root"] = loaded()
+print(seen)
+"""
+
+
+def test_import_loads_neither_json_nor_the_rows():
+    # only model and potential files are JSON: the package reads them with
+    # a json imported inside the reader, which an import and a root skip.
+    # The level-3 rows' module is compiled on the first level 3 summed in
+    # rows, so a cold process that enumerates nothing never compiles it
+    proc = subprocess.run([sys.executable, "-c", _NO_JSON], capture_output=True,
+                          text=True, env=_child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = ast.literal_eval(proc.stdout.strip().splitlines()[-1])
+    assert seen == {"import": ([], False), "criterion-2 root": ([], True)}
+
+
 # the flat commands of the command line, run in one child
 _FLAT_CLI = r"""
 import contextlib, io, json, sys
@@ -261,6 +288,7 @@ def test_numeric_modules_call_no_builtin_sum():
     # floats in explicit loops, numpy sums or math.fsum.  The oracle's
     # sums show the guard sees one
     hits = {name: _builtin_sums((SRC / "thermospec" / name).read_text(encoding="utf-8"))
-            for name in ("systems.py", "thermo.py", "spectrum.py", "measures.py", "oracle.py")}
+            for name in ("systems.py", "thermo.py", "level3.py", "spectrum.py", "measures.py",
+                         "oracle.py")}
     assert hits.pop("oracle.py")
     assert {name: lines for name, lines in hits.items() if lines} == {}

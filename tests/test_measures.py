@@ -611,6 +611,17 @@ def test_non_finite_targets_and_tolerances_raise(bad):
             ts.maximize_ratio(d, ((chi1, gamma, eps),))
 
 
+@pytest.mark.parametrize("eps", [math.inf, -math.inf])
+def test_feasible_rejects_an_infinite_eps(eps):
+    # eps = inf made the box centres NaN: numpy warned "invalid value
+    # encountered in add" and the uniform weights came back as a witness
+    g = ts.gauss_system()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ts.ModelError, match=f"eps must be (finite|>= 0), got {eps}"):
+            ts.feasible(g, [1.5], eps=eps, q=30)
+
+
 def test_mixture_rejects_bad_weights():
     a = ts.golden_dirac_stats()
     with pytest.raises(ts.ModelError):

@@ -17,7 +17,7 @@ import pytest
 import thermospec as ts
 from hypothesis import given, settings, strategies as st
 
-from thermospec import spectrum, thermo
+from thermospec import level3, spectrum, thermo
 from thermospec.oracle import powerlog_series
 from thermospec.systems import _decode_words, _logsumexp
 
@@ -69,14 +69,22 @@ def test_truncations_are_equal_values_and_share_level_arrays():
 
 
 def test_pressure_reads_the_arrays_of_the_criterion_2_root():
-    # the root's levels at q = 200 are the pressure's, with no potential or
-    # the log|T'| one: level 3 holds one value per digit multiset for both
+    # the root's levels at q = 200 are the pressure's: levels 1 and 2, and
+    # level 3 as the array below digit H and the rows past it.  The log|T'|
+    # potential still reads level 3 as one array of one value per digit
+    # multiset, which the root no longer builds, and a pass at t <= 0 with
+    # no potential reads that same array
     g = ts.gauss_system()
     ts.pressure_root(g, bracket=(0.8, 1.2), q=200, n_max=4)
     misses = thermo._level_sums.cache_info().misses
+    rows = level3._row_data.cache_info().misses
     ts.pressure(g, t=1.0, q=200, n_max=3)
-    ts.pressure(g, ts.log_deriv_potential(), t=1.0, q=200, n_max=3)
     assert thermo._level_sums.cache_info().misses == misses
+    assert level3._row_data.cache_info().misses == rows
+    ts.pressure(g, ts.log_deriv_potential(), t=1.0, q=200, n_max=3)
+    ts.pressure(g, t=0.0, q=200, n_max=3)
+    assert thermo._level_sums.cache_info().misses == misses + 1
+    assert level3._row_data.cache_info().misses == rows
 
 
 def test_worker_count_builds_its_own_level_arrays():
@@ -564,6 +572,79 @@ def test_log_partition_accuracy_on_segments_past_a_tile():
     assert worst <= 1e-15, worst
 
 
+def _row_exponents():
+    # seeded t in (0, 20]: 1/2 and two points within 1e-9 of it, then
+    # log-uniform draws over (1e-3, 20) and uniform ones over (0, 20]
+    rng = np.random.default_rng(39)
+    return ([0.5] + (0.5 + rng.uniform(-1e-9, 1e-9, 2)).tolist()
+            + np.exp(rng.uniform(math.log(1e-3), math.log(20.0), 4)).tolist()
+            + (20.0 - rng.uniform(0.0, 20.0, 2)).tolist())
+
+
+_ROW_SYSTEMS = ((1, ts.gauss_system()), (20, ts.restricted_system(ts.gauss_system(), 20)),
+                (10**6, ts.restricted_system(ts.gauss_system(), 10**6)))
+
+
+def test_level3_rows_match_the_multiset_pass():
+    # level 3 with no potential, summed as the array below digit H, the top
+    # multisets and Euler-Maclaurin rows, against a pass over the whole
+    # multiset array.  A pass rounds log Z as a_max + log S, so its own
+    # error grows with |a_max| = t L_min (1.1e-15 of max(1, |log Z|) where
+    # log Z crosses 0 on digits >= 20 and >= 10^6); the bound scales with
+    # it.  Below H the level is that pass, bit for bit
+    H = thermo._ROWS_FROM
+    for N, system in _ROW_SYSTEMS:
+        for q in (H - 1, H, H + 1, 100, 200, 300):
+            L, _ = thermo._level_arrays(system, None, q, 3, 1)
+            for t in _row_exponents():
+                value = thermo._level_log_partition(system, None, q, 3, t, 1)
+                ref = thermo._log_partition(L, None, t)
+                if q < H:
+                    assert _same_bits(value, ref), (N, q, t)
+                else:
+                    scale = max(1.0, abs(ref), t * min(L.minima))
+                    assert abs(value - ref) <= 1e-15 * scale, (N, q, t, value, ref)
+            thermo._level_sums.cache_clear()
+
+
+def test_level3_rows_match_the_exact_level_sum():
+    # against log Z summed exactly from the same multiset array, the rows
+    # keep the bound of the passes past a tile: 1e-15 max(1, |log Z|)
+    H = thermo._ROWS_FROM
+    worst = 0.0
+    for N, system in _ROW_SYSTEMS:
+        for q in (H, H + 1, 100):
+            L, _ = thermo._level_arrays(system, None, q, 3, 1)
+            for t in _row_exponents():
+                exact = _exact_log_partition(L, t)
+                value = thermo._level_log_partition(system, None, q, 3, t, 1)
+                worst = max(worst, abs(value - exact) / max(1.0, abs(exact)))
+            thermo._level_sums.cache_clear()
+    assert worst <= 1e-15, worst
+
+
+def test_level3_rows_keep_the_arrays_where_they_do_not_apply(monkeypatch):
+    # t <= 0, any potential, and a failed remainder bound read the arrays,
+    # bit for bit; two workers give the bits of one
+    g = ts.gauss_system()
+    L, _ = thermo._level_arrays(g, None, 100, 3, 1)
+    for t in (0.0, -0.5, -3.0):
+        assert _same_bits(thermo._level_log_partition(g, None, 100, 3, t, 1),
+                          thermo._log_partition(L, None, t))
+    logd = ts.log_deriv_potential()
+    assert _same_bits(thermo._level_log_partition(g, logd, 100, 3, 2.0, 1),
+                      thermo._log_partition(L, L, 2.0))
+    for t in _row_exponents():
+        assert _same_bits(thermo._level_log_partition(g, None, 200, 3, t, 2),
+                          thermo._level_log_partition(g, None, 200, 3, t, 1))
+    monkeypatch.setattr(level3, "_EM_TOL", -1.0)
+    for t in (0.5, 1.0, 3.0):
+        assert level3.log_partition(g, 100, t, 1) is None
+        assert _same_bits(thermo._level_log_partition(g, None, 100, 3, t, 1),
+                          thermo._log_partition(L, None, t))
+    thermo._level_sums.cache_clear()
+
+
 def test_level_partitions_within_their_a_priori_range():
     # the skip rule of the enumeration root: on physical digits N..N+q-1,
     # m^2 <= |T'| <= (m+1)^2 gives S_lo^n <= Z_n(t) <= S_hi^n for t > 0
@@ -581,43 +662,51 @@ def test_level_partitions_within_their_a_priori_range():
 
 
 def test_pressure_root_criterion_2_bits_and_level_passes(monkeypatch):
-    # a level pass runs only where a bound or the point value can use it:
-    # near the lower end the level-1 Hurwitz term already wins max(lows),
-    # so its solve makes no level-3 pass.  The bounds are solved before the
-    # point, so the upper bound's lazy check computes level 3 at t = 1.0
-    # itself: 8 passes for the bracketed call, 9 for the default bracket
-    seen = []
-    real = thermo._log_partition
+    # level 3 is evaluated only where a bound or the point value can use
+    # it: near the lower end the level-1 Hurwitz term already wins
+    # max(lows), so its solve evaluates no level 3.  The bounds are solved
+    # before the point, so the upper bound's lazy check evaluates level 3 at
+    # t = 1.0 itself: 8 evaluations for the bracketed call, 9 for the
+    # default bracket.  Each sums the rows past digit H, and no pass runs
+    # over the C(202, 3) values of the whole level
+    seen, evaluated = [], []
+    real, real_rows = thermo._log_partition, level3.log_partition
 
     def counting(L, phi, t):
         seen.append((t, len(L)))
         return real(L, phi, t)
 
+    def counting_rows(system, q, t, workers):
+        evaluated.append(t)
+        return real_rows(system, q, t, workers)
+
     monkeypatch.setattr(thermo, "_log_partition", counting)
+    monkeypatch.setattr(level3, "log_partition", counting_rows)
     g = ts.gauss_system()
     res = ts.pressure_root(g, bracket=(0.8, 1.2), q=200, n_max=4)
     assert res.value.hex() == "0x1.feb062408f6fcp-1"
     assert [x.hex() for x in res.interval] == ["0x1.ba88a01dd1180p-1",
                                                "0x1.3333333333333p+0"]
     assert res.n_used == 3
-    # each level-3 pass runs over the C(202, 3) multiset values
-    level3 = [t for t, size in seen if size == math.comb(202, 3) == 1_353_400]
-    assert len(level3) == len(set(level3)) == 8
-    seen.clear()
+    assert len(evaluated) == len(set(evaluated)) == 8
+    assert max(size for _, size in seen) < math.comb(202, 3)
+    evaluated.clear()
     res = ts.pressure_root(g, q=200, n_max=4)
     assert res.value.hex() == "0x1.feb0624084891p-1"
     assert [x.hex() for x in res.interval] == ["0x1.ba88a01dd052dp-1",
                                                "0x1.0000000000000p+1"]
-    level3 = [t for t, size in seen if size == 1_353_400]
-    assert len(level3) == len(set(level3)) == 9
+    assert len(evaluated) == len(set(evaluated)) == 9
+    assert max(size for _, size in seen) < math.comb(202, 3)
 
 
 def test_pressure_root_criterion_2_holds_little_beyond_its_level():
-    # with cold level arrays, criterion 2 holds little beyond its level-3
-    # L of C(202, 3) values: levels 1 and 2 (320 kB), then one block of the
-    # level-3 build or the passes' tile
+    # a cold criterion-2 call holds levels 1 and 2 (320 kB), the level-3
+    # array below digit H (350 kB) and the rows past it (1.4 MB), plus one
+    # pass's scratch at a time: at most 4 MB traced, where the level-3
+    # array of C(202, 3) values alone took 10.8 MB
     g = ts.gauss_system()
     thermo._level_sums.cache_clear()
+    level3._row_data.cache_clear()
     tracemalloc.start()
     try:
         res = ts.pressure_root(g, bracket=(0.8, 1.2), q=200, n_max=4)
@@ -625,9 +714,7 @@ def test_pressure_root_criterion_2_holds_little_beyond_its_level():
     finally:
         tracemalloc.stop()
     assert res.value.hex() == "0x1.feb062408f6fcp-1"
-    L, _ = thermo._level_arrays(g, None, 200, 3, 1)
-    assert L.nbytes == 10_827_200
-    assert peak - L.nbytes < 1_000_000
+    assert peak <= 4_000_000
 
 
 def test_locally_constant_bracket_flat_series():
