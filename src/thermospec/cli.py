@@ -14,7 +14,6 @@ also a spectrum whose every row is an error row.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import importlib.resources
 import json
 import math
@@ -24,6 +23,7 @@ import sys
 import numpy as np
 
 from . import __version__
+from ._frozen import asdict
 from .errors import BudgetExceededError, ThermospecError
 from .measures import digit_frequency_dimension, feasible
 from .spectrum import flat_bounds, spectrum_curve
@@ -57,8 +57,6 @@ def _to_json(value, indent: int = 0) -> str:
     version-dependent in spirit; this pins the exact format instead.
     """
     pad = " " * indent
-    if dataclasses.is_dataclass(value):
-        return _to_json(dataclasses.asdict(value), indent)
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -67,6 +65,8 @@ def _to_json(value, indent: int = 0) -> str:
         return "{\n" + inner + "\n" + pad + "}"
     if isinstance(value, (list, tuple, np.ndarray)):
         return "[" + ", ".join(_to_json(v, indent) for v in value) + "]"
+    if hasattr(value, "_fields"):  # a frozen result value
+        return _to_json(asdict(value), indent)
     if value is None or isinstance(value, (bool, np.bool_)):
         return json.dumps(bool(value) if value is not None else None)
     if isinstance(value, (int, np.integer)):
@@ -83,7 +83,7 @@ def _envelope(args, compute) -> tuple[str, int]:
 
     ``config`` is every parsed flag but the command, so handlers normalise
     ``args`` in place first.  ``result`` is what ``compute`` returns, mostly a
-    result dataclass whose field order is the envelope's.  Numeric failures
+    result value whose field order is the envelope's.  Numeric failures
     give exit code 3 and an ``error`` result, with the ``partial`` estimate
     that a budget overrun carries.
     """
@@ -279,8 +279,8 @@ def _cmd_feasible(args):
     args.gamma, pots = _load_gamma_arg(args.gamma)
 
     def compute():
-        result = dataclasses.asdict(feasible(system, args.gamma, eps=args.eps, q=args.q,
-                                             n=args.n, potentials=pots))
+        result = asdict(feasible(system, args.gamma, eps=args.eps, q=args.q,
+                                n=args.n, potentials=pots))
         result["witness"] = result.pop("witness")  # the envelope lists it last
         return result
 

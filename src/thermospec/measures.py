@@ -13,10 +13,10 @@ under finitely many Birkhoff-moment constraints.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._frozen import frozen
 from .errors import (
     BudgetExceededError,
     InfeasibleConstraintsError,
@@ -56,7 +56,7 @@ __all__ = [
 _OPT_BUDGET = 200_000  # dense optimizer cap on q^n
 
 
-@dataclass(frozen=True)
+@frozen
 class CylinderMeasure:
     """Probability weights on a finite set of level-n cylinder words."""
 
@@ -79,7 +79,7 @@ class CylinderMeasure:
             raise InvalidMeasureError(f"weights sum to {arr.sum():.17g}, not 1")
 
 
-@dataclass(frozen=True)
+@frozen
 class MeasureStats:
     """Entropy, Lyapunov exponent, their ratio and Birkhoff moments."""
 
@@ -89,7 +89,7 @@ class MeasureStats:
     moments: tuple = ()
 
 
-@dataclass(frozen=True)
+@frozen
 class FeasibilityReport:
     gamma: tuple
     eps: float
@@ -101,14 +101,14 @@ class FeasibilityReport:
     moments: tuple
 
 
-@dataclass(frozen=True)
+@frozen
 class MixtureResult:
     p: float
     base_index: int
     stats: MeasureStats
 
 
-@dataclass(frozen=True)
+@frozen
 class FreqDimResult:
     dimension: float | None
     s_inf: float
@@ -149,10 +149,15 @@ def stats(system: BranchSystem, measure: CylinderMeasure,
     if (p <= 0).any() or abs(p.sum() - 1.0) > 1e-12:
         raise InvalidMeasureError("weights must be positive and sum to 1")
     arr = _word_array(measure)
-    n = measure.level
+    return _stats(p, measure.level, _log_cylinder_diams(system, arr),
+                  [_moment_rows(system, pot, arr) for pot in potentials])
+
+
+def _stats(p, n, logd, rows) -> MeasureStats:
+    """``stats`` from weights p on level-n words, their log diameters and moment rows."""
     h = float((0.0 - (p * np.log(p)).sum()) / n)  # +0.0 for a point mass
-    lam = float(-(p * _log_cylinder_diams(system, arr)).sum() / n)
-    moments = tuple(float(p @ _moment_rows(system, pot, arr)) for pot in potentials)
+    lam = float(-(p * logd).sum() / n)
+    moments = tuple(float(p @ row) for row in rows)
     return MeasureStats(h=h, lyapunov=lam, ratio=h / lam, moments=moments)
 
 
@@ -370,10 +375,11 @@ def maximize_ratio(system: BranchSystem, constraints=(), q: int | None = None,
         R, best_p = r, p
 
     keep = best_p > 1e-300
-    weights = best_p[keep]
+    weights = best_p[keep] / best_p[keep].sum()
     measure = CylinderMeasure(level=n, words=tuple(map(tuple, arr[keep].tolist())),
-                              weights=tuple((weights / weights.sum()).tolist()))
-    return measure, stats(system, measure, potentials=pots)
+                              weights=tuple(weights.tolist()))
+    # the words are checked and the rows built: ``stats`` would redo both
+    return measure, _stats(weights, n, logd[keep], [] if A is None else A[:, keep])
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,13 @@ is checking beyond the module calls under test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, product, repeat
 
 import mpmath
 import numpy as np
 
+from ._frozen import frozen
 from .errors import InvalidWordError, ModelError, UnsupportedPotentialError
 from .systems import (
     BranchSystem,
@@ -56,7 +56,7 @@ _DPS = 50
 _LAYOUT_CAP = 1_000_000  # largest digit resolved by explicit prefix sums
 
 
-@dataclass(frozen=True)
+@frozen
 class OracleReport:
     quantity: str
     oracle_value: float
@@ -219,7 +219,7 @@ def cf_cylinder_diameter_exact(word) -> Fraction:
 # deterministic orbit sampler
 
 
-@dataclass(frozen=True)
+@frozen
 class OrbitSample:
     """Deterministic orbit construction over a finite horizon.
 

@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._frozen import frozen, replace
 from .errors import (
     BracketError,
     InfeasibleModelError,
@@ -70,7 +70,7 @@ __all__ = [
 _BAND = 1e-6
 
 
-@dataclass(frozen=True)
+@frozen
 class SpectrumPoint:
     """One row of the dimension spectrum.
 
@@ -89,7 +89,7 @@ class SpectrumPoint:
     note: str = ""
 
 
-@dataclass(frozen=True)
+@frozen
 class FlatBounds:
     """Edges of the two flat windows [0, alpha_lower] and [alpha_upper, 1].
 
@@ -106,7 +106,7 @@ class FlatBounds:
     delta: float
 
 
-@dataclass(frozen=True)
+@frozen
 class FlatCertificate:
     """Outcome of the flat upper-bound search at one level alpha.
 
@@ -124,7 +124,7 @@ class FlatCertificate:
     note: str = ""
 
 
-@dataclass(frozen=True)
+@frozen
 class SpectrumCurve:
     points: tuple
     transitions: dict

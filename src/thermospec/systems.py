@@ -14,11 +14,11 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
-from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
+from ._frozen import frozen, replace
 from .errors import (
     InfeasibleModelError,
     InvalidWordError,
@@ -41,7 +41,7 @@ _LN2_HI, _LN2_LO = 0.6931471803691238, 1.9082149292705877e-10  # fdlibm's log 2
 # branches
 
 
-@dataclass(frozen=True)
+@frozen
 class Branch:
     """One inverse branch of the map, as data.
 
@@ -112,7 +112,7 @@ class Tail:
         return lo - slack, hi + slack
 
 
-@dataclass(frozen=True)
+@frozen
 class PowerLogTail(Tail):
     """diam(I_n) = c * n^(-a) * (log(n + b))^(-d); linear branches."""
 
@@ -203,7 +203,7 @@ class PowerLogTail(Tail):
         return math.inf
 
 
-@dataclass(frozen=True)
+@frozen
 class GaussTail(Tail):
     """diam(I_n) = 1/(n(n+1)); Moebius branches y -> 1/(n + y)."""
 
@@ -258,14 +258,14 @@ class GaussTail(Tail):
         return math.log10(target) / (1.0 - p)
 
 
-@dataclass(frozen=True)
+@frozen
 class FlatParams:
     K: float
     C: float
     s_inf: float
 
 
-@dataclass(frozen=True)
+@frozen
 class BranchSystem:
     """Immutable description of a countable expanding branch family.
 
@@ -988,7 +988,7 @@ class Potential:
         raise UndeterminedError("unbounded potential lacks a variation bound")
 
 
-@dataclass(frozen=True)
+@frozen
 class IndicatorPotential(Potential):
     """1 on branch ``index``, 0 elsewhere."""
 
@@ -1009,7 +1009,7 @@ class IndicatorPotential(Potential):
         return {"kind": "indicator", "index": self.index}
 
 
-@dataclass(frozen=True)
+@frozen
 class HarmonicPotential(Potential):
     """1 / physical digit; its tail infimum 0 is a limit only."""
 
@@ -1030,7 +1030,7 @@ class HarmonicPotential(Potential):
         return {"kind": "harmonic"}
 
 
-@dataclass(frozen=True)
+@frozen
 class ConstantPotential(Potential):
     """A fixed value."""
 
@@ -1049,7 +1049,7 @@ class ConstantPotential(Potential):
         return {"kind": "constant", "value": self.value_c}
 
 
-@dataclass(frozen=True)
+@frozen
 class TablePotential(Potential):
     """Explicit values on words of length ``level``: sorted (word, value) pairs."""
 
@@ -1102,7 +1102,7 @@ class TablePotential(Potential):
                 "values": {",".join(str(s) for s in k): v for k, v in self.table}}
 
 
-@dataclass(frozen=True)
+@frozen
 class LogDerivPotential(Potential):
     """log|T'|, evaluated through the branch data: locally constant on
     all-linear systems only, and unbounded."""

@@ -16,10 +16,10 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._frozen import frozen
 from .errors import (
     BracketError,
     BudgetExceededError,
@@ -312,14 +312,16 @@ _ROWS_BELOW = 2 ** 100  # digits below it keep the traces' squares finite
 def _level_log_partition(system, potential, q, n, t, workers):
     """log Z_n(t), the log of sum exp(phi - t L) over the words of level n
     on the digits 1..q (phi None: 0).  Level 3 with no potential, t > 0
-    and q >= ``_ROWS_FROM`` on the continued-fraction family is summed in
-    rows (``level3.log_partition``); every other level, and that one where
-    its remainder bound fails, is a pass over the level's arrays.  The rows'
-    module is imported here, so that only enumeration compiles it."""
-    if (potential is None and n == 3 and t > 0 and _ROWS_FROM <= q < _ROWS_BELOW - system.offset
+    (or log|T'| at t - 1 > 0, as phi - t L = -(t - 1) L) and q >= ``_ROWS_FROM``
+    on the continued-fraction family is summed in rows (``level3.log_partition``);
+    every other level, and those where the rows' remainder bound fails, is a
+    pass over the level's arrays.  The rows' module is imported here, so
+    that only enumeration compiles it."""
+    rows_t = t if potential is None else t - 1.0 if potential == _LOG_DERIV else 0.0
+    if (n == 3 and rows_t > 0 and _ROWS_FROM <= q < _ROWS_BELOW - system.offset
             and not is_linear(system)):
         from .level3 import log_partition
-        value = log_partition(system, q, t, workers)
+        value = log_partition(system, q, rows_t, workers)
         if value is not None:
             return value
     return _log_partition(*_level_arrays(system, potential, q, n, workers), t)
@@ -329,7 +331,7 @@ def _level_log_partition(system, potential, q, n, t, workers):
 # pressure
 
 
-@dataclass(frozen=True)
+@frozen
 class PressureEstimate:
     """Finite-truncation pressure data.
 
@@ -660,7 +662,7 @@ def pressure_locally_constant(system: BranchSystem,
 # critical exponent of the diameter series
 
 
-@dataclass(frozen=True)
+@frozen
 class SInfinityResult:
     """Critical exponent with evidence on both sides of it.
 
@@ -711,7 +713,7 @@ def s_infinity(system: BranchSystem, tol: float = 1e-3) -> SInfinityResult:
 # pressure roots
 
 
-@dataclass(frozen=True)
+@frozen
 class RootResult:
     """Root of t -> P(-t log|T'|) with a certified enclosure.
 

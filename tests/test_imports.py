@@ -117,6 +117,42 @@ def test_import_loads_neither_json_nor_the_rows():
     assert seen == {"import": ([], False), "criterion-2 root": ([], True)}
 
 
+# numpy loads before the audit hook: its own namedtuples compile source text
+_NO_GENERATED_SOURCE = r"""
+import json, os, sys
+import numpy
+
+generated = []
+
+def hook(event, args):
+    if event == "compile":
+        name = args[1]
+    elif event == "exec":
+        name = getattr(args[0], "co_filename", None)
+    else:
+        return
+    if not (isinstance(name, str) and (os.path.isfile(name) or name.startswith("<frozen "))):
+        generated.append([event, repr(name)])
+
+sys.addaudithook(hook)
+import thermospec
+import thermospec.cli
+print(json.dumps({"generated": generated, "dataclasses": "dataclasses" in sys.modules}))
+"""
+
+
+def test_import_generates_no_source():
+    # the value classes are built from closures: importing the package and
+    # its command line compiles and runs the package's files and no source
+    # text made at run time (exec, eval or compile of a string), and the
+    # dataclasses module is not loaded
+    proc = subprocess.run([sys.executable, "-c", _NO_GENERATED_SOURCE], capture_output=True,
+                          text=True, env=_child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert seen == {"generated": [], "dataclasses": False}
+
+
 # the flat commands of the command line, run in one child
 _FLAT_CLI = r"""
 import contextlib, io, json, sys

@@ -537,13 +537,13 @@ def _short_box_problems(count, seed):
 
 
 def _hexes(value):
-    """Floats as hex strings, inside tuples, lists and dataclasses."""
+    """Floats as hex strings, inside tuples, lists and frozen values."""
     if isinstance(value, float):
         return value.hex()
     if isinstance(value, (tuple, list)):
         return [_hexes(v) for v in value]
-    if hasattr(value, "__dataclass_fields__"):
-        return {k: _hexes(getattr(value, k)) for k in value.__dataclass_fields__}
+    if hasattr(value, "_fields"):
+        return {k: _hexes(getattr(value, k)) for k in value._fields}
     return value
 
 

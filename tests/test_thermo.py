@@ -624,16 +624,21 @@ def test_level3_rows_match_the_exact_level_sum():
 
 
 def test_level3_rows_keep_the_arrays_where_they_do_not_apply(monkeypatch):
-    # t <= 0, any potential, and a failed remainder bound read the arrays,
-    # bit for bit; two workers give the bits of one
+    # t <= 0, the log|T'| potential at t <= 1, any other potential, and a
+    # failed remainder bound read the arrays, bit for bit; two workers give
+    # the bits of one
     g = ts.gauss_system()
     L, _ = thermo._level_arrays(g, None, 100, 3, 1)
     for t in (0.0, -0.5, -3.0):
         assert _same_bits(thermo._level_log_partition(g, None, 100, 3, t, 1),
                           thermo._log_partition(L, None, t))
     logd = ts.log_deriv_potential()
-    assert _same_bits(thermo._level_log_partition(g, logd, 100, 3, 2.0, 1),
-                      thermo._log_partition(L, L, 2.0))
+    for t in (1.0, 0.5, -1.0):
+        assert _same_bits(thermo._level_log_partition(g, logd, 100, 3, t, 1),
+                          thermo._log_partition(L, L, t))
+    harm = ts.harmonic_potential()
+    assert _same_bits(thermo._level_log_partition(g, harm, 100, 3, 2.0, 1),
+                      thermo._log_partition(*thermo._level_arrays(g, harm, 100, 3, 1), 2.0))
     for t in _row_exponents():
         assert _same_bits(thermo._level_log_partition(g, None, 200, 3, t, 2),
                           thermo._level_log_partition(g, None, 200, 3, t, 1))
@@ -642,6 +647,37 @@ def test_level3_rows_keep_the_arrays_where_they_do_not_apply(monkeypatch):
         assert level3.log_partition(g, 100, t, 1) is None
         assert _same_bits(thermo._level_log_partition(g, None, 100, 3, t, 1),
                           thermo._log_partition(L, None, t))
+    thermo._level_sums.cache_clear()
+
+
+def test_log_deriv_level3_reads_the_rows_at_t_minus_1():
+    # phi - t L = -(t - 1) L for the log|T'| potential, so past t = 1 its
+    # level 3 is the no-potential rows' value at t - 1, bit for bit, within
+    # 1e-15 max(1, |log Z|) of the pass over the multiset array
+    g = ts.gauss_system()
+    logd = ts.log_deriv_potential()
+    for N, system in _ROW_SYSTEMS[:2]:
+        for q in (thermo._ROWS_FROM, 100, 200):
+            L, _ = thermo._level_arrays(system, None, q, 3, 1)
+            for t in (1.0 + 1e-9, 1.25, 1.5, 2.0, 3.0, 6.0):
+                value = thermo._level_log_partition(system, logd, q, 3, t, 1)
+                assert _same_bits(value, thermo._level_log_partition(system, None, q, 3, t - 1.0, 1))
+                ref = thermo._log_partition(L, L, t)
+                assert abs(value - ref) <= 1e-15 * max(1.0, abs(ref)), (N, q, t, value, ref)
+            thermo._level_sums.cache_clear()
+    # a cold call at q = 200 holds the rows, not the 10.8 MB multiset level;
+    # levels 1 and 2 keep the bits of their passes
+    level3._row_data.cache_clear()
+    tracemalloc.start()
+    try:
+        est = ts.pressure(g, logd, t=1.5, q=200, n_max=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4_000_000
+    for n in (1, 2):
+        assert _same_bits(est.values[n - 1],
+                          thermo._log_partition(*thermo._level_arrays(g, logd, 200, n, 1), 1.5) / n)
     thermo._level_sums.cache_clear()
 
 
